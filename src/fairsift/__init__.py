@@ -5,11 +5,7 @@ from .datamodel import (
     DataError,
     DatasetSpec,
     EncodedDataset,
-    GroupCoverageError,
-    GroupedConfusionMatrix,
-    build_grouped_confusion,
     encode_dataset,
-    load_dataset,
 )
 from .harness import (
     CvPlan,
@@ -47,8 +43,6 @@ __all__ = [
     "DatasetSpec",
     "EncodedDataset",
     "ExperimentConfig",
-    "GroupCoverageError",
-    "GroupedConfusionMatrix",
     "LogisticConfig",
     "LogisticModel",
     "METRIC_CATALOG",
@@ -57,12 +51,10 @@ __all__ = [
     "Mitigator",
     "ReweighingMitigator",
     "build_analysis",
-    "build_grouped_confusion",
     "compute_classification_metrics",
     "compute_dataset_metrics",
     "encode_dataset",
     "label_fair",
-    "load_dataset",
     "make_cv_plan",
     "read_results_csv",
     "reweigh",

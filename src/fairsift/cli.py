@@ -19,10 +19,18 @@ import sys
 import numpy as np
 
 from . import analysis, metrics, report, synth
-from .datamodel import ConfigError, DataError, DatasetSpec, load_dataset
+from .datamodel import (
+    ConfigError,
+    DataError,
+    DatasetSpec,
+    apply_minmax,
+    encode_dataset,
+    fit_minmax,
+)
 from .harness import (
     BASELINE,
     DEFAULT_SEEDS,
+    N_FOLDS,
     REWEIGHING,
     DatasetSource,
     ExperimentConfig,
@@ -158,15 +166,16 @@ def cmd_metrics(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{args.spec}: {exc}") from exc
     try:
-        ds = load_dataset(args.data, spec)
+        ds = encode_dataset(args.data, spec)
     except DataError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
+    X = apply_minmax(ds.X, *fit_minmax(ds.X))
 
     alpha = 2.0 if args.alpha is None else args.alpha
     k = 5 if args.k_neighbors is None else args.k_neighbors
     concentration = 1.0 if args.concentration is None else args.concentration
     values = metrics.compute_dataset_metrics(
-        ds.y, ds.s, ds.X, ds.weights, k=k, concentration=concentration
+        ds.y, ds.s, X, ds.weights, k=k, concentration=concentration
     )
     if args.predictions_column:
         predictions = _read_prediction_column(
@@ -200,7 +209,21 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_prediction_column(data_path, column, spec: DatasetSpec, n_rows: int):
+    """Binary predictions from a CSV column, for the rows the loader keeps.
+
+    A cell is favorable iff it is one of the spec's favorable values.  When
+    none of those is a number, the cells ``1`` and ``1.0`` count as
+    favorable too.
+    """
     with open(data_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -212,6 +235,8 @@ def _read_prediction_column(data_path, column, spec: DatasetSpec, n_rows: int):
         }
         used_idx = [header.index(c) for c in used]
         favorable = set(spec.favorable_value)
+        if not any(_is_number(v) for v in favorable):
+            favorable |= {"1", "1.0"}  # 0/1 predictions for a non-numeric label
         preds = []
         for row in reader:
             if not row:
@@ -221,7 +246,7 @@ def _read_prediction_column(data_path, column, spec: DatasetSpec, n_rows: int):
             raw = row[j]
             if raw == "":
                 raise DataError(f"empty prediction in column {column!r}")
-            preds.append(1 if raw in favorable or raw in ("1", "1.0") else 0)
+            preds.append(1 if raw in favorable else 0)
     if len(preds) != n_rows:
         raise DataError(
             f"predictions column has {len(preds)} usable rows, dataset has {n_rows}"
@@ -238,7 +263,13 @@ def cmd_experiment(args) -> int:
     loaded, failures = [], []
     for src in sources:
         try:
-            loaded.append(src.load())
+            ds = src.load()
+            if ds.row_count < 2 * N_FOLDS:
+                raise DataError(
+                    f"dataset {ds.name!r}: {ds.row_count} usable rows, "
+                    f"{N_FOLDS}-fold cross-validation needs at least {2 * N_FOLDS}"
+                )
+            loaded.append(ds)
         except (ConfigError, DataError, OSError) as exc:
             failures.append((src.data_path, str(exc)))
             print(f"error: dataset {src.data_path}: {exc}", file=sys.stderr)

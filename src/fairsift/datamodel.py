@@ -1,10 +1,11 @@
-"""Dataset ingestion, encoding, normalization, and grouped confusion matrices.
+"""Dataset ingestion, encoding and min-max normalization.
 
 A dataset is a CSV table plus a JSON side-file describing which column is the
 binary outcome, which column is the protected attribute, and how to encode the
-features.  After loading, everything downstream works on plain numpy arrays:
-features in [0, 1], labels in {0, 1} (1 = favorable), protected values in
-{0, 1} (1 = privileged), and non-negative instance weights.
+features.  After encoding, everything downstream works on plain numpy arrays:
+features (min-max scaled to [0, 1] from fitted bounds before use), labels in
+{0, 1} (1 = favorable), protected values in {0, 1} (1 = privileged), and
+non-negative instance weights.
 """
 
 import csv
@@ -26,10 +27,6 @@ class ConfigError(ValueError):
 
 class DataError(Exception):
     """CSV content that cannot be mapped to a usable dataset (CLI exit code 3)."""
-
-
-class GroupCoverageError(ValueError):
-    """Raised when an operation needs both protected groups but got one."""
 
 
 def _as_values(raw) -> tuple[str, ...]:
@@ -172,16 +169,6 @@ class EncodedDataset:
     def col_count(self) -> int:
         return self.X.shape[1]
 
-    def with_weights(self, weights: np.ndarray) -> "EncodedDataset":
-        weights = np.asarray(weights, dtype=float).copy()
-        if weights.shape != (self.row_count,):
-            raise ValueError("weights length must match row count")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-        return EncodedDataset(
-            self.name, self.X, self.y, self.s, weights, self.feature_names
-        )
-
 
 def _open_csv(csv_source):
     if hasattr(csv_source, "read"):
@@ -210,8 +197,8 @@ def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
     Labels map favorable -> 1, protected maps privileged -> 1, categoricals
     are label- or one-hot-encoded (full dummy set, nothing dropped).  Rows
     with an empty cell in any used column are rejected with a warning.
-    Feature values stay on their raw scale; see ``load_dataset`` for the
-    normalized variant.
+    Feature values stay on their raw scale; ``fit_minmax`` and
+    ``apply_minmax`` scale them.
     """
     header, rows = _read_table(csv_source)
     col_index = {name: i for i, name in enumerate(header)}
@@ -328,105 +315,3 @@ def apply_minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarra
     out = (X - mins) / safe
     out[:, span == 0] = 0.0
     return out
-
-
-def normalize_minmax(X: np.ndarray) -> np.ndarray:
-    mins, maxs = fit_minmax(X)
-    return apply_minmax(X, mins, maxs)
-
-
-def load_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
-    """Encode a CSV and min-max normalize every column to [0, 1] in one pass."""
-    ds = encode_dataset(csv_source, spec)
-    return EncodedDataset(
-        name=ds.name,
-        X=normalize_minmax(ds.X),
-        y=ds.y,
-        s=ds.s,
-        weights=ds.weights.copy(),
-        feature_names=ds.feature_names,
-    )
-
-
-@dataclass(frozen=True)
-class CellCounts:
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-
-    @property
-    def total(self) -> float:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class GroupedConfusionMatrix:
-    """TP/FP/FN/TN per protected group, with optional weighted cell sums."""
-
-    privileged: CellCounts
-    unprivileged: CellCounts
-    weighted_privileged: CellCounts | None = None
-    weighted_unprivileged: CellCounts | None = None
-
-    @property
-    def total(self) -> float:
-        return self.privileged.total + self.unprivileged.total
-
-
-def _check_binary(name: str, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D")
-    if not np.isin(v, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0 and 1")
-    return v.astype(np.int64)
-
-
-def _cells(y_true, y_pred, mask, weights) -> CellCounts:
-    t, p = y_true[mask], y_pred[mask]
-    w = weights[mask]
-    return CellCounts(
-        tp=float(w[(t == 1) & (p == 1)].sum()),
-        fp=float(w[(t == 0) & (p == 1)].sum()),
-        fn=float(w[(t == 1) & (p == 0)].sum()),
-        tn=float(w[(t == 0) & (p == 0)].sum()),
-    )
-
-
-def build_grouped_confusion(
-    y_true, y_pred, s, weights=None
-) -> GroupedConfusionMatrix:
-    """Assign each row to one of the 8 cells (group x TP/FP/FN/TN).
-
-    Requires both protected groups to be present; raises GroupCoverageError
-    otherwise so callers can decide whether Undefined metrics are acceptable.
-    """
-    y_true = _check_binary("y_true", y_true)
-    y_pred = _check_binary("y_pred", y_pred)
-    s = _check_binary("s", s)
-    if not (len(y_true) == len(y_pred) == len(s)):
-        raise ValueError(
-            f"length mismatch: y_true={len(y_true)} y_pred={len(y_pred)} s={len(s)}"
-        )
-    if len(y_true) == 0:
-        raise ValueError("empty input")
-    if s.min() == s.max():
-        raise GroupCoverageError("both protected groups must be present")
-
-    ones = np.ones(len(y_true), dtype=float)
-    cm = GroupedConfusionMatrix(
-        privileged=_cells(y_true, y_pred, s == 1, ones),
-        unprivileged=_cells(y_true, y_pred, s == 0, ones),
-    )
-    if weights is None:
-        return cm
-    w = np.asarray(weights, dtype=float)
-    if w.shape != y_true.shape:
-        raise ValueError("weights length mismatch")
-    return GroupedConfusionMatrix(
-        privileged=cm.privileged,
-        unprivileged=cm.unprivileged,
-        weighted_privileged=_cells(y_true, y_pred, s == 1, w),
-        weighted_unprivileged=_cells(y_true, y_pred, s == 0, w),
-    )

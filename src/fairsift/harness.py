@@ -22,7 +22,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -365,11 +365,9 @@ class DatasetSource:
 
     data_path: str
     spec_path: str
-    spec: DatasetSpec | None = field(compare=False, default=None)
 
     def load(self) -> EncodedDataset:
-        spec = self.spec or DatasetSpec.from_json_file(self.spec_path)
-        return encode_dataset(self.data_path, spec)
+        return encode_dataset(self.data_path, DatasetSpec.from_json_file(self.spec_path))
 
     def digests(self) -> dict:
         return {

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import build_grouped_confusion
-
 # Families for reporting, mirroring the metric-type groupings common in the
 # fairness-toolkit literature.
 MISCLASSIFICATION = "misclassification"
@@ -121,8 +119,37 @@ def catalog_json() -> str:
 
 
 # --------------------------------------------------------------------------
-# Confusion-matrix rates
+# The count tensor and its confusion-matrix rates
 # --------------------------------------------------------------------------
+
+def _check_binary(name: str, v) -> np.ndarray:
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-D")
+    if not np.isin(v, (0, 1)).all():
+        raise ValueError(f"{name} must contain only 0 and 1")
+    return v.astype(np.int64)
+
+
+def confusion_counts(y_true, y_pred, s) -> np.ndarray:
+    """Integer count tensor ``c[group, label, prediction]``, shape (2, 2, 2).
+
+    Group 1 is privileged, label and prediction 1 are favorable, so
+    ``c[g, 1, 1]`` is group g's TP, ``c[g, 0, 1]`` its FP, ``c[g, 1, 0]`` its
+    FN and ``c[g, 0, 0]`` its TN.  Every classification metric is a function
+    of these 8 counts alone.
+    """
+    y_true = _check_binary("y_true", y_true)
+    y_pred = _check_binary("y_pred", y_pred)
+    s = _check_binary("s", s)
+    if not (len(y_true) == len(y_pred) == len(s)):
+        raise ValueError(
+            f"length mismatch: y_true={len(y_true)} y_pred={len(y_pred)} s={len(s)}"
+        )
+    if len(y_true) == 0:
+        raise ValueError("empty input")
+    return np.bincount(4 * s + 2 * y_true + y_pred, minlength=8).reshape(2, 2, 2)
+
 
 def _safe_div(num: float, den: float) -> float | None:
     return None if den == 0 else num / den
@@ -130,14 +157,11 @@ def _safe_div(num: float, den: float) -> float | None:
 
 @dataclass(frozen=True)
 class RateSet:
-    """All confusion-matrix derived rates for one group; None where 0/0."""
+    """Confusion-matrix rates of one group; None where 0/0."""
 
     tpr: float | None
     fpr: float | None
     fnr: float | None
-    tnr: float | None
-    ppv: float | None
-    npv: float | None
     fdr: float | None
     false_omission_rate: float | None
     err: float | None
@@ -147,13 +171,9 @@ class RateSet:
         "TPR": "tpr",
         "FPR": "fpr",
         "FNR": "fnr",
-        "TNR": "tnr",
-        "PPV": "ppv",
-        "NPV": "npv",
         "FDR": "fdr",
         "FOR": "false_omission_rate",
         "ERR": "err",
-        "SEL": "selection_rate",
     }
 
     def get(self, kind: str) -> float | None:
@@ -164,13 +184,13 @@ class RateSet:
 
 
 def confusion_rates(cells) -> RateSet:
-    """Rates from one group's TP/FP/FN/TN counts.
+    """Rates from one group's 2x2 counts ``cells[label][prediction]``.
 
-    TPR = TP/(TP+FN), FPR = FP/(FP+TN), FNR = FN/(TP+FN), TNR = TN/(TN+FP),
-    PPV = TP/(TP+FP), FDR = FP/(TP+FP), FOR = FN/(TN+FN), NPV = TN/(TN+FN),
-    ERR = (FP+FN)/N, selection rate = (TP+FP)/N.  Empty denominators give None.
+    TPR = TP/(TP+FN), FPR = FP/(FP+TN), FNR = FN/(TP+FN), FDR = FP/(TP+FP),
+    FOR = FN/(TN+FN), ERR = (FP+FN)/N, selection rate = (TP+FP)/N.  Empty
+    denominators give None.
     """
-    tp, fp, fn, tn = cells.tp, cells.fp, cells.fn, cells.tn
+    (tn, fp), (fn, tp) = cells
     if min(tp, fp, fn, tn) < 0:
         raise ValueError("confusion counts must be non-negative")
     n = tp + fp + fn + tn
@@ -178,9 +198,6 @@ def confusion_rates(cells) -> RateSet:
         tpr=_safe_div(tp, tp + fn),
         fpr=_safe_div(fp, fp + tn),
         fnr=_safe_div(fn, tp + fn),
-        tnr=_safe_div(tn, tn + fp),
-        ppv=_safe_div(tp, tp + fp),
-        npv=_safe_div(tn, tn + fn),
         fdr=_safe_div(fp, tp + fp),
         false_omission_rate=_safe_div(fn, tn + fn),
         err=_safe_div(fp + fn, n),
@@ -244,100 +261,38 @@ def statistical_parity(
 # Benefit-based individual fairness (generalized entropy family)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BenefitVector:
-    """Per-row benefit b_i = yhat_i - y_i + 1 (in {0,1,2}) and its mean."""
-
-    b: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        self.b.setflags(write=False)
+# Benefit b = yhat - y + 1 of a row: 0 for FN, 1 for TP and TN, 2 for FP.
+BENEFITS = (0.0, 1.0, 2.0)
 
 
-def benefit_vector(y_true, y_pred) -> BenefitVector:
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise ValueError("y_true and y_pred must be 1-D and equal length")
-    if len(y_true) == 0:
-        raise ValueError("empty input")
-    b = y_pred - y_true + 1.0
-    return BenefitVector(b=b, mu=float(b.mean()))
+def entropy_indices(values, counts, alpha: float = 2.0):
+    """(GE(alpha), Theil, CoV) of a population where ``values[j]`` occurs
+    ``counts[j]`` times; all three None when the mean mu is 0.
 
-
-def _benefits(b) -> BenefitVector:
-    if isinstance(b, BenefitVector):
-        return b
-    arr = np.asarray(b, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("benefit vector must be non-empty and 1-D")
-    return BenefitVector(b=arr.copy(), mu=float(arr.mean()))
-
-
-def generalized_entropy_index(b, alpha: float = 2.0) -> float | None:
-    """GE(alpha) = 1/(n*alpha*(alpha-1)) * sum((b_i/mu)^alpha - 1).
-
-    alpha = 1 is evaluated as the Theil limit and alpha = 0 as the
-    mean-log-deviation limit.  mu = 0 gives None.
+    GE(alpha) = 1/(n*alpha*(alpha-1)) * sum(count * ((v/mu)^alpha - 1)), with
+    alpha = 1 the Theil limit and alpha = 0 the mean-log-deviation limit;
+    Theil = (1/n) * sum(count * (v/mu) * ln(v/mu)) with 0*ln(0) = 0; CoV =
+    2*sqrt(GE(2)).  Values with count 0 are skipped, never multiplied, since
+    0*ln(0) and 0*inf would give NaN.
     """
-    bv = _benefits(b)
-    if bv.mu <= 0:
-        return None
-    ratios = bv.b / bv.mu
-    n = len(ratios)
-    if alpha == 1:
-        return theil_index(bv)
-    if alpha == 0:
-        with np.errstate(divide="ignore"):
-            logs = np.log(ratios)
-        return float(-logs.mean())
-    return float(((ratios**alpha - 1.0).sum()) / (n * alpha * (alpha - 1.0)))
+    terms = [(c, v) for v, c in zip(values, counts) if c]
+    n = sum(c for c, _ in terms)
+    mu = sum(c * v for c, v in terms) / n
+    if mu <= 0:
+        return None, None, None
+    ratios = [(c, v / mu) for c, v in terms]
 
+    def ge(a: float) -> float:
+        if a <= 0 and any(r == 0 for _, r in ratios):
+            return math.inf
+        if a == 0:
+            return -sum(c * math.log(r) for c, r in ratios) / n
+        return sum(c * (r**a - 1.0) for c, r in ratios) / (n * a * (a - 1.0))
 
-def theil_index(b) -> float | None:
-    """(1/n) * sum((b_i/mu) * ln(b_i/mu)) with the convention 0*ln(0) = 0."""
-    bv = _benefits(b)
-    if bv.mu <= 0:
-        return None
-    ratios = bv.b / bv.mu
-    terms = np.zeros_like(ratios)
-    positive = ratios > 0
-    terms[positive] = ratios[positive] * np.log(ratios[positive])
-    return float(terms.mean())
-
-
-def coefficient_of_variation(b) -> float | None:
-    """2 * sqrt(GE(2)); defined on the quadratic entropy index."""
-    ge = generalized_entropy_index(b, alpha=2.0)
-    if ge is None:
-        return None
-    return 2.0 * math.sqrt(max(ge, 0.0))
-
-
-TWO_GROUP = "two_group"
-ALL_GROUPS = "all_groups"
-
-
-def between_group_benefits(b, groups, scope: str = TWO_GROUP) -> BenefitVector:
-    """Replace each benefit by its group's mean benefit.
-
-    Feeding the result into GE/Theil/CoV yields the between-group variants of
-    those measures.  With a single binary protected attribute, ``all_groups``
-    (every intersection of protected attributes) coincides with ``two_group``;
-    the scope parameter is the extension point for multiple attributes.
-    """
-    if scope not in (TWO_GROUP, ALL_GROUPS):
-        raise ValueError(f"unknown scope {scope!r}")
-    bv = _benefits(b)
-    groups = np.asarray(groups)
-    if groups.shape != bv.b.shape:
-        raise ValueError("groups must align with the benefit vector")
-    out = np.empty_like(bv.b)
-    for g in np.unique(groups):
-        mask = groups == g
-        out[mask] = bv.b[mask].mean()
-    return BenefitVector(b=out, mu=float(out.mean()))
+    theil = sum(c * r * math.log(r) for c, r in ratios if r > 0) / n
+    ge_alpha = theil if alpha == 1 else ge(alpha)
+    ge2 = ge_alpha if alpha == 2 else ge(2.0)
+    return ge_alpha, theil, 2.0 * math.sqrt(max(ge2, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -447,29 +402,29 @@ def compute_classification_metrics(
 ) -> dict[str, float | None]:
     """All 26 classification metrics (C0..C25) for one prediction set.
 
-    With only one protected group present, every group-comparison metric is
-    None; the individual-fairness measures (C16, C19, C20) and the overall
-    selection rate (C13) are still computed.
+    Every value is computed from the count tensor of ``confusion_counts``, so
+    equal counts give bit-equal values whatever the row order.  With only one
+    protected group present, every group-comparison metric is None; the
+    individual-fairness measures (C16, C19, C20) and the overall selection
+    rate (C13) are still computed.
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    s = np.asarray(s)
-
+    c = confusion_counts(y_true, y_pred, s).tolist()
     out: dict[str, float | None] = {m.id: None for m in CLASSIFICATION_METRICS}
 
-    bv = benefit_vector(y_true, y_pred)
-    out["C13"] = float(np.asarray(y_pred, dtype=float).mean())
-    out["C16"] = generalized_entropy_index(bv, alpha=alpha)
-    out["C19"] = theil_index(bv)
-    out["C20"] = coefficient_of_variation(bv)
+    # per group: counts of the benefits in BENEFITS, i.e. (FN, TP + TN, FP)
+    benefit = [(g[1][0], g[1][1] + g[0][0], g[0][1]) for g in c]
+    sizes = [sum(counts) for counts in benefit]
+    pred_pos = [g[0][1] + g[1][1] for g in c]
+    true_pos = [g[1][0] + g[1][1] for g in c]
+    out["C13"] = sum(pred_pos) / sum(sizes)
+    out["C16"], out["C19"], out["C20"] = entropy_indices(
+        BENEFITS, [u + p for u, p in zip(*benefit)], alpha
+    )
 
-    if len(np.unique(s)) < 2:
+    if min(sizes) == 0:
         return out
 
-    cm = build_grouped_confusion(y_true, y_pred, s)
-    rp = confusion_rates(cm.privileged)
-    ru = confusion_rates(cm.unprivileged)
-
+    ru, rp = confusion_rates(c[0]), confusion_rates(c[1])
     out["C0"] = disparity("TPR", DIFFERENCE, ru, rp)
     out["C1"] = disparity("FPR", DIFFERENCE, ru, rp)
     out["C2"] = disparity("FNR", DIFFERENCE, ru, rp)
@@ -486,21 +441,19 @@ def compute_classification_metrics(
     out["C14"] = statistical_parity(ru.selection_rate, rp.selection_rate, RATIO)
     out["C15"] = statistical_parity(ru.selection_rate, rp.selection_rate, DIFFERENCE)
 
-    bg = between_group_benefits(bv, s, scope=TWO_GROUP)
-    ag = between_group_benefits(bv, s, scope=ALL_GROUPS)
-    out["C18"] = generalized_entropy_index(bg, alpha=alpha)
-    out["C21"] = theil_index(bg)
-    out["C22"] = coefficient_of_variation(bg)
-    out["C17"] = generalized_entropy_index(ag, alpha=alpha)
-    out["C23"] = theil_index(ag)
-    out["C24"] = coefficient_of_variation(ag)
+    # between-group variants: every row's benefit replaced by its group's mean
+    means = [
+        sum(b * k for b, k in zip(BENEFITS, counts)) / size
+        for counts, size in zip(benefit, sizes)
+    ]
+    out["C18"], out["C21"], out["C22"] = entropy_indices(means, sizes, alpha)
+    # The "all groups" variants range over every intersection of protected
+    # attributes; with one binary attribute those are the same two groups.
+    out["C17"], out["C23"], out["C24"] = out["C18"], out["C21"], out["C22"]
 
-    unit = np.ones(len(y_true), dtype=float)
-    pred_pos, totals = _group_counts(np.asarray(y_pred, dtype=float), s, unit)
-    true_pos, _ = _group_counts(np.asarray(y_true, dtype=float), s, unit)
     out["C25"] = bias_amplification(
-        smoothed_edf(pred_pos, totals, concentration),
-        smoothed_edf(true_pos, totals, concentration),
+        smoothed_edf(pred_pos, sizes, concentration),
+        smoothed_edf(true_pos, sizes, concentration),
     )
     return out
 

@@ -188,10 +188,6 @@ def train_logistic(
     )
 
 
-def predict_labels(model: LogisticModel, X) -> np.ndarray:
-    return model.predict(X)
-
-
 class ReweighingError(ValueError):
     """Raised when some (group, label) cell is empty and weights are undefined."""
 
@@ -243,14 +239,9 @@ class Mitigator:
     reassign instance weights before fitting (pre-processing) and it may take
     over the fitting itself (in-processing).  The base class is the identity
     on both, which is exactly the plain weighted logistic baseline.
-
-    ``validation_fraction`` is reserved for mitigators that tune a
-    hyperparameter against a slice of the training fold; the built-in
-    mitigators leave it at 0.
     """
 
     name = "baseline"
-    validation_fraction = 0.0
 
     def training_weights(self, y, s, base_weights) -> np.ndarray:
         """Pre-processing hook: per-row weights used to fit the fold model."""

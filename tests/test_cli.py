@@ -7,6 +7,27 @@ import pytest
 from fairsift import synth
 from fairsift.cli import main
 
+
+def write_toy(root, n_rows, favorable="yes", labels=("yes", "no"), preds=("1", "0")):
+    """A CSV + spec of n_rows alternating groups, labels and predictions."""
+    data = root / f"toy{n_rows}.csv"
+    lines = ["sex,x,label,pred"] + [
+        f"{('m', 'f')[i % 2]},{i},{labels[(i // 2) % 2]},{preds[i % 4 // 2]}"
+        for i in range(n_rows)
+    ]
+    data.write_text("\n".join(lines) + "\n")
+    spec = root / f"toy{n_rows}.spec.json"
+    spec.write_text(json.dumps({
+        "name": f"toy{n_rows}",
+        "label_column": "label",
+        "favorable_value": favorable,
+        "protected_column": "sex",
+        "privileged_value": "m",
+        "feature_columns": [{"name": "x", "kind": "numeric"}],
+    }))
+    return data, spec
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
@@ -50,6 +71,24 @@ class TestMetricsCommand:
         # predictions == labels: perfect prediction identities
         assert by_id["C16"].split(",")[2] == "0.0"
         assert by_id["C0"].split(",")[2] == "0.0"
+
+    @pytest.mark.parametrize(
+        "favorable, labels, preds",
+        [
+            ("2", ("2", "1"), ("1", "2")),
+            ("1", ("1", "2"), ("1", "2")),
+            ("yes", ("yes", "no"), ("0", "1")),
+        ],
+    )
+    def test_prediction_favorable_value(self, tmp_path, favorable, labels, preds):
+        # half the predictions are the favorable value; numeric codes are
+        # compared as spec values, 0/1 is read as a non-numeric label's code
+        data, spec = write_toy(tmp_path, 12, favorable, labels, preds)
+        out = tmp_path / "out.csv"
+        assert main(["metrics", "--data", str(data), "--spec", str(spec),
+                     "--predictions-column", "pred", "--out", str(out)]) == 0
+        by_id = {l.split(",")[0]: l.split(",") for l in out.read_text().splitlines()}
+        assert by_id["C13"][2] == "0.5"
 
     def test_missing_column_exit_code(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -102,6 +141,32 @@ class TestExperimentCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert len(manifest["failures"]) == 1
+
+    def test_too_small_dataset_is_partial_failure(self, tiny_dataset, tmp_path):
+        data, spec = tiny_dataset
+        small_data, small_spec = write_toy(tmp_path, 9)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [
+                {"data": str(data), "spec": str(spec)},
+                {"data": str(small_data), "spec": str(small_spec)},
+            ],
+            "models": ["baseline"],
+        }))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 4
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert [f["dataset"] for f in manifest["failures"]] == [str(small_data)]
+        assert "needs at least 10" in manifest["failures"][0]["error"]
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 30 * 25
+
+    def test_only_too_small_dataset_exit_code(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path, 9)
+        assert main(["experiment", "--data", str(data), "--spec", str(spec),
+                     "--out", str(tmp_path)]) == 3
+        assert "needs at least 10" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_config_file_settings_used(self, tiny_dataset, tmp_path):
         data, spec = tiny_dataset

@@ -9,14 +9,11 @@ from fairsift.datamodel import (
     ConfigError,
     DataError,
     DatasetSpec,
-    GroupCoverageError,
     apply_minmax,
-    build_grouped_confusion,
     encode_dataset,
     fit_minmax,
-    load_dataset,
-    normalize_minmax,
 )
+from fairsift.metrics import confusion_counts
 
 
 def spec_dict(**overrides):
@@ -48,6 +45,12 @@ def toy_spec(**overrides) -> DatasetSpec:
     return DatasetSpec.from_dict(spec_dict(**overrides))
 
 
+def load_scaled(text, spec):
+    """Encode a CSV, then min-max scale every column to [0, 1]."""
+    ds = encode_dataset(io.StringIO(text), spec)
+    return ds, apply_minmax(ds.X, *fit_minmax(ds.X))
+
+
 class TestSpec:
     def test_label_protected_must_differ(self):
         with pytest.raises(ConfigError):
@@ -77,7 +80,7 @@ class TestSpec:
 
 class TestLoad:
     def test_protected_mapping(self):
-        ds = load_dataset(io.StringIO(TOY_CSV), toy_spec())
+        ds = encode_dataset(io.StringIO(TOY_CSV), toy_spec())
         assert ds.s.tolist() == [1, 0, 1, 0]
         assert ds.y.tolist() == [1, 0, 1, 0]
 
@@ -85,71 +88,69 @@ class TestLoad:
         csv_text = "sex,age,label\nMale,10,yes\nFemale,20,no\nMale,30,yes\n"
         spec = toy_spec(feature_columns=[{"name": "age", "kind": "numeric"}],
                         encoding={})
-        ds = load_dataset(io.StringIO(csv_text), spec)
-        assert ds.X[:, 0].tolist() == [0.0, 0.5, 1.0]
+        _, X = load_scaled(csv_text, spec)
+        assert X[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column_maps_to_zero(self):
         csv_text = "sex,age,label\nMale,7,yes\nFemale,7,no\n"
         spec = toy_spec(feature_columns=[{"name": "age", "kind": "numeric"}],
                         encoding={})
-        ds = load_dataset(io.StringIO(csv_text), spec)
-        assert ds.X[:, 0].tolist() == [0.0, 0.0]
+        _, X = load_scaled(csv_text, spec)
+        assert X[:, 0].tolist() == [0.0, 0.0]
 
     def test_one_hot_full_dummy(self):
-        ds = load_dataset(io.StringIO(TOY_CSV), toy_spec())
+        ds = encode_dataset(io.StringIO(TOY_CSV), toy_spec())
         # three cities, none dropped
         assert ds.feature_names == ("age", "city=oslo", "city=paris", "city=rome")
         onehot = ds.X[:, 1:]
         assert np.all(onehot.sum(axis=1) == 1.0)
 
     def test_label_encode(self):
-        ds = load_dataset(
-            io.StringIO(TOY_CSV), toy_spec(encoding={"city": "label_encode"})
-        )
+        ds, X = load_scaled(TOY_CSV, toy_spec(encoding={"city": "label_encode"}))
         assert ds.feature_names == ("age", "city")
         # categories sorted: oslo=0, paris=1, rome=2, then min-max scaled
-        assert ds.X[:, 1].tolist() == [0.5, 1.0, 0.5, 0.0]
+        assert X[:, 1].tolist() == [0.5, 1.0, 0.5, 0.0]
 
     def test_multivalued_collapse_to_zero(self):
         csv_text = "sex,age,label\nMale,1,yes\nFemale,2,no\nNonBinary,3,no\n"
         spec = toy_spec(feature_columns=[{"name": "age", "kind": "numeric"}],
                         encoding={})
-        ds = load_dataset(io.StringIO(csv_text), spec)
+        ds = encode_dataset(io.StringIO(csv_text), spec)
         assert ds.s.tolist() == [1, 0, 0]
 
     def test_missing_column_is_config_error(self):
         with pytest.raises(ConfigError, match="missing columns"):
-            load_dataset(io.StringIO("sex,label\nMale,yes\nFemale,no\n"), toy_spec())
+            encode_dataset(io.StringIO("sex,label\nMale,yes\nFemale,no\n"), toy_spec())
 
     def test_empty_file_is_data_error(self):
         with pytest.raises(DataError):
-            load_dataset(io.StringIO(""), toy_spec())
+            encode_dataset(io.StringIO(""), toy_spec())
         with pytest.raises(DataError):
-            load_dataset(io.StringIO("sex,age,city,label\n"), toy_spec())
+            encode_dataset(io.StringIO("sex,age,city,label\n"), toy_spec())
 
     def test_single_label_outcome_is_data_error(self):
         csv_text = "sex,age,city,label\nMale,1,a,yes\nFemale,2,b,yes\n"
         with pytest.raises(DataError, match="single outcome"):
-            load_dataset(io.StringIO(csv_text), toy_spec())
+            encode_dataset(io.StringIO(csv_text), toy_spec())
 
     def test_absent_privileged_value_is_data_error(self):
         csv_text = "sex,age,city,label\nFemale,1,a,yes\nFemale,2,b,no\n"
         with pytest.raises(DataError, match="never occur"):
-            load_dataset(io.StringIO(csv_text), toy_spec())
+            encode_dataset(io.StringIO(csv_text), toy_spec())
 
     def test_incomplete_rows_rejected_with_warning(self):
         csv_text = "sex,age,city,label\nMale,1,a,yes\nFemale,,b,no\nFemale,3,c,no\n"
         with pytest.warns(UserWarning, match="rejected 1 incomplete"):
-            ds = load_dataset(io.StringIO(csv_text), toy_spec())
+            ds = encode_dataset(io.StringIO(csv_text), toy_spec())
         assert ds.row_count == 2
 
     def test_non_numeric_value_is_data_error(self):
         csv_text = "sex,age,city,label\nMale,old,a,yes\nFemale,2,b,no\n"
         with pytest.raises(DataError, match="non-numeric"):
-            load_dataset(io.StringIO(csv_text), toy_spec())
+            encode_dataset(io.StringIO(csv_text), toy_spec())
 
     def test_arrays_read_only(self):
-        ds = load_dataset(io.StringIO(TOY_CSV), toy_spec())
+        ds = encode_dataset(io.StringIO(TOY_CSV), toy_spec())
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
 
@@ -164,8 +165,8 @@ class TestNormalization:
     )
     def test_idempotent(self, column):
         X = np.array(column).reshape(-1, 1)
-        once = normalize_minmax(X)
-        twice = normalize_minmax(once)
+        once = apply_minmax(X, *fit_minmax(X))
+        twice = apply_minmax(once, *fit_minmax(once))
         assert np.allclose(once, twice, atol=1e-12)
         assert once.min() >= 0 and once.max() <= 1
 
@@ -178,29 +179,35 @@ class TestNormalization:
 
 
 class TestGroupedConfusion:
+    """The count tensor c[group, label, prediction] of metrics.confusion_counts."""
+
     def test_cell_assignment(self):
-        cm = build_grouped_confusion([1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0])
-        assert (cm.privileged.tp, cm.privileged.fp, cm.privileged.fn, cm.privileged.tn) == (1, 1, 0, 0)
-        assert (cm.unprivileged.tp, cm.unprivileged.fp, cm.unprivileged.fn, cm.unprivileged.tn) == (0, 0, 1, 1)
+        c = confusion_counts([1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0])
+        # [label][prediction] = [[TN, FP], [FN, TP]]
+        assert c[1].tolist() == [[0, 1], [0, 1]]
+        assert c[0].tolist() == [[1, 0], [1, 0]]
 
     def test_perfect_prediction_no_errors(self):
         y = [1, 0, 1, 0, 1]
-        cm = build_grouped_confusion(y, y, [1, 1, 0, 0, 1])
-        assert cm.privileged.fp == cm.privileged.fn == 0
-        assert cm.unprivileged.fp == cm.unprivileged.fn == 0
+        c = confusion_counts(y, y, [1, 1, 0, 0, 1])
+        assert c[:, 0, 1].tolist() == [0, 0]  # FP per group
+        assert c[:, 1, 0].tolist() == [0, 0]  # FN per group
 
     def test_all_zero_predictions(self):
-        cm = build_grouped_confusion([1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0])
-        assert cm.privileged.tp == cm.privileged.fp == 0
-        assert cm.unprivileged.tp == cm.unprivileged.fp == 0
+        c = confusion_counts([1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0])
+        assert c[:, :, 1].sum() == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            build_grouped_confusion([1, 0], [1, 0, 1], [1, 0])
+            confusion_counts([1, 0], [1, 0, 1], [1, 0])
 
-    def test_single_group_raises(self):
-        with pytest.raises(GroupCoverageError):
-            build_grouped_confusion([1, 0], [1, 0], [1, 1])
+    def test_single_group_leaves_other_slice_empty(self):
+        c = confusion_counts([1, 0], [1, 0], [1, 1])
+        assert c[0].sum() == 0 and c[1].sum() == 2
+
+    def test_non_binary_rejected(self):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            confusion_counts([1, 2], [1, 0], [1, 0])
 
     @given(st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=2**31))
     def test_cells_sum_to_length(self, n, seed):
@@ -208,17 +215,9 @@ class TestGroupedConfusion:
         y = rng.integers(0, 2, n)
         p = rng.integers(0, 2, n)
         s = rng.integers(0, 2, n)
-        if s.min() == s.max():
-            s[0] = 1 - s[0]
-        cm = build_grouped_confusion(y, p, s)
-        assert cm.total == n
-
-    def test_weighted_cells(self):
-        cm = build_grouped_confusion(
-            [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], weights=[2.0, 1.0, 0.5, 3.0]
-        )
-        assert cm.weighted_privileged.tp == 2.0
-        assert cm.weighted_unprivileged.tn == 3.0
+        c = confusion_counts(y, p, s)
+        assert c.sum() == n
+        assert c.sum(axis=(1, 2)).tolist() == [(s == 0).sum(), (s == 1).sum()]
 
 
 class TestEncodingRoundTrip:

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairsift import metrics
-from fairsift.datamodel import CellCounts
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-python translations of the definitional sums,
@@ -34,6 +34,17 @@ def theil_bruteforce(b):
     return total / n
 
 
+def entropy(b, alpha=2.0):
+    """metrics.entropy_indices of a per-row list, through its value counts."""
+    counts = Counter(float(v) for v in b)
+    return metrics.entropy_indices(list(counts), list(counts.values()), alpha)
+
+
+def cells(tp, fp, fn, tn):
+    """One group's 2x2 counts, indexed [label][prediction]."""
+    return [[tn, fp], [fn, tp]]
+
+
 benefit_vectors = st.lists(
     st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=6
 ).filter(lambda b: sum(b) > 0)
@@ -41,7 +52,7 @@ benefit_vectors = st.lists(
 
 class TestRates:
     def test_worked_example(self):
-        r = metrics.confusion_rates(CellCounts(tp=40, fp=10, fn=20, tn=30))
+        r = metrics.confusion_rates(cells(tp=40, fp=10, fn=20, tn=30))
         assert r.tpr == pytest.approx(2 / 3)
         assert r.fpr == pytest.approx(0.25)
         assert r.fnr == pytest.approx(1 / 3)
@@ -51,26 +62,26 @@ class TestRates:
         assert r.selection_rate == pytest.approx(0.5)
 
     def test_zero_denominator_undefined(self):
-        r = metrics.confusion_rates(CellCounts(tp=0, fp=0, fn=5, tn=5))
+        r = metrics.confusion_rates(cells(tp=0, fp=0, fn=5, tn=5))
         assert r.fdr is None
-        assert r.ppv is None
         assert r.fnr == 1.0
 
     def test_perfect_prediction(self):
-        r = metrics.confusion_rates(CellCounts(tp=6, fp=0, fn=0, tn=4))
+        r = metrics.confusion_rates(cells(tp=6, fp=0, fn=0, tn=4))
         assert r.fpr == 0.0 and r.fnr == 0.0 and r.err == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            metrics.confusion_rates(CellCounts(tp=-1, fp=0, fn=0, tn=0))
+            metrics.confusion_rates(cells(tp=-1, fp=0, fn=0, tn=0))
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=30)] * 4))
-    def test_complementary_rates(self, cells):
-        r = metrics.confusion_rates(CellCounts(*map(float, cells)))
+    def test_complementary_rates(self, counts):
+        tp, fp, fn, tn = counts
+        r = metrics.confusion_rates(cells(tp, fp, fn, tn))
         if r.tpr is not None:
             assert r.tpr + r.fnr == pytest.approx(1.0, abs=1e-12)
         if r.fpr is not None:
-            assert r.fpr + r.tnr == pytest.approx(1.0, abs=1e-12)
+            assert r.fpr + tn / (fp + tn) == pytest.approx(1.0, abs=1e-12)
 
 
 def rates(tpr=0.5, fpr=0.5, sel=0.5, fnr=None, fom=0.5, fdr=0.5, err=0.5):
@@ -78,9 +89,6 @@ def rates(tpr=0.5, fpr=0.5, sel=0.5, fnr=None, fom=0.5, fdr=0.5, err=0.5):
         tpr=tpr,
         fpr=fpr,
         fnr=None if tpr is None else (1 - tpr if fnr is None else fnr),
-        tnr=None if fpr is None else 1 - fpr,
-        ppv=0.5,
-        npv=0.5,
         fdr=fdr,
         false_omission_rate=fom,
         err=err,
@@ -144,99 +152,122 @@ class TestStatisticalParity:
 
 
 class TestBenefit:
+    """b = yhat - y + 1 per row, seen through C16/C19 on one group."""
+
+    @staticmethod
+    def single_group(y_true, y_pred):
+        return metrics.compute_classification_metrics(
+            y_true, y_pred, [1] * len(y_true)
+        )
+
     def test_elementwise(self):
-        bv = metrics.benefit_vector([1, 0], [0, 1])
-        assert bv.b.tolist() == [0.0, 2.0]
-        assert bv.mu == 1.0
+        out = self.single_group([1, 0], [0, 1])  # b = [0, 2]
+        assert out["C16"] == pytest.approx(ge_bruteforce([0, 2], 2.0), abs=1e-12)
+        assert out["C19"] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_prediction(self):
-        bv = metrics.benefit_vector([1, 0, 1], [1, 0, 1])
-        assert bv.b.tolist() == [1.0, 1.0, 1.0]
-        assert bv.mu == 1.0
+        out = self.single_group([1, 0, 1], [1, 0, 1])  # b = [1, 1, 1]
+        assert out["C16"] == out["C19"] == out["C20"] == 0.0
 
     def test_third_example(self):
-        bv = metrics.benefit_vector([0, 0, 1], [1, 0, 1])
-        assert bv.b.tolist() == [2.0, 1.0, 1.0]
-        assert bv.mu == pytest.approx(4 / 3)
+        out = self.single_group([0, 0, 1], [1, 0, 1])  # b = [2, 1, 1]
+        assert out["C16"] == pytest.approx(ge_bruteforce([2, 1, 1], 2.0), abs=1e-12)
+        assert out["C19"] == pytest.approx(theil_bruteforce([2, 1, 1]), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            metrics.benefit_vector([], [])
+            metrics.compute_classification_metrics([], [], [])
 
 
 class TestEntropyFamily:
     def test_equal_benefits_zero(self):
-        assert metrics.generalized_entropy_index([1, 1, 1, 1], alpha=2) == 0.0
-        assert metrics.theil_index([2, 2]) == pytest.approx(0.0)
-        assert metrics.coefficient_of_variation([1, 1]) == 0.0
+        assert entropy([1, 1, 1, 1], alpha=2)[0] == 0.0
+        assert entropy([2, 2])[1] == pytest.approx(0.0)
+        assert entropy([1, 1])[2] == 0.0
 
     def test_worked_values(self):
-        assert metrics.generalized_entropy_index([2, 0], alpha=2) == pytest.approx(0.5)
-        assert metrics.theil_index([2, 0]) == pytest.approx(math.log(2))
-        assert metrics.coefficient_of_variation([2, 0]) == pytest.approx(math.sqrt(2))
+        ge, theil, cov = entropy([2, 0], alpha=2)
+        assert ge == pytest.approx(0.5)
+        assert theil == pytest.approx(math.log(2))
+        assert cov == pytest.approx(math.sqrt(2))
 
     def test_theil_three_elements(self):
         # oracle: (1/3)[1.5*ln(1.5) + 2*0.75*ln(0.75)] with mu = 4/3
-        assert metrics.theil_index([2, 1, 1]) == pytest.approx(
+        assert entropy([2, 1, 1])[1] == pytest.approx(
             theil_bruteforce([2, 1, 1]), abs=1e-12
         )
-        assert metrics.theil_index([2, 1, 1]) == pytest.approx(0.0588915178, abs=1e-9)
+        assert entropy([2, 1, 1])[1] == pytest.approx(0.0588915178, abs=1e-9)
 
     @given(benefit_vectors)
     def test_ge2_matches_bruteforce(self, b):
-        assert metrics.generalized_entropy_index(b, alpha=2) == pytest.approx(
+        assert entropy(b, alpha=2)[0] == pytest.approx(
             ge_bruteforce(b, 2.0), abs=1e-12
         )
 
     @given(benefit_vectors)
     def test_theil_matches_bruteforce(self, b):
-        assert metrics.theil_index(b) == pytest.approx(theil_bruteforce(b), abs=1e-12)
+        assert entropy(b)[1] == pytest.approx(theil_bruteforce(b), abs=1e-12)
 
     @given(benefit_vectors, st.sampled_from([0.5, 3.0]))
     def test_scale_invariance(self, b, c):
         scaled = [c * bi for bi in b]
-        assert metrics.generalized_entropy_index(scaled, alpha=2) == pytest.approx(
-            metrics.generalized_entropy_index(b, alpha=2), abs=1e-12
+        assert entropy(scaled, alpha=2)[0] == pytest.approx(
+            entropy(b, alpha=2)[0], abs=1e-12
         )
-        assert metrics.theil_index(scaled) == pytest.approx(
-            metrics.theil_index(b), abs=1e-12
-        )
+        assert entropy(scaled)[1] == pytest.approx(entropy(b)[1], abs=1e-12)
 
     def test_alpha_one_is_theil(self):
-        b = [2, 1, 0, 1]
-        assert metrics.generalized_entropy_index(b, alpha=1) == metrics.theil_index(b)
+        ge, theil, _ = entropy([2, 1, 0, 1], alpha=1)
+        assert ge == theil
 
     def test_zero_mean_undefined(self):
-        assert metrics.generalized_entropy_index([0, 0], alpha=2) is None
-        assert metrics.theil_index([0.0]) is None
-        assert metrics.coefficient_of_variation([0.0]) is None
+        assert entropy([0, 0], alpha=2) == (None, None, None)
+        assert entropy([0.0]) == (None, None, None)
 
     def test_cov_monotone_in_ge(self):
-        lo = metrics.coefficient_of_variation([1, 1, 1, 2])
-        hi = metrics.coefficient_of_variation([2, 0, 2, 0])
+        lo = entropy([1, 1, 1, 2])[2]
+        hi = entropy([2, 0, 2, 0])[2]
         assert hi > lo
+
+    def test_zero_benefit_at_nonpositive_alpha_is_infinite(self):
+        # the mean log deviation (alpha 0) and alpha < 0 diverge on a zero
+        assert entropy([2, 0], alpha=0)[0] == math.inf
+        assert entropy([2, 0], alpha=-1)[0] == math.inf
+        assert entropy([2, 1], alpha=0)[0] == pytest.approx(
+            -(math.log(4 / 3) + math.log(2 / 3)) / 2, abs=1e-12
+        )
 
 
 class TestBetweenGroup:
+    """C18/C21/C22: every row's benefit replaced by its group's mean."""
+
     def test_equal_group_means(self):
-        bg = metrics.between_group_benefits([2, 0, 1, 1], [1, 1, 0, 0])
-        assert bg.b.tolist() == [1.0, 1.0, 1.0, 1.0]
-        assert metrics.generalized_entropy_index(bg, alpha=2) == 0.0
+        # b = [2, 0, 1, 1]: group means 1 and 1
+        out = metrics.compute_classification_metrics(
+            [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]
+        )
+        assert out["C18"] == out["C21"] == out["C22"] == 0.0
 
     def test_distinct_group_means(self):
-        bg = metrics.between_group_benefits([2, 2, 0, 0], [1, 1, 0, 0])
-        assert bg.b.tolist() == [2.0, 2.0, 0.0, 0.0]
-        assert metrics.generalized_entropy_index(bg, alpha=2) == pytest.approx(0.5)
+        # b = [2, 2, 0, 0]: group means 2 and 0
+        out = metrics.compute_classification_metrics(
+            [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]
+        )
+        assert out["C18"] == pytest.approx(0.5)
+        assert out["C21"] == pytest.approx(math.log(2))
 
     def test_single_group_zero(self):
-        bg = metrics.between_group_benefits([2, 0, 1], [1, 1, 1])
-        assert metrics.generalized_entropy_index(bg, alpha=2) == pytest.approx(0.0)
+        # one group: its mean benefit 1 on all 3 rows
+        assert metrics.entropy_indices([1.0], [3]) == (0.0, 0.0, 0.0)
 
     def test_scopes_coincide_for_binary_attribute(self):
-        b, s = [2, 1, 0, 1, 2], [1, 0, 1, 0, 1]
-        two = metrics.between_group_benefits(b, s, scope="two_group")
-        allg = metrics.between_group_benefits(b, s, scope="all_groups")
-        assert two.b.tolist() == allg.b.tolist()
+        # b = [2, 1, 0, 1, 2]
+        out = metrics.compute_classification_metrics(
+            [0, 1, 1, 0, 0], [1, 1, 0, 0, 1], [1, 0, 1, 0, 1]
+        )
+        assert out["C17"] == out["C18"]
+        assert out["C23"] == out["C21"]
+        assert out["C24"] == out["C22"]
 
 
 class TestSmoothedEdf:
@@ -401,6 +432,55 @@ class TestFullClassificationSet:
         assert out["C17"] == out["C18"]
         assert out["C21"] == out["C23"]
         assert out["C22"] == out["C24"]
+
+
+rows_strategy = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestCountCore:
+    """Every C metric is a function of the count tensor c[group, label, pred]."""
+
+    @given(rows_strategy, st.data())
+    def test_row_order_invariant(self, rows, data):
+        shuffled = data.draw(st.permutations(rows))
+        assert metrics.compute_classification_metrics(
+            *zip(*rows)
+        ) == metrics.compute_classification_metrics(*zip(*shuffled))
+
+    @given(rows_strategy, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    def test_entropy_family_matches_per_row_oracle(self, rows, alpha):
+        y_true, y_pred, s = zip(*rows)
+        out = metrics.compute_classification_metrics(y_true, y_pred, s, alpha=alpha)
+        b = [p - y + 1.0 for y, p, _ in rows]
+        means = {g: np.mean([bi for bi, si in zip(b, s) if si == g]) for g in set(s)}
+        per_row_means = [means[g] for g in s]
+
+        def oracle(values):
+            # The CV slot holds GE(2): CV = 2*sqrt(GE(2)) is checked through
+            # (CV/2)**2, since the square root turns the oracle's ~1e-16
+            # rounding on equal benefits into ~1e-8 while the count path
+            # returns an exact 0.
+            if sum(values) == 0:
+                return None, None, None
+            ge = theil_bruteforce(values) if alpha == 1 else ge_bruteforce(values, alpha)
+            ge2 = max(ge_bruteforce(values, 2.0), 0.0)
+            return ge, theil_bruteforce(values), ge2
+
+        expected = dict(zip(("C16", "C19", "C20"), oracle(b)))
+        between = oracle(per_row_means) if len(means) == 2 else (None, None, None)
+        expected.update(zip(("C18", "C21", "C22"), between))
+        for mid, want in expected.items():
+            got = out[mid]
+            if want is None:
+                assert got is None, mid
+                continue
+            if mid in ("C20", "C22"):
+                got = (got / 2) ** 2
+            assert got == pytest.approx(want, abs=1e-12), mid
 
 
 class TestDatasetMetrics:
