@@ -380,22 +380,24 @@ def sensitivity_table(
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    stats = []
+    stats, short = [], []
     for ds in samples.datasets():
         for model in samples.models():
             for mid in samples.metric_ids():
                 values = samples.defined_samples(ds, model, mid)
                 if 0 < len(values) < expected_samples:
-                    warnings.warn(
-                        f"cell ({ds}, {model}, {mid}) has {len(values)} defined "
-                        f"samples (expected {expected_samples}); statistics use "
-                        f"the available ones"
-                    )
+                    short.append(len(values))
                 if len(values) == 0:
                     stats.append((ds, model, mid, None, None))
                     continue
                 q1, q2, q3 = np.percentile(values, [25, 50, 75])
                 stats.append((ds, model, mid, float(q2), float(q3 - q1)))
+    if short:
+        warnings.warn(
+            f"{len(short)} sensitivity cell(s) have fewer than {expected_samples} "
+            f"defined samples (the shortest has {min(short)} defined samples); "
+            f"their statistics use the available ones"
+        )
 
     iqrs = np.array([s[4] for s in stats if s[4] is not None], dtype=float)
     sigma = float(iqrs.std()) if len(iqrs) else 0.0

@@ -169,11 +169,15 @@ def cmd_metrics(args) -> int:
         ds = encode_dataset(args.data, spec)
     except DataError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
-    X = apply_minmax(ds.X, *fit_minmax(ds.X))
-
     alpha = 2.0 if args.alpha is None else args.alpha
     k = 5 if args.k_neighbors is None else args.k_neighbors
     concentration = 1.0 if args.concentration is None else args.concentration
+    try:
+        metrics.check_parameters(alpha, k, concentration, n_rows=ds.row_count)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    X = apply_minmax(ds.X, *fit_minmax(ds.X))
     values = metrics.compute_dataset_metrics(
         ds.y, ds.s, X, ds.weights, k=k, concentration=concentration
     )
@@ -260,7 +264,7 @@ def cmd_experiment(args) -> int:
     sources = _sources(args, file_cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    loaded, failures = [], []
+    loaded, ok_sources, failures = [], [], []
     for src in sources:
         try:
             ds = src.load()
@@ -269,7 +273,12 @@ def cmd_experiment(args) -> int:
                     f"dataset {ds.name!r}: {ds.row_count} usable rows, "
                     f"{N_FOLDS}-fold cross-validation needs at least {2 * N_FOLDS}"
                 )
+            if any(ds.name == other.name for other in loaded):
+                raise ConfigError(
+                    f"dataset name {ds.name!r} repeats an earlier dataset's"
+                )
             loaded.append(ds)
+            ok_sources.append(src)
         except (ConfigError, DataError, OSError) as exc:
             failures.append((src.data_path, str(exc)))
             print(f"error: dataset {src.data_path}: {exc}", file=sys.stderr)
@@ -279,9 +288,6 @@ def cmd_experiment(args) -> int:
     samples = run_experiment(loaded, cfg)
     results_path = os.path.join(args.out, "results.csv")
     write_results_csv(samples, results_path)
-    ok_sources = [
-        s for s in sources if s.data_path not in {f[0] for f in failures}
-    ]
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         cfg,

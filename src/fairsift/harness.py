@@ -112,9 +112,9 @@ class ExperimentConfig:
             raise ValueError(f"exactly {N_REPEATS} seeds required, got {len(self.seeds)}")
         if not self.models:
             raise ValueError("at least one model required")
-        for name in ("alpha", "k_neighbors", "concentration", "l2_strength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        metrics.check_parameters(self.alpha, self.k_neighbors, self.concentration)
+        if not self.l2_strength > 0:
+            raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
 
     def logistic_config(self) -> LogisticConfig:
         return LogisticConfig(

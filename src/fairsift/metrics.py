@@ -118,6 +118,21 @@ def catalog_json() -> str:
     return json.dumps(entries, indent=2, sort_keys=True)
 
 
+def check_parameters(
+    alpha: float, k: int, concentration: float, n_rows: int | None = None
+) -> None:
+    """Raise ValueError unless the entropy-index ``alpha``, the consistency
+    neighbor count ``k`` and the Dirichlet ``concentration`` are positive
+    and, when the row count is known, ``k`` is below it."""
+    for name, value in (
+        ("alpha", alpha), ("k_neighbors", k), ("concentration", concentration)
+    ):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if n_rows is not None and k >= n_rows:
+        raise ValueError(f"k_neighbors must be below the row count {n_rows}, got {k}")
+
+
 # --------------------------------------------------------------------------
 # The count tensor and its confusion-matrix rates
 # --------------------------------------------------------------------------
@@ -341,11 +356,38 @@ def bias_amplification(
 # kNN consistency
 # --------------------------------------------------------------------------
 
+# Distance entries held per block of rows; a block has about budget // n
+# rows, so memory stays O(n) whatever the number of rows.
+CONSISTENCY_BLOCK_ELEMENTS = 2**18
+
+
+def _row_blocks(n: int):
+    """(start, stop) of the consecutive row blocks ``consistency`` works on.
+
+    No block has a single row: numpy multiplies one row through its
+    matrix-vector path, which rounds differently from a matrix product.
+    """
+    step = max(2, CONSISTENCY_BLOCK_ELEMENTS // n)
+    start = 0
+    while start < n:
+        stop = n if n - start < step + 2 else start + step
+        yield start, stop
+        start = stop
+
+
 def consistency(X, y, k: int = 5) -> float:
     """1 - mean |y_i - mean(y of the k nearest neighbors of x_i)|.
 
     Euclidean distance on (normalized) features, self excluded, distance ties
     broken by smallest row index.  Requires n > k >= 1.
+
+    Squared distances are computed as |a|^2 + |b|^2 - 2ab one block of rows
+    at a time, about ``CONSISTENCY_BLOCK_ELEMENTS`` entries (2 MB) per block,
+    so memory is O(n) per block rather than n^2: ``fairsift metrics`` on a
+    whole dataset of tens of thousands of rows needs a few MB.  Up to the
+    budget the one block is ``X @ X.T`` itself.  Above it, the BLAS may round
+    a block's products differently in the last bit from the whole product,
+    which on exactly tied data can decide a tie at the k-th distance.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -358,24 +400,28 @@ def consistency(X, y, k: int = 5) -> float:
         raise ValueError(f"need n > k >= 1, got n={n} k={k}")
 
     sq = (X * X).sum(axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, np.inf)
+    neighbor_mean = np.empty(n)
+    for start, stop in _row_blocks(n):
+        rows = slice(start, stop)
+        d = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+        np.maximum(d, 0.0, out=d)
+        local = np.arange(stop - start)
+        d[local, local + start] = np.inf
 
-    # k-th smallest distance per row.  When exactly k entries are <= that
-    # threshold the neighbor *set* is unambiguous and any argpartition order
-    # works; only rows with ties straddling the boundary need the explicit
-    # smallest-row-index rule.
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
-    counts = (d <= kth[:, None]).sum(axis=1)
-    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
-    neighbor_mean = y[idx].sum(axis=1) / k
-    for i in np.flatnonzero(counts != k):
-        row = d[i]
-        strict = row < kth[i]
-        m = int(strict.sum())
-        tied = np.flatnonzero(row == kth[i])[: k - m]
-        neighbor_mean[i] = (y[strict].sum() + y[tied].sum()) / k
+        # The first k partitioned entries hold the k smallest distances and
+        # entry k the (k+1)-th.  When the k-th is strictly below the (k+1)-th
+        # the neighbor *set* is unambiguous; only rows with ties straddling
+        # the boundary need the explicit smallest-row-index rule.
+        idx = np.argpartition(d, k, axis=1)[:, : k + 1]
+        cand = np.take_along_axis(d, idx, axis=1)
+        kth = cand[:, :k].max(axis=1)
+        neighbor_mean[rows] = y[idx[:, :k]].sum(axis=1) / k
+        for i in np.flatnonzero(cand[:, k] == kth):
+            row = d[i]
+            strict = row < kth[i]
+            m = int(strict.sum())
+            tied = np.flatnonzero(row == kth[i])[: k - m]
+            neighbor_mean[start + i] = (y[strict].sum() + y[tied].sum()) / k
     return float(1.0 - np.abs(y - neighbor_mean).mean())
 
 

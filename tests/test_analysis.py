@@ -369,6 +369,20 @@ class TestSensitivity:
         with pytest.warns(UserWarning, match="10 defined samples"):
             analysis.sensitivity_table(_FakeSamples(cells))
 
+    def test_short_cells_warn_once(self):
+        cells = {
+            ("d", "m", "A"): [0.1] * 10,
+            ("d", "m", "B"): [0.2] * 12,
+            ("d", "m", "C"): [0.3] * 24,
+            ("d", "m", "D"): [0.4] * 25,
+        }
+        with pytest.warns(UserWarning) as record:
+            analysis.sensitivity_table(_FakeSamples(cells))
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert message.startswith("3 sensitivity cell(s)")
+        assert "10 defined samples" in message
+
     def test_median_iqr_linear_interpolation(self):
         cells = {("d", "m", "A"): [1.0, 2.0, 3.0, 4.0]}
         with pytest.warns(UserWarning):

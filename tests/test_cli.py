@@ -98,6 +98,29 @@ class TestMetricsCommand:
         assert main(["metrics", "--data", str(data), "--spec", str(spec)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k-neighbors", "0"], "k_neighbors must be positive"),
+            (["--k-neighbors", "-3"], "k_neighbors must be positive"),
+            (["--concentration", "0"], "concentration must be positive"),
+            (["--alpha", "-1"], "alpha must be positive"),
+            (["--k-neighbors", "120"], "below the row count 120"),
+            (["--k-neighbors", "500"], "below the row count 120"),
+        ],
+    )
+    def test_bad_parameter_exit_code(self, tiny_dataset, flags, message, capsys):
+        data, spec = tiny_dataset
+        assert main(["metrics", "--data", str(data), "--spec", str(spec)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
+    def test_largest_k_accepted(self, tiny_dataset, tmp_path):
+        data, spec = tiny_dataset
+        out = tmp_path / "m.csv"
+        assert main(["metrics", "--data", str(data), "--spec", str(spec),
+                     "--k-neighbors", "119", "--out", str(out)]) == 0
+
     def test_empty_csv_exit_code(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("")
@@ -167,6 +190,30 @@ class TestExperimentCommand:
                      "--out", str(tmp_path)]) == 3
         assert "needs at least 10" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    def test_duplicate_dataset_name_is_partial_failure(self, tmp_path, capsys):
+        paths = []
+        for stem, seed in (("first", 1), ("second", 2)):
+            data, spec = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.spec.json"
+            synth.write_dataset(data, spec, "same", n_rows=60, bias_gap=0.3, seed=seed)
+            paths.append((data, spec))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [{"data": str(d), "spec": str(s)} for d, s in paths],
+            "models": ["baseline"],
+        }))
+        out = tmp_path / "out"
+        code = main(["experiment", "--config", str(config), "--out", str(out)])
+        assert code == 4
+        assert "repeats an earlier dataset" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["complete"] is False
+        assert [f["dataset"] for f in manifest["failures"]] == [str(paths[1][0])]
+        assert [i["data_path"] for i in manifest["inputs"]] == [str(paths[0][0])]
+        assert manifest["record_count"] == 30 * 25
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 1 + 30 * 25
+        assert all(line.startswith("same,") for line in lines[1:])
 
     def test_config_file_settings_used(self, tiny_dataset, tmp_path):
         data, spec = tiny_dataset

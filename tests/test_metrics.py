@@ -1,6 +1,8 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,62 @@ def entropy(b, alpha=2.0):
     """metrics.entropy_indices of a per-row list, through its value counts."""
     counts = Counter(float(v) for v in b)
     return metrics.entropy_indices(list(counts), list(counts.values()), alpha)
+
+
+def consistency_dense(X, y, k=5, gram=None):
+    """kNN consistency on the whole n x n distance matrix at once.
+
+    The pre-blocking implementation, kept as the reference for the blocked
+    ``metrics.consistency``: same distance expression, same k-th-distance
+    threshold, same smallest-row-index rule.  ``gram`` replaces ``X @ X.T``,
+    so both can be fed the same products and must then agree bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sq = (X * X).sum(axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T if gram is None else gram)
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, np.inf)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    counts = (d <= kth[:, None]).sum(axis=1)
+    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
+    neighbor_mean = y[idx].sum(axis=1) / k
+    for i in np.flatnonzero(counts != k):
+        row = d[i]
+        strict = row < kth[i]
+        m = int(strict.sum())
+        tied = np.flatnonzero(row == kth[i])[: k - m]
+        neighbor_mean[i] = (y[strict].sum() + y[tied].sum()) / k
+    return float(1.0 - np.abs(y - neighbor_mean).mean())
+
+
+def consistency_exact(grid, y, k):
+    """kNN consistency on integer grid points, by sorting every row's other
+    points by (exact squared distance, row index)."""
+    n = len(grid)
+    neighbor_mean = []
+    for i in range(n):
+        order = sorted(
+            (sum((a - b) ** 2 for a, b in zip(grid[i], grid[j])), j)
+            for j in range(n)
+            if j != i
+        )
+        neighbor_mean.append(sum(y[j] for _, j in order[:k]) / k)
+    y = np.asarray(y, dtype=float)
+    return float(1.0 - np.abs(y - np.array(neighbor_mean)).mean())
+
+
+def integer_fold(rng, n):
+    """Min-max scaled integer columns, German-Credit style: many exact ties
+    whose scaled values are not dyadic."""
+    cols = [
+        rng.integers(19, 76, n) // 10,  # age band
+        rng.integers(1, 5, n),  # installment rate
+        rng.integers(0, 4, n),  # label-encoded category
+    ]
+    X = np.column_stack(cols).astype(float)
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return (X - lo) / np.where(hi > lo, hi - lo, 1.0)
 
 
 def cells(tp, fp, fn, tn):
@@ -355,6 +413,112 @@ class TestConsistency:
         X2 = np.vstack([X, X[0]])
         y2 = np.append(y, y[0])
         assert metrics.consistency(X2, y2, k=1) >= base - 1e-12
+
+
+class TestBlockedConsistency:
+    # (rows, element budget): one block, two blocks and many blocks; row
+    # counts that are not a multiple of the block size, n = k + 1, and a
+    # remainder of one row, which joins the block before it.
+    BLOCKINGS = [
+        (6, 2**18),  # n = k + 1, one block
+        (6, 18),  # n = k + 1, blocks of 3 rows
+        (40, 40 * 20),  # two blocks of 20
+        (41, 41 * 20),  # 20 + 21 rows
+        (97, 97 * 10),  # nine blocks of 10, then 7
+        (51, 51 * 5),  # ten blocks of 5, the last one 6
+        (50, 1),  # the smallest block: 2 rows
+        (300, 2**18),  # one block
+    ]
+
+    @pytest.mark.parametrize("n,budget", BLOCKINGS)
+    def test_row_blocks_cover_rows_in_order(self, n, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
+        blocks = list(metrics._row_blocks(n))
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        step = max(2, budget // n)
+        assert all(2 <= stop - start <= step + 1 for start, stop in blocks)
+
+    @pytest.mark.parametrize("n,budget", BLOCKINGS)
+    def test_real_folds_equal_dense_oracle(self, n, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(n * 1000 + budget % 1000)
+        for _ in range(5):
+            X = rng.random((n, 4))
+            y = rng.integers(0, 2, n)
+            for k in (1, 5):
+                assert metrics.consistency(X, y, k=k) == consistency_dense(X, y, k)
+
+    @pytest.mark.parametrize("n,budget", BLOCKINGS)
+    def test_integer_folds_equal_dense_oracle(self, n, budget, monkeypatch):
+        # A block's product can differ in the last bit from the same rows of
+        # the whole X @ X.T, depending on n and the BLAS build, and on tied
+        # data that can move a tie across the k-th distance.  The oracle is
+        # therefore fed the kernel's own block products: this checks the
+        # blocking, the threshold and the tie rule, not the BLAS rounding.
+        monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(n * 1000 + budget % 1000)
+        for _ in range(5):
+            X = integer_fold(rng, n)
+            y = rng.integers(0, 2, n)
+            gram = np.vstack([X[a:b] @ X.T for a, b in metrics._row_blocks(n)])
+            for k in (1, 5):
+                assert metrics.consistency(X, y, k=k) == consistency_dense(
+                    X, y, k, gram
+                )
+
+    def test_one_block_is_the_whole_product(self):
+        # Below the budget the one block is X itself, so the product is
+        # X @ X.T and the result is the dense one whatever the BLAS.
+        rng = np.random.default_rng(3)
+        for n in (6, 97, 300, 511):
+            X = integer_fold(rng, n)
+            y = rng.integers(0, 2, n)
+            assert metrics.consistency(X, y) == consistency_dense(X, y)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_integer_folds_have_boundary_ties(self, n):
+        # The oracle comparison above is only as strong as its tie share.
+        X = integer_fold(np.random.default_rng(n), n)
+        d = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d, np.inf)
+        part = np.partition(d, (4, 5), axis=1)
+        assert (part[:, 4] == part[:, 5]).mean() > 0.2
+
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 8), min_size=dim, max_size=dim),
+                min_size=2,
+                max_size=24,
+            )
+        ),
+        st.data(),
+    )
+    def test_dyadic_grid_matches_exact_oracle(self, grid, data):
+        # Multiples of 1/8 keep |a|^2 + |b|^2 - 2ab exact, so every tie is
+        # a true tie and the smallest-row-index rule decides alone.
+        n = len(grid)
+        k = data.draw(st.integers(1, n - 1))
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        budget = data.draw(st.sampled_from([1, 3 * n, 2**18]))
+        X = np.array(grid, dtype=float) / 8.0
+        with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
+            got = metrics.consistency(X, y, k=k)
+        assert got == consistency_exact(grid, y, k)
+
+    def test_memory_linear_in_rows(self):
+        # The n x n version peaks near 384 MB here.
+        rng = np.random.default_rng(5)
+        X = integer_fold(rng, 4000)
+        y = rng.integers(0, 2, 4000)
+        tracemalloc.start()
+        try:
+            metrics.consistency(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def random_instance(rng, n_lo=6, n_hi=40):
