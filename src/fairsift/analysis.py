@@ -21,46 +21,73 @@ from .harness import MetricSampleMatrix
 # --------------------------------------------------------------------------
 
 def rank_average(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share their average rank."""
+    """Fractional ranks (1-based) along the last axis; tied values share
+    their average rank.  Each row of a 2-D input is ranked on its own."""
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    order = np.argsort(values, axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=-1)
+    n = values.shape[-1]
+    pos = np.arange(n)
+    # a tie run spans sorted positions first..last and gets 0.5*(first+last)+1
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(values.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, n)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(values.shape, dtype=float)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=-1)
     return ranks
 
 
-def spearman(x, y) -> float | None:
+def spearman(x, y=None) -> np.ndarray | float | None:
     """Spearman rho with pairwise deletion of undefined entries.
 
-    Entries that are None or non-finite on either side are dropped pairwise;
-    fewer than 3 surviving pairs, or a constant survivor vector, gives None.
+    ``spearman(x, y)`` correlates two series and returns a float or None.
+    ``spearman(block)`` correlates every pair of rows of a 2-D block (one
+    series per row) and returns the matrix of coefficients, NaN where
+    undefined.  Entries that are None or non-finite on either side of a pair
+    are dropped; fewer than 3 surviving pairs, or a constant survivor
+    series, gives undefined.
+
+    Pairs of rows are grouped by their common defined entries.  Each group's
+    rows are ranked on those entries once, and one product of the centred
+    ranks gives every pair's sums.  Average ranks are half-integers with
+    mean (m+1)/2, so those sums are exact and each coefficient is bit-equal
+    to correlating the pair on its own.
     """
-    pairs = [
-        (float(a), float(b))
-        for a, b in zip(x, y)
-        if a is not None and b is not None
-        and math.isfinite(a) and math.isfinite(b)
-    ]
-    if len(pairs) < 3:
-        return None
-    xa = np.array([p[0] for p in pairs])
-    ya = np.array([p[1] for p in pairs])
-    if xa.min() == xa.max() or ya.min() == ya.max():
-        return None
-    rx = rank_average(xa)
-    ry = rank_average(ya)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    if denom == 0:
-        return None
-    return float(dx @ dy) / denom
+    block = np.array(x if y is None else [x, y], dtype=float)
+    if block.ndim != 2:
+        raise ValueError("spearman needs two series or a 2-D block of series")
+    defined = np.isfinite(block)
+    patterns, pattern_of_row = np.unique(defined, axis=0, return_inverse=True)
+    pattern_of_row = pattern_of_row.ravel()
+    groups: dict[bytes, tuple[np.ndarray, list]] = {}
+    for p in range(len(patterns)):
+        for q in range(p, len(patterns)):
+            common = patterns[p] & patterns[q]
+            groups.setdefault(common.tobytes(), (common, []))[1].append((p, q))
+
+    rho = np.full((len(block), len(block)), np.nan)
+    for common, pattern_pairs in groups.values():
+        m = int(common.sum())
+        if m < 3:
+            continue
+        rows = np.flatnonzero(np.isin(pattern_of_row, np.ravel(pattern_pairs)))
+        centred = rank_average(block[np.ix_(rows, common)]) - 0.5 * (m + 1)
+        sums = centred @ centred.T
+        norms = np.diag(sums)
+        denom = np.sqrt(np.outer(norms, norms))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeffs = np.where(denom == 0, np.nan, sums / denom)
+        local = pattern_of_row[rows]
+        for p, q in pattern_pairs:
+            a, b = local == p, local == q
+            rho[np.ix_(rows[a], rows[b])] = coeffs[np.ix_(a, b)]
+            rho[np.ix_(rows[b], rows[a])] = coeffs[np.ix_(b, a)]
+    if y is None:
+        return rho
+    return None if np.isnan(rho[0, 1]) else float(rho[0, 1])
 
 
 PER_CELL_AVERAGE = "per_cell_average"
@@ -91,9 +118,12 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Metric-to-metric Spearman over every (dataset, model) cell.
 
-    ``per_cell_average`` correlates the fold samples within each cell, then
-    averages the per-cell coefficients (undefined cells are skipped).
-    ``pooled`` concatenates all cells first and correlates once.
+    Each cell is a (metrics x folds) block, NaN for Undefined; a shorter
+    series is padded with NaN, so a pair uses the folds both series have.
+    ``per_cell_average`` correlates each cell's block in one ``spearman``
+    call, then averages every pair's defined per-cell coefficients in cell
+    order (undefined cells are skipped).  ``pooled`` concatenates the cell
+    blocks along the fold axis and correlates once.
     """
     if scope not in (PER_CELL_AVERAGE, POOLED):
         raise ValueError(f"unknown correlation scope {scope!r}")
@@ -105,37 +135,27 @@ def correlation_matrix(
     )
     if not cells:
         raise ValueError("no samples to correlate")
-    series = {
-        (ds, model, mid): samples.samples(ds, model, mid)
-        for ds, model in cells
-        for mid in metric_ids
-    }
+    blocks = []
+    for ds, model in cells:
+        series = [samples.samples(ds, model, mid) for mid in metric_ids]
+        block = np.full((len(series), max(map(len, series), default=0)), np.nan)
+        for row, values in zip(block, series):
+            row[: len(values)] = values  # None becomes NaN
+        blocks.append(block)
 
-    k = len(metric_ids)
-    out = np.full((k, k), np.nan)
+    if scope == POOLED:
+        out = spearman(np.concatenate(blocks, axis=1))
+    else:
+        per_cell = np.stack([spearman(block) for block in blocks])
+        k = len(metric_ids)
+        out = np.full((k, k), np.nan)
+        for i in range(k):
+            for j in range(i + 1, k):
+                coeffs = per_cell[:, i, j]
+                coeffs = coeffs[~np.isnan(coeffs)]
+                if len(coeffs):
+                    out[i, j] = out[j, i] = float(np.mean(coeffs))
     np.fill_diagonal(out, 1.0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if scope == POOLED:
-                xs, ys = [], []
-                for ds, model in cells:
-                    xs.extend(series[(ds, model, metric_ids[i])])
-                    ys.extend(series[(ds, model, metric_ids[j])])
-                rho = spearman(xs, ys)
-            else:
-                coeffs = [
-                    r
-                    for ds, model in cells
-                    if (
-                        r := spearman(
-                            series[(ds, model, metric_ids[i])],
-                            series[(ds, model, metric_ids[j])],
-                        )
-                    )
-                    is not None
-                ]
-                rho = float(np.mean(coeffs)) if coeffs else None
-            out[i, j] = out[j, i] = np.nan if rho is None else rho
     return CorrelationMatrix(metric_ids=metric_ids, values=out, cells=cells, scope=scope)
 
 

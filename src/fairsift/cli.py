@@ -273,6 +273,16 @@ def cmd_experiment(args) -> int:
                     f"dataset {ds.name!r}: {ds.row_count} usable rows, "
                     f"{N_FOLDS}-fold cross-validation needs at least {2 * N_FOLDS}"
                 )
+            # make_cv_plan's largest test fold has ceil(n / N_FOLDS) rows
+            n_train = ds.row_count - -(-ds.row_count // N_FOLDS)
+            try:
+                metrics.check_parameters(
+                    cfg.alpha, cfg.k_neighbors, cfg.concentration, n_rows=n_train
+                )
+            except ValueError as exc:
+                raise DataError(
+                    f"dataset {ds.name!r}: smallest training fold: {exc}"
+                ) from exc
             if any(ds.name == other.name for other in loaded):
                 raise ConfigError(
                     f"dataset name {ds.name!r} repeats an earlier dataset's"
@@ -340,18 +350,14 @@ def cmd_demo(args) -> int:
         code = cmd_experiment(ns)
         if code != EXIT_OK:
             return code
-        ns2 = argparse.Namespace(
-            config=None, results=os.path.join(run_dir, "results.csv"),
-            out=run_dir, correlation_scope=None, sensitivity_d=None,
-        )
-        cmd_analyze(ns2)
-
         samples = read_results_csv(os.path.join(run_dir, "results.csv"))
+        result = report.build_analysis(samples)
+        print(f"wrote {report.write_all(result, run_dir)['report']}")
+
         c15 = samples.samples(name, BASELINE, "C15")
         unfair_folds = sum(
             1 for v in c15 if metrics.label_fair(v, 0.0) == metrics.UNFAIR
         )
-        result = report.build_analysis(samples)
         summary[name] = {
             "run_dir": run_dir,
             "c15_unfair_folds": unfair_folds,

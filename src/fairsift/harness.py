@@ -167,21 +167,27 @@ class MetricSampleMatrix:
         for rec in self.records:
             key = (rec.dataset, rec.model, rec.metric_id)
             self._by_cell.setdefault(key, []).append(rec)
+        keys = self._by_cell.keys()
+        models = {m for _, m, _ in keys}
+        self._datasets = tuple(sorted({ds for ds, _, _ in keys}))
+        self._models = tuple(
+            [m for m in MODEL_NAMES if m in models] + sorted(models - set(MODEL_NAMES))
+        )
+        self._metric_ids = tuple(
+            sorted({mid for _, _, mid in keys}, key=metrics.metric_sort_key)
+        )
 
     def __len__(self) -> int:
         return len(self.records)
 
     def datasets(self) -> tuple[str, ...]:
-        return tuple(sorted({r.dataset for r in self.records}))
+        return self._datasets
 
     def models(self) -> tuple[str, ...]:
-        present = {r.model for r in self.records}
-        known = [m for m in MODEL_NAMES if m in present]
-        return tuple(known + sorted(present - set(MODEL_NAMES)))
+        return self._models
 
     def metric_ids(self) -> tuple[str, ...]:
-        present = {r.metric_id for r in self.records}
-        return tuple(sorted(present, key=metrics.metric_sort_key))
+        return self._metric_ids
 
     def samples(self, dataset: str, model: str, metric_id: str) -> list[float | None]:
         """Fold-ordered values for one cell (Undefined kept as None)."""

@@ -7,10 +7,74 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairsift import analysis
+from fairsift.harness import MetricSampleMatrix, SampleRecord
 
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+def rank_average_loop(values):
+    """Average ranks of a 1-D series by walking its sorted tie runs."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman_pairwise(x, y):
+    """One pair at a time: delete undefined entries, rank, correlate."""
+    pairs = [
+        (float(a), float(b))
+        for a, b in zip(x, y)
+        if a is not None and b is not None
+        and math.isfinite(a) and math.isfinite(b)
+    ]
+    if len(pairs) < 3:
+        return None
+    xa = np.array([p[0] for p in pairs])
+    ya = np.array([p[1] for p in pairs])
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        return None
+    rx = rank_average_loop(xa)
+    ry = rank_average_loop(ya)
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    if denom == 0:
+        return None
+    return float(dx @ dy) / denom
+
+
+def correlation_pairwise(samples, metric_ids, scope):
+    """The correlation matrix from one ``spearman_pairwise`` call per pair
+    (pooled) or per pair and cell (per-cell average)."""
+    cells = [(ds, model) for ds in samples.datasets() for model in samples.models()]
+    k = len(metric_ids)
+    out = np.full((k, k), np.nan)
+    np.fill_diagonal(out, 1.0)
+    for i, j in itertools.combinations(range(k), 2):
+        series = [
+            (samples.samples(ds, model, metric_ids[i]),
+             samples.samples(ds, model, metric_ids[j]))
+            for ds, model in cells
+        ]
+        if scope == analysis.POOLED:
+            rho = spearman_pairwise(
+                [v for xs, _ in series for v in xs], [v for _, ys in series for v in ys]
+            )
+        else:
+            coeffs = [r for xs, ys in series if (r := spearman_pairwise(xs, ys)) is not None]
+            rho = float(np.mean(coeffs)) if coeffs else None
+        out[i, j] = out[j, i] = np.nan if rho is None else rho
+    return out
+
 
 def rank_bruteforce(values):
     """O(n^2) counting ranks with average ties."""
@@ -122,6 +186,126 @@ class TestRanks:
     def test_matches_bruteforce(self, values):
         got = analysis.rank_average(np.array(values, dtype=float))
         assert got.tolist() == pytest.approx(rank_bruteforce(values))
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2).map(float)
+                     | st.sampled_from([0.5, -0.0, math.inf, math.nan]),
+                     min_size=m, max_size=m),
+            min_size=1, max_size=5,
+        )
+    ))
+    def test_rows_match_one_dimensional(self, rows):
+        got = analysis.rank_average(np.array(rows))
+        for row, ranks in zip(rows, got):
+            assert ranks.tolist() == analysis.rank_average(row).tolist()
+            assert ranks.tolist() == rank_average_loop(row).tolist()
+
+    def test_empty(self):
+        assert analysis.rank_average([]).tolist() == []
+
+
+HOLES = (None, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def series_blocks(draw):
+    """Rows of up to 12 folds with ties, constant rows and 1-4 hole patterns."""
+    m = draw(st.integers(min_value=0, max_value=12))
+    patterns = draw(st.lists(
+        st.lists(st.booleans(), min_size=m, max_size=m), min_size=1, max_size=4
+    ))
+    value = st.integers(min_value=-3, max_value=3).map(float) | st.floats(
+        min_value=-1e6, max_value=1e6, allow_nan=False
+    )
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        holes = draw(st.sampled_from(patterns))
+        if draw(st.booleans()):
+            values = [draw(value)] * m
+        else:
+            values = draw(st.lists(value, min_size=m, max_size=m))
+        rows.append([draw(st.sampled_from(HOLES)) if h else v
+                     for h, v in zip(holes, values)])
+    return rows
+
+
+class TestBlockSpearman:
+    @given(series_blocks())
+    def test_matches_pairwise_oracle(self, rows):
+        got = analysis.spearman(rows)
+        assert got.shape == (len(rows), len(rows))
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            expected = spearman_pairwise(rows[i], rows[j])
+            if expected is None:
+                assert np.isnan(got[i, j])
+            else:
+                assert got[i, j] == expected
+        if len(rows) >= 2:
+            assert analysis.spearman(rows[0], rows[1]) == spearman_pairwise(rows[0], rows[1])
+
+    def test_hole_patterns_share_one_ranking(self):
+        # C has a hole where A and B do not: (A, C) and (B, C) use 4 folds
+        rows = [[1, 2, 3, 4, 5], [5, 3, 4, 1, 2], [2, None, 1, 4, 3]]
+        got = analysis.spearman(rows)
+        assert got[0, 1] == spearman_pairwise(rows[0], rows[1])
+        assert got[0, 2] == got[2, 0] == spearman_pairwise(rows[0], rows[2])
+        assert got[1, 2] == spearman_pairwise(rows[1], rows[2])
+
+    def test_rejects_one_series(self):
+        with pytest.raises(ValueError):
+            analysis.spearman([1.0, 2.0, 3.0])
+
+
+def holey_samples(seed, n_datasets=3, n_folds=25):
+    """Two models x n_datasets cells of five metrics with ties and holes."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for d in range(n_datasets):
+        for model in ("baseline", "reweighing"):
+            for mid in ("C0", "C1", "C5", "C12", "D0"):
+                values = rng.integers(0, 4, n_folds) / 4 + (mid == "C1") * rng.random(n_folds)
+                holes = rng.random(n_folds) < {"C5": 0.3, "C12": 0.9}.get(mid, 0.0)
+                if mid == "D0" and d == 0:
+                    values[:] = 0.5  # a constant series
+                for t in range(n_folds):
+                    records.append(SampleRecord(
+                        f"d{d}", model, t // 5, t % 5, mid,
+                        None if holes[t] else float(values[t]),
+                    ))
+    return MetricSampleMatrix(records)
+
+
+class TestCorrelationMatrix:
+    @pytest.mark.parametrize("scope", [analysis.PER_CELL_AVERAGE, analysis.POOLED])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_equal_pairwise_oracle(self, scope, seed):
+        samples = holey_samples(seed)
+        ids = samples.metric_ids()
+        got = analysis.correlation_matrix(samples, ids, scope=scope)
+        assert got.values.tobytes() == correlation_pairwise(samples, ids, scope).tobytes()
+
+    @pytest.mark.parametrize("scope", [analysis.PER_CELL_AVERAGE, analysis.POOLED])
+    def test_experiment_bytes_equal_pairwise_oracle(self, small_experiment, scope):
+        ids = small_experiment.metric_ids()
+        got = analysis.correlation_matrix(small_experiment, ids, scope=scope)
+        expected = correlation_pairwise(small_experiment, ids, scope)
+        assert got.values.tobytes() == expected.tobytes()
+
+    def test_one_spearman_call_per_cell(self, monkeypatch):
+        samples = holey_samples(0)
+        calls = []
+        block_spearman = analysis.spearman
+
+        def counting_spearman(block):
+            calls.append(block)
+            return block_spearman(block)
+
+        monkeypatch.setattr(analysis, "spearman", counting_spearman)
+        analysis.correlation_matrix(samples, samples.metric_ids())
+        assert len(calls) == 6
+        analysis.correlation_matrix(samples, samples.metric_ids(), scope=analysis.POOLED)
+        assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------

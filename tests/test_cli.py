@@ -191,6 +191,38 @@ class TestExperimentCommand:
         assert "needs at least 10" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
+    def test_k_at_least_training_fold_exit_code(self, tmp_path, capsys):
+        # 60 rows: 12-row test folds leave 48 training rows, below k = 50
+        data, spec = tmp_path / "small.csv", tmp_path / "small.spec.json"
+        synth.write_dataset(data, spec, "small", n_rows=60, bias_gap=0.3, seed=1)
+        out = tmp_path / "out"
+        assert main(["experiment", "--data", str(data), "--spec", str(spec),
+                     "--out", str(out), "--k-neighbors", "50"]) == 3
+        assert "below the row count 48, got 50" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_k_at_least_training_fold_is_partial_failure(self, tmp_path, capsys):
+        paths = []
+        for name, n_rows in (("small", 60), ("large", 200)):
+            data, spec = tmp_path / f"{name}.csv", tmp_path / f"{name}.spec.json"
+            synth.write_dataset(data, spec, name, n_rows=n_rows, bias_gap=0.3, seed=1)
+            paths.append((data, spec))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [{"data": str(d), "spec": str(s)} for d, s in paths],
+            "models": ["baseline"],
+            "k_neighbors": 50,
+        }))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 4
+        assert "smallest training fold" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f["dataset"] for f in manifest["failures"]] == [str(paths[0][0])]
+        assert [i["data_path"] for i in manifest["inputs"]] == [str(paths[1][0])]
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 1 + 30 * 25
+        assert all(line.startswith("large,") for line in lines[1:])
+
     def test_duplicate_dataset_name_is_partial_failure(self, tmp_path, capsys):
         paths = []
         for stem, seed in (("first", 1), ("second", 2)):
