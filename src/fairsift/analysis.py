@@ -100,7 +100,6 @@ class CorrelationMatrix:
 
     metric_ids: tuple[str, ...]
     values: np.ndarray
-    cells: tuple[tuple[str, str], ...]  # (dataset, model) cells that fed it
     scope: str
 
     def __post_init__(self):
@@ -118,8 +117,8 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Metric-to-metric Spearman over every (dataset, model) cell.
 
-    Each cell is a (metrics x folds) block, NaN for Undefined; a shorter
-    series is padded with NaN, so a pair uses the folds both series have.
+    Each cell's block is its (metrics x folds) slice of ``samples.values``,
+    NaN for Undefined, so a pair uses the folds both series define.
     ``per_cell_average`` correlates each cell's block in one ``spearman``
     call, then averages every pair's defined per-cell coefficients in cell
     order (undefined cells are skipped).  ``pooled`` concatenates the cell
@@ -128,20 +127,9 @@ def correlation_matrix(
     if scope not in (PER_CELL_AVERAGE, POOLED):
         raise ValueError(f"unknown correlation scope {scope!r}")
     metric_ids = tuple(metric_ids)
-    cells = tuple(
-        (ds, model)
-        for ds in samples.datasets()
-        for model in samples.models()
-    )
-    if not cells:
-        raise ValueError("no samples to correlate")
-    blocks = []
-    for ds, model in cells:
-        series = [samples.samples(ds, model, mid) for mid in metric_ids]
-        block = np.full((len(series), max(map(len, series), default=0)), np.nan)
-        for row, values in zip(block, series):
-            row[: len(values)] = values  # None becomes NaN
-        blocks.append(block)
+    rows = [samples.metric_ids.index(mid) for mid in metric_ids]
+    values = samples.values[:, :, rows]
+    blocks = values.reshape(-1, *values.shape[2:])  # (cells, metrics, folds)
 
     if scope == POOLED:
         out = spearman(np.concatenate(blocks, axis=1))
@@ -156,7 +144,7 @@ def correlation_matrix(
                 if len(coeffs):
                     out[i, j] = out[j, i] = float(np.mean(coeffs))
     np.fill_diagonal(out, 1.0)
-    return CorrelationMatrix(metric_ids=metric_ids, values=out, cells=cells, scope=scope)
+    return CorrelationMatrix(metric_ids=metric_ids, values=out, scope=scope)
 
 
 # --------------------------------------------------------------------------
@@ -390,22 +378,21 @@ class SensitivityReport:
         return 2 * insensitive > len(metric_ids)
 
 
-def sensitivity_table(
-    samples: MetricSampleMatrix, d: float = 0.35, expected_samples: int = 25
-) -> SensitivityReport:
+def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> SensitivityReport:
     """Median and IQR per (dataset, model, metric), flagged when volatile.
 
-    Quantiles use linear interpolation.  A cell is flagged iff its IQR exceeds
-    ``d`` times the standard deviation of all IQR values in the run.
+    Quantiles use linear interpolation over defined samples.  A cell is flagged
+    iff its IQR exceeds ``d`` times the standard deviation of all IQRs in the run.
     """
     if d <= 0:
         raise ValueError("d must be positive")
+    n_samples = samples.values.shape[-1]
     stats, short = [], []
-    for ds in samples.datasets():
-        for model in samples.models():
-            for mid in samples.metric_ids():
-                values = samples.defined_samples(ds, model, mid)
-                if 0 < len(values) < expected_samples:
+    for ds, by_model in zip(samples.datasets, samples.values):
+        for model, by_metric in zip(samples.models, by_model):
+            for mid, row in zip(samples.metric_ids, by_metric):
+                values = row[np.isfinite(row)]
+                if 0 < len(values) < n_samples:
                     short.append(len(values))
                 if len(values) == 0:
                     stats.append((ds, model, mid, None, None))
@@ -414,7 +401,7 @@ def sensitivity_table(
                 stats.append((ds, model, mid, float(q2), float(q3 - q1)))
     if short:
         warnings.warn(
-            f"{len(short)} sensitivity cell(s) have fewer than {expected_samples} "
+            f"{len(short)} sensitivity cell(s) have fewer than {n_samples} "
             f"defined samples (the shortest has {min(short)} defined samples); "
             f"their statistics use the available ones"
         )

@@ -258,12 +258,10 @@ def _read_prediction_column(data_path, column, spec: DatasetSpec, n_rows: int):
     return np.array(preds, dtype=np.int64)
 
 
-def cmd_experiment(args) -> int:
-    file_cfg = _load_run_config(args.config)
-    cfg = _experiment_config(args, file_cfg)
-    sources = _sources(args, file_cfg)
-
-    os.makedirs(args.out, exist_ok=True)
+def _experiment(sources, cfg: ExperimentConfig, out_dir):
+    """Load and check the sources, run the ones that load and write
+    ``results.csv`` and ``manifest.json``; returns (samples, load failures)."""
+    os.makedirs(out_dir, exist_ok=True)
     loaded, ok_sources, failures = [], [], []
     for src in sources:
         try:
@@ -296,16 +294,23 @@ def cmd_experiment(args) -> int:
         raise DataError("every dataset failed to load")
 
     samples = run_experiment(loaded, cfg)
-    results_path = os.path.join(args.out, "results.csv")
+    results_path = os.path.join(out_dir, "results.csv")
     write_results_csv(samples, results_path)
     write_manifest(
-        os.path.join(args.out, "manifest.json"),
+        os.path.join(out_dir, "manifest.json"),
         cfg,
         ok_sources,
         record_count=len(samples),
         failures=failures,
     )
     print(f"wrote {results_path} ({len(samples)} records)")
+    return samples, failures
+
+
+def cmd_experiment(args) -> int:
+    file_cfg = _load_run_config(args.config)
+    cfg = _experiment_config(args, file_cfg)
+    _, failures = _experiment(_sources(args, file_cfg), cfg, args.out)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -342,19 +347,15 @@ def cmd_demo(args) -> int:
             data_path, spec_path, name,
             n_rows=args.rows, bias_gap=gap, seed=args.seed,
         )
-        ns = argparse.Namespace(
-            config=None, data=data_path, spec=spec_path, out=run_dir,
-            seeds=None, models=None, alpha=None, k_neighbors=None,
-            concentration=None, l2=None, global_normalize=False, jobs=args.jobs,
+        samples, _ = _experiment(
+            [DatasetSource(data_path, spec_path)],
+            ExperimentConfig(jobs=max(1, args.jobs)),
+            run_dir,
         )
-        code = cmd_experiment(ns)
-        if code != EXIT_OK:
-            return code
-        samples = read_results_csv(os.path.join(run_dir, "results.csv"))
         result = report.build_analysis(samples)
         print(f"wrote {report.write_all(result, run_dir)['report']}")
 
-        c15 = samples.samples(name, BASELINE, "C15")
+        c15 = samples.cell(name, BASELINE, "C15")
         unfair_folds = sum(
             1 for v in c15 if metrics.label_fair(v, 0.0) == metrics.UNFAIR
         )

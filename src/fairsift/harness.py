@@ -6,7 +6,9 @@ model are trained on the training split and evaluated on the held-out split;
 all 26 classification metrics are recorded per model, and the 4 dataset
 metrics are recorded on the (raw / reweighed) training data.  That yields 25
 samples per (dataset, model, metric) cell, which is what the downstream
-correlation and sensitivity analyses consume.
+correlation and sensitivity analyses consume.  ``MetricSampleMatrix`` holds
+them as one float array ``values[dataset, model, metric, repeat * 5 + fold]``
+with NaN for Undefined; ``results.csv`` lists that grid one entry per row.
 
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
@@ -19,7 +21,9 @@ same inputs rewrites byte-identical results, regardless of worker count.
 
 import csv
 import hashlib
+import itertools
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -137,70 +141,62 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    dataset: str
-    model: str
-    repeat: int
-    fold: int
-    metric_id: str
-    value: float | None
-
-    def sort_key(self):
-        return (
-            self.dataset,
-            self.model,
-            self.repeat,
-            self.fold,
-            metrics.metric_sort_key(self.metric_id),
-        )
-
-
 class MetricSampleMatrix:
-    """Long-format store of per-(dataset, model, repeat, fold, metric) values."""
+    """Every sample of a run: ``values[d, m, k, repeat * N_FOLDS + fold]`` is
+    metric ``metric_ids[k]`` of model ``models[m]`` on dataset
+    ``datasets[d]``, NaN for Undefined.  Datasets are sorted, the built-in
+    models come first and then the others sorted, metric ids follow
+    ``metric_sort_key``.  ``len()`` is the number of entries.
 
-    def __init__(self, records):
-        self.records: tuple[SampleRecord, ...] = tuple(
-            sorted(records, key=SampleRecord.sort_key)
+    Built from (dataset, model, repeat, fold, metric_id, value) entries, a
+    value that is None or not finite being Undefined.  Every (dataset,
+    model, metric, repeat, fold) of the axes must occur exactly once, with
+    repeat and fold in 0..4; anything else raises ``ValueError``.
+    """
+
+    def __init__(self, entries):
+        columns = tuple(zip(*entries))
+        if not columns:
+            raise ValueError("no entries")
+        datasets, models, repeats, folds, metric_ids, values = columns
+        named = set(models)
+        self.datasets = tuple(sorted(set(datasets)))
+        self.models = tuple(
+            [m for m in MODEL_NAMES if m in named] + sorted(named - set(MODEL_NAMES))
         )
-        self._by_cell: dict[tuple[str, str, str], list[SampleRecord]] = {}
-        for rec in self.records:
-            key = (rec.dataset, rec.model, rec.metric_id)
-            self._by_cell.setdefault(key, []).append(rec)
-        keys = self._by_cell.keys()
-        models = {m for _, m, _ in keys}
-        self._datasets = tuple(sorted({ds for ds, _, _ in keys}))
-        self._models = tuple(
-            [m for m in MODEL_NAMES if m in models] + sorted(models - set(MODEL_NAMES))
-        )
-        self._metric_ids = tuple(
-            sorted({mid for _, _, mid in keys}, key=metrics.metric_sort_key)
-        )
+        self.metric_ids = tuple(sorted(set(metric_ids), key=metrics.metric_sort_key))
+        slots = tuple(itertools.product(range(N_REPEATS), range(N_FOLDS)))
+        axes = (self.datasets, self.models, self.metric_ids, slots)
+        shape = tuple(len(axis) for axis in axes)
+        index = [{key: i for i, key in enumerate(axis)} for axis in axes]
+        labels = (datasets, models, metric_ids, zip(repeats, folds))
+        try:
+            flat = np.ravel_multi_index(
+                [[ix[key] for key in column] for ix, column in zip(index, labels)], shape
+            )
+        except KeyError as exc:
+            raise ValueError(f"(repeat, fold) {exc.args[0]} outside 0..4") from None
+        counts = np.bincount(flat, minlength=math.prod(shape))
+        if (counts != 1).any():
+            i = int(np.argmax(counts != 1))
+            d, m, k, t = np.unravel_index(i, shape)
+            raise ValueError(
+                f"entry {self.datasets[d]},{self.models[m]},{slots[t][0]},{slots[t][1]},"
+                f"{self.metric_ids[k]} occurs {counts[i]} times, not once"
+            )
+        grid = np.empty(counts.size)
+        grid[flat] = [np.nan if v is None else v for v in values]
+        grid[~np.isfinite(grid)] = np.nan
+        self.values = grid.reshape(shape)
+        self.values.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.values.size
 
-    def datasets(self) -> tuple[str, ...]:
-        return self._datasets
-
-    def models(self) -> tuple[str, ...]:
-        return self._models
-
-    def metric_ids(self) -> tuple[str, ...]:
-        return self._metric_ids
-
-    def samples(self, dataset: str, model: str, metric_id: str) -> list[float | None]:
-        """Fold-ordered values for one cell (Undefined kept as None)."""
-        recs = self._by_cell.get((dataset, model, metric_id), [])
-        return [r.value for r in recs]
-
-    def defined_samples(self, dataset: str, model: str, metric_id: str) -> np.ndarray:
-        vals = [
-            v
-            for v in self.samples(dataset, model, metric_id)
-            if v is not None and np.isfinite(v)
-        ]
-        return np.array(vals, dtype=float)
+    def cell(self, dataset: str, model: str, metric_id: str) -> np.ndarray:
+        """One cell's values in repeat-then-fold order, NaN for Undefined."""
+        return self.values[self.datasets.index(dataset), self.models.index(model),
+                           self.metric_ids.index(metric_id)]
 
 
 def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_normalize: bool):
@@ -211,9 +207,8 @@ def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_norm
     return apply_minmax(X[train], mins, maxs), apply_minmax(X[test], mins, maxs)
 
 
-def _fold_records(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
-                  assignment: np.ndarray,
-                  mitigators: tuple[Mitigator, ...]) -> list[SampleRecord]:
+def _fold_entries(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
+                  assignment: np.ndarray, mitigators: tuple[Mitigator, ...]) -> list[tuple]:
     test = assignment == fold
     train = ~test
     X_train, X_test = _scale_split(ds.X, train, test, cfg.global_normalize)
@@ -221,12 +216,13 @@ def _fold_records(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: 
     s_train, s_test = ds.s[train], ds.s[test]
     base_w = ds.weights[train]
 
-    records: list[SampleRecord] = []
+    entries: list[tuple] = []
 
     def emit(model: str, values: dict):
-        for metric_id, value in values.items():
-            v = None if value is None or not np.isfinite(value) else float(value)
-            records.append(SampleRecord(ds.name, model, repeat, fold, metric_id, v))
+        entries.extend(
+            (ds.name, model, repeat, fold, metric_id, value)
+            for metric_id, value in values.items()
+        )
 
     # consistency ignores instance weights, so all models share the value
     train_consistency = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
@@ -259,14 +255,14 @@ def _fold_records(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: 
                 precomputed_consistency=train_consistency,
             ),
         )
-    return records
+    return entries
 
 
 def _repeat_job(args):
     ds, cfg, repeat, assignment, mitigators = args
     out = []
     for fold in range(N_FOLDS):
-        out.extend(_fold_records(ds, cfg, repeat, fold, assignment, mitigators))
+        out.extend(_fold_entries(ds, cfg, repeat, fold, assignment, mitigators))
     return out
 
 
@@ -308,8 +304,7 @@ def run_experiment(
     else:
         chunks = [_repeat_job(job) for job in jobs]
 
-    records = [rec for chunk in chunks for rec in chunk]
-    return MetricSampleMatrix(records)
+    return MetricSampleMatrix(entry for chunk in chunks for entry in chunk)
 
 
 # --------------------------------------------------------------------------
@@ -320,19 +315,34 @@ RESULTS_HEADER = ("dataset", "model", "repeat", "fold", "metric_id", "value")
 
 
 def write_results_csv(samples: MetricSampleMatrix, path) -> None:
-    """Long-format CSV, canonically sorted; Undefined serialized as empty."""
+    """Long format, one row per grid entry, sorted by dataset, model name,
+    repeat, fold and ``metric_sort_key``; Undefined serialized as empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
-        for rec in samples.records:
-            value = UNDEFINED_FIELD if rec.value is None else repr(rec.value)
-            writer.writerow(
-                (rec.dataset, rec.model, rec.repeat, rec.fold, rec.metric_id, value)
-            )
+        for dataset, by_model in zip(samples.datasets, samples.values):
+            for model, by_metric in sorted(zip(samples.models, by_model),
+                                           key=lambda pair: pair[0]):
+                for t, column in enumerate(by_metric.T.tolist()):
+                    repeat, fold = divmod(t, N_FOLDS)
+                    writer.writerows(
+                        (dataset, model, repeat, fold, metric_id,
+                         UNDEFINED_FIELD if math.isnan(v) else repr(v))
+                        for metric_id, v in zip(samples.metric_ids, column)
+                    )
+
+
+def _parse_row(row) -> tuple:
+    dataset, model, repeat, fold, metric_id, value = row
+    number = None if value == UNDEFINED_FIELD else float(value)
+    if number is not None and not math.isfinite(number):
+        raise ValueError(f"value {value!r} is not finite; Undefined is an empty field")
+    return dataset, model, int(repeat), int(fold), metric_id, number
 
 
 def read_results_csv(path) -> MetricSampleMatrix:
-    records = []
+    """``results.csv`` back as its grid; a malformed file raises ``ValueError``."""
+    entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -343,18 +353,14 @@ def read_results_csv(path) -> MetricSampleMatrix:
         for row in reader:
             if not row:
                 continue
-            dataset, model, repeat, fold, metric_id, value = row
-            records.append(
-                SampleRecord(
-                    dataset=dataset,
-                    model=model,
-                    repeat=int(repeat),
-                    fold=int(fold),
-                    metric_id=metric_id,
-                    value=None if value == UNDEFINED_FIELD else float(value),
-                )
-            )
-    return MetricSampleMatrix(records)
+            try:
+                entries.append(_parse_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    try:
+        return MetricSampleMatrix(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def file_sha256(path) -> str:

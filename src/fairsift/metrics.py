@@ -106,7 +106,7 @@ DATASET_IDS: tuple[str, ...] = tuple(m.id for m in DATASET_METRICS)
 
 def metric_sort_key(metric_id: str) -> tuple[int, int]:
     """Canonical ordering: C0..C25 then D0..D3."""
-    return (0 if metric_id[0] == "C" else 1, int(metric_id[1:]))
+    return (0 if metric_id[:1] == "C" else 1, int(metric_id[1:]))
 
 
 def catalog_json() -> str:

@@ -121,7 +121,7 @@ def _build_cluster_report(
     summaries = []
     for cid, members in enumerate(parts):
         per_dataset = {}
-        for ds in samples.datasets():
+        for ds in samples.datasets:
             cluster_labels = [labels[(ds, m)] for m in members]
             majority = max(
                 (metrics.FAIR, metrics.UNFAIR),
@@ -153,23 +153,20 @@ def build_analysis(
     samples: MetricSampleMatrix, config: AnalysisConfig | None = None
 ) -> AnalysisResult:
     cfg = config or AnalysisConfig()
-    datasets = samples.datasets()
-    models = samples.models()
-    if not datasets or not models:
-        raise ValueError("no samples to analyze")
+    datasets = samples.datasets
+    models = samples.models
     label_model = BASELINE if BASELINE in models else models[0]
 
-    present = set(samples.metric_ids())
-    classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in present)
-    dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in present)
+    row_of = {mid: k for k, mid in enumerate(samples.metric_ids)}
+    classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in row_of)
+    dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in row_of)
 
     fold_medians: dict[tuple[str, str, str], float | None] = {}
-    for ds in datasets:
-        for model in models:
+    for ds, by_model in zip(datasets, samples.values):
+        for model, by_metric in zip(models, by_model):
             for mid in classification_ids + dataset_ids:
-                fold_medians[(ds, model, mid)] = _median_or_none(
-                    samples.defined_samples(ds, model, mid)
-                )
+                row = by_metric[row_of[mid]]
+                fold_medians[(ds, model, mid)] = _median_or_none(row[np.isfinite(row)])
 
     labels: dict[tuple[str, str], str] = {}
     for ds in datasets:

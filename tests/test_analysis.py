@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairsift import analysis
-from fairsift.harness import MetricSampleMatrix, SampleRecord
+from fairsift.harness import MetricSampleMatrix
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -55,14 +55,14 @@ def spearman_pairwise(x, y):
 def correlation_pairwise(samples, metric_ids, scope):
     """The correlation matrix from one ``spearman_pairwise`` call per pair
     (pooled) or per pair and cell (per-cell average)."""
-    cells = [(ds, model) for ds in samples.datasets() for model in samples.models()]
+    cells = [(ds, model) for ds in samples.datasets for model in samples.models]
     k = len(metric_ids)
     out = np.full((k, k), np.nan)
     np.fill_diagonal(out, 1.0)
     for i, j in itertools.combinations(range(k), 2):
         series = [
-            (samples.samples(ds, model, metric_ids[i]),
-             samples.samples(ds, model, metric_ids[j]))
+            (samples.cell(ds, model, metric_ids[i]),
+             samples.cell(ds, model, metric_ids[j]))
             for ds, model in cells
         ]
         if scope == analysis.POOLED:
@@ -257,23 +257,23 @@ class TestBlockSpearman:
             analysis.spearman([1.0, 2.0, 3.0])
 
 
-def holey_samples(seed, n_datasets=3, n_folds=25):
+def holey_samples(seed, n_datasets=3):
     """Two models x n_datasets cells of five metrics with ties and holes."""
     rng = np.random.default_rng(seed)
-    records = []
+    entries = []
     for d in range(n_datasets):
         for model in ("baseline", "reweighing"):
             for mid in ("C0", "C1", "C5", "C12", "D0"):
-                values = rng.integers(0, 4, n_folds) / 4 + (mid == "C1") * rng.random(n_folds)
-                holes = rng.random(n_folds) < {"C5": 0.3, "C12": 0.9}.get(mid, 0.0)
+                values = rng.integers(0, 4, 25) / 4 + (mid == "C1") * rng.random(25)
+                holes = rng.random(25) < {"C5": 0.3, "C12": 0.9}.get(mid, 0.0)
                 if mid == "D0" and d == 0:
                     values[:] = 0.5  # a constant series
-                for t in range(n_folds):
-                    records.append(SampleRecord(
-                        f"d{d}", model, t // 5, t % 5, mid,
-                        None if holes[t] else float(values[t]),
-                    ))
-    return MetricSampleMatrix(records)
+                entries.extend(
+                    (f"d{d}", model, t // 5, t % 5, mid,
+                     None if holes[t] else float(values[t]))
+                    for t in range(25)
+                )
+    return MetricSampleMatrix(entries)
 
 
 class TestCorrelationMatrix:
@@ -281,13 +281,13 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_bytes_equal_pairwise_oracle(self, scope, seed):
         samples = holey_samples(seed)
-        ids = samples.metric_ids()
+        ids = samples.metric_ids
         got = analysis.correlation_matrix(samples, ids, scope=scope)
         assert got.values.tobytes() == correlation_pairwise(samples, ids, scope).tobytes()
 
     @pytest.mark.parametrize("scope", [analysis.PER_CELL_AVERAGE, analysis.POOLED])
     def test_experiment_bytes_equal_pairwise_oracle(self, small_experiment, scope):
-        ids = small_experiment.metric_ids()
+        ids = small_experiment.metric_ids
         got = analysis.correlation_matrix(small_experiment, ids, scope=scope)
         expected = correlation_pairwise(small_experiment, ids, scope)
         assert got.values.tobytes() == expected.tobytes()
@@ -302,9 +302,9 @@ class TestCorrelationMatrix:
             return block_spearman(block)
 
         monkeypatch.setattr(analysis, "spearman", counting_spearman)
-        analysis.correlation_matrix(samples, samples.metric_ids())
+        analysis.correlation_matrix(samples, samples.metric_ids)
         assert len(calls) == 6
-        analysis.correlation_matrix(samples, samples.metric_ids(), scope=analysis.POOLED)
+        analysis.correlation_matrix(samples, samples.metric_ids, scope=analysis.POOLED)
         assert len(calls) == 7
 
 
@@ -490,87 +490,76 @@ class TestUnfairPercentage:
         )
 
 
-class _FakeSamples:
-    """Minimal MetricSampleMatrix stand-in for sensitivity tests."""
-
-    def __init__(self, cells):
-        # cells: (dataset, model, metric) -> list of values
-        self._cells = cells
-
-    def datasets(self):
-        return tuple(sorted({k[0] for k in self._cells}))
-
-    def models(self):
-        return tuple(sorted({k[1] for k in self._cells}))
-
-    def metric_ids(self):
-        return tuple(sorted({k[2] for k in self._cells}))
-
-    def defined_samples(self, ds, model, mid):
-        vals = [v for v in self._cells.get((ds, model, mid), []) if v is not None]
-        return np.array(vals, dtype=float)
+def sample_grid(cells):
+    """A MetricSampleMatrix from (dataset, model, metric) -> fold values; a
+    cell shorter than 25 folds is padded with Undefined (None)."""
+    entries = []
+    for (ds, model, mid), values in cells.items():
+        padded = list(values) + [None] * (25 - len(values))
+        entries.extend((ds, model, t // 5, t % 5, mid, v) for t, v in enumerate(padded))
+    return MetricSampleMatrix(entries)
 
 
 class TestSensitivity:
     def test_hand_example_flags(self):
         # IQR population {0, 0, 0.2, 0.2}: sigma = 0.1, threshold 0.035
         cells = {
-            ("d", "m", "A"): [1.0] * 25,
-            ("d", "m", "B"): [2.0] * 25,
-            ("d", "m", "C"): [0.0, 0.2] * 12 + [0.1],
-            ("d", "m", "D"): [1.0, 1.2] * 12 + [1.1],
+            ("d", "m", "C0"): [1.0] * 25,
+            ("d", "m", "C1"): [2.0] * 25,
+            ("d", "m", "C2"): [0.0, 0.2] * 12 + [0.1],
+            ("d", "m", "C3"): [1.0, 1.2] * 12 + [1.1],
         }
-        report = analysis.sensitivity_table(_FakeSamples(cells), d=0.35)
+        report = analysis.sensitivity_table(sample_grid(cells), d=0.35)
         assert report.sigma == pytest.approx(0.1)
         assert report.threshold == pytest.approx(0.035)
         flagged = {c.metric_id: c.flagged for c in report.cells}
-        assert flagged == {"A": False, "B": False, "C": True, "D": True}
+        assert flagged == {"C0": False, "C1": False, "C2": True, "C3": True}
 
     def test_constant_metric_never_flagged(self):
         cells = {
-            ("d", "m", "A"): [0.5] * 25,
-            ("d", "m", "B"): list(np.linspace(0, 3, 25)),
+            ("d", "m", "C0"): [0.5] * 25,
+            ("d", "m", "C1"): list(np.linspace(0, 3, 25)),
         }
-        report = analysis.sensitivity_table(_FakeSamples(cells))
-        assert not [c for c in report.cells if c.metric_id == "A"][0].flagged
+        report = analysis.sensitivity_table(sample_grid(cells))
+        assert not [c for c in report.cells if c.metric_id == "C0"][0].flagged
 
     def test_metric_and_cluster_verdicts(self):
         cells = {
-            ("d1", "m", "A"): [0.5] * 25,
-            ("d2", "m", "A"): [0.5] * 25,
-            ("d1", "m", "B"): list(np.linspace(0, 3, 25)),
-            ("d2", "m", "B"): list(np.linspace(0, 3, 25)),
+            ("d1", "m", "C0"): [0.5] * 25,
+            ("d2", "m", "C0"): [0.5] * 25,
+            ("d1", "m", "C1"): list(np.linspace(0, 3, 25)),
+            ("d2", "m", "C1"): list(np.linspace(0, 3, 25)),
         }
-        report = analysis.sensitivity_table(_FakeSamples(cells))
-        assert report.metric_insensitive("A")
-        assert not report.metric_insensitive("B")
-        assert report.cluster_insensitive(["A"])
-        assert not report.cluster_insensitive(["A", "B"])  # not a majority
-        assert not report.cluster_insensitive(["B"])
+        report = analysis.sensitivity_table(sample_grid(cells))
+        assert report.metric_insensitive("C0")
+        assert not report.metric_insensitive("C1")
+        assert report.cluster_insensitive(["C0"])
+        assert not report.cluster_insensitive(["C0", "C1"])  # not a majority
+        assert not report.cluster_insensitive(["C1"])
 
     def test_short_cell_warns(self):
-        cells = {("d", "m", "A"): [0.1] * 10, ("d", "m", "B"): [0.2] * 25}
+        cells = {("d", "m", "C0"): [0.1] * 10, ("d", "m", "C1"): [0.2] * 25}
         with pytest.warns(UserWarning, match="10 defined samples"):
-            analysis.sensitivity_table(_FakeSamples(cells))
+            analysis.sensitivity_table(sample_grid(cells))
 
     def test_short_cells_warn_once(self):
         cells = {
-            ("d", "m", "A"): [0.1] * 10,
-            ("d", "m", "B"): [0.2] * 12,
-            ("d", "m", "C"): [0.3] * 24,
-            ("d", "m", "D"): [0.4] * 25,
+            ("d", "m", "C0"): [0.1] * 10,
+            ("d", "m", "C1"): [0.2] * 12,
+            ("d", "m", "C2"): [0.3] * 24,
+            ("d", "m", "C3"): [0.4] * 25,
         }
         with pytest.warns(UserWarning) as record:
-            analysis.sensitivity_table(_FakeSamples(cells))
+            analysis.sensitivity_table(sample_grid(cells))
         assert len(record) == 1
         message = str(record[0].message)
         assert message.startswith("3 sensitivity cell(s)")
         assert "10 defined samples" in message
 
     def test_median_iqr_linear_interpolation(self):
-        cells = {("d", "m", "A"): [1.0, 2.0, 3.0, 4.0]}
+        cells = {("d", "m", "C0"): [1.0, 2.0, 3.0, 4.0]}
         with pytest.warns(UserWarning):
-            report = analysis.sensitivity_table(_FakeSamples(cells))
+            report = analysis.sensitivity_table(sample_grid(cells))
         cell = report.cells[0]
         assert cell.median == pytest.approx(2.5)
         assert cell.iqr == pytest.approx(1.5)  # q3=3.25, q1=1.75

@@ -263,6 +263,21 @@ class TestExperimentCommand:
         assert main(["experiment", "--data", str(data), "--spec", str(spec),
                      "--out", str(tmp_path), "--seeds", "1,2,3"]) == 2
 
+    def test_model_order_does_not_change_outputs(self, tiny_dataset, experiment_dir,
+                                                 tmp_path):
+        data, spec = tiny_dataset
+        default, swapped = tmp_path / "default", tmp_path / "swapped"
+        assert main(["analyze", "--results", str(experiment_dir / "results.csv"),
+                     "--out", str(default)]) == 0
+        assert main(["experiment", "--data", str(data), "--spec", str(spec),
+                     "--out", str(swapped), "--models", "rw,baseline"]) == 0
+        assert main(["analyze", "--results", str(swapped / "results.csv"),
+                     "--out", str(swapped)]) == 0
+        assert ((swapped / "results.csv").read_bytes()
+                == (experiment_dir / "results.csv").read_bytes())
+        for name in ("clusters.json", "report.md"):
+            assert (swapped / name).read_bytes() == (default / name).read_bytes(), name
+
 
 class TestAnalyzeCommand:
     def test_artifacts(self, experiment_dir, tmp_path):
@@ -286,6 +301,38 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path), "--correlation-scope", "pooled"]) == 0
         payload = json.loads((tmp_path / "clusters.json").read_text())
         assert payload["classification"]["correlation_scope"] == "pooled"
+
+
+def _set_field(lines, index, field, text):
+    row = lines[index].split(",")
+    row[field] = text
+    return lines[:index] + [",".join(row)] + lines[index + 1:]
+
+
+class TestMalformedResults:
+    """A results.csv that is not one value per grid entry is a data error."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:10] + lines[11:], "occurs 0 times"),
+        (lambda lines: lines + [lines[10]], "occurs 2 times"),
+        (lambda lines: _set_field(lines, 10, 2, "7"), "(repeat, fold) (7, 0) outside 0..4"),
+        (lambda lines: _set_field(lines, 10, 5, "nan"), "line 11: value 'nan' is not finite"),
+        (lambda lines: lines[:10] + ["a,b,c"] + lines[11:], "line 11: not enough values to unpack"),
+        (lambda lines: lines[:1], "no entries"),
+        (lambda lines: _set_field(lines, 10, 4, ""), "invalid literal for int()"),
+    ], ids=["deleted-row", "duplicate-row", "repeat-7", "nan-value", "three-fields",
+            "header-only", "empty-metric-id"])
+    def test_exit_code(self, experiment_dir, tmp_path, capsys, edit, message):
+        lines = (experiment_dir / "results.csv").read_text().splitlines()
+        edited = tmp_path / "results.csv"
+        edited.write_text("\n".join(edit(lines)) + "\n")
+        assert main(["analyze", "--results", str(edited),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCatalogCommand:

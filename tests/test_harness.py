@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from fairsift import metrics
 from fairsift.datamodel import EncodedDataset
 from fairsift.harness import (
     BASELINE,
     REWEIGHING,
     ExperimentConfig,
     MetricSampleMatrix,
-    SampleRecord,
     expected_record_count,
     make_cv_plan,
     read_results_csv,
@@ -16,6 +16,33 @@ from fairsift.harness import (
 )
 
 from conftest import make_synthetic
+
+
+def same_grid(a, b):
+    """Equal axes and bit-identical values (NaN marks the same entries)."""
+    return (
+        (a.datasets, a.models, a.metric_ids) == (b.datasets, b.models, b.metric_ids)
+        and a.values.tobytes() == b.values.tobytes()
+    )
+
+
+def defined(samples, dataset, model, metric_id):
+    row = samples.cell(dataset, model, metric_id)
+    return row[np.isfinite(row)]
+
+
+def full_grid(values, datasets=("d",), models=("baseline",)):
+    """Entries of a complete grid: metric id -> value in every fold, except
+    the (repeat, fold) overrides in ``values[mid]`` given as a dict."""
+    entries = []
+    for ds in datasets:
+        for model in models:
+            for mid, fill in values.items():
+                for t in range(25):
+                    repeat, fold = divmod(t, 5)
+                    v = fill.get((repeat, fold), 1.0) if isinstance(fill, dict) else fill
+                    entries.append((ds, model, repeat, fold, mid, v))
+    return entries
 
 
 class TestCvPlan:
@@ -63,53 +90,51 @@ class TestExperiment:
     def test_record_counts(self, small_experiment):
         # 2 models x (26 classification + 4 dataset) x 25 folds
         assert len(small_experiment) == expected_record_count(1, ExperimentConfig())
-        classification = [
-            r for r in small_experiment.records if r.metric_id.startswith("C")
-        ]
-        assert len(classification) == 2 * 26 * 25
+        assert small_experiment.values.shape == (1, 2, 30, 25)
+        assert sum(m.startswith("C") for m in small_experiment.metric_ids) == 26
 
     def test_25_samples_per_cell(self, small_experiment):
         for model in (BASELINE, REWEIGHING):
             for mid in ("C0", "C15", "D2"):
-                assert len(small_experiment.samples("smallbias", model, mid)) == 25
+                assert len(small_experiment.cell("smallbias", model, mid)) == 25
 
     def test_rerun_identical(self, small_experiment, tmp_path):
         ds = make_synthetic("smallbias", 300, 0.4, seed=11)
         again = run_experiment([ds], ExperimentConfig())
-        assert again.records == small_experiment.records
+        assert same_grid(again, small_experiment)
 
     def test_jobs_do_not_change_records(self):
         ds = make_synthetic("par", 120, 0.3, seed=3)
         seq = run_experiment([ds], ExperimentConfig(jobs=1))
         par = run_experiment([ds], ExperimentConfig(jobs=3))
-        assert seq.records == par.records
+        assert same_grid(seq, par)
 
     def test_models_subset(self):
         ds = make_synthetic("solo", 100, 0.2, seed=5)
         samples = run_experiment([ds], ExperimentConfig(models=("baseline",)))
-        assert samples.models() == ("baseline",)
+        assert samples.models == ("baseline",)
         assert len(samples) == 30 * 25
 
     def test_global_normalize_changes_results(self):
         ds = make_synthetic("norm", 150, 0.3, seed=9)
         per_fold = run_experiment([ds], ExperimentConfig())
         global_ = run_experiment([ds], ExperimentConfig(global_normalize=True))
-        assert per_fold.records != global_.records
+        assert not same_grid(per_fold, global_)
 
     def test_reweighed_dataset_metrics_hit_ideal(self, small_experiment):
-        d2 = small_experiment.defined_samples("smallbias", REWEIGHING, "D2")
-        d3 = small_experiment.defined_samples("smallbias", REWEIGHING, "D3")
+        d2 = defined(small_experiment, "smallbias", REWEIGHING, "D2")
+        d3 = defined(small_experiment, "smallbias", REWEIGHING, "D3")
         assert np.allclose(d2, 0.0, atol=1e-9)
         assert np.allclose(d3, 1.0, atol=1e-9)
 
     def test_baseline_sees_planted_bias(self, small_experiment):
-        d2 = small_experiment.defined_samples("smallbias", BASELINE, "D2")
+        d2 = defined(small_experiment, "smallbias", BASELINE, "D2")
         assert np.median(d2) < -0.2  # planted gap 0.4 disfavors unprivileged
 
     def test_zero_bias_control_centers_parity_at_zero(self):
         ds = make_synthetic("nobias", 300, 0.0, seed=21)
         samples = run_experiment([ds], ExperimentConfig(models=("baseline",)))
-        c15 = samples.defined_samples("nobias", BASELINE, "C15")
+        c15 = defined(samples, "nobias", BASELINE, "C15")
         assert abs(np.median(c15)) < 0.1
 
     def test_scaling_fit_on_training_rows_only(self):
@@ -140,11 +165,11 @@ class TestExperiment:
         )
         with pytest.warns(UserWarning, match="cannot reweigh"):
             samples = run_experiment([ds], ExperimentConfig())
-        rw_c0 = samples.samples("lonely", REWEIGHING, "C0")
+        rw_c0 = samples.cell("lonely", REWEIGHING, "C0")
         assert len(rw_c0) == 25
-        assert any(v is None for v in rw_c0)  # the bailed folds
-        base_c13 = samples.samples("lonely", BASELINE, "C13")
-        assert all(v is not None for v in base_c13)
+        assert np.isnan(rw_c0).any()  # the bailed folds
+        base_c13 = samples.cell("lonely", BASELINE, "C13")
+        assert np.isfinite(base_c13).all()
 
     def test_duplicate_names_rejected(self):
         ds = make_synthetic("dup", 60, 0.2, seed=1)
@@ -185,13 +210,11 @@ class TestMitigatorSlot:
             ExperimentConfig(models=("baseline", "downweight")),
             mitigators={"downweight": Downweight()},
         )
-        assert set(m for m in samples.models()) | {"downweight"} == {
-            "baseline", "downweight",
-        }
-        assert len(samples.samples("plug", "downweight", "C15")) == 25
+        assert samples.models == ("baseline", "downweight")
+        assert len(samples.cell("plug", "downweight", "C15")) == 25
         # halving favorable weight shifts the weighted base rates
-        base_d2 = samples.defined_samples("plug", "baseline", "D2")
-        down_d2 = samples.defined_samples("plug", "downweight", "D2")
+        base_d2 = defined(samples, "plug", "baseline", "D2")
+        down_d2 = defined(samples, "plug", "downweight", "D2")
         assert not np.allclose(base_d2, down_d2)
 
 
@@ -200,29 +223,68 @@ class TestPersistence:
         path = tmp_path / "results.csv"
         write_results_csv(small_experiment, path)
         again = read_results_csv(path)
-        assert again.records == small_experiment.records
+        assert same_grid(again, small_experiment)
 
     def test_undefined_serialized_empty(self, tmp_path):
-        records = [
-            SampleRecord("d", "baseline", 0, 0, "C0", None),
-            SampleRecord("d", "baseline", 0, 0, "C1", 0.125),
-        ]
         path = tmp_path / "r.csv"
-        write_results_csv(MetricSampleMatrix(records), path)
+        grid = full_grid({"C0": {(0, 0): None}, "C1": {(0, 0): 0.125}})
+        write_results_csv(MetricSampleMatrix(grid), path)
         lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 25
         assert lines[1] == "d,baseline,0,0,C0,"
         assert lines[2] == "d,baseline,0,0,C1,0.125"
+        assert lines[3] == "d,baseline,0,1,C0,1.0"
 
     def test_canonical_ordering(self, tmp_path):
-        records = [
-            SampleRecord("d", "baseline", 1, 0, "C1", 1.0),
-            SampleRecord("d", "baseline", 0, 4, "D2", 2.0),
-            SampleRecord("d", "baseline", 0, 4, "C10", 3.0),
-            SampleRecord("d", "baseline", 0, 4, "C2", 4.0),
+        entries = full_grid(
+            {"D2": 2.0, "C10": 3.0, "C2": None, "C1": 1.0},
+            datasets=("e", "d"),
+            models=(REWEIGHING, "downweight", BASELINE),
+        )
+        mat = MetricSampleMatrix(entries[::-1])
+        assert mat.datasets == ("d", "e")
+        assert mat.models == (BASELINE, REWEIGHING, "downweight")
+        assert mat.metric_ids == ("C1", "C2", "C10", "D2")
+        path = tmp_path / "r.csv"
+        write_results_csv(mat, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        keys = [(ds, model, int(r), int(f), mid) for ds, model, r, f, mid, _ in rows]
+        assert keys == sorted(
+            keys, key=lambda k: (k[0], k[1], k[2], k[3], metrics.metric_sort_key(k[4]))
+        )
+        assert keys[:5] == [
+            ("d", BASELINE, 0, 0, "C1"), ("d", BASELINE, 0, 0, "C2"),
+            ("d", BASELINE, 0, 0, "C10"), ("d", BASELINE, 0, 0, "D2"),
+            ("d", BASELINE, 0, 1, "C1"),
         ]
-        mat = MetricSampleMatrix(records)
-        ids = [(r.repeat, r.fold, r.metric_id) for r in mat.records]
-        assert ids == [(0, 4, "C2"), (0, 4, "C10"), (0, 4, "D2"), (1, 0, "C1")]
+        assert keys[100][1] == "downweight"  # model names sort as strings
+        assert same_grid(read_results_csv(path), mat)
+
+    def test_missing_entry_rejected(self):
+        entries = full_grid({"C0": 0.5, "C1": 0.5})
+        with pytest.raises(ValueError, match="entry d,baseline,1,2,C0 occurs 0 times"):
+            MetricSampleMatrix(entries[:7] + entries[8:])
+
+    def test_duplicate_entry_rejected(self):
+        entries = full_grid({"C0": 0.5, "C1": 0.5})
+        with pytest.raises(ValueError, match="entry d,baseline,1,3,C0 occurs 2 times"):
+            MetricSampleMatrix(entries + [entries[8]])
+
+    @pytest.mark.parametrize("repeat, fold", [(5, 0), (0, 5), (-1, 0), (7, 2)])
+    def test_repeat_or_fold_out_of_range_rejected(self, repeat, fold):
+        entries = full_grid({"C0": 0.5})
+        entries.append(("d", "baseline", repeat, fold, "C0", 0.5))
+        with pytest.raises(ValueError, match=r"\(repeat, fold\) .* outside 0\.\.4"):
+            MetricSampleMatrix(entries)
+
+    def test_non_finite_csv_value_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results_csv(MetricSampleMatrix(full_grid({"C0": 0.5})), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace("0.5", "inf")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4: value 'inf' is not finite"):
+            read_results_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

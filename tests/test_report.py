@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from fairsift import metrics, report
-from fairsift.harness import BASELINE, REWEIGHING, MetricSampleMatrix, SampleRecord
+from fairsift.harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
 
 def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
     """Hand-built sample matrix with known correlation structure."""
     rng = np.random.default_rng(seed)
-    records = []
+    entries = []
     for ds in datasets:
         for model in models:
             base = rng.normal(size=25)
@@ -24,11 +24,11 @@ def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
             for mid in metrics.DATASET_IDS:
                 series[mid] = rng.normal(size=25)
             for mid, values in series.items():
-                for i, v in enumerate(values):
-                    records.append(
-                        SampleRecord(ds, model, i // 5, i % 5, mid, float(v))
-                    )
-    return MetricSampleMatrix(records)
+                entries.extend(
+                    (ds, model, i // 5, i % 5, mid, float(v))
+                    for i, v in enumerate(values)
+                )
+    return MetricSampleMatrix(entries)
 
 
 @pytest.fixture(scope="module")
