@@ -21,6 +21,7 @@ from .metrics import (
     MetricDef,
     compute_classification_metrics,
     compute_dataset_metrics,
+    confusion_counts,
     label_fair,
 )
 from .models import (
@@ -53,6 +54,7 @@ __all__ = [
     "build_analysis",
     "compute_classification_metrics",
     "compute_dataset_metrics",
+    "confusion_counts",
     "encode_dataset",
     "label_fair",
     "make_cv_plan",

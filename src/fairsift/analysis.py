@@ -7,6 +7,7 @@ widest stable gap, then score each cluster for intra-cluster agreement and
 fold-to-fold sensitivity so uninformative clusters can be pruned.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -378,6 +379,19 @@ class SensitivityReport:
         return 2 * insensitive > len(metric_ids)
 
 
+def defined_blocks(rows: np.ndarray):
+    """Yield ``(selected, block)`` for each count n > 0 of finite entries a
+    row of the 2-D ``rows`` can have: ``selected`` marks the rows with n
+    finite entries and ``block`` holds those entries, one row each, in their
+    order.  One quantile call along a block's last axis gives every selected
+    row the bits of its own 1-D call."""
+    finite = np.isfinite(rows)
+    n_defined = finite.sum(axis=1)
+    for n in np.unique(n_defined[n_defined > 0]):
+        selected = n_defined == n
+        yield selected, rows[selected][finite[selected]].reshape(-1, n)
+
+
 def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> SensitivityReport:
     """Median and IQR per (dataset, model, metric), flagged when volatile.
 
@@ -387,38 +401,35 @@ def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> Sensitivi
     if d <= 0:
         raise ValueError("d must be positive")
     n_samples = samples.values.shape[-1]
-    stats, short = [], []
-    for ds, by_model in zip(samples.datasets, samples.values):
-        for model, by_metric in zip(samples.models, by_model):
-            for mid, row in zip(samples.metric_ids, by_metric):
-                values = row[np.isfinite(row)]
-                if 0 < len(values) < n_samples:
-                    short.append(len(values))
-                if len(values) == 0:
-                    stats.append((ds, model, mid, None, None))
-                    continue
-                q1, q2, q3 = np.percentile(values, [25, 50, 75])
-                stats.append((ds, model, mid, float(q2), float(q3 - q1)))
-    if short:
+    rows = samples.values.reshape(-1, n_samples)
+    quartiles = np.full((len(rows), 3), np.nan)
+    for selected, block in defined_blocks(rows):
+        quartiles[selected] = np.percentile(block, [25, 50, 75], axis=1).T
+    n_defined = np.isfinite(rows).sum(axis=1)
+    short = n_defined[(n_defined > 0) & (n_defined < n_samples)]
+    if len(short):
         warnings.warn(
             f"{len(short)} sensitivity cell(s) have fewer than {n_samples} "
-            f"defined samples (the shortest has {min(short)} defined samples); "
+            f"defined samples (the shortest has {short.min()} defined samples); "
             f"their statistics use the available ones"
         )
 
-    iqrs = np.array([s[4] for s in stats if s[4] is not None], dtype=float)
-    sigma = float(iqrs.std()) if len(iqrs) else 0.0
+    medians = quartiles[:, 1]
+    iqrs = quartiles[:, 2] - quartiles[:, 0]
+    defined = np.isfinite(iqrs)
+    sigma = float(iqrs[defined].std()) if defined.any() else 0.0
     threshold = d * sigma
+    keys = itertools.product(samples.datasets, samples.models, samples.metric_ids)
     cells = tuple(
         SensitivityCell(
             dataset=ds,
             model=model,
             metric_id=mid,
-            median=median,
-            iqr=iqr,
-            flagged=(iqr is not None and iqr > threshold),
+            median=None if math.isnan(median) else median,
+            iqr=None if math.isnan(iqr) else iqr,
+            flagged=iqr > threshold,  # False for NaN, a cell with no defined sample
         )
-        for ds, model, mid, median, iqr in stats
+        for (ds, model, mid), median, iqr in zip(keys, medians.tolist(), iqrs.tolist())
     )
     return SensitivityReport(cells=cells, sigma=sigma, threshold=threshold, d=d)
 

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 partial results.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -185,10 +186,13 @@ def cmd_metrics(args) -> int:
         predictions = _read_prediction_column(
             args.data, args.predictions_column, spec, ds.row_count
         )
+        row = metrics.compute_classification_metrics(
+            metrics.confusion_counts(ds.y, predictions, ds.s),
+            alpha=alpha, concentration=concentration,
+        )
         values.update(
-            metrics.compute_classification_metrics(
-                ds.y, predictions, ds.s, alpha=alpha, concentration=concentration
-            )
+            (mid, None if math.isnan(v) else v)
+            for mid, v in zip(metrics.CLASSIFICATION_IDS, row.tolist())
         )
 
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")

@@ -3,12 +3,19 @@
 For each dataset: 5-fold cross-validation repeated 5 times with per-repeat
 seeds.  In every fold the baseline logistic model and the reweighed logistic
 model are trained on the training split and evaluated on the held-out split;
-all 26 classification metrics are recorded per model, and the 4 dataset
-metrics are recorded on the (raw / reweighed) training data.  That yields 25
-samples per (dataset, model, metric) cell, which is what the downstream
-correlation and sensitivity analyses consume.  ``MetricSampleMatrix`` holds
-them as one float array ``values[dataset, model, metric, repeat * 5 + fold]``
-with NaN for Undefined; ``results.csv`` lists that grid one entry per row.
+each model's predictions are kept as one count tensor
+(``metrics.confusion_counts``), and the 4 dataset metrics are recorded on
+the (raw / reweighed) training data.  The run's count tensors are stacked into
+``counts[dataset, model, repeat, fold, 2, 2, 2]`` and one
+``metrics.compute_classification_metrics`` call turns them into all 26
+classification metrics.  A fold whose reweighing failed keeps an all-zero
+tensor and NaN dataset metrics, so all 30 of its metrics are Undefined.
+
+That yields 25 samples per (dataset, model, metric) cell, which is what the
+downstream correlation and sensitivity analyses consume.
+``MetricSampleMatrix`` holds them as one float array
+``values[dataset, model, metric, repeat * 5 + fold]`` with NaN for
+Undefined; ``results.csv`` lists that grid one entry per row.
 
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
@@ -141,32 +148,53 @@ class ExperimentConfig:
         }
 
 
+def canonical_models(names) -> tuple[str, ...]:
+    """The grid's model order: the built-in models first, then the others
+    sorted by name."""
+    named = set(names)
+    return tuple([m for m in MODEL_NAMES if m in named] + sorted(named - set(MODEL_NAMES)))
+
+
 class MetricSampleMatrix:
     """Every sample of a run: ``values[d, m, k, repeat * N_FOLDS + fold]`` is
     metric ``metric_ids[k]`` of model ``models[m]`` on dataset
-    ``datasets[d]``, NaN for Undefined.  Datasets are sorted, the built-in
-    models come first and then the others sorted, metric ids follow
-    ``metric_sort_key``.  ``len()`` is the number of entries.
+    ``datasets[d]``, NaN for Undefined.  Datasets are sorted, models follow
+    ``canonical_models``, metric ids follow ``metric_sort_key``.  ``len()``
+    is the number of entries.
 
-    Built from (dataset, model, repeat, fold, metric_id, value) entries, a
-    value that is None or not finite being Undefined.  Every (dataset,
-    model, metric, repeat, fold) of the axes must occur exactly once, with
-    repeat and fold in 0..4; anything else raises ``ValueError``.
+    The constructor takes the axes and the grid as they are; ``from_entries``
+    builds them from (dataset, model, repeat, fold, metric_id, value) rows.
     """
 
-    def __init__(self, entries):
+    def __init__(self, datasets, models, metric_ids, values):
+        self.datasets = tuple(datasets)
+        self.models = tuple(models)
+        self.metric_ids = tuple(metric_ids)
+        self.values = np.array(values, dtype=float, order="C")
+        shape = (len(self.datasets), len(self.models), len(self.metric_ids),
+                 N_REPEATS * N_FOLDS)
+        if self.values.shape != shape:
+            raise ValueError(f"values have shape {self.values.shape}, axes give {shape}")
+        self.values.setflags(write=False)
+
+    @classmethod
+    def from_entries(cls, entries) -> "MetricSampleMatrix":
+        """The grid of (dataset, model, repeat, fold, metric_id, value)
+        entries, a value that is None or not finite being Undefined.  Every
+        (dataset, model, metric, repeat, fold) of the axes must occur exactly
+        once, with repeat and fold in 0..4; anything else raises
+        ``ValueError``."""
         columns = tuple(zip(*entries))
         if not columns:
             raise ValueError("no entries")
         datasets, models, repeats, folds, metric_ids, values = columns
-        named = set(models)
-        self.datasets = tuple(sorted(set(datasets)))
-        self.models = tuple(
-            [m for m in MODEL_NAMES if m in named] + sorted(named - set(MODEL_NAMES))
-        )
-        self.metric_ids = tuple(sorted(set(metric_ids), key=metrics.metric_sort_key))
         slots = tuple(itertools.product(range(N_REPEATS), range(N_FOLDS)))
-        axes = (self.datasets, self.models, self.metric_ids, slots)
+        axes = (
+            tuple(sorted(set(datasets))),
+            canonical_models(models),
+            tuple(sorted(set(metric_ids), key=metrics.metric_sort_key)),
+            slots,
+        )
         shape = tuple(len(axis) for axis in axes)
         index = [{key: i for i, key in enumerate(axis)} for axis in axes]
         labels = (datasets, models, metric_ids, zip(repeats, folds))
@@ -181,14 +209,13 @@ class MetricSampleMatrix:
             i = int(np.argmax(counts != 1))
             d, m, k, t = np.unravel_index(i, shape)
             raise ValueError(
-                f"entry {self.datasets[d]},{self.models[m]},{slots[t][0]},{slots[t][1]},"
-                f"{self.metric_ids[k]} occurs {counts[i]} times, not once"
+                f"entry {axes[0][d]},{axes[1][m]},{slots[t][0]},{slots[t][1]},"
+                f"{axes[2][k]} occurs {counts[i]} times, not once"
             )
         grid = np.empty(counts.size)
         grid[flat] = [np.nan if v is None else v for v in values]
         grid[~np.isfinite(grid)] = np.nan
-        self.values = grid.reshape(shape)
-        self.values.setflags(write=False)
+        return cls(*axes[:3], grid.reshape(shape))
 
     def __len__(self) -> int:
         return self.values.size
@@ -207,8 +234,12 @@ def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_norm
     return apply_minmax(X[train], mins, maxs), apply_minmax(X[test], mins, maxs)
 
 
-def _fold_entries(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
-                  assignment: np.ndarray, mitigators: tuple[Mitigator, ...]) -> list[tuple]:
+def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
+          assignment: np.ndarray, mitigators: tuple[Mitigator, ...]):
+    """Count tensors ``[model, 2, 2, 2]`` of the test split and D0..D3
+    ``[model, 4]`` of the training split.  A model whose reweighing failed
+    keeps zero counts and NaN D values, so all 30 of its metrics are
+    Undefined."""
     test = assignment == fold
     train = ~test
     X_train, X_test = _scale_split(ds.X, train, test, cfg.global_normalize)
@@ -216,18 +247,12 @@ def _fold_entries(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: 
     s_train, s_test = ds.s[train], ds.s[test]
     base_w = ds.weights[train]
 
-    entries: list[tuple] = []
-
-    def emit(model: str, values: dict):
-        entries.extend(
-            (ds.name, model, repeat, fold, metric_id, value)
-            for metric_id, value in values.items()
-        )
-
+    counts = np.zeros((len(mitigators), 2, 2, 2), dtype=np.int64)
+    dataset_values = np.full((len(mitigators), len(metrics.DATASET_IDS)), np.nan)
     # consistency ignores instance weights, so all models share the value
     train_consistency = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
 
-    for mitigator in mitigators:
+    for m, mitigator in enumerate(mitigators):
         try:
             weights = mitigator.training_weights(y_train, s_train, base_w)
         except ReweighingError as exc:
@@ -235,35 +260,25 @@ def _fold_entries(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: 
                 f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
                 f"recording Undefined for the {mitigator.name} model"
             )
-            emit(mitigator.name, {m: None for m in metrics.CLASSIFICATION_IDS})
-            emit(mitigator.name, {m: None for m in metrics.DATASET_IDS})
             continue
         fitted = mitigator.train(X_train, y_train, weights, cfg.logistic_config())
-        y_pred = fitted.predict(X_test)
-        emit(
-            mitigator.name,
-            metrics.compute_classification_metrics(
-                y_test, y_pred, s_test,
-                alpha=cfg.alpha, concentration=cfg.concentration,
-            ),
+        counts[m] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
+        values = metrics.compute_dataset_metrics(
+            y_train, s_train, X_train, weights,
+            k=cfg.k_neighbors, concentration=cfg.concentration,
+            precomputed_consistency=train_consistency,
         )
-        emit(
-            mitigator.name,
-            metrics.compute_dataset_metrics(
-                y_train, s_train, X_train, weights,
-                k=cfg.k_neighbors, concentration=cfg.concentration,
-                precomputed_consistency=train_consistency,
-            ),
-        )
-    return entries
+        dataset_values[m] = [values[mid] for mid in metrics.DATASET_IDS]  # None -> NaN
+    return counts, dataset_values
 
 
 def _repeat_job(args):
+    """Count tensors ``[model, fold, 2, 2, 2]`` and D values
+    ``[model, fold, 4]`` of one repeat."""
     ds, cfg, repeat, assignment, mitigators = args
-    out = []
-    for fold in range(N_FOLDS):
-        out.extend(_fold_entries(ds, cfg, repeat, fold, assignment, mitigators))
-    return out
+    folds = [_fold(ds, cfg, repeat, fold, assignment, mitigators)
+             for fold in range(N_FOLDS)]
+    return tuple(np.stack(part, axis=1) for part in zip(*folds))
 
 
 def run_experiment(
@@ -285,12 +300,15 @@ def run_experiment(
     unknown = [m for m in cfg.models if m not in registry]
     if unknown:
         raise ValueError(f"no mitigator registered for models {unknown}")
-    selected = tuple(registry[m] for m in cfg.models)
 
-    datasets = list(datasets)
+    datasets = sorted(datasets, key=lambda d: d.name)
     names = [d.name for d in datasets]
     if len(set(names)) != len(names):
         raise ValueError(f"dataset names must be unique, got {names}")
+    if not datasets:
+        raise ValueError("no datasets")
+    models = canonical_models(cfg.models)
+    selected = tuple(registry[m] for m in models)
 
     jobs = []
     for ds in datasets:
@@ -300,11 +318,27 @@ def run_experiment(
 
     if cfg.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_repeat_job, jobs))
+            results = list(pool.map(_repeat_job, jobs))
     else:
-        chunks = [_repeat_job(job) for job in jobs]
+        results = [_repeat_job(job) for job in jobs]
 
-    return MetricSampleMatrix(entry for chunk in chunks for entry in chunk)
+    # [dataset, model, repeat, fold, ...], then one metric call for the run
+    grid = (len(datasets), len(models), N_REPEATS, N_FOLDS)
+    counts = np.empty(grid + (2, 2, 2), dtype=np.int64)
+    dataset_values = np.empty(grid + (len(metrics.DATASET_IDS),))
+    for i, (repeat_counts, repeat_values) in enumerate(results):
+        d, repeat = divmod(i, N_REPEATS)
+        counts[d, :, repeat] = repeat_counts
+        dataset_values[d, :, repeat] = repeat_values
+    per_fold = np.concatenate([
+        metrics.compute_classification_metrics(
+            counts, alpha=cfg.alpha, concentration=cfg.concentration
+        ),
+        dataset_values,
+    ], axis=-1)
+    values = per_fold.reshape(grid[:2] + (N_REPEATS * N_FOLDS, -1)).swapaxes(2, 3)
+    return MetricSampleMatrix(names, models, metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS,
+                              values)
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +368,8 @@ def write_results_csv(samples: MetricSampleMatrix, path) -> None:
 
 def _parse_row(row) -> tuple:
     dataset, model, repeat, fold, metric_id, value = row
+    if metric_id not in metrics.METRIC_CATALOG:
+        raise ValueError(f"unknown metric id {metric_id!r}")
     number = None if value == UNDEFINED_FIELD else float(value)
     if number is not None and not math.isfinite(number):
         raise ValueError(f"value {value!r} is not finite; Undefined is an empty field")
@@ -358,7 +394,7 @@ def read_results_csv(path) -> MetricSampleMatrix:
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     try:
-        return MetricSampleMatrix(entries)
+        return MetricSampleMatrix.from_entries(entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

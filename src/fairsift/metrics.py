@@ -6,10 +6,12 @@ Metric ids follow the AIF360-derived inventory used throughout this project:
 ``C0``..``C25`` are classification metrics (need predictions), ``D0``..``D3``
 are dataset metrics (need only labels, groups, features, weights).
 
-A metric value is ``float | None``; ``None`` means *undefined* (for example a
-0/0 rate or a ratio with a zero denominator).  Undefined never silently turns
-into a number: it propagates, is excluded pairwise from correlations, and is
-labeled Unfair.
+A metric is *undefined* where its formula is (for example a 0/0 rate or a
+ratio with a zero denominator): NaN in the arrays of
+``compute_classification_metrics``, which takes any stack of count tensors
+``(..., 2, 2, 2)`` and returns ``(..., 26)``, and None in the dict of
+``compute_dataset_metrics``.  Undefined never silently turns into a number:
+it propagates, is excluded pairwise from correlations, and is labeled Unfair.
 """
 
 import json
@@ -134,7 +136,7 @@ def check_parameters(
 
 
 # --------------------------------------------------------------------------
-# The count tensor and its confusion-matrix rates
+# The count tensor
 # --------------------------------------------------------------------------
 
 def _check_binary(name: str, v) -> np.ndarray:
@@ -166,110 +168,9 @@ def confusion_counts(y_true, y_pred, s) -> np.ndarray:
     return np.bincount(4 * s + 2 * y_true + y_pred, minlength=8).reshape(2, 2, 2)
 
 
-def _safe_div(num: float, den: float) -> float | None:
-    return None if den == 0 else num / den
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """Confusion-matrix rates of one group; None where 0/0."""
-
-    tpr: float | None
-    fpr: float | None
-    fnr: float | None
-    fdr: float | None
-    false_omission_rate: float | None
-    err: float | None
-    selection_rate: float | None
-
-    _KINDS = {
-        "TPR": "tpr",
-        "FPR": "fpr",
-        "FNR": "fnr",
-        "FDR": "fdr",
-        "FOR": "false_omission_rate",
-        "ERR": "err",
-    }
-
-    def get(self, kind: str) -> float | None:
-        try:
-            return getattr(self, self._KINDS[kind])
-        except KeyError:
-            raise ValueError(f"unknown rate kind {kind!r}") from None
-
-
-def confusion_rates(cells) -> RateSet:
-    """Rates from one group's 2x2 counts ``cells[label][prediction]``.
-
-    TPR = TP/(TP+FN), FPR = FP/(FP+TN), FNR = FN/(TP+FN), FDR = FP/(TP+FP),
-    FOR = FN/(TN+FN), ERR = (FP+FN)/N, selection rate = (TP+FP)/N.  Empty
-    denominators give None.
-    """
-    (tn, fp), (fn, tp) = cells
-    if min(tp, fp, fn, tn) < 0:
-        raise ValueError("confusion counts must be non-negative")
-    n = tp + fp + fn + tn
-    return RateSet(
-        tpr=_safe_div(tp, tp + fn),
-        fpr=_safe_div(fp, fp + tn),
-        fnr=_safe_div(fn, tp + fn),
-        fdr=_safe_div(fp, tp + fp),
-        false_omission_rate=_safe_div(fn, tn + fn),
-        err=_safe_div(fp + fn, n),
-        selection_rate=_safe_div(tp + fp, n),
-    )
-
-
-DIFFERENCE = "difference"
-RATIO = "ratio"
-
-_DISPARITY_KINDS = ("TPR", "FPR", "FNR", "FOR", "FDR", "ERR")
-
-
-def disparity(
-    kind: str, mode: str, rates_unpriv: RateSet, rates_priv: RateSet
-) -> float | None:
-    """Unprivileged-minus-privileged difference or unprivileged/privileged ratio.
-
-    The subtraction/division order is fixed: the unprivileged group comes
-    first.  None propagates; a ratio with a zero privileged rate is None.
-    """
-    if kind not in _DISPARITY_KINDS:
-        raise ValueError(f"unknown disparity kind {kind!r}")
-    u, p = rates_unpriv.get(kind), rates_priv.get(kind)
-    if u is None or p is None:
-        return None
-    if mode == DIFFERENCE:
-        return u - p
-    if mode == RATIO:
-        return None if p == 0 else u / p
-    raise ValueError(f"mode must be {DIFFERENCE!r} or {RATIO!r}, got {mode!r}")
-
-
-def average_odds(
-    rates_unpriv: RateSet, rates_priv: RateSet, absolute: bool = False
-) -> float | None:
-    """Half the sum of the FPR and TPR group deltas (absolute deltas if asked)."""
-    d_tpr = disparity("TPR", DIFFERENCE, rates_unpriv, rates_priv)
-    d_fpr = disparity("FPR", DIFFERENCE, rates_unpriv, rates_priv)
-    if d_tpr is None or d_fpr is None:
-        return None
-    if absolute:
-        return 0.5 * (abs(d_fpr) + abs(d_tpr))
-    return 0.5 * (d_fpr + d_tpr)
-
-
-def statistical_parity(
-    sel_unpriv: float | None, sel_priv: float | None, mode: str
-) -> float | None:
-    """Selection-rate difference (unpriv - priv) or ratio (unpriv / priv)."""
-    if sel_unpriv is None or sel_priv is None:
-        return None
-    if mode == DIFFERENCE:
-        return sel_unpriv - sel_priv
-    if mode == RATIO:
-        return None if sel_priv == 0 else sel_unpriv / sel_priv
-    raise ValueError(f"mode must be {DIFFERENCE!r} or {RATIO!r}, got {mode!r}")
+def _ratio(num, den) -> np.ndarray:
+    """``num / den`` elementwise, NaN where ``den`` is 0 or either is NaN."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=den != 0)
 
 
 # --------------------------------------------------------------------------
@@ -314,42 +215,32 @@ def entropy_indices(values, counts, alpha: float = 2.0):
 # Smoothed differential fairness
 # --------------------------------------------------------------------------
 
-def smoothed_edf(pos_counts, totals, concentration: float = 1.0) -> float | None:
+def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
     """Largest absolute log-ratio of Dirichlet-smoothed group base rates.
 
-    Each group's favorable rate is smoothed as
-    ``(pos + concentration/2) / (total + concentration)``; the result is the
-    max over group pairs of max(|ln(r_g/r_h)|, |ln((1-r_g)/(1-r_h))|).
+    The trailing axis of ``pos_counts`` and ``totals`` runs over groups; any
+    leading axes are a batch, with one result per entry.  Each group's
+    favorable rate is smoothed as ``(pos + concentration/2) / (total +
+    concentration)``; the result is the max over group pairs of
+    max(|ln(r_g/r_h)|, |ln((1-r_g)/(1-r_h))|).  Fewer than two groups give
+    None.
     """
     pos = np.asarray(pos_counts, dtype=float)
     tot = np.asarray(totals, dtype=float)
-    if pos.shape != tot.shape or pos.ndim != 1:
-        raise ValueError("pos_counts and totals must be 1-D and equal length")
+    if pos.shape != tot.shape or pos.ndim == 0:
+        raise ValueError("pos_counts and totals must have equal shapes with a group axis")
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     if np.any(tot <= 0) or np.any(pos < 0) or np.any(pos > tot):
         raise ValueError("need 0 <= pos <= total and total > 0 per group")
-    if len(pos) < 2:
+    if pos.shape[-1] < 2:
         return None
     rates = (pos + concentration / 2.0) / (tot + concentration)
-    log_r = np.log(rates)
-    log_c = np.log(1.0 - rates)
-    worst = 0.0
-    for g in range(len(rates)):
-        for h in range(g + 1, len(rates)):
-            worst = max(
-                worst, abs(log_r[g] - log_r[h]), abs(log_c[g] - log_c[h])
-            )
-    return worst
-
-
-def bias_amplification(
-    edf_classifier: float | None, edf_dataset: float | None
-) -> float | None:
-    """Classifier EDF minus dataset EDF; positive means amplified unfairness."""
-    if edf_classifier is None or edf_dataset is None:
-        return None
-    return edf_classifier - edf_dataset
+    gaps = [
+        np.abs(logs[..., :, None] - logs[..., None, :])
+        for logs in (np.log(rates), np.log(1.0 - rates))
+    ]
+    return np.maximum(*gaps).max(axis=(-2, -1))
 
 
 # --------------------------------------------------------------------------
@@ -440,68 +331,88 @@ def _group_counts(values: np.ndarray, s: np.ndarray, weights: np.ndarray):
 
 
 def compute_classification_metrics(
-    y_true,
-    y_pred,
-    s,
-    alpha: float = 2.0,
-    concentration: float = 1.0,
-) -> dict[str, float | None]:
-    """All 26 classification metrics (C0..C25) for one prediction set.
+    counts, alpha: float = 2.0, concentration: float = 1.0
+) -> np.ndarray:
+    """All 26 classification metrics of every count tensor in a stack.
 
-    Every value is computed from the count tensor of ``confusion_counts``, so
-    equal counts give bit-equal values whatever the row order.  With only one
-    protected group present, every group-comparison metric is None; the
-    individual-fairness measures (C16, C19, C20) and the overall selection
-    rate (C13) are still computed.
+    ``counts`` is an integer array ``(..., 2, 2, 2)`` of ``confusion_counts``
+    tensors; the result is a float array ``(..., 26)`` in
+    ``CLASSIFICATION_IDS`` order, NaN for Undefined.  A rate with a zero
+    denominator is Undefined, and so is every group comparison where either
+    group is empty; the individual-fairness measures (C16, C19, C20) and the
+    overall selection rate (C13) need only a non-empty tensor.  A tensor
+    whose counts total 0 is Undefined in all 26 metrics: that is how the
+    experiment records a fold whose model could not be trained.
+
+    C0-C15 and C25 are array expressions over the whole stack.  The entropy
+    family C16-C24 calls ``entropy_indices`` once per tensor, since numpy's
+    vectorized log and power can round differently in the last bit from
+    the scalar ones it uses.
     """
-    c = confusion_counts(y_true, y_pred, s).tolist()
-    out: dict[str, float | None] = {m.id: None for m in CLASSIFICATION_METRICS}
+    c = np.asarray(counts)
+    if c.shape[-3:] != (2, 2, 2) or not np.issubdtype(c.dtype, np.integer):
+        raise ValueError(f"counts must be integers of shape (..., 2, 2, 2), got "
+                         f"{c.dtype} {c.shape}")
+    if (c < 0).any():
+        raise ValueError("confusion counts must be non-negative")
+    # per group, unprivileged first: shape (..., 2); for_ is the false omission rate
+    tn, fp, fn, tp = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    size = tn + fp + fn + tp
+    pred_pos, true_pos = tp + fp, tp + fn
+    tpr, fpr, fnr = _ratio(tp, true_pos), _ratio(fp, fp + tn), _ratio(fn, true_pos)
+    fdr, for_ = _ratio(fp, pred_pos), _ratio(fn, tn + fn)
+    err, sel = _ratio(fp + fn, size), _ratio(pred_pos, size)
 
-    # per group: counts of the benefits in BENEFITS, i.e. (FN, TP + TN, FP)
-    benefit = [(g[1][0], g[1][1] + g[0][0], g[0][1]) for g in c]
-    sizes = [sum(counts) for counts in benefit]
-    pred_pos = [g[0][1] + g[1][1] for g in c]
-    true_pos = [g[1][0] + g[1][1] for g in c]
-    out["C13"] = sum(pred_pos) / sum(sizes)
-    out["C16"], out["C19"], out["C20"] = entropy_indices(
-        BENEFITS, [u + p for u, p in zip(*benefit)], alpha
+    def diff(r):
+        return r[..., 0] - r[..., 1]
+
+    def ratio(r):
+        return _ratio(r[..., 0], r[..., 1])
+
+    # an empty group's total is taken as 1 to keep smoothed_edf's domain;
+    # C25 is NaN for those tensors anyway
+    both = (size > 0).all(axis=-1)
+    totals = np.maximum(size, 1)
+    c25 = smoothed_edf(pred_pos, totals, concentration) - smoothed_edf(
+        true_pos, totals, concentration
     )
 
-    if min(sizes) == 0:
-        return out
+    # per tensor: counts of the benefits in BENEFITS, i.e. (FN, TP + TN, FP)
+    individual, between = [], []
+    undefined = (None, None, None)
+    for groups in np.stack([fn, tp + tn, fp], axis=-1).reshape(-1, 2, 3).tolist():
+        sizes = [sum(counts) for counts in groups]
+        individual.append(
+            entropy_indices(BENEFITS, [u + p for u, p in zip(*groups)], alpha)
+            if sum(sizes) else undefined
+        )
+        if min(sizes) == 0:
+            between.append(undefined)
+            continue
+        # between-group variants: every row's benefit replaced by its group's mean
+        means = [
+            sum(b * k for b, k in zip(BENEFITS, counts)) / n
+            for counts, n in zip(groups, sizes)
+        ]
+        between.append(entropy_indices(means, sizes, alpha))
+    batch = size.shape[:-1]
+    ge, theil, cov = np.array(individual, dtype=float).T.reshape((3,) + batch)
+    b_ge, b_theil, b_cov = np.array(between, dtype=float).T.reshape((3,) + batch)
 
-    ru, rp = confusion_rates(c[0]), confusion_rates(c[1])
-    out["C0"] = disparity("TPR", DIFFERENCE, ru, rp)
-    out["C1"] = disparity("FPR", DIFFERENCE, ru, rp)
-    out["C2"] = disparity("FNR", DIFFERENCE, ru, rp)
-    out["C3"] = disparity("FOR", DIFFERENCE, ru, rp)
-    out["C4"] = disparity("FDR", DIFFERENCE, ru, rp)
-    out["C5"] = disparity("FPR", RATIO, ru, rp)
-    out["C6"] = disparity("FNR", RATIO, ru, rp)
-    out["C7"] = disparity("FOR", RATIO, ru, rp)
-    out["C8"] = disparity("FDR", RATIO, ru, rp)
-    out["C9"] = average_odds(ru, rp, absolute=False)
-    out["C10"] = average_odds(ru, rp, absolute=True)
-    out["C11"] = disparity("ERR", DIFFERENCE, ru, rp)
-    out["C12"] = disparity("ERR", RATIO, ru, rp)
-    out["C14"] = statistical_parity(ru.selection_rate, rp.selection_rate, RATIO)
-    out["C15"] = statistical_parity(ru.selection_rate, rp.selection_rate, DIFFERENCE)
-
-    # between-group variants: every row's benefit replaced by its group's mean
-    means = [
-        sum(b * k for b, k in zip(BENEFITS, counts)) / size
-        for counts, size in zip(benefit, sizes)
-    ]
-    out["C18"], out["C21"], out["C22"] = entropy_indices(means, sizes, alpha)
-    # The "all groups" variants range over every intersection of protected
-    # attributes; with one binary attribute those are the same two groups.
-    out["C17"], out["C23"], out["C24"] = out["C18"], out["C21"], out["C22"]
-
-    out["C25"] = bias_amplification(
-        smoothed_edf(pred_pos, sizes, concentration),
-        smoothed_edf(true_pos, sizes, concentration),
+    d_tpr, d_fpr = diff(tpr), diff(fpr)
+    # The "all groups" variants C17, C23 and C24 range over every
+    # intersection of protected attributes; with one binary attribute those
+    # are the same two groups as C18, C21 and C22.
+    columns = (
+        d_tpr, d_fpr, diff(fnr), diff(for_), diff(fdr),  # C0-C4
+        ratio(fpr), ratio(fnr), ratio(for_), ratio(fdr),  # C5-C8
+        0.5 * (d_fpr + d_tpr), 0.5 * (np.abs(d_fpr) + np.abs(d_tpr)),  # C9, C10
+        diff(err), ratio(err), _ratio(pred_pos.sum(-1), size.sum(-1)),  # C11-C13
+        ratio(sel), diff(sel),  # C14, C15
+        ge, b_ge, b_ge, theil, cov, b_theil, b_cov, b_theil, b_cov,  # C16-C24
+        np.where(both, c25, np.nan),  # C25
     )
-    return out
+    return np.stack(columns, axis=-1)
 
 
 def compute_dataset_metrics(
@@ -537,10 +448,10 @@ def compute_dataset_metrics(
 
     pos, tot = _group_counts(np.asarray(y, dtype=float), s, w)
     out["D1"] = smoothed_edf(pos, tot, concentration)
-    rate_priv = None if tot[0] == 0 else float(pos[0] / tot[0])
-    rate_unpriv = None if tot[1] == 0 else float(pos[1] / tot[1])
-    out["D2"] = statistical_parity(rate_unpriv, rate_priv, DIFFERENCE)
-    out["D3"] = statistical_parity(rate_unpriv, rate_priv, RATIO)
+    # smoothed_edf has checked that both totals are positive
+    rate_priv, rate_unpriv = (pos / tot).tolist()
+    out["D2"] = rate_unpriv - rate_priv
+    out["D3"] = None if rate_priv == 0 else rate_unpriv / rate_priv
     return out
 
 

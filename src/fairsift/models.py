@@ -10,7 +10,6 @@ weight P(group)*P(label)/P(group, label), which makes the weighted joint
 distribution of group and label exactly independent.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -43,40 +42,9 @@ class LogisticModel:
             )
         return X @ self.coefficients + self.intercept
 
-    def predict_proba(self, X) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
     def predict(self, X) -> np.ndarray:
         """Hard labels: 1 iff the predicted probability is >= 0.5."""
         return (self.decision_function(X) >= 0.0).astype(np.int64)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "coefficients": [float(c) for c in self.coefficients],
-                "intercept": float(self.intercept),
-                "config": {
-                    "l2_strength": self.config.l2_strength,
-                    "max_iterations": self.config.max_iterations,
-                    "tolerance": self.config.tolerance,
-                },
-                "converged": self.converged,
-                "n_iterations": self.n_iterations,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogisticModel":
-        raw = json.loads(text)
-        return cls(
-            coefficients=np.array(raw["coefficients"], dtype=float),
-            intercept=float(raw["intercept"]),
-            config=LogisticConfig(**raw["config"]),
-            converged=bool(raw["converged"]),
-            n_iterations=int(raw["n_iterations"]),
-        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -194,14 +162,12 @@ class ReweighingError(ValueError):
 
 @dataclass(frozen=True)
 class ReweighingWeights:
-    """Cell weights w(s, y) = P(s) * P(y) / P(s, y)."""
+    """Cell weights ``w[s, y] = P(s) * P(y) / P(s, y)``, a 2x2 array."""
 
-    w: dict[tuple[int, int], float]
+    w: np.ndarray
 
     def per_row(self, y, s) -> np.ndarray:
-        y = np.asarray(y, dtype=np.int64)
-        s = np.asarray(s, dtype=np.int64)
-        return np.array([self.w[(int(si), int(yi))] for si, yi in zip(s, y)])
+        return self.w[np.asarray(s, dtype=np.int64), np.asarray(y, dtype=np.int64)]
 
 
 def reweigh(y, s) -> ReweighingWeights:
@@ -218,7 +184,7 @@ def reweigh(y, s) -> ReweighingWeights:
     n = len(y)
     if n == 0:
         raise ValueError("empty input")
-    weights: dict[tuple[int, int], float] = {}
+    weights = np.empty((2, 2))
     for sv in (0, 1):
         for yv in (0, 1):
             cell = int(((s == sv) & (y == yv)).sum())
@@ -226,9 +192,10 @@ def reweigh(y, s) -> ReweighingWeights:
                 raise ReweighingError(
                     f"cannot reweigh: cell (s={sv}, y={yv}) is empty"
                 )
-            weights[(sv, yv)] = (
+            weights[sv, yv] = (
                 int((s == sv).sum()) * int((y == yv).sum()) / (n * cell)
             )
+    weights.setflags(write=False)
     return ReweighingWeights(w=weights)
 
 

@@ -17,6 +17,7 @@ All writers emit canonically ordered UTF-8 so repeated runs are byte-equal.
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -80,10 +81,6 @@ class AnalysisResult:
     movement: dict[str, analysis.MovementResult]  # dataset -> movement
     movement_models: tuple[str, str] | None
     config: AnalysisConfig
-
-
-def _median_or_none(values: np.ndarray) -> float | None:
-    return float(np.median(values)) if len(values) else None
 
 
 def _representative(cluster, corr: analysis.CorrelationMatrix) -> str:
@@ -161,12 +158,17 @@ def build_analysis(
     classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in row_of)
     dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in row_of)
 
+    rows = samples.values.reshape(-1, samples.values.shape[-1])
+    medians = np.full(len(rows), np.nan)
+    for selected, block in analysis.defined_blocks(rows):
+        medians[selected] = np.median(block, axis=1)
+    medians = medians.reshape(samples.values.shape[:-1]).tolist()
     fold_medians: dict[tuple[str, str, str], float | None] = {}
-    for ds, by_model in zip(datasets, samples.values):
+    for ds, by_model in zip(datasets, medians):
         for model, by_metric in zip(models, by_model):
             for mid in classification_ids + dataset_ids:
-                row = by_metric[row_of[mid]]
-                fold_medians[(ds, model, mid)] = _median_or_none(row[np.isfinite(row)])
+                median = by_metric[row_of[mid]]
+                fold_medians[(ds, model, mid)] = None if math.isnan(median) else median
 
     labels: dict[tuple[str, str], str] = {}
     for ds in datasets:

@@ -23,7 +23,7 @@ from fairsift.harness import read_results_csv
 from fairsift.models import loss_and_gradient, reweigh
 
 from test_analysis import spearman_bruteforce, upgma_bruteforce
-from test_metrics import entropy, ge_bruteforce, theil_bruteforce
+from test_metrics import classification, entropy, ge_bruteforce, theil_bruteforce
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -50,7 +50,7 @@ def test_criterion_1_metric_identities():
         y_pred = rng.integers(0, 2, n)
         s = rng.integers(0, 2, n)
         s[0], s[1] = 0, 1
-        out = metrics.compute_classification_metrics(y_true, y_pred, s)
+        out = classification(y_true, y_pred, s)
         if out["C0"] is None:
             assert out["C2"] is None
         else:
@@ -59,15 +59,17 @@ def test_criterion_1_metric_identities():
             assert out["C20"] is None
         else:
             assert abs(out["C20"] - 2 * math.sqrt(out["C16"])) <= 1e-12
-        c = metrics.confusion_counts(y_true, y_pred, s)
-        ru, rp = metrics.confusion_rates(c[0]), metrics.confusion_rates(c[1])
+        c = metrics.confusion_counts(y_true, y_pred, s).tolist()
         if out["C9"] is not None:
-            d_tpr = ru.tpr - rp.tpr
-            d_fpr = ru.fpr - rp.fpr
+            # per group g: TPR = TP / (TP + FN), FPR = FP / (FP + TN)
+            tpr = [g[1][1] / (g[1][1] + g[1][0]) for g in c]
+            fpr = [g[0][1] / (g[0][1] + g[0][0]) for g in c]
+            d_tpr = tpr[0] - tpr[1]
+            d_fpr = fpr[0] - fpr[1]
             assert abs(out["C9"] - 0.5 * (d_fpr + d_tpr)) <= 1e-12
             assert out["C10"] >= abs(out["C9"]) - 1e-12
         # parity formulas on true labels coincide with the dataset metrics
-        on_labels = metrics.compute_classification_metrics(y_true, y_true, s)
+        on_labels = classification(y_true, y_true, s)
         ds = metrics.compute_dataset_metrics(y_true, s, rng.random((n, 2)), k=1)
         for clf_id, data_id in (("C15", "D2"), ("C14", "D3")):
             if on_labels[clf_id] is None:

@@ -273,7 +273,7 @@ def holey_samples(seed, n_datasets=3):
                      None if holes[t] else float(values[t]))
                     for t in range(25)
                 )
-    return MetricSampleMatrix(entries)
+    return MetricSampleMatrix.from_entries(entries)
 
 
 class TestCorrelationMatrix:
@@ -497,7 +497,7 @@ def sample_grid(cells):
     for (ds, model, mid), values in cells.items():
         padded = list(values) + [None] * (25 - len(values))
         entries.extend((ds, model, t // 5, t % 5, mid, v) for t, v in enumerate(padded))
-    return MetricSampleMatrix(entries)
+    return MetricSampleMatrix.from_entries(entries)
 
 
 class TestSensitivity:
@@ -563,6 +563,52 @@ class TestSensitivity:
         cell = report.cells[0]
         assert cell.median == pytest.approx(2.5)
         assert cell.iqr == pytest.approx(1.5)  # q3=3.25, q1=1.75
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_cell_calls(self, seed):
+        samples = holey_samples(seed)
+        with pytest.warns(UserWarning):
+            report = analysis.sensitivity_table(samples)
+        rows = samples.values.reshape(-1, samples.values.shape[-1])
+        assert len(report.cells) == len(rows)
+        for cell, row in zip(report.cells, rows):
+            values = row[np.isfinite(row)]
+            if not len(values):
+                assert cell.median is None and cell.iqr is None
+                continue
+            q1, q2, q3 = np.percentile(values, [25, 50, 75])
+            assert repr(cell.median) == repr(float(q2))
+            assert repr(cell.iqr) == repr(float(q3 - q1))
+
+
+fold_rows = st.lists(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0, math.nan, math.inf, -math.inf])
+        | st.floats(-5, 5),
+        min_size=12, max_size=12,
+    ),
+    min_size=1, max_size=30,
+)
+
+
+class TestDefinedBlocks:
+    @given(fold_rows)
+    def test_axis_calls_match_per_row_calls(self, rows):
+        rows = np.array(rows)
+        seen = np.zeros(len(rows), dtype=bool)
+        for selected, block in analysis.defined_blocks(rows):
+            assert not (seen & selected).any()
+            seen |= selected
+            quartiles = np.percentile(block, [25, 50, 75], axis=1).T
+            medians = np.median(block, axis=1)
+            for i, values, q, median in zip(np.flatnonzero(selected), block,
+                                            quartiles, medians):
+                defined = rows[i][np.isfinite(rows[i])]
+                assert values.tobytes() == defined.tobytes()
+                assert q.tobytes() == np.percentile(defined, [25, 50, 75]).tobytes()
+                assert median.tobytes() == np.median(defined).tobytes()
+        assert (seen == np.isfinite(rows).any(axis=1)).all()
 
 
 class TestMovement:

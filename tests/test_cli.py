@@ -309,6 +309,18 @@ def _set_field(lines, index, field, text):
     return lines[:index] + [",".join(row)] + lines[index + 1:]
 
 
+def _add_unknown_metric(lines):
+    """A full grid of metric C99 next to each C0 row: a complete grid, so
+    only the unknown id is wrong."""
+    out = lines[:1]
+    for line in lines[1:]:
+        row = line.split(",")
+        if row[4] == "C0":
+            out.append(",".join(row[:4] + ["C99"] + row[5:]))
+        out.append(line)
+    return out
+
+
 class TestMalformedResults:
     """A results.csv that is not one value per grid entry is a data error."""
 
@@ -319,9 +331,10 @@ class TestMalformedResults:
         (lambda lines: _set_field(lines, 10, 5, "nan"), "line 11: value 'nan' is not finite"),
         (lambda lines: lines[:10] + ["a,b,c"] + lines[11:], "line 11: not enough values to unpack"),
         (lambda lines: lines[:1], "no entries"),
-        (lambda lines: _set_field(lines, 10, 4, ""), "invalid literal for int()"),
+        (lambda lines: _set_field(lines, 10, 4, ""), "line 11: unknown metric id ''"),
+        (_add_unknown_metric, "line 2: unknown metric id 'C99'"),
     ], ids=["deleted-row", "duplicate-row", "repeat-7", "nan-value", "three-fields",
-            "header-only", "empty-metric-id"])
+            "header-only", "empty-metric-id", "unknown-metric-id"])
     def test_exit_code(self, experiment_dir, tmp_path, capsys, edit, message):
         lines = (experiment_dir / "results.csv").read_text().splitlines()
         edited = tmp_path / "results.csv"

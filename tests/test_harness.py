@@ -16,6 +16,7 @@ from fairsift.harness import (
 )
 
 from conftest import make_synthetic
+from test_metrics import as_row, classification_oracle
 
 
 def same_grid(a, b):
@@ -109,6 +110,29 @@ class TestExperiment:
         par = run_experiment([ds], ExperimentConfig(jobs=3))
         assert same_grid(seq, par)
 
+    def test_one_classification_call_per_run(self, monkeypatch):
+        calls = []
+        batch = metrics.compute_classification_metrics
+
+        def spy(counts, *args, **kwargs):
+            calls.append(np.array(counts))
+            return batch(counts, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "compute_classification_metrics", spy)
+        datasets = [make_synthetic(name, 80, 0.3, seed=i)
+                    for i, name in enumerate(("zeta", "alpha"))]
+        samples = run_experiment(datasets, ExperimentConfig(models=(REWEIGHING, BASELINE)))
+        assert len(calls) == 1
+        counts = calls[0]
+        assert counts.shape == (2, 2, 5, 5, 2, 2, 2)
+        assert (counts.sum(axis=(-3, -2, -1)) == 16).all()  # a fifth of 80 rows
+        assert samples.datasets == ("alpha", "zeta")
+        assert samples.models == (BASELINE, REWEIGHING)
+        for d, m, repeat, fold in np.ndindex(counts.shape[:4]):
+            want = as_row(classification_oracle(counts[d, m, repeat, fold]))
+            got = samples.values[d, m, :26, repeat * 5 + fold]
+            assert got.tobytes() == want.tobytes()
+
     def test_models_subset(self):
         ds = make_synthetic("solo", 100, 0.2, seed=5)
         samples = run_experiment([ds], ExperimentConfig(models=("baseline",)))
@@ -170,6 +194,11 @@ class TestExperiment:
         assert np.isnan(rw_c0).any()  # the bailed folds
         base_c13 = samples.cell("lonely", BASELINE, "C13")
         assert np.isfinite(base_c13).all()
+        # C13 is only Undefined on an all-zero count tensor: a failed fold
+        # is Undefined in all 30 metrics
+        failed = np.isnan(samples.cell("lonely", REWEIGHING, "C13"))
+        assert failed.any()
+        assert np.isnan(samples.values[0, samples.models.index(REWEIGHING)][:, failed]).all()
 
     def test_duplicate_names_rejected(self):
         ds = make_synthetic("dup", 60, 0.2, seed=1)
@@ -228,7 +257,7 @@ class TestPersistence:
     def test_undefined_serialized_empty(self, tmp_path):
         path = tmp_path / "r.csv"
         grid = full_grid({"C0": {(0, 0): None}, "C1": {(0, 0): 0.125}})
-        write_results_csv(MetricSampleMatrix(grid), path)
+        write_results_csv(MetricSampleMatrix.from_entries(grid), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 2 * 25
         assert lines[1] == "d,baseline,0,0,C0,"
@@ -241,7 +270,7 @@ class TestPersistence:
             datasets=("e", "d"),
             models=(REWEIGHING, "downweight", BASELINE),
         )
-        mat = MetricSampleMatrix(entries[::-1])
+        mat = MetricSampleMatrix.from_entries(entries[::-1])
         assert mat.datasets == ("d", "e")
         assert mat.models == (BASELINE, REWEIGHING, "downweight")
         assert mat.metric_ids == ("C1", "C2", "C10", "D2")
@@ -263,23 +292,28 @@ class TestPersistence:
     def test_missing_entry_rejected(self):
         entries = full_grid({"C0": 0.5, "C1": 0.5})
         with pytest.raises(ValueError, match="entry d,baseline,1,2,C0 occurs 0 times"):
-            MetricSampleMatrix(entries[:7] + entries[8:])
+            MetricSampleMatrix.from_entries(entries[:7] + entries[8:])
 
     def test_duplicate_entry_rejected(self):
         entries = full_grid({"C0": 0.5, "C1": 0.5})
         with pytest.raises(ValueError, match="entry d,baseline,1,3,C0 occurs 2 times"):
-            MetricSampleMatrix(entries + [entries[8]])
+            MetricSampleMatrix.from_entries(entries + [entries[8]])
 
     @pytest.mark.parametrize("repeat, fold", [(5, 0), (0, 5), (-1, 0), (7, 2)])
     def test_repeat_or_fold_out_of_range_rejected(self, repeat, fold):
         entries = full_grid({"C0": 0.5})
         entries.append(("d", "baseline", repeat, fold, "C0", 0.5))
         with pytest.raises(ValueError, match=r"\(repeat, fold\) .* outside 0\.\.4"):
-            MetricSampleMatrix(entries)
+            MetricSampleMatrix.from_entries(entries)
+
+    def test_grid_shape_must_match_axes(self):
+        MetricSampleMatrix(("d",), ("baseline",), ("C0", "C1"), np.zeros((1, 1, 2, 25)))
+        with pytest.raises(ValueError, match="shape"):
+            MetricSampleMatrix(("d",), ("baseline",), ("C0", "C1"), np.zeros((1, 1, 2, 24)))
 
     def test_non_finite_csv_value_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results_csv(MetricSampleMatrix(full_grid({"C0": 0.5})), path)
+        write_results_csv(MetricSampleMatrix.from_entries(full_grid({"C0": 0.5})), path)
         lines = path.read_text().splitlines()
         lines[3] = lines[3].replace("0.5", "inf")
         path.write_text("\n".join(lines) + "\n")

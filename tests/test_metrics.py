@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairsift import metrics
@@ -103,6 +103,129 @@ def cells(tp, fp, fn, tn):
     return [[tn, fp], [fn, tp]]
 
 
+def smoothed_edf_loop(pos, tot, concentration=1.0):
+    """Smoothed EDF of one set of groups by a loop over group pairs."""
+    rates = (np.asarray(pos, float) + concentration / 2.0) / (
+        np.asarray(tot, float) + concentration
+    )
+    log_r, log_c = np.log(rates), np.log(1.0 - rates)
+    worst = 0.0
+    for g in range(len(rates)):
+        for h in range(g + 1, len(rates)):
+            worst = max(worst, abs(log_r[g] - log_r[h]), abs(log_c[g] - log_c[h]))
+    return worst
+
+
+def _div(num, den):
+    return None if den == 0 else num / den
+
+
+def classification_oracle(counts, alpha=2.0, concentration=1.0):
+    """The 26 metrics of one (2, 2, 2) count tensor, scalar by scalar.
+
+    This is the per-fold ``compute_classification_metrics`` the batch one
+    replaced: per-group rates with None for 0/0, then one difference, ratio
+    or average per metric, None propagating.  A tensor whose counts total 0
+    is Undefined everywhere.
+    """
+    c = np.asarray(counts).tolist()
+    out = {m: None for m in metrics.CLASSIFICATION_IDS}
+    benefit = [(g[1][0], g[1][1] + g[0][0], g[0][1]) for g in c]
+    sizes = [sum(counts) for counts in benefit]
+    if sum(sizes) == 0:
+        return out
+    pred_pos = [g[0][1] + g[1][1] for g in c]
+    true_pos = [g[1][0] + g[1][1] for g in c]
+    out["C13"] = sum(pred_pos) / sum(sizes)
+    out["C16"], out["C19"], out["C20"] = metrics.entropy_indices(
+        metrics.BENEFITS, [u + p for u, p in zip(*benefit)], alpha
+    )
+    if min(sizes) == 0:
+        return out
+
+    def rates(group):
+        (tn, fp), (fn, tp) = group
+        n = tp + fp + fn + tn
+        return {
+            "TPR": _div(tp, tp + fn), "FPR": _div(fp, fp + tn),
+            "FNR": _div(fn, tp + fn), "FDR": _div(fp, tp + fp),
+            "FOR": _div(fn, tn + fn), "ERR": _div(fp + fn, n),
+            "SEL": _div(tp + fp, n),
+        }
+
+    ru, rp = rates(c[0]), rates(c[1])
+
+    def difference(kind):
+        u, p = ru[kind], rp[kind]
+        return None if u is None or p is None else u - p
+
+    def ratio(kind):
+        u, p = ru[kind], rp[kind]
+        return None if u is None or p is None or p == 0 else u / p
+
+    for mid, kind in (("C0", "TPR"), ("C1", "FPR"), ("C2", "FNR"), ("C3", "FOR"),
+                      ("C4", "FDR"), ("C11", "ERR"), ("C15", "SEL")):
+        out[mid] = difference(kind)
+    for mid, kind in (("C5", "FPR"), ("C6", "FNR"), ("C7", "FOR"), ("C8", "FDR"),
+                      ("C12", "ERR"), ("C14", "SEL")):
+        out[mid] = ratio(kind)
+    d_tpr, d_fpr = difference("TPR"), difference("FPR")
+    if d_tpr is not None and d_fpr is not None:
+        out["C9"] = 0.5 * (d_fpr + d_tpr)
+        out["C10"] = 0.5 * (abs(d_fpr) + abs(d_tpr))
+    means = [
+        sum(b * k for b, k in zip(metrics.BENEFITS, counts)) / size
+        for counts, size in zip(benefit, sizes)
+    ]
+    out["C18"], out["C21"], out["C22"] = metrics.entropy_indices(means, sizes, alpha)
+    out["C17"], out["C23"], out["C24"] = out["C18"], out["C21"], out["C22"]
+    out["C25"] = smoothed_edf_loop(pred_pos, sizes, concentration) - smoothed_edf_loop(
+        true_pos, sizes, concentration
+    )
+    return out
+
+
+def classification(y_true, y_pred, s, **kwargs):
+    """``compute_classification_metrics`` of one prediction set, as an id ->
+    value dict with None for Undefined."""
+    row = metrics.compute_classification_metrics(
+        metrics.confusion_counts(y_true, y_pred, s), **kwargs
+    )
+    return {
+        mid: None if math.isnan(v) else v
+        for mid, v in zip(metrics.CLASSIFICATION_IDS, row.tolist())
+    }
+
+
+def tensor(unpriv, priv):
+    """The count tensor of two groups given as ``cells`` lists."""
+    return np.array([unpriv, priv], dtype=np.int64)
+
+
+def metric(counts, metric_id):
+    """One metric of one count tensor; None for Undefined."""
+    v = float(metrics.compute_classification_metrics(counts)[
+        metrics.CLASSIFICATION_IDS.index(metric_id)])
+    return None if math.isnan(v) else v
+
+
+# every rate of this group is 1/2
+REFERENCE = cells(tp=1, fp=1, fn=1, tn=1)
+
+
+def group_rates(tp, fp, fn, tn):
+    """One group's rates, read back from its differences (C0-C4, C11, C15)
+    against the REFERENCE group; None where the rate is 0/0."""
+    counts = tensor(cells(tp, fp, fn, tn), REFERENCE)
+    kinds = (("tpr", "C0"), ("fpr", "C1"), ("fnr", "C2"), ("false_omission_rate", "C3"),
+             ("fdr", "C4"), ("err", "C11"), ("selection_rate", "C15"))
+    out = {}
+    for kind, mid in kinds:
+        d = metric(counts, mid)
+        out[kind] = None if d is None else d + 0.5
+    return out
+
+
 benefit_vectors = st.lists(
     st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=6
 ).filter(lambda b: sum(b) > 0)
@@ -110,103 +233,104 @@ benefit_vectors = st.lists(
 
 class TestRates:
     def test_worked_example(self):
-        r = metrics.confusion_rates(cells(tp=40, fp=10, fn=20, tn=30))
-        assert r.tpr == pytest.approx(2 / 3)
-        assert r.fpr == pytest.approx(0.25)
-        assert r.fnr == pytest.approx(1 / 3)
-        assert r.false_omission_rate == pytest.approx(0.4)
-        assert r.fdr == pytest.approx(0.2)
-        assert r.err == pytest.approx(0.3)
-        assert r.selection_rate == pytest.approx(0.5)
+        r = group_rates(tp=40, fp=10, fn=20, tn=30)
+        assert r["tpr"] == pytest.approx(2 / 3)
+        assert r["fpr"] == pytest.approx(0.25)
+        assert r["fnr"] == pytest.approx(1 / 3)
+        assert r["false_omission_rate"] == pytest.approx(0.4)
+        assert r["fdr"] == pytest.approx(0.2)
+        assert r["err"] == pytest.approx(0.3)
+        assert r["selection_rate"] == pytest.approx(0.5)
 
     def test_zero_denominator_undefined(self):
-        r = metrics.confusion_rates(cells(tp=0, fp=0, fn=5, tn=5))
-        assert r.fdr is None
-        assert r.fnr == 1.0
+        r = group_rates(tp=0, fp=0, fn=5, tn=5)
+        assert r["fdr"] is None
+        assert r["fnr"] == 1.0
 
     def test_perfect_prediction(self):
-        r = metrics.confusion_rates(cells(tp=6, fp=0, fn=0, tn=4))
-        assert r.fpr == 0.0 and r.fnr == 0.0 and r.err == 0.0
+        r = group_rates(tp=6, fp=0, fn=0, tn=4)
+        assert r["fpr"] == 0.0 and r["fnr"] == 0.0 and r["err"] == 0.0
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            metrics.confusion_rates(cells(tp=-1, fp=0, fn=0, tn=0))
+            metrics.compute_classification_metrics(
+                tensor(cells(tp=-1, fp=0, fn=0, tn=0), REFERENCE)
+            )
 
     @given(st.tuples(*[st.integers(min_value=0, max_value=30)] * 4))
     def test_complementary_rates(self, counts):
         tp, fp, fn, tn = counts
-        r = metrics.confusion_rates(cells(tp, fp, fn, tn))
-        if r.tpr is not None:
-            assert r.tpr + r.fnr == pytest.approx(1.0, abs=1e-12)
-        if r.fpr is not None:
-            assert r.fpr + tn / (fp + tn) == pytest.approx(1.0, abs=1e-12)
-
-
-def rates(tpr=0.5, fpr=0.5, sel=0.5, fnr=None, fom=0.5, fdr=0.5, err=0.5):
-    return metrics.RateSet(
-        tpr=tpr,
-        fpr=fpr,
-        fnr=None if tpr is None else (1 - tpr if fnr is None else fnr),
-        fdr=fdr,
-        false_omission_rate=fom,
-        err=err,
-        selection_rate=sel,
-    )
+        r = group_rates(tp, fp, fn, tn)
+        if r["tpr"] is not None:
+            assert r["tpr"] + r["fnr"] == pytest.approx(1.0, abs=1e-12)
+        if r["fpr"] is not None:
+            assert r["fpr"] + tn / (fp + tn) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDisparity:
+    """Unprivileged (group 0) minus or over privileged (group 1)."""
+
     def test_difference_order(self):
-        assert metrics.disparity(
-            "TPR", "difference", rates(tpr=0.6), rates(tpr=0.8)
-        ) == pytest.approx(-0.2)
+        counts = tensor(cells(tp=3, fp=0, fn=2, tn=1), cells(tp=4, fp=0, fn=1, tn=1))
+        assert metric(counts, "C0") == pytest.approx(-0.2)
 
     def test_ratio(self):
-        assert metrics.disparity(
-            "FPR", "ratio", rates(fpr=0.1), rates(fpr=0.2)
-        ) == pytest.approx(0.5)
+        counts = tensor(cells(tp=1, fp=1, fn=0, tn=9), cells(tp=1, fp=2, fn=0, tn=8))
+        assert metric(counts, "C5") == pytest.approx(0.5)
 
     def test_zero_denominator_ratio_undefined(self):
-        assert metrics.disparity("FOR", "ratio", rates(fom=0.3), rates(fom=0.0)) is None
+        # FOR 0.3 over FOR 0
+        counts = tensor(cells(tp=1, fp=0, fn=3, tn=7), cells(tp=1, fp=0, fn=0, tn=5))
+        assert metric(counts, "C7") is None
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            metrics.disparity("PPV", "difference", rates(), rates())
+    def test_malformed_counts_rejected(self):
+        for bad in (np.zeros((2, 2, 3), dtype=np.int64), np.zeros((2, 2)),
+                    np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                metrics.compute_classification_metrics(bad)
 
     def test_undefined_propagates(self):
-        assert metrics.disparity("TPR", "difference", rates(tpr=None), rates()) is None
+        # no favorable label in the unprivileged group: its TPR is 0/0
+        counts = tensor(cells(tp=0, fp=1, fn=0, tn=3), cells(tp=2, fp=1, fn=1, tn=3))
+        assert metric(counts, "C0") is None
 
 
 class TestAverageOdds:
     def test_hand_computed(self):
         # deltas: TPR -0.273, FPR -0.186
-        u = rates(tpr=0.427, fpr=0.214)
-        p = rates(tpr=0.700, fpr=0.400)
-        assert metrics.average_odds(u, p) == pytest.approx(-0.2295)
-        assert metrics.average_odds(u, p, absolute=True) == pytest.approx(0.2295)
+        counts = tensor(cells(tp=427, fp=214, fn=573, tn=786), cells(tp=7, fp=4, fn=3, tn=6))
+        assert metric(counts, "C9") == pytest.approx(-0.2295)
+        assert metric(counts, "C10") == pytest.approx(0.2295)
 
     def test_cancellation_vs_absolute(self):
-        u = rates(tpr=0.7, fpr=0.3)
-        p = rates(tpr=0.5, fpr=0.5)  # deltas +0.2 / -0.2
-        assert metrics.average_odds(u, p) == pytest.approx(0.0)
-        assert metrics.average_odds(u, p, absolute=True) == pytest.approx(0.2)
+        # TPR 0.7 / 0.5, FPR 0.3 / 0.5: deltas +0.2 / -0.2
+        counts = tensor(cells(tp=7, fp=3, fn=3, tn=7), cells(tp=5, fp=5, fn=5, tn=5))
+        assert metric(counts, "C9") == pytest.approx(0.0)
+        assert metric(counts, "C10") == pytest.approx(0.2)
 
     def test_equal_rates_zero(self):
-        u = p = rates(tpr=0.4, fpr=0.1)
-        assert metrics.average_odds(u, p) == 0.0
-        assert metrics.average_odds(u, p, absolute=True) == 0.0
+        group = cells(tp=4, fp=1, fn=6, tn=9)
+        counts = tensor(group, group)
+        assert metric(counts, "C9") == 0.0
+        assert metric(counts, "C10") == 0.0
 
 
 class TestStatisticalParity:
     def test_difference_and_ratio(self):
-        assert metrics.statistical_parity(0.3, 0.5, "difference") == pytest.approx(-0.2)
-        assert metrics.statistical_parity(0.3, 0.5, "ratio") == pytest.approx(0.6)
+        # selection rates 0.3 and 0.5
+        counts = tensor(cells(tp=3, fp=0, fn=0, tn=7), cells(tp=5, fp=0, fn=0, tn=5))
+        assert metric(counts, "C15") == pytest.approx(-0.2)
+        assert metric(counts, "C14") == pytest.approx(0.6)
 
     def test_identity_case(self):
-        assert metrics.statistical_parity(0.4, 0.4, "difference") == 0.0
-        assert metrics.statistical_parity(0.4, 0.4, "ratio") == 1.0
+        counts = tensor(cells(tp=2, fp=2, fn=1, tn=5), cells(tp=1, fp=3, fn=3, tn=3))
+        assert metric(counts, "C15") == 0.0
+        assert metric(counts, "C14") == 1.0
 
     def test_zero_denominator(self):
-        assert metrics.statistical_parity(0.0, 0.0, "ratio") is None
+        # nobody selected in either group
+        counts = tensor(cells(tp=0, fp=0, fn=2, tn=3), cells(tp=0, fp=0, fn=1, tn=4))
+        assert metric(counts, "C14") is None
 
 
 class TestBenefit:
@@ -214,9 +338,7 @@ class TestBenefit:
 
     @staticmethod
     def single_group(y_true, y_pred):
-        return metrics.compute_classification_metrics(
-            y_true, y_pred, [1] * len(y_true)
-        )
+        return classification(y_true, y_pred, [1] * len(y_true))
 
     def test_elementwise(self):
         out = self.single_group([1, 0], [0, 1])  # b = [0, 2]
@@ -234,7 +356,7 @@ class TestBenefit:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            metrics.compute_classification_metrics([], [], [])
+            classification([], [], [])
 
 
 class TestEntropyFamily:
@@ -301,14 +423,14 @@ class TestBetweenGroup:
 
     def test_equal_group_means(self):
         # b = [2, 0, 1, 1]: group means 1 and 1
-        out = metrics.compute_classification_metrics(
+        out = classification(
             [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]
         )
         assert out["C18"] == out["C21"] == out["C22"] == 0.0
 
     def test_distinct_group_means(self):
         # b = [2, 2, 0, 0]: group means 2 and 0
-        out = metrics.compute_classification_metrics(
+        out = classification(
             [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]
         )
         assert out["C18"] == pytest.approx(0.5)
@@ -320,7 +442,7 @@ class TestBetweenGroup:
 
     def test_scopes_coincide_for_binary_attribute(self):
         # b = [2, 1, 0, 1, 2]
-        out = metrics.compute_classification_metrics(
+        out = classification(
             [0, 1, 1, 0, 0], [1, 1, 0, 0, 1], [1, 0, 1, 0, 1]
         )
         assert out["C17"] == out["C18"]
@@ -352,20 +474,38 @@ class TestSmoothedEdf:
     def test_single_group_undefined(self):
         assert metrics.smoothed_edf([3], [5]) is None
 
+    def test_batch_matches_pair_loop(self, rng):
+        tot = rng.integers(1, 20, (4, 6, 3))
+        pos = rng.integers(0, 20, (4, 6, 3)) % (tot + 1)
+        got = metrics.smoothed_edf(pos, tot, concentration=0.5)
+        assert got.shape == (4, 6)
+        for index in np.ndindex(4, 6):
+            assert got[index] == smoothed_edf_loop(pos[index], tot[index], 0.5)
+
     def test_zero_iff_equal_smoothed_rates(self):
         assert metrics.smoothed_edf([4, 2], [8, 4]) == pytest.approx(0.0)
         assert metrics.smoothed_edf([4, 2], [8, 5]) > 0
 
 
 class TestBiasAmplification:
+    """C25: smoothed EDF of the predictions minus that of the labels."""
+
     def test_identity(self):
-        assert metrics.bias_amplification(0.4, 0.4) == 0.0
+        # predictions equal to the labels
+        counts = tensor(cells(tp=3, fp=0, fn=0, tn=4), cells(tp=5, fp=0, fn=0, tn=1))
+        assert metric(counts, "C25") == 0.0
 
     def test_difference(self):
-        assert metrics.bias_amplification(0.9, 0.6) == pytest.approx(0.3)
+        unpriv, priv = cells(tp=2, fp=0, fn=3, tn=5), cells(tp=6, fp=3, fn=1, tn=0)
+        edf_predictions = metrics.smoothed_edf([2, 9], [10, 10])
+        edf_labels = metrics.smoothed_edf([5, 7], [10, 10])
+        assert metric(tensor(unpriv, priv), "C25") == edf_predictions - edf_labels
+        assert edf_predictions - edf_labels > 0
 
     def test_undefined_propagates(self):
-        assert metrics.bias_amplification(None, 0.2) is None
+        # an empty unprivileged group
+        counts = tensor(cells(tp=0, fp=0, fn=0, tn=0), cells(tp=5, fp=1, fn=1, tn=3))
+        assert metric(counts, "C25") is None
 
 
 class TestConsistency:
@@ -533,13 +673,13 @@ def random_instance(rng, n_lo=6, n_hi=40):
 class TestFullClassificationSet:
     def test_complete_inventory(self, rng):
         y_true, y_pred, s = random_instance(rng)
-        out = metrics.compute_classification_metrics(y_true, y_pred, s)
+        out = classification(y_true, y_pred, s)
         assert sorted(out) == sorted(metrics.CLASSIFICATION_IDS)
 
     def test_identities(self, rng):
         for _ in range(200):
             y_true, y_pred, s = random_instance(rng)
-            out = metrics.compute_classification_metrics(y_true, y_pred, s)
+            out = classification(y_true, y_pred, s)
             if out["C0"] is not None:
                 assert out["C2"] == pytest.approx(-out["C0"], abs=1e-12)
             if out["C9"] is not None:
@@ -552,7 +692,7 @@ class TestFullClassificationSet:
     def test_perfect_balanced_predictions_all_ideal(self):
         y = [1, 0, 1, 0]
         s = [1, 1, 0, 0]  # both groups have base rate 1/2
-        out = metrics.compute_classification_metrics(y, y, s)
+        out = classification(y, y, s)
         for mid in ("C0", "C1", "C2", "C9", "C10", "C11", "C15"):
             assert out[mid] == 0.0
         assert out["C14"] == pytest.approx(1.0)
@@ -565,14 +705,14 @@ class TestFullClassificationSet:
         y_true = [1, 0, 1, 0, 1, 0, 1, 0]
         y_pred = [1, 1, 0, 0, 1, 1, 0, 0]
         s = [1, 1, 1, 1, 0, 0, 0, 0]
-        out = metrics.compute_classification_metrics(y_true, y_pred, s)
+        out = classification(y_true, y_pred, s)
         for mid in ("C0", "C1", "C2", "C3", "C4", "C9", "C10", "C11", "C15"):
             assert out[mid] == pytest.approx(0.0, abs=1e-12)
         for mid in ("C5", "C6", "C7", "C8", "C12", "C14"):
             assert out[mid] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_group_inputs(self):
-        out = metrics.compute_classification_metrics(
+        out = classification(
             [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]
         )
         assert out["C0"] is None and out["C15"] is None and out["C17"] is None
@@ -584,7 +724,7 @@ class TestFullClassificationSet:
         y_true = [1, 1, 1, 0, 0, 0] + [1, 1, 1, 0, 0, 0]
         y_pred = [1, 1, 1, 1, 0, 0] + [1, 0, 0, 0, 0, 0]
         s = [1] * 6 + [0] * 6
-        out = metrics.compute_classification_metrics(y_true, y_pred, s)
+        out = classification(y_true, y_pred, s)
         assert out["C0"] < 0  # TPR gap disfavors unprivileged
         assert out["C9"] < 0
         assert out["C15"] < 0
@@ -592,7 +732,7 @@ class TestFullClassificationSet:
 
     def test_between_group_ids_coincide(self, rng):
         y_true, y_pred, s = random_instance(rng)
-        out = metrics.compute_classification_metrics(y_true, y_pred, s)
+        out = classification(y_true, y_pred, s)
         assert out["C17"] == out["C18"]
         assert out["C21"] == out["C23"]
         assert out["C22"] == out["C24"]
@@ -611,14 +751,14 @@ class TestCountCore:
     @given(rows_strategy, st.data())
     def test_row_order_invariant(self, rows, data):
         shuffled = data.draw(st.permutations(rows))
-        assert metrics.compute_classification_metrics(
+        assert classification(
             *zip(*rows)
-        ) == metrics.compute_classification_metrics(*zip(*shuffled))
+        ) == classification(*zip(*shuffled))
 
     @given(rows_strategy, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     def test_entropy_family_matches_per_row_oracle(self, rows, alpha):
         y_true, y_pred, s = zip(*rows)
-        out = metrics.compute_classification_metrics(y_true, y_pred, s, alpha=alpha)
+        out = classification(y_true, y_pred, s, alpha=alpha)
         b = [p - y + 1.0 for y, p, _ in rows]
         means = {g: np.mean([bi for bi, si in zip(b, s) if si == g]) for g in set(s)}
         per_row_means = [means[g] for g in s]
@@ -645,6 +785,45 @@ class TestCountCore:
             if mid in ("C20", "C22"):
                 got = (got / 2) ** 2
             assert got == pytest.approx(want, abs=1e-12), mid
+
+
+count_tensors = st.lists(
+    st.integers(0, 12) | st.just(0), min_size=8, max_size=8
+).map(lambda v: np.array(v, dtype=np.int64).reshape(2, 2, 2))
+
+
+def as_row(out: dict) -> np.ndarray:
+    return np.array([np.nan if v is None else v for v in out.values()])
+
+
+class TestBatch:
+    """The batch function against the scalar oracle, one tensor at a time."""
+
+    @given(count_tensors, st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           st.sampled_from([0.5, 1.0, 2.0]))
+    @example(np.zeros((2, 2, 2), dtype=np.int64), 2.0, 1.0)
+    @example(np.array([[[0, 0], [0, 0]], [[3, 1], [2, 4]]]), 2.0, 1.0)
+    @example(np.array([[[3, 0], [0, 0]], [[0, 0], [2, 4]]]), 1.0, 1.0)
+    def test_matches_scalar_oracle(self, counts, alpha, concentration):
+        got = metrics.compute_classification_metrics(counts, alpha, concentration)
+        want = as_row(classification_oracle(counts, alpha, concentration))
+        assert got.shape == (26,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_all_zero_tensor_undefined(self):
+        got = metrics.compute_classification_metrics(np.zeros((2, 2, 2), dtype=np.int64))
+        assert np.isnan(got).all()
+
+    def test_stack_equals_per_tensor(self, rng):
+        counts = rng.integers(0, 6, (3, 2, 5, 2, 2, 2))
+        counts[0, 1, 2] = 0  # an all-zero tensor
+        counts[1, 0, 3, 0] = 0  # an empty unprivileged group
+        got = metrics.compute_classification_metrics(counts, alpha=3.0)
+        assert got.shape == (3, 2, 5, 26)
+        for index in np.ndindex(3, 2, 5):
+            one = metrics.compute_classification_metrics(counts[index], alpha=3.0)
+            assert got[index].tobytes() == one.tobytes()
+            assert one.tobytes() == as_row(classification_oracle(counts[index], 3.0)).tobytes()
 
 
 class TestDatasetMetrics:

@@ -130,13 +130,6 @@ class TestPrediction:
         with pytest.raises(ValueError):
             model.predict(np.zeros((3, 3)))
 
-    def test_json_roundtrip(self):
-        model = self.make([0.5, -1.5], 0.25)
-        again = LogisticModel.from_json(model.to_json())
-        assert np.array_equal(again.coefficients, model.coefficients)
-        assert again.intercept == model.intercept
-        assert again.config == model.config
-
 
 class TestReweighing:
     def test_hand_example(self):
@@ -152,7 +145,8 @@ class TestReweighing:
         y = np.array([1, 0, 1, 0])
         s = np.array([1, 1, 0, 0])
         w = reweigh(y, s).w
-        assert all(v == pytest.approx(1.0) for v in w.values())
+        assert w.shape == (2, 2)
+        assert all(v == pytest.approx(1.0) for v in w.ravel())
 
     def test_empty_cell_raises(self):
         with pytest.raises(ReweighingError):

@@ -6,6 +6,8 @@ import pytest
 from fairsift import metrics, report
 from fairsift.harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
+from test_analysis import holey_samples
+
 
 def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
     """Hand-built sample matrix with known correlation structure."""
@@ -28,7 +30,7 @@ def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
                     (ds, model, i // 5, i % 5, mid, float(v))
                     for i, v in enumerate(values)
                 )
-    return MetricSampleMatrix(entries)
+    return MetricSampleMatrix.from_entries(entries)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,17 @@ class TestBuildAnalysis:
         assert sorted(seen, key=metrics.metric_sort_key) == list(
             metrics.CLASSIFICATION_IDS
         )
+
+    def test_fold_medians_match_per_cell_calls(self):
+        samples = holey_samples(0)  # holds a cell with no defined sample
+        with pytest.warns(UserWarning):
+            result = report.build_analysis(samples)
+        assert len(result.fold_medians) == samples.values[..., 0].size
+        for (ds, model, mid), median in result.fold_medians.items():
+            row = samples.cell(ds, model, mid)
+            values = row[np.isfinite(row)]
+            want = float(np.median(values)) if len(values) else None
+            assert repr(median) == repr(want)
 
     def test_dataset_metrics_clustered_separately(self, result):
         ds_ids = [m for c in result.dataset_metrics.clusters for m in c.metric_ids]
