@@ -23,6 +23,7 @@ from .metrics import (
     compute_dataset_metrics,
     confusion_counts,
     label_fair,
+    label_weights,
 )
 from .models import (
     LogisticConfig,
@@ -57,6 +58,7 @@ __all__ = [
     "confusion_counts",
     "encode_dataset",
     "label_fair",
+    "label_weights",
     "make_cv_plan",
     "read_results_csv",
     "reweigh",

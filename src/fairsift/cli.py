@@ -179,8 +179,10 @@ def cmd_metrics(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     X = apply_minmax(ds.X, *fit_minmax(ds.X))
+    ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
-        ds.y, ds.s, X, ds.weights, k=k, concentration=concentration
+        metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
+        metrics.consistency(X, ds.y, k=k), concentration=concentration,
     )
     if args.predictions_column:
         predictions = _read_prediction_column(
@@ -190,27 +192,18 @@ def cmd_metrics(args) -> int:
             metrics.confusion_counts(ds.y, predictions, ds.s),
             alpha=alpha, concentration=concentration,
         )
-        values.update(
-            (mid, None if math.isnan(v) else v)
-            for mid, v in zip(metrics.CLASSIFICATION_IDS, row.tolist())
-        )
+        ids = metrics.CLASSIFICATION_IDS + ids
+        values = np.concatenate([row, values])
 
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("metric_id", "name", "value", "ideal", "label"))
-        for mid in sorted(values, key=metrics.metric_sort_key):
+        for mid, v in zip(ids, values.tolist()):
             mdef = metrics.METRIC_CATALOG[mid]
-            v = values[mid]
-            writer.writerow(
-                (
-                    mid,
-                    mdef.name,
-                    "" if v is None else repr(float(v)),
-                    repr(mdef.ideal),
-                    metrics.label_fair(v, mdef.ideal),
-                )
-            )
+            v = None if math.isnan(v) else v
+            writer.writerow((mid, mdef.name, "" if v is None else repr(v),
+                             repr(mdef.ideal), metrics.label_fair(v, mdef.ideal)))
     finally:
         if out is not sys.stdout:
             out.close()

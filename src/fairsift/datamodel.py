@@ -4,8 +4,7 @@ A dataset is a CSV table plus a JSON side-file describing which column is the
 binary outcome, which column is the protected attribute, and how to encode the
 features.  After encoding, everything downstream works on plain numpy arrays:
 features (min-max scaled to [0, 1] from fitted bounds before use), labels in
-{0, 1} (1 = favorable), protected values in {0, 1} (1 = privileged), and
-non-negative instance weights.
+{0, 1} (1 = favorable) and protected values in {0, 1} (1 = privileged).
 """
 
 import csv
@@ -154,11 +153,10 @@ class EncodedDataset:
     X: np.ndarray
     y: np.ndarray
     s: np.ndarray
-    weights: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        for arr in (self.X, self.y, self.s, self.weights):
+        for arr in (self.X, self.y, self.s):
             arr.setflags(write=False)
 
     @property
@@ -294,7 +292,6 @@ def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
         X=X,
         y=y,
         s=s,
-        weights=np.ones(n, dtype=float),
         feature_names=tuple(names),
     )
 

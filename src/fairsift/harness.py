@@ -2,14 +2,14 @@
 
 For each dataset: 5-fold cross-validation repeated 5 times with per-repeat
 seeds.  In every fold the baseline logistic model and the reweighed logistic
-model are trained on the training split and evaluated on the held-out split;
-each model's predictions are kept as one count tensor
-(``metrics.confusion_counts``), and the 4 dataset metrics are recorded on
-the (raw / reweighed) training data.  The run's count tensors are stacked into
-``counts[dataset, model, repeat, fold, 2, 2, 2]`` and one
-``metrics.compute_classification_metrics`` call turns them into all 26
-classification metrics.  A fold whose reweighing failed keeps an all-zero
-tensor and NaN dataset metrics, so all 30 of its metrics are Undefined.
+model are trained on the training split and evaluated on the held-out split.
+Each model keeps one count tensor of its test predictions
+(``metrics.confusion_counts``) and one label-weight tensor of its (raw /
+reweighed) training weights (``metrics.label_weights``); the models share
+the training split's D0.  The run stacks them over ``[dataset, model,
+repeat, fold]`` and makes one ``metrics.compute_classification_metrics``
+and one ``metrics.compute_dataset_metrics`` call.  A fold whose reweighing
+failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
 downstream correlation and sensitivity analyses consume.
@@ -236,25 +236,24 @@ def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_norm
 
 def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
           assignment: np.ndarray, mitigators: tuple[Mitigator, ...]):
-    """Count tensors ``[model, 2, 2, 2]`` of the test split and D0..D3
-    ``[model, 4]`` of the training split.  A model whose reweighing failed
-    keeps zero counts and NaN D values, so all 30 of its metrics are
+    """Count tensors ``[model, 2, 2, 2]`` of the test split, label-weight
+    tensors ``[model, 2, 2]`` and D0 of the training split.  A model whose
+    reweighing failed keeps all-zero tensors, so all 30 of its metrics are
     Undefined."""
     test = assignment == fold
     train = ~test
     X_train, X_test = _scale_split(ds.X, train, test, cfg.global_normalize)
     y_train, y_test = ds.y[train], ds.y[test]
     s_train, s_test = ds.s[train], ds.s[test]
-    base_w = ds.weights[train]
 
     counts = np.zeros((len(mitigators), 2, 2, 2), dtype=np.int64)
-    dataset_values = np.full((len(mitigators), len(metrics.DATASET_IDS)), np.nan)
+    label_weights = np.zeros((len(mitigators), 2, 2))
     # consistency ignores instance weights, so all models share the value
     train_consistency = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
 
     for m, mitigator in enumerate(mitigators):
         try:
-            weights = mitigator.training_weights(y_train, s_train, base_w)
+            weights = mitigator.training_weights(y_train, s_train)
         except ReweighingError as exc:
             warnings.warn(
                 f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
@@ -263,22 +262,14 @@ def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
             continue
         fitted = mitigator.train(X_train, y_train, weights, cfg.logistic_config())
         counts[m] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
-        values = metrics.compute_dataset_metrics(
-            y_train, s_train, X_train, weights,
-            k=cfg.k_neighbors, concentration=cfg.concentration,
-            precomputed_consistency=train_consistency,
-        )
-        dataset_values[m] = [values[mid] for mid in metrics.DATASET_IDS]  # None -> NaN
-    return counts, dataset_values
+        label_weights[m] = metrics.label_weights(y_train, s_train, weights)
+    return counts, label_weights, train_consistency
 
 
 def _repeat_job(args):
-    """Count tensors ``[model, fold, 2, 2, 2]`` and D values
-    ``[model, fold, 4]`` of one repeat."""
+    """``_fold`` of every fold of one repeat."""
     ds, cfg, repeat, assignment, mitigators = args
-    folds = [_fold(ds, cfg, repeat, fold, assignment, mitigators)
-             for fold in range(N_FOLDS)]
-    return tuple(np.stack(part, axis=1) for part in zip(*folds))
+    return [_fold(ds, cfg, repeat, fold, assignment, mitigators) for fold in range(N_FOLDS)]
 
 
 def run_experiment(
@@ -317,24 +308,30 @@ def run_experiment(
             jobs.append((ds, cfg, repeat, plan.assignments[repeat], selected))
 
     if cfg.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the fork start method starts every worker up front: no more than jobs
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             results = list(pool.map(_repeat_job, jobs))
     else:
         results = [_repeat_job(job) for job in jobs]
 
-    # [dataset, model, repeat, fold, ...], then one metric call for the run
+    # [dataset, model, repeat, fold, ...], then one call per metric family
     grid = (len(datasets), len(models), N_REPEATS, N_FOLDS)
     counts = np.empty(grid + (2, 2, 2), dtype=np.int64)
-    dataset_values = np.empty(grid + (len(metrics.DATASET_IDS),))
-    for i, (repeat_counts, repeat_values) in enumerate(results):
+    label_weights = np.empty(grid + (2, 2))
+    consistency = np.empty((len(datasets), 1, N_REPEATS, N_FOLDS))  # shared by models
+    for i, folds in enumerate(results):
         d, repeat = divmod(i, N_REPEATS)
-        counts[d, :, repeat] = repeat_counts
-        dataset_values[d, :, repeat] = repeat_values
+        for fold, (fold_counts, fold_weights, fold_consistency) in enumerate(folds):
+            counts[d, :, repeat, fold] = fold_counts
+            label_weights[d, :, repeat, fold] = fold_weights
+            consistency[d, 0, repeat, fold] = fold_consistency
     per_fold = np.concatenate([
         metrics.compute_classification_metrics(
             counts, alpha=cfg.alpha, concentration=cfg.concentration
         ),
-        dataset_values,
+        metrics.compute_dataset_metrics(
+            label_weights, consistency, concentration=cfg.concentration
+        ),
     ], axis=-1)
     values = per_fold.reshape(grid[:2] + (N_REPEATS * N_FOLDS, -1)).swapaxes(2, 3)
     return MetricSampleMatrix(names, models, metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS,

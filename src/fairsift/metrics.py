@@ -7,11 +7,12 @@ Metric ids follow the AIF360-derived inventory used throughout this project:
 are dataset metrics (need only labels, groups, features, weights).
 
 A metric is *undefined* where its formula is (for example a 0/0 rate or a
-ratio with a zero denominator): NaN in the arrays of
-``compute_classification_metrics``, which takes any stack of count tensors
-``(..., 2, 2, 2)`` and returns ``(..., 26)``, and None in the dict of
-``compute_dataset_metrics``.  Undefined never silently turns into a number:
-it propagates, is excluded pairwise from correlations, and is labeled Unfair.
+ratio with a zero denominator): NaN in the arrays that
+``compute_classification_metrics`` (count tensors ``(..., 2, 2, 2)`` to
+``(..., 26)``) and ``compute_dataset_metrics`` (label-weight tensors
+``(..., 2, 2)`` to ``(..., 4)``) return.  Undefined never silently turns
+into a number: it propagates, is excluded pairwise from correlations, and is
+labeled Unfair.
 """
 
 import json
@@ -143,7 +144,7 @@ def _check_binary(name: str, v) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D")
-    if not np.isin(v, (0, 1)).all():
+    if not ((v == 0) | (v == 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return v.astype(np.int64)
 
@@ -166,6 +167,25 @@ def confusion_counts(y_true, y_pred, s) -> np.ndarray:
     if len(y_true) == 0:
         raise ValueError("empty input")
     return np.bincount(4 * s + 2 * y_true + y_pred, minlength=8).reshape(2, 2, 2)
+
+
+def label_weights(y, s, weights) -> np.ndarray:
+    """Float tensor ``w[group, (favorable, total)]``, shape (2, 2): group g's
+    summed instance weight over its favorable rows and over all its rows.
+
+    Group 1 is privileged, so the unprivileged group comes first, as in
+    ``confusion_counts``.  D1-D3 are functions of these 4 numbers alone.
+    """
+    y = _check_binary("y", y)
+    s = _check_binary("s", s)
+    w = np.asarray(weights, dtype=float)
+    if len(y) != len(s) or w.shape != (len(y),) or not (w >= 0).all():
+        raise ValueError("y, s and weights must align, weights non-negative")
+    out = np.empty((2, 2))
+    for g in (0, 1):
+        mask = s == g
+        out[g] = (w[mask] * y[mask]).sum(), w[mask].sum()
+    return out
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -320,16 +340,6 @@ def consistency(X, y, k: int = 5) -> float:
 # Full metric sets
 # --------------------------------------------------------------------------
 
-def _group_counts(values: np.ndarray, s: np.ndarray, weights: np.ndarray):
-    """Per-group (weighted favorable count, weighted total), privileged first."""
-    pos, tot = [], []
-    for g in (1, 0):
-        mask = s == g
-        pos.append(float((weights[mask] * values[mask]).sum()))
-        tot.append(float(weights[mask].sum()))
-    return np.array(pos), np.array(tot)
-
-
 def compute_classification_metrics(
     counts, alpha: float = 2.0, concentration: float = 1.0
 ) -> np.ndarray:
@@ -416,43 +426,34 @@ def compute_classification_metrics(
 
 
 def compute_dataset_metrics(
-    y,
-    s,
-    X,
-    weights=None,
-    k: int = 5,
-    concentration: float = 1.0,
-    precomputed_consistency: float | None = None,
-) -> dict[str, float | None]:
-    """The 4 dataset metrics (D0..D3) on labels/groups/features.
+    label_weights, consistency, concentration: float = 1.0
+) -> np.ndarray:
+    """All 4 dataset metrics of every label-weight tensor in a stack.
 
-    Instance weights feed the D1-D3 rate estimates so a reweighed training
-    set can be evaluated; consistency (D0) is a geometric property of the
-    labeled points and ignores weights, so callers evaluating several
-    weightings of the same rows may pass it in precomputed.
+    ``label_weights`` is a float array ``(..., 2, 2)`` of ``label_weights``
+    tensors and ``consistency`` their D0 values, broadcastable to ``...``;
+    the result is ``(..., 4)`` in ``DATASET_IDS`` order, NaN for Undefined.
+    D1 is ``smoothed_edf`` over the group axis, D2 and D3 the difference and
+    ratio of the groups' weighted favorable rates; all three are Undefined
+    where either group has zero weight.  A tensor of all zeros is Undefined
+    in all 4: that is how the experiment records a fold whose reweighing
+    failed.
     """
-    y = np.asarray(y)
-    s = np.asarray(s)
-    X = np.asarray(X, dtype=float)
-    w = np.ones(len(y), dtype=float) if weights is None else np.asarray(weights, float)
-    if w.shape != (len(y),):
-        raise ValueError("weights must align with y")
-
-    out: dict[str, float | None] = {m.id: None for m in DATASET_METRICS}
-    if precomputed_consistency is None:
-        out["D0"] = consistency(X, y, k=k)
-    else:
-        out["D0"] = precomputed_consistency
-    if len(np.unique(s)) < 2:
-        return out
-
-    pos, tot = _group_counts(np.asarray(y, dtype=float), s, w)
-    out["D1"] = smoothed_edf(pos, tot, concentration)
-    # smoothed_edf has checked that both totals are positive
-    rate_priv, rate_unpriv = (pos / tot).tolist()
-    out["D2"] = rate_unpriv - rate_priv
-    out["D3"] = None if rate_priv == 0 else rate_unpriv / rate_priv
-    return out
+    w = np.asarray(label_weights, dtype=float)
+    pos, tot = w[..., 0], w[..., 1]  # per group, unprivileged first
+    if w.shape[-2:] != (2, 2) or not ((pos >= 0) & (pos <= tot)).all():
+        raise ValueError(f"label weights must have shape (..., 2, 2) and 0 <= "
+                         f"favorable <= total per group, got shape {w.shape}")
+    present = tot > 0
+    rates = _ratio(pos, tot)
+    # an empty group's total is taken as 1 to keep smoothed_edf's domain
+    d1 = smoothed_edf(pos, np.where(present, tot, 1.0), concentration)
+    return np.stack((
+        np.where(present.any(axis=-1), consistency, np.nan),  # D0
+        np.where(present.all(axis=-1), d1, np.nan),  # D1
+        rates[..., 0] - rates[..., 1],  # D2
+        _ratio(rates[..., 0], rates[..., 1]),  # D3
+    ), axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def train_logistic(
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError("y must align with X rows")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("y must be binary")
     w = np.ones(n, dtype=float) if weights is None else np.asarray(weights, float)
     if w.shape != (n,):
@@ -210,9 +210,9 @@ class Mitigator:
 
     name = "baseline"
 
-    def training_weights(self, y, s, base_weights) -> np.ndarray:
+    def training_weights(self, y, s) -> np.ndarray:
         """Pre-processing hook: per-row weights used to fit the fold model."""
-        return base_weights
+        return np.ones(len(y))
 
     def train(self, X, y, weights, config: LogisticConfig) -> LogisticModel:
         """In-processing hook: fit the fold model."""
@@ -228,5 +228,5 @@ class ReweighingMitigator(Mitigator):
 
     name = "reweighing"
 
-    def training_weights(self, y, s, base_weights) -> np.ndarray:
-        return base_weights * reweigh(y, s).per_row(y, s)
+    def training_weights(self, y, s) -> np.ndarray:
+        return reweigh(y, s).per_row(y, s)

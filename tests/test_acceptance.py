@@ -23,7 +23,13 @@ from fairsift.harness import read_results_csv
 from fairsift.models import loss_and_gradient, reweigh
 
 from test_analysis import spearman_bruteforce, upgma_bruteforce
-from test_metrics import classification, entropy, ge_bruteforce, theil_bruteforce
+from test_metrics import (
+    classification,
+    dataset,
+    entropy,
+    ge_bruteforce,
+    theil_bruteforce,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -70,7 +76,7 @@ def test_criterion_1_metric_identities():
             assert out["C10"] >= abs(out["C9"]) - 1e-12
         # parity formulas on true labels coincide with the dataset metrics
         on_labels = classification(y_true, y_true, s)
-        ds = metrics.compute_dataset_metrics(y_true, s, rng.random((n, 2)), k=1)
+        ds = dataset(y_true, s, rng.random((n, 2)), k=1)
         for clf_id, data_id in (("C15", "D2"), ("C14", "D3")):
             if on_labels[clf_id] is None:
                 assert ds[data_id] is None
@@ -94,7 +100,7 @@ def test_criterion_2_reweighing_exactness():
         y[:4] = [0, 0, 1, 1]
         s[:4] = [0, 1, 0, 1]
         w = reweigh(y, s).per_row(y, s)
-        out = metrics.compute_dataset_metrics(y, s, rng.random((n, 2)), w, k=1)
+        out = dataset(y, s, rng.random((n, 2)), w, k=1)
         worst_d2 = max(worst_d2, abs(out["D2"]))
         worst_d3 = max(worst_d3, abs(out["D3"] - 1.0))
     elapsed = time.monotonic() - start

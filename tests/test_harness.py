@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fairsift import metrics
-from fairsift.datamodel import EncodedDataset
+from fairsift import harness, metrics
+from fairsift.datamodel import EncodedDataset, apply_minmax, fit_minmax
 from fairsift.harness import (
     BASELINE,
     REWEIGHING,
@@ -133,6 +133,62 @@ class TestExperiment:
             got = samples.values[d, m, :26, repeat * 5 + fold]
             assert got.tobytes() == want.tobytes()
 
+    def test_one_dataset_call_per_run(self, monkeypatch):
+        calls = []
+        batch = metrics.compute_dataset_metrics
+
+        def spy(label_weights, consistency, *args, **kwargs):
+            calls.append((np.array(label_weights), np.array(consistency)))
+            return batch(label_weights, consistency, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "compute_dataset_metrics", spy)
+        datasets = [make_synthetic(name, 80, 0.3, seed=i)
+                    for i, name in enumerate(("zeta", "alpha"))]
+        samples = run_experiment(datasets, ExperimentConfig(models=(REWEIGHING, BASELINE)))
+        assert len(calls) == 1
+        weights, consistency = calls[0]
+        assert weights.shape == (2, 2, 5, 5, 2, 2)
+        assert consistency.shape == (2, 1, 5, 5)  # shared by the models
+        # unit weights on four fifths of 80 rows; reweighing keeps the mass
+        assert (weights[:, 0, ..., 1].sum(axis=-1) == 64).all()
+        assert np.allclose(weights[:, 1, ..., 1].sum(axis=-1), 64)
+        for d, m, repeat, fold in np.ndindex(weights.shape[:4]):
+            want = batch(weights[d, m, repeat, fold], consistency[d, 0, repeat, fold])
+            got = samples.values[d, m, 26:, repeat * 5 + fold]
+            assert got.tobytes() == want.tobytes()
+        # D0 is the consistency of the (repeat, fold) training split it sits at
+        for d, ds in enumerate(sorted(datasets, key=lambda ds: ds.name)):
+            plan = make_cv_plan(ds.row_count)
+            for repeat, fold in np.ndindex(5, 5):
+                train = plan.assignments[repeat] != fold
+                X = apply_minmax(ds.X[train], *fit_minmax(ds.X[train]))
+                d0 = metrics.consistency(X, ds.y[train])
+                assert consistency[d, 0, repeat, fold] == d0
+
+    def test_worker_pool_capped_at_job_count(self, monkeypatch):
+        sizes = []
+
+        class Pool:
+            """Runs the jobs in this process; records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        ds = make_synthetic("pool", 60, 0.2, seed=3)
+        samples = run_experiment([ds], ExperimentConfig(jobs=10_000))
+        assert sizes == [5]  # one job per repeat
+        assert same_grid(samples, run_experiment([ds], ExperimentConfig()))
+
     def test_models_subset(self):
         ds = make_synthetic("solo", 100, 0.2, seed=5)
         samples = run_experiment([ds], ExperimentConfig(models=("baseline",)))
@@ -184,8 +240,7 @@ class TestExperiment:
         y[-1], s[-1] = 0, 1  # the lonely cell member
         X = rng.random((n, 2))
         ds = EncodedDataset(
-            name="lonely", X=X, y=y, s=s,
-            weights=np.ones(n), feature_names=("a", "b"),
+            name="lonely", X=X, y=y, s=s, feature_names=("a", "b"),
         )
         with pytest.warns(UserWarning, match="cannot reweigh"):
             samples = run_experiment([ds], ExperimentConfig())
@@ -230,8 +285,8 @@ class TestMitigatorSlot:
         class Downweight(Mitigator):
             name = "downweight"
 
-            def training_weights(self, y, s, base_weights):
-                return base_weights * np.where(y == 1, 0.5, 1.0)
+            def training_weights(self, y, s):
+                return np.where(y == 1, 0.5, 1.0)
 
         ds = make_synthetic("plug", 100, 0.2, seed=8)
         samples = run_experiment(

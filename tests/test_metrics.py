@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairsift import metrics
+from fairsift.models import reweigh
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-python translations of the definitional sums,
@@ -826,6 +827,44 @@ class TestBatch:
             assert one.tobytes() == as_row(classification_oracle(counts[index], 3.0)).tobytes()
 
 
+def dataset_oracle(y, s, X, weights=None, k=5, concentration=1.0):
+    """The 4 dataset metrics of one labeled set as an id -> value dict, None
+    for Undefined: the per-fold implementation that the batch
+    ``compute_dataset_metrics`` replaced, kept as its reference."""
+    y = np.asarray(y)
+    s = np.asarray(s)
+    w = np.ones(len(y), dtype=float) if weights is None else np.asarray(weights, float)
+    out = {m.id: None for m in metrics.DATASET_METRICS}
+    out["D0"] = metrics.consistency(np.asarray(X, dtype=float), y, k=k)
+    if len(np.unique(s)) < 2:
+        return out
+    values = np.asarray(y, dtype=float)
+    pos, tot = [], []
+    for g in (1, 0):  # privileged first
+        mask = s == g
+        pos.append(float((w[mask] * values[mask]).sum()))
+        tot.append(float(w[mask].sum()))
+    pos, tot = np.array(pos), np.array(tot)
+    out["D1"] = metrics.smoothed_edf(pos, tot, concentration)
+    rate_priv, rate_unpriv = (pos / tot).tolist()
+    out["D2"] = rate_unpriv - rate_priv
+    out["D3"] = None if rate_priv == 0 else rate_unpriv / rate_priv
+    return out
+
+
+def dataset(y, s, X, weights=None, k=5, concentration=1.0):
+    """``compute_dataset_metrics`` of one labeled set, as an id -> value dict
+    with None for Undefined; ``weights`` default to 1."""
+    w = np.ones(len(y)) if weights is None else weights
+    row = metrics.compute_dataset_metrics(
+        metrics.label_weights(y, s, w), metrics.consistency(X, y, k=k), concentration
+    )
+    return {
+        mid: None if math.isnan(v) else v
+        for mid, v in zip(metrics.DATASET_IDS, row.tolist())
+    }
+
+
 class TestDatasetMetrics:
     def test_inventory_and_formula_match(self, rng):
         n = 30
@@ -834,7 +873,7 @@ class TestDatasetMetrics:
         s[0], s[1] = 0, 1
         y[0], y[1] = 0, 1
         X = rng.random((n, 3))
-        out = metrics.compute_dataset_metrics(y, s, X)
+        out = dataset(y, s, X)
         assert sorted(out) == sorted(metrics.DATASET_IDS)
         # D2/D3 are the statistical-parity formulas applied to true labels
         sel_u = y[s == 0].mean()
@@ -845,7 +884,7 @@ class TestDatasetMetrics:
     def test_balanced_labels_zero_difference(self):
         y = [1, 0, 1, 0]
         s = [1, 1, 0, 0]
-        out = metrics.compute_dataset_metrics(y, s, np.eye(4), k=1)
+        out = dataset(y, s, np.eye(4), k=1)
         assert out["D2"] == pytest.approx(0.0)
         assert out["D3"] == pytest.approx(1.0)
 
@@ -853,15 +892,99 @@ class TestDatasetMetrics:
         y = np.array([1, 0, 1, 0])
         s = np.array([1, 1, 0, 0])
         # upweight unprivileged favorable row
-        out = metrics.compute_dataset_metrics(
-            y, s, np.eye(4), weights=[1, 1, 3, 1], k=1
-        )
+        out = dataset(y, s, np.eye(4), weights=[1, 1, 3, 1], k=1)
         assert out["D2"] == pytest.approx(0.75 - 0.5)
 
     def test_single_group(self):
-        out = metrics.compute_dataset_metrics([1, 0, 1], [1, 1, 1], np.eye(3), k=1)
+        out = dataset([1, 0, 1], [1, 1, 1], np.eye(3), k=1)
         assert out["D1"] is None and out["D2"] is None and out["D3"] is None
         assert out["D0"] is not None
+
+
+@st.composite
+def labeled_folds(draw):
+    """(y, s, weights): weights are None (all 1), reweighing weights, or
+    random positive weights; a fold may hold a single group."""
+    n = draw(st.integers(4, 40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    y, s = np.array(draw(bits)), np.array(draw(bits))
+    kind = draw(st.sampled_from(["ones", "reweigh", "random"]))
+    if kind == "ones":
+        return y, s, None
+    if kind == "reweigh":
+        y[:4], s[:4] = [0, 0, 1, 1], [0, 1, 0, 1]
+        return y, s, reweigh(y, s).per_row(y, s)
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return y, s, np.array(weights)
+
+
+class TestDatasetBatch:
+    """The batch dataset metrics against the per-fold oracle."""
+
+    @given(labeled_folds(), st.sampled_from([0.5, 1.0, 2.0]))
+    @example((np.array([1, 0, 1, 1]), np.array([1, 1, 1, 1]), None), 1.0)
+    @example((np.array([1, 0, 0, 1]), np.zeros(4, dtype=np.int64),
+              np.array([0.5, 2.0, 3.0, 0.25])), 1.0)
+    @example((np.array([0, 0, 0, 1, 1]), np.array([1, 0, 1, 0, 1]), None), 2.0)
+    @example((np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]),
+              np.array([0.1, 0.2, 0.3, 0.1])), 1.0)  # group totals below 1
+    def test_matches_oracle(self, fold, concentration):
+        y, s, weights = fold
+        X = np.random.default_rng(len(y)).random((len(y), 2))
+        got = np.array(list(dataset(y, s, X, weights, 1, concentration).values()),
+                       dtype=float)
+        want = as_row(dataset_oracle(y, s, X, weights, 1, concentration))
+        assert got.tobytes() == want.tobytes()
+
+    def test_all_zero_tensor_undefined(self):
+        got = metrics.compute_dataset_metrics(np.zeros((2, 2)), 0.75)
+        assert got.shape == (4,)
+        assert np.isnan(got).all()
+
+    def test_stack_equals_per_tensor(self, rng):
+        weights = np.empty((3, 2, 5, 2, 2))
+        for index in np.ndindex(3, 2, 5):
+            y, s = rng.integers(0, 2, 20), rng.integers(0, 2, 20)
+            weights[index] = metrics.label_weights(y, s, rng.random(20))
+        weights[0, 1, 2] = 0  # an all-zero tensor
+        weights[1, 0, 3, 0] = 0  # an empty unprivileged group
+        consistency = rng.random((3, 2, 5))
+        got = metrics.compute_dataset_metrics(weights, consistency, concentration=2.0)
+        assert got.shape == (3, 2, 5, 4)
+        assert np.isnan(got[0, 1, 2]).all()
+        assert np.isnan(got[1, 0, 3, 1:]).all() and np.isfinite(got[1, 0, 3, 0])
+        for index in np.ndindex(3, 2, 5):
+            one = metrics.compute_dataset_metrics(weights[index], consistency[index], 2.0)
+            assert got[index].tobytes() == one.tobytes()
+
+    def test_malformed_label_weights_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            metrics.compute_dataset_metrics(np.ones((2, 3)), 1.0)
+        with pytest.raises(ValueError, match="favorable <= total"):
+            metrics.compute_dataset_metrics(np.array([[2.0, 1.0], [1.0, 1.0]]), 1.0)
+        for weights in ([1.0, -1.0], [1.0, np.nan], [1.0]):
+            with pytest.raises(ValueError, match="weights must align, weights non-negative"):
+                metrics.label_weights([1, 0], [1, 0], weights)
+
+
+class TestCheckBinary:
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0, 1.0], np.array([True, False, True]), [1, 0, 0],
+    ])
+    def test_zero_one_values_accepted(self, values):
+        c = metrics.confusion_counts(values, values, values)
+        assert c.sum() == 3 and c[1, 1, 1] == sum(np.asarray(values) == 1)
+        assert metrics.label_weights(values, values, np.ones(3))[1, 0] == c[1, 1, 1]
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan], [0, 2], [0.5, 1.0]])
+    def test_other_values_rejected(self, bad):
+        for name, args in (("y_true", (bad, [0, 1], [0, 1])),
+                           ("y_pred", ([0, 1], bad, [0, 1])),
+                           ("s", ([0, 1], [0, 1], bad))):
+            with pytest.raises(ValueError, match=f"^{name} must contain only 0 and 1$"):
+                metrics.confusion_counts(*args)
+        with pytest.raises(ValueError, match="^y must contain only 0 and 1$"):
+            metrics.label_weights(bad, [0, 1], np.ones(2))
 
 
 class TestLabelFair:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairsift import metrics
 from fairsift.models import (
     LogisticConfig,
     LogisticModel,
@@ -12,6 +11,8 @@ from fairsift.models import (
     reweigh,
     train_logistic,
 )
+
+from test_metrics import dataset
 
 
 def finite_difference_gradient(theta, X, y, w, l2, step=1e-5):
@@ -84,6 +85,17 @@ class TestTraining:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             train_logistic(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("y", [[0.0, 1.0, 1.0], [False, True, True]])
+    def test_float_and_bool_labels_accepted(self, y):
+        X = np.array([[0.0], [1.0], [2.0]])
+        model = train_logistic(X, y)
+        assert model.predict(X).tolist() == train_logistic(X, [0, 1, 1]).predict(X).tolist()
+
+    @pytest.mark.parametrize("y", [[0.0, np.nan, 1.0], [0, 2, 1], [0.5, 0.0, 1.0]])
+    def test_non_binary_labels_rejected(self, y):
+        with pytest.raises(ValueError, match="^y must be binary$"):
+            train_logistic(np.array([[0.0], [1.0], [2.0]]), y)
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +186,6 @@ class TestReweighing:
         y[:4] = [0, 0, 1, 1]
         s[:4] = [0, 1, 0, 1]
         per_row = reweigh(y, s).per_row(y, s)
-        out = metrics.compute_dataset_metrics(y, s, rng.random((40, 2)), per_row)
+        out = dataset(y, s, rng.random((40, 2)), per_row)
         assert out["D2"] == pytest.approx(0.0, abs=1e-9)
         assert out["D3"] == pytest.approx(1.0, abs=1e-9)
