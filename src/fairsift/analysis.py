@@ -5,6 +5,12 @@ cross-validation samples (Spearman), turn correlation into dissimilarity
 ``d = 1 - |rho|``, cluster with average linkage, cut the dendrogram at the
 widest stable gap, then score each cluster for intra-cluster agreement and
 fold-to-fold sensitivity so uninformative clusters can be pruned.
+
+Per-cell statistics are arrays over ``[dataset, model, metric]`` with NaN
+for Undefined.  ``sensitivity_table`` makes one quartile call per block of
+cells with equal counts of defined folds; its 50th percentile is each
+cell's one median, which the labels, the movement verdicts and every writer
+read.  ``movement_counts`` classifies whole median arrays in one call.
 """
 
 import itertools
@@ -164,11 +170,9 @@ def dissimilarity(sim: float | None) -> float:
 def dissimilarity_matrix(corr: CorrelationMatrix) -> np.ndarray:
     k = len(corr.metric_ids)
     out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = 0.0 if i == j else dissimilarity(
-                None if np.isnan(corr.values[i, j]) else float(corr.values[i, j])
-            )
+    for i, row in enumerate(corr.values.tolist()):
+        for j, sim in enumerate(row):
+            out[i, j] = 0.0 if i == j else dissimilarity(sim)
     return out
 
 
@@ -348,35 +352,39 @@ def unfair_percentage(labels) -> float:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SensitivityCell:
-    dataset: str
-    model: str
-    metric_id: str
-    median: float | None
-    iqr: float | None
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class SensitivityReport:
-    cells: tuple[SensitivityCell, ...]
+    """Per-cell statistics over ``[dataset, model, metric]``.
+
+    ``median`` and ``iqr`` are NaN where a cell has no defined sample;
+    ``flagged`` marks the volatile cells and ``insensitive[metric]`` the
+    metrics with only a minority of their defined cells flagged.
+    """
+
+    datasets: tuple[str, ...]
+    models: tuple[str, ...]
+    metric_ids: tuple[str, ...]
+    median: np.ndarray
+    iqr: np.ndarray
+    flagged: np.ndarray
+    insensitive: np.ndarray
     sigma: float
     threshold: float
     d: float
 
+    def rows(self):
+        """(dataset, model, metric id, median, iqr, flagged) per cell in grid
+        order, as Python values."""
+        keys = itertools.product(self.datasets, self.models, self.metric_ids)
+        stats = zip(*(a.ravel().tolist() for a in (self.median, self.iqr, self.flagged)))
+        return ((*key, *cell) for key, cell in zip(keys, stats))
+
     def metric_insensitive(self, metric_id: str) -> bool:
-        """A metric is insensitive iff a minority of its cells are flagged."""
-        mine = [c for c in self.cells if c.metric_id == metric_id and c.iqr is not None]
-        if not mine:
-            return False
-        flagged = sum(1 for c in mine if c.flagged)
-        return 2 * flagged < len(mine)
+        return bool(self.insensitive[self.metric_ids.index(metric_id)])
 
     def cluster_insensitive(self, metric_ids) -> bool:
         """A cluster is insensitive iff a majority of its metrics are."""
         metric_ids = list(metric_ids)
-        insensitive = sum(1 for m in metric_ids if self.metric_insensitive(m))
-        return 2 * insensitive > len(metric_ids)
+        return 2 * sum(map(self.metric_insensitive, metric_ids)) > len(metric_ids)
 
 
 def defined_blocks(rows: np.ndarray):
@@ -393,18 +401,22 @@ def defined_blocks(rows: np.ndarray):
 
 
 def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> SensitivityReport:
-    """Median and IQR per (dataset, model, metric), flagged when volatile.
+    """Median, IQR and flag of every (dataset, model, metric) cell.
 
-    Quantiles use linear interpolation over defined samples.  A cell is flagged
-    iff its IQR exceeds ``d`` times the standard deviation of all IQRs in the run.
+    One ``np.percentile(block, [25, 50, 75])`` call per ``defined_blocks``
+    block gives every cell's quartiles over its defined samples (linear
+    interpolation); the 50th percentile is the cell's one median.  A cell is
+    flagged iff its IQR exceeds ``d`` times the standard deviation of all
+    IQRs in the run.  A metric is insensitive iff a minority of its cells
+    with a defined IQR are flagged.
     """
     if d <= 0:
         raise ValueError("d must be positive")
     n_samples = samples.values.shape[-1]
     rows = samples.values.reshape(-1, n_samples)
-    quartiles = np.full((len(rows), 3), np.nan)
+    quartiles = np.full((3, len(rows)), np.nan)
     for selected, block in defined_blocks(rows):
-        quartiles[selected] = np.percentile(block, [25, 50, 75], axis=1).T
+        quartiles[:, selected] = np.percentile(block, [25, 50, 75], axis=1)
     n_defined = np.isfinite(rows).sum(axis=1)
     short = n_defined[(n_defined > 0) & (n_defined < n_samples)]
     if len(short):
@@ -414,24 +426,26 @@ def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> Sensitivi
             f"their statistics use the available ones"
         )
 
-    medians = quartiles[:, 1]
-    iqrs = quartiles[:, 2] - quartiles[:, 0]
-    defined = np.isfinite(iqrs)
-    sigma = float(iqrs[defined].std()) if defined.any() else 0.0
+    q1, median, q3 = quartiles.reshape(3, *samples.values.shape[:-1])
+    iqr = q3 - q1
+    defined = np.isfinite(iqr)
+    sigma = float(iqr[defined].std()) if defined.any() else 0.0
     threshold = d * sigma
-    keys = itertools.product(samples.datasets, samples.models, samples.metric_ids)
-    cells = tuple(
-        SensitivityCell(
-            dataset=ds,
-            model=model,
-            metric_id=mid,
-            median=None if math.isnan(median) else median,
-            iqr=None if math.isnan(iqr) else iqr,
-            flagged=iqr > threshold,  # False for NaN, a cell with no defined sample
-        )
-        for (ds, model, mid), median, iqr in zip(keys, medians.tolist(), iqrs.tolist())
+    flagged = iqr > threshold  # False for NaN, a cell with no defined sample
+    n_cells = defined.sum(axis=(0, 1))
+    insensitive = (n_cells > 0) & (2 * flagged.sum(axis=(0, 1)) < n_cells)
+    return SensitivityReport(
+        datasets=samples.datasets,
+        models=samples.models,
+        metric_ids=samples.metric_ids,
+        median=median,
+        iqr=iqr,
+        flagged=flagged,
+        insensitive=insensitive,
+        sigma=sigma,
+        threshold=threshold,
+        d=d,
     )
-    return SensitivityReport(cells=cells, sigma=sigma, threshold=threshold, d=d)
 
 
 # --------------------------------------------------------------------------
@@ -441,47 +455,26 @@ def sensitivity_table(samples: MetricSampleMatrix, d: float = 0.35) -> Sensitivi
 TOWARD_IDEAL = "UF"
 AWAY_FROM_IDEAL = "FU"
 NO_CHANGE = "NC"
+EXCLUDED = "excluded"
 
 
-@dataclass(frozen=True)
-class MovementResult:
-    verdicts: dict[str, str]  # metric id -> UF / FU / NC
-    excluded: tuple[str, ...]  # metric ids undefined on either side
+def movement_counts(baseline, mitigated, ideals, epsilon: float = 0.001) -> np.ndarray:
+    """Classify each metric's move after mitigation, element by element.
 
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {TOWARD_IDEAL: 0, AWAY_FROM_IDEAL: 0, NO_CHANGE: 0}
-        for verdict in self.verdicts.values():
-            out[verdict] += 1
-        return out
-
-
-def movement_counts(
-    baseline_medians: dict,
-    mitigated_medians: dict,
-    ideals: dict,
-    epsilon: float = 0.001,
-) -> MovementResult:
-    """Classify each metric's move after mitigation.
-
-    delta = |mitigated - ideal| - |baseline - ideal|; below -epsilon the
-    metric moved toward its ideal (UF), above +epsilon it moved away (FU),
-    otherwise it did not change (NC).
+    ``baseline`` and ``mitigated`` are median arrays of one shape, NaN for
+    Undefined; ``ideals`` broadcasts against them.  With
+    delta = |mitigated - ideal| - |baseline - ideal|, a metric moved toward
+    its ideal (UF) below -epsilon, away from it (FU) above +epsilon, and
+    did not change (NC) otherwise; it is excluded where either median is
+    Undefined.  Returns the verdict strings in the medians' shape.
     """
-    if set(baseline_medians) != set(mitigated_medians):
-        raise ValueError("baseline and mitigated medians must cover the same metrics")
-    verdicts: dict[str, str] = {}
-    excluded: list[str] = []
-    for mid in baseline_medians:
-        base, mit = baseline_medians[mid], mitigated_medians[mid]
-        if base is None or mit is None:
-            excluded.append(mid)
-            continue
-        delta = abs(mit - ideals[mid]) - abs(base - ideals[mid])
-        if delta < -epsilon:
-            verdicts[mid] = TOWARD_IDEAL
-        elif delta > epsilon:
-            verdicts[mid] = AWAY_FROM_IDEAL
-        else:
-            verdicts[mid] = NO_CHANGE
-    return MovementResult(verdicts=verdicts, excluded=tuple(sorted(excluded)))
+    baseline = np.asarray(baseline, dtype=float)
+    mitigated = np.asarray(mitigated, dtype=float)
+    if baseline.shape != mitigated.shape:
+        raise ValueError("baseline and mitigated medians must have the same shape")
+    delta = np.abs(mitigated - ideals) - np.abs(baseline - ideals)
+    return np.select(
+        [np.isnan(delta), delta < -epsilon, delta > epsilon],
+        [EXCLUDED, TOWARD_IDEAL, AWAY_FROM_IDEAL],
+        NO_CHANGE,
+    )

@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 partial results.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -30,7 +29,6 @@ from .datamodel import (
 )
 from .harness import (
     BASELINE,
-    DEFAULT_SEEDS,
     N_FOLDS,
     REWEIGHING,
     DatasetSource,
@@ -73,58 +71,77 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _experiment_config(args, file_cfg: dict) -> ExperimentConfig:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    seeds = pick(args.seeds, "seeds", list(DEFAULT_SEEDS))
-    if isinstance(seeds, str):
-        seeds = _parse_seeds(seeds)
-    models = pick(args.models, "models", "baseline,rw")
-    if isinstance(models, str):
-        models = _parse_models(models)
-    else:
-        models = _parse_models(",".join(str(m) for m in models))
+def _setting(key: str, value, convert):
+    """``convert(value)``; a value it rejects is a ConfigError naming ``key``."""
     try:
-        return ExperimentConfig(
-            seeds=tuple(int(s) for s in seeds),
-            models=models,
-            alpha=float(pick(args.alpha, "alpha", 2.0)),
-            k_neighbors=int(pick(args.k_neighbors, "k_neighbors", 5)),
-            concentration=float(pick(args.concentration, "concentration", 1.0)),
-            l2_strength=float(pick(getattr(args, "l2", None), "l2_strength", 1.0)),
-            global_normalize=bool(
-                args.global_normalize or file_cfg.get("global_normalize", False)
-            ),
-            jobs=max(1, int(args.jobs)),
-        )
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {key} {value!r}: {exc}") from exc
+
+
+def _seeds(value) -> tuple[int, ...]:
+    return _parse_seeds(value) if isinstance(value, str) else tuple(int(s) for s in value)
+
+
+def _models(value) -> tuple[str, ...]:
+    return _parse_models(value if isinstance(value, str) else ",".join(map(str, value)))
+
+
+def _band(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+def _experiment_config(args, file_cfg: dict) -> ExperimentConfig:
+    defaults = ExperimentConfig()
+
+    def pick(key, convert, flag):
+        value = file_cfg.get(key, getattr(defaults, key)) if flag is None else flag
+        return _setting(key, value, convert)
+
+    settings = dict(
+        seeds=pick("seeds", _seeds, args.seeds),
+        models=pick("models", _models, args.models),
+        alpha=pick("alpha", float, args.alpha),
+        k_neighbors=pick("k_neighbors", int, args.k_neighbors),
+        concentration=pick("concentration", float, args.concentration),
+        l2_strength=pick("l2_strength", float, args.l2),
+        global_normalize=bool(args.global_normalize or file_cfg.get("global_normalize")),
+        jobs=max(1, int(args.jobs)),
+    )
+    try:
+        return ExperimentConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _analysis_config(args, file_cfg: dict) -> report.AnalysisConfig:
+    defaults = report.AnalysisConfig()
     scope = args.correlation_scope or file_cfg.get("correlation_scope", "avg")
     scope_map = {
         "avg": analysis.PER_CELL_AVERAGE,
         analysis.PER_CELL_AVERAGE: analysis.PER_CELL_AVERAGE,
         "pooled": analysis.POOLED,
     }
-    if scope not in scope_map:
-        raise ConfigError(f"correlation scope must be avg or pooled, got {scope!r}")
-    d = args.sensitivity_d if args.sensitivity_d is not None else file_cfg.get(
-        "sensitivity_d", 0.35
-    )
+    if not isinstance(scope, str) or scope not in scope_map:
+        raise ConfigError(f"correlation_scope must be avg or pooled, got {scope!r}")
+    d = args.sensitivity_d
+    d = file_cfg.get("sensitivity_d", defaults.sensitivity_d) if d is None else d
+    epsilon = file_cfg.get("movement_epsilon", defaults.movement_epsilon)
     thresholds = file_cfg.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ConfigError(f"thresholds must be an object, got {thresholds!r}")
+    zero = thresholds.get("zero", defaults.zero_band)
+    one = thresholds.get("one", defaults.one_band)
+    settings = dict(
+        correlation_scope=scope_map[scope],
+        sensitivity_d=_setting("sensitivity_d", d, float),
+        movement_epsilon=_setting("movement_epsilon", epsilon, float),
+        zero_band=_setting("thresholds.zero", zero, _band),
+        one_band=_setting("thresholds.one", one, _band),
+    )
     try:
-        return report.AnalysisConfig(
-            correlation_scope=scope_map[scope],
-            sensitivity_d=float(d),
-            movement_epsilon=float(file_cfg.get("movement_epsilon", 0.001)),
-            zero_band=tuple(thresholds.get("zero", metrics.ZERO_FAIR_BAND)),
-            one_band=tuple(thresholds.get("one", metrics.ONE_FAIR_BAND)),
-        )
+        return report.AnalysisConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -145,8 +162,14 @@ def _load_run_config(path) -> dict:
 
 
 def _sources(args, file_cfg: dict) -> list[DatasetSource]:
+    entries = file_cfg.get("datasets", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"datasets must be a list, got {entries!r}")
     sources = []
-    for entry in file_cfg.get("datasets", []):
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("data", "spec"))):
+            raise ConfigError(f'datasets entry {entry!r} needs "data" and "spec" paths')
         sources.append(DatasetSource(entry["data"], entry["spec"]))
     if args.data or args.spec:
         if not (args.data and args.spec):
@@ -170,9 +193,12 @@ def cmd_metrics(args) -> int:
         ds = encode_dataset(args.data, spec)
     except DataError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
-    alpha = 2.0 if args.alpha is None else args.alpha
-    k = 5 if args.k_neighbors is None else args.k_neighbors
-    concentration = 1.0 if args.concentration is None else args.concentration
+    defaults = ExperimentConfig()
+    alpha = defaults.alpha if args.alpha is None else args.alpha
+    k = defaults.k_neighbors if args.k_neighbors is None else args.k_neighbors
+    concentration = (
+        defaults.concentration if args.concentration is None else args.concentration
+    )
     try:
         metrics.check_parameters(alpha, k, concentration, n_rows=ds.row_count)
     except ValueError as exc:
@@ -201,8 +227,7 @@ def cmd_metrics(args) -> int:
         writer.writerow(("metric_id", "name", "value", "ideal", "label"))
         for mid, v in zip(ids, values.tolist()):
             mdef = metrics.METRIC_CATALOG[mid]
-            v = None if math.isnan(v) else v
-            writer.writerow((mid, mdef.name, "" if v is None else repr(v),
+            writer.writerow((mid, mdef.name, report.format_value(v),
                              repr(mdef.ideal), metrics.label_fair(v, mdef.ideal)))
     finally:
         if out is not sys.stdout:

@@ -63,18 +63,22 @@ def loss_and_gradient(theta, X, y, weights, l2_strength):
     sum_i w_i * (log(1 + e^{z_i}) - y_i * z_i) + (l2/2) * ||coef||^2
     with z = intercept + X @ coef; the intercept carries no penalty.
     """
-    theta = np.asarray(theta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    arrays = (np.asarray(a, dtype=float) for a in (theta, X, y, weights))
+    loss, grad, _ = _evaluate(*arrays, l2_strength)
+    return loss, grad
+
+
+def _evaluate(theta, X, y, w, l2_strength):
+    """``loss_and_gradient`` on float arrays, plus sigmoid(z) for the Hessian."""
     intercept, coef = theta[0], theta[1:]
     z = X @ coef + intercept
     # log(1 + e^z) computed stably for large |z|
     softplus = np.logaddexp(0.0, z)
     loss = float((w * (softplus - y * z)).sum() + 0.5 * l2_strength * (coef @ coef))
-    resid = w * (_sigmoid(z) - y)
+    pr = _sigmoid(z)
+    resid = w * (pr - y)
     grad = np.concatenate(([resid.sum()], X.T @ resid + l2_strength * coef))
-    return loss, grad
+    return loss, grad, pr
 
 
 def train_logistic(
@@ -103,22 +107,21 @@ def train_logistic(
 
     theta = np.zeros(p + 1)
     penalty = np.concatenate(([0.0], np.full(p, config.l2_strength)))
-    loss, grad = loss_and_gradient(theta, X, y, w, config.l2_strength)
+    diagonal = np.diag_indices(p + 1)
+    loss, grad, pr = _evaluate(theta, X, y, w, config.l2_strength)
     iterations = 0
     while np.linalg.norm(grad) > config.tolerance and iterations < config.max_iterations:
-        z = X @ theta[1:] + theta[0]
-        pr = _sigmoid(z)
         curvature = w * pr * (1.0 - pr)
         Xc = X * curvature[:, None]
         hess = np.empty((p + 1, p + 1))
         hess[0, 0] = curvature.sum()
         hess[0, 1:] = hess[1:, 0] = Xc.sum(axis=0)
         hess[1:, 1:] = X.T @ Xc
-        hess[np.diag_indices_from(hess)] += penalty
+        hess[diagonal] += penalty
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            hess[np.diag_indices_from(hess)] += 1e-8
+            hess[diagonal] += 1e-8
             step = np.linalg.solve(hess, -grad)
 
         # Backtracking line search (Armijo), guarantees monotone loss decrease.
@@ -126,7 +129,7 @@ def train_logistic(
         t = 1.0
         accepted = False
         for _ in range(60):
-            new_loss, new_grad = loss_and_gradient(
+            new_loss, new_grad, new_pr = _evaluate(
                 theta + t * step, X, y, w, config.l2_strength
             )
             if new_loss <= loss + 1e-4 * t * slope:
@@ -136,7 +139,7 @@ def train_logistic(
         if not accepted:
             break  # step direction unusable; stop with current iterate
         theta = theta + t * step
-        loss, grad = new_loss, new_grad
+        loss, grad, pr = new_loss, new_grad, new_pr
         iterations += 1
 
     converged = bool(np.linalg.norm(grad) <= config.tolerance)

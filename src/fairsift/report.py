@@ -12,7 +12,11 @@ clustered separately.  The report covers:
   metrics and clusters);
 * movement of each metric toward/away from its ideal after reweighing.
 
-All writers emit canonically ordered UTF-8 so repeated runs are byte-equal.
+The labels (``[dataset, metric]``) and the movement verdicts (``[dataset,
+classification metric]``) are arrays read off the sensitivity table's
+medians, so every artifact prints the same median for a cell.  Undefined
+stays NaN until a writer formats it with ``format_value``.  All writers
+emit canonically ordered UTF-8 so repeated runs are byte-equal.
 """
 
 import csv
@@ -35,14 +39,9 @@ class AnalysisConfig:
     zero_band: tuple[float, float] = metrics.ZERO_FAIR_BAND
     one_band: tuple[float, float] = metrics.ONE_FAIR_BAND
 
-    def to_dict(self) -> dict:
-        return {
-            "correlation_scope": self.correlation_scope,
-            "sensitivity_d": self.sensitivity_d,
-            "movement_epsilon": self.movement_epsilon,
-            "zero_band": list(self.zero_band),
-            "one_band": list(self.one_band),
-        }
+    def __post_init__(self):
+        if not self.sensitivity_d > 0:
+            raise ValueError(f"sensitivity_d must be positive, got {self.sensitivity_d}")
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,17 @@ class AnalysisResult:
     label_model: str
     datasets: tuple[str, ...]
     models: tuple[str, ...]
-    # (dataset, model, metric) -> median of that cell's defined fold samples
-    fold_medians: dict[tuple[str, str, str], float | None]
-    labels: dict[tuple[str, str], str]
+    # [dataset, metric] Fair / Unfair of the label model's medians; the metric
+    # axis is sensitivity.metric_ids
+    labels: np.ndarray
     classification: ClusterReport
     dataset_metrics: ClusterReport | None
     unfair_pct: dict[tuple[str, str], float]  # (scope, dataset) -> percent
     unfair_values: tuple[float, ...]  # combined, ascending
     unfair_median: float
-    sensitivity: analysis.SensitivityReport
-    movement: dict[str, analysis.MovementResult]  # dataset -> movement
+    sensitivity: analysis.SensitivityReport  # median, iqr, flagged per cell
+    # [dataset, classification metric] verdicts of movement_models, or None
+    movement: np.ndarray | None
     movement_models: tuple[str, str] | None
     config: AnalysisConfig
 
@@ -101,11 +101,17 @@ def _representative(cluster, corr: analysis.CorrelationMatrix) -> str:
     return best
 
 
+def _model_medians(sensitivity: analysis.SensitivityReport, model: str, metric_ids):
+    """[dataset, metric] medians of one model over ``metric_ids``."""
+    cols = [sensitivity.metric_ids.index(m) for m in metric_ids]
+    return sensitivity.median[:, sensitivity.models.index(model)][:, cols]
+
+
 def _build_cluster_report(
     scope: str,
     metric_ids,
     samples: MetricSampleMatrix,
-    labels: dict,
+    labels: np.ndarray,
     sensitivity: analysis.SensitivityReport,
     cfg: AnalysisConfig,
 ) -> ClusterReport:
@@ -117,17 +123,11 @@ def _build_cluster_report(
 
     summaries = []
     for cid, members in enumerate(parts):
+        cols = [sensitivity.metric_ids.index(m) for m in members]
         per_dataset = {}
-        for ds in samples.datasets:
-            cluster_labels = [labels[(ds, m)] for m in members]
-            majority = max(
-                (metrics.FAIR, metrics.UNFAIR),
-                key=lambda lab: cluster_labels.count(lab),
-            )
-            per_dataset[ds] = (
-                majority,
-                analysis.agreement_percentage(cluster_labels),
-            )
+        for ds, cluster_labels in zip(samples.datasets, labels[:, cols].tolist()):
+            majority = max((metrics.FAIR, metrics.UNFAIR), key=cluster_labels.count)
+            per_dataset[ds] = (majority, analysis.agreement_percentage(cluster_labels))
         summaries.append(
             ClusterSummary(
                 cluster_id=cid,
@@ -154,33 +154,17 @@ def build_analysis(
     models = samples.models
     label_model = BASELINE if BASELINE in models else models[0]
 
-    row_of = {mid: k for k, mid in enumerate(samples.metric_ids)}
-    classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in row_of)
-    dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in row_of)
-
-    rows = samples.values.reshape(-1, samples.values.shape[-1])
-    medians = np.full(len(rows), np.nan)
-    for selected, block in analysis.defined_blocks(rows):
-        medians[selected] = np.median(block, axis=1)
-    medians = medians.reshape(samples.values.shape[:-1]).tolist()
-    fold_medians: dict[tuple[str, str, str], float | None] = {}
-    for ds, by_model in zip(datasets, medians):
-        for model, by_metric in zip(models, by_model):
-            for mid in classification_ids + dataset_ids:
-                median = by_metric[row_of[mid]]
-                fold_medians[(ds, model, mid)] = None if math.isnan(median) else median
-
-    labels: dict[tuple[str, str], str] = {}
-    for ds in datasets:
-        for mid in classification_ids + dataset_ids:
-            labels[(ds, mid)] = metrics.label_fair(
-                fold_medians[(ds, label_model, mid)],
-                metrics.METRIC_CATALOG[mid].ideal,
-                zero_band=cfg.zero_band,
-                one_band=cfg.one_band,
-            )
+    ids = samples.metric_ids
+    classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in ids)
+    dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in ids)
+    ideals = {m: metrics.METRIC_CATALOG[m].ideal for m in ids}
 
     sensitivity = analysis.sensitivity_table(samples, d=cfg.sensitivity_d)
+    bands = dict(zero_band=cfg.zero_band, one_band=cfg.one_band)
+    labels = np.array([
+        [metrics.label_fair(v, ideals[m], **bands) for v, m in zip(row, ids)]
+        for row in _model_medians(sensitivity, label_model, ids).tolist()
+    ])
 
     classification = _build_cluster_report(
         "classification", classification_ids, samples, labels, sensitivity, cfg
@@ -192,36 +176,31 @@ def build_analysis(
         )
 
     unfair_pct: dict[tuple[str, str], float] = {}
-    for ds in datasets:
-        unfair_pct[("classification", ds)] = analysis.unfair_percentage(
-            [labels[(ds, m)] for m in classification_ids]
-        )
-        if dataset_ids:
-            unfair_pct[("dataset", ds)] = analysis.unfair_percentage(
-                [labels[(ds, m)] for m in dataset_ids]
-            )
+    for scope, scope_ids in (("classification", classification_ids),
+                             ("dataset", dataset_ids)):
+        if not scope_ids:
+            continue
+        cols = [ids.index(m) for m in scope_ids]
+        for ds, row in zip(datasets, labels[:, cols].tolist()):
+            unfair_pct[(scope, ds)] = analysis.unfair_percentage(row)
     unfair_values = tuple(sorted(unfair_pct.values()))
     unfair_median = float(np.median(unfair_values))
 
-    movement: dict[str, analysis.MovementResult] = {}
-    movement_models = None
+    movement = movement_models = None
     if BASELINE in models and REWEIGHING in models:
         movement_models = (BASELINE, REWEIGHING)
-        ideals = {m: metrics.METRIC_CATALOG[m].ideal for m in classification_ids}
-        for ds in datasets:
-            base = {m: fold_medians[(ds, BASELINE, m)] for m in classification_ids}
-            mitigated = {
-                m: fold_medians[(ds, REWEIGHING, m)] for m in classification_ids
-            }
-            movement[ds] = analysis.movement_counts(
-                base, mitigated, ideals, epsilon=cfg.movement_epsilon
-            )
+        base, mitigated = (
+            _model_medians(sensitivity, m, classification_ids) for m in movement_models
+        )
+        movement = analysis.movement_counts(
+            base, mitigated, [ideals[m] for m in classification_ids],
+            epsilon=cfg.movement_epsilon,
+        )
 
     return AnalysisResult(
         label_model=label_model,
         datasets=datasets,
         models=models,
-        fold_medians=fold_medians,
         labels=labels,
         classification=classification,
         dataset_metrics=dataset_report,
@@ -239,20 +218,20 @@ def build_analysis(
 # Writers
 # --------------------------------------------------------------------------
 
-def _fmt(v: float | None, digits: int = 6) -> str:
-    return "" if v is None else f"{v:.{digits}g}"
+def format_value(v: float, digits: int | None = None) -> str:
+    """A Python float as a field: empty for NaN (Undefined), else its
+    ``repr``, or ``digits`` significant digits when given."""
+    if math.isnan(v):
+        return ""
+    return repr(v) if digits is None else f"{v:.{digits}g}"
 
 
 def write_correlation_csv(corr: analysis.CorrelationMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("metric_id",) + corr.metric_ids)
-        for i, mid in enumerate(corr.metric_ids):
-            row = [mid]
-            for j in range(len(corr.metric_ids)):
-                v = corr.values[i, j]
-                row.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        for mid, row in zip(corr.metric_ids, corr.values.tolist()):
+            writer.writerow([mid] + [format_value(v) for v in row])
 
 
 def write_dendrogram_dot(dendro: analysis.Dendrogram, path, title: str) -> None:
@@ -352,16 +331,9 @@ def write_sensitivity_csv(report: analysis.SensitivityReport, path) -> None:
         writer.writerow(
             ("dataset", "model", "metric_id", "median", "iqr", "flagged")
         )
-        for cell in report.cells:
+        for ds, model, mid, median, iqr, flagged in report.rows():
             writer.writerow(
-                (
-                    cell.dataset,
-                    cell.model,
-                    cell.metric_id,
-                    "" if cell.median is None else repr(cell.median),
-                    "" if cell.iqr is None else repr(cell.iqr),
-                    int(cell.flagged),
-                )
+                (ds, model, mid, format_value(median), format_value(iqr), int(flagged))
             )
 
 
@@ -374,23 +346,18 @@ def write_movement_csv(result: AnalysisResult, path) -> None:
         )
         if result.movement_models is None:
             return
-        base_model, mit_model = result.movement_models
-        for ds in result.datasets:
-            move = result.movement[ds]
-            for mid in sorted(
-                set(move.verdicts) | set(move.excluded), key=metrics.metric_sort_key
-            ):
-                base = result.fold_medians.get((ds, base_model, mid))
-                mitigated = result.fold_medians.get((ds, mit_model, mid))
+        ids = result.classification.correlation.metric_ids
+        base, mitigated = (
+            _model_medians(result.sensitivity, m, ids).tolist()
+            for m in result.movement_models
+        )
+        for ds, base_row, mit_row, verdicts in zip(
+            result.datasets, base, mitigated, result.movement.tolist()
+        ):
+            for mid, b, m, verdict in zip(ids, base_row, mit_row, verdicts):
                 writer.writerow(
-                    (
-                        ds,
-                        mid,
-                        "" if base is None else repr(base),
-                        "" if mitigated is None else repr(mitigated),
-                        repr(metrics.METRIC_CATALOG[mid].ideal),
-                        move.verdicts.get(mid, "excluded"),
-                    )
+                    (ds, mid, format_value(b), format_value(m),
+                     repr(metrics.METRIC_CATALOG[mid].ideal), verdict)
                 )
 
 
@@ -431,9 +398,8 @@ def render_report_md(result: AnalysisResult) -> str:
         add("| --- | --- | --- | " + " | ".join("---" for _ in result.datasets) + " |")
         for cluster in report.clusters:
             for mid in cluster.metric_ids:
-                cells = " | ".join(
-                    result.labels[(ds, mid)] for ds in result.datasets
-                )
+                col = result.sensitivity.metric_ids.index(mid)
+                cells = " | ".join(result.labels[:, col].tolist())
                 add(
                     f"| {cluster.cluster_id} | {mid} | "
                     f"{metrics.METRIC_CATALOG[mid].name} | {cells} |"
@@ -462,24 +428,20 @@ def render_report_md(result: AnalysisResult) -> str:
     add("")
     add("| dataset | model | metric | median | IQR | flagged |")
     add("| --- | --- | --- | --- | --- | --- |")
-    for cell in result.sensitivity.cells:
+    for ds, model, mid, median, iqr, flagged in result.sensitivity.rows():
         add(
-            f"| {cell.dataset} | {cell.model} | {cell.metric_id} | "
-            f"{_fmt(cell.median, 4)} | {_fmt(cell.iqr, 4)} | "
-            f"{'yes' if cell.flagged else ''} |"
+            f"| {ds} | {model} | {mid} | "
+            f"{format_value(median, 4)} | {format_value(iqr, 4)} | "
+            f"{'yes' if flagged else ''} |"
         )
     add("")
     insensitive = [
         m
-        for m in result.classification.correlation.metric_ids
+        for report in (result.classification, result.dataset_metrics)
+        if report is not None
+        for m in report.correlation.metric_ids
         if result.sensitivity.metric_insensitive(m)
     ]
-    if result.dataset_metrics is not None:
-        insensitive += [
-            m
-            for m in result.dataset_metrics.correlation.metric_ids
-            if result.sensitivity.metric_insensitive(m)
-        ]
     add(
         "Insensitive metrics: "
         + (", ".join(insensitive) if insensitive else "none")
@@ -493,13 +455,12 @@ def render_report_md(result: AnalysisResult) -> str:
         add("")
         add("| dataset | UF (toward ideal) | FU (away) | NC | excluded |")
         add("| --- | --- | --- | --- | --- |")
-        for ds in result.datasets:
-            move = result.movement[ds]
-            counts = move.counts
+        for ds, verdicts in zip(result.datasets, result.movement.tolist()):
             add(
-                f"| {ds} | {counts[analysis.TOWARD_IDEAL]} | "
-                f"{counts[analysis.AWAY_FROM_IDEAL]} | {counts[analysis.NO_CHANGE]} | "
-                f"{len(move.excluded)} |"
+                f"| {ds} | {verdicts.count(analysis.TOWARD_IDEAL)} | "
+                f"{verdicts.count(analysis.AWAY_FROM_IDEAL)} | "
+                f"{verdicts.count(analysis.NO_CHANGE)} | "
+                f"{verdicts.count(analysis.EXCLUDED)} |"
             )
         add("")
     return "\n".join(lines) + "\n"

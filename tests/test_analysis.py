@@ -512,7 +512,8 @@ class TestSensitivity:
         report = analysis.sensitivity_table(sample_grid(cells), d=0.35)
         assert report.sigma == pytest.approx(0.1)
         assert report.threshold == pytest.approx(0.035)
-        flagged = {c.metric_id: c.flagged for c in report.cells}
+        assert report.flagged.shape == (1, 1, 4)
+        flagged = dict(zip(report.metric_ids, report.flagged[0, 0].tolist()))
         assert flagged == {"C0": False, "C1": False, "C2": True, "C3": True}
 
     def test_constant_metric_never_flagged(self):
@@ -521,7 +522,7 @@ class TestSensitivity:
             ("d", "m", "C1"): list(np.linspace(0, 3, 25)),
         }
         report = analysis.sensitivity_table(sample_grid(cells))
-        assert not [c for c in report.cells if c.metric_id == "C0"][0].flagged
+        assert not report.flagged[0, 0, report.metric_ids.index("C0")]
 
     def test_metric_and_cluster_verdicts(self):
         cells = {
@@ -560,26 +561,32 @@ class TestSensitivity:
         cells = {("d", "m", "C0"): [1.0, 2.0, 3.0, 4.0]}
         with pytest.warns(UserWarning):
             report = analysis.sensitivity_table(sample_grid(cells))
-        cell = report.cells[0]
-        assert cell.median == pytest.approx(2.5)
-        assert cell.iqr == pytest.approx(1.5)  # q3=3.25, q1=1.75
-
+        assert report.median[0, 0, 0] == pytest.approx(2.5)
+        assert report.iqr[0, 0, 0] == pytest.approx(1.5)  # q3=3.25, q1=1.75
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_cell_calls(self, seed):
         samples = holey_samples(seed)
         with pytest.warns(UserWarning):
             report = analysis.sensitivity_table(samples)
+        for stat in (report.median, report.iqr, report.flagged):
+            assert stat.shape == samples.values.shape[:-1]
         rows = samples.values.reshape(-1, samples.values.shape[-1])
-        assert len(report.cells) == len(rows)
-        for cell, row in zip(report.cells, rows):
+        stats = zip(report.median.ravel().tolist(), report.iqr.ravel().tolist(), rows)
+        for median, iqr, row in stats:
             values = row[np.isfinite(row)]
             if not len(values):
-                assert cell.median is None and cell.iqr is None
+                assert math.isnan(median) and math.isnan(iqr)
                 continue
             q1, q2, q3 = np.percentile(values, [25, 50, 75])
-            assert repr(cell.median) == repr(float(q2))
-            assert repr(cell.iqr) == repr(float(q3 - q1))
+            assert repr(median) == repr(float(q2))
+            assert repr(iqr) == repr(float(q3 - q1))
+        # a metric is insensitive iff a minority of its defined cells are flagged
+        for k, mid in enumerate(report.metric_ids):
+            defined = np.isfinite(report.iqr[..., k])
+            flagged = int(report.flagged[..., k][defined].sum())
+            want = bool(defined.any()) and 2 * flagged < int(defined.sum())
+            assert report.metric_insensitive(mid) == want
 
 
 fold_rows = st.lists(
@@ -611,33 +618,59 @@ class TestDefinedBlocks:
         assert (seen == np.isfinite(rows).any(axis=1)).all()
 
 
+def movement_oracle(base, mitigated, ideal, epsilon):
+    """One metric's verdict by the scalar rule, None for Undefined."""
+    if base is None or mitigated is None:
+        return "excluded"
+    delta = abs(mitigated - ideal) - abs(base - ideal)
+    if delta < -epsilon:
+        return "UF"
+    if delta > epsilon:
+        return "FU"
+    return "NC"
+
+
+medians = st.sampled_from([math.nan, 0.0, 0.1, 0.1005, 0.999, 1.0, 1.001]) | st.floats(-3, 3)
+
+
 class TestMovement:
     def test_three_cases(self):
-        base = {"A": 0.25, "B": 0.05, "C": 0.1}
-        mitigated = {"A": 0.05, "B": 0.25, "C": 0.1}
-        ideals = {"A": 0.0, "B": 0.0, "C": 0.0}
-        out = analysis.movement_counts(base, mitigated, ideals)
-        assert out.verdicts == {"A": "UF", "B": "FU", "C": "NC"}
-        assert out.counts == {"UF": 1, "FU": 1, "NC": 1}
+        out = analysis.movement_counts([0.25, 0.05, 0.1], [0.05, 0.25, 0.1], [0.0] * 3)
+        assert out.tolist() == ["UF", "FU", "NC"]
 
     def test_ratio_ideal(self):
-        out = analysis.movement_counts({"A": 0.5}, {"A": 0.9}, {"A": 1.0})
-        assert out.verdicts["A"] == "UF"
+        assert analysis.movement_counts([0.5], [0.9], [1.0]).tolist() == ["UF"]
 
     def test_epsilon_absorbs_noise(self):
-        out = analysis.movement_counts({"A": 0.1000}, {"A": 0.1005}, {"A": 0.0})
-        assert out.verdicts["A"] == "NC"
+        assert analysis.movement_counts([0.1000], [0.1005], [0.0]).tolist() == ["NC"]
 
     def test_undefined_excluded(self):
-        out = analysis.movement_counts(
-            {"A": None, "B": 0.3}, {"A": 0.1, "B": 0.2}, {"A": 0.0, "B": 0.0}
-        )
-        assert out.excluded == ("A",)
-        assert out.verdicts == {"B": "UF"}
+        out = analysis.movement_counts([math.nan, 0.3], [0.1, 0.2], [0.0, 0.0])
+        assert out.tolist() == ["excluded", "UF"]
 
     def test_counts_sum_to_inventory(self):
-        base = {f"M{i}": 0.1 * i for i in range(10)}
-        mitigated = {f"M{i}": 0.05 * i for i in range(10)}
-        ideals = {f"M{i}": 0.0 for i in range(10)}
-        out = analysis.movement_counts(base, mitigated, ideals)
-        assert sum(out.counts.values()) + len(out.excluded) == 10
+        base = 0.1 * np.arange(10).reshape(2, 5)
+        out = analysis.movement_counts(base, base / 2, np.zeros(5))
+        assert out.shape == (2, 5)
+        assert set(out.ravel().tolist()) <= {"UF", "FU", "NC", "excluded"}
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            analysis.movement_counts(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from([0.0, 0.001, 0.05]))
+    def test_matches_scalar_oracle(self, data, n_datasets, n_metrics, epsilon):
+        grid = st.lists(
+            st.lists(medians, min_size=n_metrics, max_size=n_metrics),
+            min_size=n_datasets, max_size=n_datasets,
+        )
+        base, mitigated = np.array(data.draw(grid)), np.array(data.draw(grid))
+        ideals = data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                    min_size=n_metrics, max_size=n_metrics))
+        out = analysis.movement_counts(base, mitigated, ideals, epsilon=epsilon)
+        for d in range(n_datasets):
+            for k in range(n_metrics):
+                b, m = (None if math.isnan(v) else float(v)
+                        for v in (base[d, k], mitigated[d, k]))
+                assert out[d, k] == movement_oracle(b, m, ideals[k], epsilon)

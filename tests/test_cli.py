@@ -303,6 +303,53 @@ class TestAnalyzeCommand:
         assert payload["classification"]["correlation_scope"] == "pooled"
 
 
+class TestMalformedConfig:
+    """A --config value of the wrong type or shape is a configuration error
+    that names its key, never a traceback."""
+
+    def _assert_config_error(self, code, capsys, key):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"datasets": [{"data": "x.csv"}]}, "datasets"),
+        ({"datasets": [{"data": 5, "spec": "x.spec.json"}]}, "datasets"),
+        ({"datasets": "x"}, "datasets"),
+        ({"alpha": None}, "alpha"),
+        ({"models": 5}, "models"),
+        ({"seeds": 5}, "seeds"),
+    ], ids=["dataset-without-spec", "dataset-path-not-text", "datasets-text",
+            "alpha-null", "models-number", "seeds-number"])
+    def test_experiment(self, tiny_dataset, tmp_path, capsys, entry, key):
+        data, spec = tiny_dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"datasets": [{"data": str(data), "spec": str(spec)}], **entry}
+        ))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
+        self._assert_config_error(code, capsys, key)
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"thresholds": {"zero": 5}}, "thresholds.zero"),
+        ({"thresholds": [1, 2]}, "thresholds"),
+        ({"movement_epsilon": None}, "movement_epsilon"),
+        ({"sensitivity_d": None}, "sensitivity_d"),
+        ({"sensitivity_d": 0}, "sensitivity_d"),
+        ({"correlation_scope": ["avg"]}, "correlation_scope"),
+    ], ids=["zero-band-number", "thresholds-list", "epsilon-null", "d-null", "d-zero",
+            "scope-list"])
+    def test_analyze(self, experiment_dir, tmp_path, capsys, entry, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(entry))
+        code = main(["analyze", "--results", str(experiment_dir / "results.csv"),
+                     "--out", str(tmp_path / "out"), "--config", str(config)])
+        self._assert_config_error(code, capsys, key)
+        assert not (tmp_path / "out").exists()
+
+
 def _set_field(lines, index, field, text):
     row = lines[index].split(",")
     row[field] = text

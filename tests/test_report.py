@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,9 +42,10 @@ def result():
 
 class TestBuildAnalysis:
     def test_labels_cover_inventory(self, result):
-        assert set(result.labels) == {
-            ("d1", mid) for mid in metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS
-        }
+        ids = metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS
+        assert result.sensitivity.metric_ids == ids
+        assert result.labels.shape == (1, len(ids))
+        assert set(result.labels.ravel().tolist()) <= {"Fair", "Unfair"}
 
     def test_mirrored_pairs_cocluster(self, result):
         for a, b in (("C0", "C2"), ("C16", "C20")):
@@ -61,11 +64,13 @@ class TestBuildAnalysis:
         samples = holey_samples(0)  # holds a cell with no defined sample
         with pytest.warns(UserWarning):
             result = report.build_analysis(samples)
-        assert len(result.fold_medians) == samples.values[..., 0].size
-        for (ds, model, mid), median in result.fold_medians.items():
+        medians = result.sensitivity.median
+        assert medians.shape == samples.values.shape[:-1]
+        keys = itertools.product(samples.datasets, samples.models, samples.metric_ids)
+        for (ds, model, mid), median in zip(keys, medians.ravel().tolist()):
             row = samples.cell(ds, model, mid)
             values = row[np.isfinite(row)]
-            want = float(np.median(values)) if len(values) else None
+            want = float(np.percentile(values, 50)) if len(values) else math.nan
             assert repr(median) == repr(want)
 
     def test_dataset_metrics_clustered_separately(self, result):
@@ -84,13 +89,13 @@ class TestBuildAnalysis:
 
     def test_movement_present_with_both_models(self, result):
         assert result.movement_models == (BASELINE, REWEIGHING)
-        counts = result.movement["d1"].counts
-        assert sum(counts.values()) + len(result.movement["d1"].excluded) == 26
+        assert result.movement.shape == (1, 26)
+        assert set(result.movement.ravel().tolist()) <= {"UF", "FU", "NC", "excluded"}
 
     def test_no_movement_without_reweighing(self):
         single = report.build_analysis(synthetic_samples(models=(BASELINE,)))
         assert single.movement_models is None
-        assert single.movement == {}
+        assert single.movement is None
 
     def test_representative_member_of_cluster(self, result):
         for c in result.classification.clusters:
@@ -136,6 +141,23 @@ class TestWriters:
         assert dot.rstrip().endswith("}")
         assert dot.count(" -- ") == 2 * len(result.classification.dendrogram.merges)
 
+    def test_even_count_median_same_in_both_csvs(self, tmp_path):
+        # np.median and np.percentile(..., 50) round the mean of -0.1 and 0.3
+        # apart; a cell has one median, written alike by both writers
+        samples = synthetic_samples()
+        values = samples.values.copy()
+        values[0, 0, samples.metric_ids.index("C0")] = [-0.1, 0.3] + [math.nan] * 23
+        samples = MetricSampleMatrix(samples.datasets, samples.models,
+                                     samples.metric_ids, values)
+        with pytest.warns(UserWarning):
+            report.write_all(report.build_analysis(samples), tmp_path)
+        sensitivity = (tmp_path / "sensitivity.csv").read_text().splitlines()
+        movement = (tmp_path / "movement.csv").read_text().splitlines()
+        sens_median = [r.split(",")[3] for r in sensitivity
+                       if r.startswith(f"d1,{BASELINE},C0,")]
+        move_median = [r.split(",")[2] for r in movement if r.startswith("d1,C0,")]
+        assert sens_median == move_median == [repr(float(np.percentile([-0.1, 0.3], 50)))]
+
     def test_correlation_csv_square(self, result, tmp_path):
         report.write_all(result, tmp_path)
         lines = (tmp_path / "correlation.csv").read_text().splitlines()
@@ -147,12 +169,14 @@ class TestEndToEnd:
     def test_real_experiment_analysis(self, small_experiment):
         result = report.build_analysis(small_experiment)
         # planted bias: statistical parity difference must label Unfair
-        assert result.labels[("smallbias", "C15")] == "Unfair"
-        assert result.labels[("smallbias", "D2")] == "Unfair"
+        d = result.datasets.index("smallbias")
+        col = result.sensitivity.metric_ids.index
+        assert result.labels[d, col("C15")] == "Unfair"
+        assert result.labels[d, col("D2")] == "Unfair"
         # reweighing drives the weighted dataset disparities to the ideal
-        move = result.movement["smallbias"]
-        assert result.fold_medians[("smallbias", REWEIGHING, "D2")] == pytest.approx(0.0, abs=1e-9)
-        assert move.counts["UF"] >= 1
+        rw = result.models.index(REWEIGHING)
+        assert result.sensitivity.median[d, rw, col("D2")] == pytest.approx(0.0, abs=1e-9)
+        assert (result.movement[d] == "UF").sum() >= 1
 
     def test_mirrored_pairs_on_real_data(self, small_experiment):
         result = report.build_analysis(small_experiment)
