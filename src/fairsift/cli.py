@@ -7,18 +7,24 @@ Subcommands:
   demo        synthetic end-to-end smoke run (planted bias vs. zero-bias)
   catalog     print the metric inventory as JSON
 
+Each command builds its ``ExperimentConfig`` or ``AnalysisConfig`` once,
+taking every setting from its flag, else from the ``--config`` file, else
+from the field default.  A flag's dest is its config key; the dataclasses
+convert and check every value, so the CLI only layers the sources.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 partial results.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import analysis, metrics, report, synth
+from . import metrics, report, synth
 from .datamodel import (
     ConfigError,
     DataError,
@@ -26,11 +32,11 @@ from .datamodel import (
     apply_minmax,
     encode_dataset,
     fit_minmax,
+    usable_rows,
 )
 from .harness import (
     BASELINE,
     N_FOLDS,
-    REWEIGHING,
     DatasetSource,
     ExperimentConfig,
     run_experiment,
@@ -44,109 +50,41 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PARTIAL = 4
 
-_MODEL_ALIASES = {"baseline": BASELINE, "rw": REWEIGHING, "reweighing": REWEIGHING}
+# every key a run config may hold ("thresholds": {"zero": ...} is
+# "thresholds.zero"); a flag's dest is its key
+_RUN_CONFIG_KEYS = {
+    "datasets", "seeds", "models", "alpha", "k_neighbors", "concentration",
+    "l2_strength", "global_normalize", "correlation_scope", "sensitivity_d",
+    "movement_epsilon", "thresholds.zero", "thresholds.one",
+}
 
 
-def _parse_models(text: str) -> tuple[str, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token not in _MODEL_ALIASES:
-            raise ConfigError(f"unknown model {token!r}; choose from baseline, rw")
-        name = _MODEL_ALIASES[token]
-        if name not in out:
-            out.append(name)
-    if not out:
-        raise ConfigError("at least one model required")
-    return tuple(out)
+def _parse_models(text: str) -> list[str]:
+    return [token.strip() for token in text.split(",")]
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"seeds must be integers: {exc}") from exc
-    if len(seeds) != 5:
-        raise ConfigError(f"exactly 5 seeds required, got {len(seeds)}")
-    return seeds
+    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _setting(key: str, value, convert):
-    """``convert(value)``; a value it rejects is a ConfigError naming ``key``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {key} {value!r}: {exc}") from exc
-
-
-def _seeds(value) -> tuple[int, ...]:
-    return _parse_seeds(value) if isinstance(value, str) else tuple(int(s) for s in value)
-
-
-def _models(value) -> tuple[str, ...]:
-    return _parse_models(value if isinstance(value, str) else ",".join(map(str, value)))
-
-
-def _band(value) -> tuple[float, float]:
-    lo, hi = value
-    return float(lo), float(hi)
-
-
-def _experiment_config(args, file_cfg: dict) -> ExperimentConfig:
-    defaults = ExperimentConfig()
-
-    def pick(key, convert, flag):
-        value = file_cfg.get(key, getattr(defaults, key)) if flag is None else flag
-        return _setting(key, value, convert)
-
-    settings = dict(
-        seeds=pick("seeds", _seeds, args.seeds),
-        models=pick("models", _models, args.models),
-        alpha=pick("alpha", float, args.alpha),
-        k_neighbors=pick("k_neighbors", int, args.k_neighbors),
-        concentration=pick("concentration", float, args.concentration),
-        l2_strength=pick("l2_strength", float, args.l2),
-        global_normalize=bool(args.global_normalize or file_cfg.get("global_normalize")),
-        jobs=max(1, int(args.jobs)),
-    )
-    try:
-        return ExperimentConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _analysis_config(args, file_cfg: dict) -> report.AnalysisConfig:
-    defaults = report.AnalysisConfig()
-    scope = args.correlation_scope or file_cfg.get("correlation_scope", "avg")
-    scope_map = {
-        "avg": analysis.PER_CELL_AVERAGE,
-        analysis.PER_CELL_AVERAGE: analysis.PER_CELL_AVERAGE,
-        "pooled": analysis.POOLED,
-    }
-    if not isinstance(scope, str) or scope not in scope_map:
-        raise ConfigError(f"correlation_scope must be avg or pooled, got {scope!r}")
-    d = args.sensitivity_d
-    d = file_cfg.get("sensitivity_d", defaults.sensitivity_d) if d is None else d
-    epsilon = file_cfg.get("movement_epsilon", defaults.movement_epsilon)
-    thresholds = file_cfg.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError(f"thresholds must be an object, got {thresholds!r}")
-    zero = thresholds.get("zero", defaults.zero_band)
-    one = thresholds.get("one", defaults.one_band)
-    settings = dict(
-        correlation_scope=scope_map[scope],
-        sensitivity_d=_setting("sensitivity_d", d, float),
-        movement_epsilon=_setting("movement_epsilon", epsilon, float),
-        zero_band=_setting("thresholds.zero", zero, _band),
-        one_band=_setting("thresholds.one", one, _band),
-    )
-    try:
-        return report.AnalysisConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _config(cls, args, file_cfg: dict, **settings):
+    """``cls`` with each run-config key taken from its flag, else from the
+    run config, else left at its default; ``settings`` are passed as given."""
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key not in _RUN_CONFIG_KEYS:
+            continue
+        flag = getattr(args, key, None)
+        if flag is not None:
+            settings[f.name] = flag
+        elif key in file_cfg:
+            settings[f.name] = file_cfg[key]
+    return cls(**settings)
 
 
 def _load_run_config(path) -> dict:
+    """The run config at ``path`` with ``thresholds`` flattened to
+    ``thresholds.zero`` and ``thresholds.one``; {} for no path."""
     if path is None:
         return {}
     try:
@@ -158,6 +96,13 @@ def _load_run_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    thresholds = cfg.pop("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ConfigError(f"thresholds must be an object, got {thresholds!r}")
+    cfg.update((f"thresholds.{key}", value) for key, value in thresholds.items())
+    unknown = sorted(set(cfg) - _RUN_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys {unknown}")
     return cfg
 
 
@@ -185,6 +130,7 @@ def _sources(args, file_cfg: dict) -> list[DatasetSource]:
 # --------------------------------------------------------------------------
 
 def cmd_metrics(args) -> int:
+    cfg = _config(ExperimentConfig, args, {})
     try:
         spec = DatasetSpec.from_json_file(args.spec)
     except ConfigError as exc:
@@ -193,30 +139,21 @@ def cmd_metrics(args) -> int:
         ds = encode_dataset(args.data, spec)
     except DataError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
-    defaults = ExperimentConfig()
-    alpha = defaults.alpha if args.alpha is None else args.alpha
-    k = defaults.k_neighbors if args.k_neighbors is None else args.k_neighbors
-    concentration = (
-        defaults.concentration if args.concentration is None else args.concentration
-    )
-    try:
-        metrics.check_parameters(alpha, k, concentration, n_rows=ds.row_count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.k_neighbors >= ds.row_count:
+        raise ConfigError(f"k_neighbors must be below the row count {ds.row_count}, "
+                          f"got {cfg.k_neighbors}")
 
     X = apply_minmax(ds.X, *fit_minmax(ds.X))
     ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
         metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
-        metrics.consistency(X, ds.y, k=k), concentration=concentration,
+        metrics.consistency(X, ds.y, k=cfg.k_neighbors), concentration=cfg.concentration,
     )
     if args.predictions_column:
-        predictions = _read_prediction_column(
-            args.data, args.predictions_column, spec, ds.row_count
-        )
+        predictions = _read_prediction_column(args.data, args.predictions_column, spec)
         row = metrics.compute_classification_metrics(
             metrics.confusion_counts(ds.y, predictions, ds.s),
-            alpha=alpha, concentration=concentration,
+            alpha=cfg.alpha, concentration=cfg.concentration,
         )
         ids = metrics.CLASSIFICATION_IDS + ids
         values = np.concatenate([row, values])
@@ -243,41 +180,23 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _read_prediction_column(data_path, column, spec: DatasetSpec, n_rows: int):
+def _read_prediction_column(data_path, column, spec: DatasetSpec):
     """Binary predictions from a CSV column, for the rows the loader keeps.
 
     A cell is favorable iff it is one of the spec's favorable values.  When
     none of those is a number, the cells ``1`` and ``1.0`` count as
     favorable too.
     """
-    with open(data_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if column not in header:
-            raise ConfigError(f"predictions column {column!r} not in CSV header")
-        j = header.index(column)
-        used = {spec.label_column, spec.protected_column} | {
-            c.name for c in spec.feature_columns
-        }
-        used_idx = [header.index(c) for c in used]
-        favorable = set(spec.favorable_value)
-        if not any(_is_number(v) for v in favorable):
-            favorable |= {"1", "1.0"}  # 0/1 predictions for a non-numeric label
-        preds = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header) or any(row[k] == "" for k in used_idx):
-                continue  # mirrors the loader's row rejection
-            raw = row[j]
-            if raw == "":
-                raise DataError(f"empty prediction in column {column!r}")
-            preds.append(1 if raw in favorable else 0)
-    if len(preds) != n_rows:
-        raise DataError(
-            f"predictions column has {len(preds)} usable rows, dataset has {n_rows}"
-        )
-    return np.array(preds, dtype=np.int64)
+    col_index, rows = usable_rows(data_path, spec)
+    if column not in col_index:
+        raise ConfigError(f"predictions column {column!r} not in CSV header")
+    cells = [row[col_index[column]] for row in rows]
+    if "" in cells:
+        raise DataError(f"empty prediction in column {column!r}")
+    favorable = set(spec.favorable_value)
+    if not any(_is_number(v) for v in favorable):
+        favorable |= {"1", "1.0"}  # 0/1 predictions for a non-numeric label
+    return np.array([cell in favorable for cell in cells], dtype=np.int64)
 
 
 def _experiment(sources, cfg: ExperimentConfig, out_dir):
@@ -295,14 +214,11 @@ def _experiment(sources, cfg: ExperimentConfig, out_dir):
                 )
             # make_cv_plan's largest test fold has ceil(n / N_FOLDS) rows
             n_train = ds.row_count - -(-ds.row_count // N_FOLDS)
-            try:
-                metrics.check_parameters(
-                    cfg.alpha, cfg.k_neighbors, cfg.concentration, n_rows=n_train
-                )
-            except ValueError as exc:
+            if cfg.k_neighbors >= n_train:
                 raise DataError(
-                    f"dataset {ds.name!r}: smallest training fold: {exc}"
-                ) from exc
+                    f"dataset {ds.name!r}: smallest training fold: k_neighbors must "
+                    f"be below the row count {n_train}, got {cfg.k_neighbors}"
+                )
             if any(ds.name == other.name for other in loaded):
                 raise ConfigError(
                     f"dataset name {ds.name!r} repeats an earlier dataset's"
@@ -331,14 +247,14 @@ def _experiment(sources, cfg: ExperimentConfig, out_dir):
 
 def cmd_experiment(args) -> int:
     file_cfg = _load_run_config(args.config)
-    cfg = _experiment_config(args, file_cfg)
+    cfg = _config(ExperimentConfig, args, file_cfg, jobs=args.jobs)
     _, failures = _experiment(_sources(args, file_cfg), cfg, args.out)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     file_cfg = _load_run_config(args.config)
-    cfg = _analysis_config(args, file_cfg)
+    cfg = _config(report.AnalysisConfig, args, file_cfg)
     try:
         samples = read_results_csv(args.results)
     except OSError as exc:
@@ -353,6 +269,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_demo(args) -> int:
     """Planted-bias end-to-end run: biased dataset vs. zero-bias control."""
+    cfg = ExperimentConfig(jobs=args.jobs)
     out = args.out
     os.makedirs(out, exist_ok=True)
     runs = (
@@ -369,11 +286,7 @@ def cmd_demo(args) -> int:
             data_path, spec_path, name,
             n_rows=args.rows, bias_gap=gap, seed=args.seed,
         )
-        samples, _ = _experiment(
-            [DatasetSource(data_path, spec_path)],
-            ExperimentConfig(jobs=max(1, args.jobs)),
-            run_dir,
-        )
+        samples, _ = _experiment([DatasetSource(data_path, spec_path)], cfg, run_dir)
         result = report.build_analysis(samples)
         print(f"wrote {report.write_all(result, run_dir)['report']}")
 
@@ -431,9 +344,9 @@ def _add_common_experiment_flags(p: argparse.ArgumentParser) -> None:
                    help="neighbors for the consistency metric (default 5)")
     p.add_argument("--concentration", type=float, default=None,
                    help="Dirichlet smoothing for differential fairness (default 1.0)")
-    p.add_argument("--l2", type=float, default=None,
+    p.add_argument("--l2", dest="l2_strength", type=float, default=None,
                    help="logistic L2 strength (default 1.0)")
-    p.add_argument("--global-normalize", action="store_true",
+    p.add_argument("--global-normalize", action="store_true", default=None,
                    help="min-max normalize once globally instead of per training fold")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 

@@ -9,8 +9,11 @@ features (min-max scaled to [0, 1] from fitted bounds before use), labels in
 
 import csv
 import json
+import math
+import typing
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +29,52 @@ class ConfigError(ValueError):
 
 class DataError(Exception):
     """CSV content that cannot be mapped to a usable dataset (CLI exit code 3)."""
+
+
+# annotation -> (accepted types, what the message asks for); bool is never a number
+_FIELD_KINDS = {
+    bool: ((bool,), "true or false"),
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a finite number"),
+    str: ((str,), "a string"),
+}
+
+
+def check_fields(config) -> None:
+    """Check every field of the frozen dataclass ``config`` against its
+    annotation and store it converted: a bool must be a bool, an int an
+    integer (never a float such as 5.0), a float a finite number, a str a
+    string, and a ``tuple[...]`` a non-string sequence of the right length
+    whose items are checked the same way.  Numpy integers and arrays pass.
+    A bad value raises ``ConfigError`` naming the field, or the field's
+    ``metadata["key"]`` when it has one."""
+    for f in fields(config):
+        name = f.metadata.get("key", f.name)
+        object.__setattr__(config, f.name, _checked(name, getattr(config, f.name), f.type))
+
+
+def _checked(name: str, value, kind):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if typing.get_origin(kind) is tuple:
+        kinds = typing.get_args(kind)
+        if isinstance(value, str) or not isinstance(value, Sequence):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ConfigError(f"{name} must have {len(kinds)} items, got {value!r}")
+        return tuple(_checked(f"{name}[{i}]", v, k)
+                     for i, (v, k) in enumerate(zip(value, kinds)))
+    types, wanted = _FIELD_KINDS[kind]
+    if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
+        try:
+            converted = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            converted = math.inf
+        if kind is not float or math.isfinite(converted):
+            return converted
+    raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
 def _as_values(raw) -> tuple[str, ...]:
@@ -101,19 +150,25 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "DatasetSpec":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"dataset spec must be an object, got {raw!r}")
         try:
-            features = tuple(
-                FeatureColumn(str(f["name"]), str(f["kind"]))
-                for f in raw["feature_columns"]
-            )
+            features = raw["feature_columns"]
+            if not (isinstance(features, list) and all(isinstance(f, dict) for f in features)):
+                raise ConfigError(f"feature_columns must be a list of objects, got {features!r}")
+            encoding = raw.get("encoding", {})
+            if not isinstance(encoding, dict):
+                raise ConfigError(f"encoding must be an object, got {encoding!r}")
             return cls(
                 name=str(raw["name"]),
                 label_column=str(raw["label_column"]),
                 favorable_value=raw["favorable_value"],
                 protected_column=str(raw["protected_column"]),
                 privileged_value=raw["privileged_value"],
-                feature_columns=features,
-                encoding={str(k): str(v) for k, v in raw.get("encoding", {}).items()},
+                feature_columns=tuple(
+                    FeatureColumn(str(f["name"]), str(f["kind"])) for f in features
+                ),
+                encoding={str(k): str(v) for k, v in encoding.items()},
             )
         except KeyError as exc:
             raise ConfigError(f"dataset spec missing field {exc.args[0]!r}") from exc
@@ -174,7 +229,10 @@ def _open_csv(csv_source):
     return open(csv_source, "r", encoding="utf-8", newline=""), True
 
 
-def _read_table(csv_source) -> tuple[list[str], list[list[str]]]:
+def usable_rows(csv_source, spec: DatasetSpec) -> tuple[dict[str, int], list[list[str]]]:
+    """The CSV's column index by name (a repeated name is its last column)
+    and its data rows, less the rows that are short of the header or have an
+    empty cell in a column ``spec`` uses; those are rejected with a warning."""
     fh, owned = _open_csv(csv_source)
     try:
         reader = csv.reader(fh)
@@ -186,19 +244,6 @@ def _read_table(csv_source) -> tuple[list[str], list[list[str]]]:
     finally:
         if owned:
             fh.close()
-    return header, rows
-
-
-def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
-    """Read + encode a CSV without normalizing the result.
-
-    Labels map favorable -> 1, protected maps privileged -> 1, categoricals
-    are label- or one-hot-encoded (full dummy set, nothing dropped).  Rows
-    with an empty cell in any used column are rejected with a warning.
-    Feature values stay on their raw scale; ``fit_minmax`` and
-    ``apply_minmax`` scale them.
-    """
-    header, rows = _read_table(csv_source)
     col_index = {name: i for i, name in enumerate(header)}
 
     used = [spec.label_column, spec.protected_column] + [
@@ -227,7 +272,18 @@ def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
         )
     if not kept:
         raise DataError(f"dataset {spec.name!r}: no usable data rows")
+    return col_index, kept
 
+
+def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
+    """Read + encode a CSV without normalizing the result.
+
+    Labels map favorable -> 1, protected maps privileged -> 1, categoricals
+    are label- or one-hot-encoded (full dummy set, nothing dropped).  Only
+    ``usable_rows`` are encoded.  Feature values stay on their raw scale;
+    ``fit_minmax`` and ``apply_minmax`` scale them.
+    """
+    col_index, kept = usable_rows(csv_source, spec)
     n = len(kept)
     favorable = set(spec.favorable_value)
     privileged = set(spec.privileged_value)

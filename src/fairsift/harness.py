@@ -33,15 +33,17 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import metrics
 from .datamodel import (
+    ConfigError,
     DatasetSpec,
     EncodedDataset,
     apply_minmax,
+    check_fields,
     encode_dataset,
     fit_minmax,
 )
@@ -59,6 +61,8 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 BASELINE = "baseline"
 REWEIGHING = "reweighing"
 MODEL_NAMES = (BASELINE, REWEIGHING)
+# lower-cased model name -> mitigator name; other names pass unchanged
+_MODEL_ALIASES = {BASELINE: BASELINE, "rw": REWEIGHING, REWEIGHING: REWEIGHING}
 
 # built-in mitigator per model name; run_experiment accepts extra ones
 BUILTIN_MITIGATORS: dict[str, Mitigator] = {
@@ -105,6 +109,8 @@ def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Run settings; ``ConfigError`` names a field of the wrong type or range."""
+
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     models: tuple[str, ...] = MODEL_NAMES
     alpha: float = 2.0
@@ -117,15 +123,19 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "models", tuple(self.models))
+        check_fields(self)
+        object.__setattr__(self, "models", tuple(
+            dict.fromkeys(_MODEL_ALIASES.get(m.lower(), m) for m in self.models)
+        ))
         if len(self.seeds) != N_REPEATS:
-            raise ValueError(f"exactly {N_REPEATS} seeds required, got {len(self.seeds)}")
+            raise ConfigError(f"exactly {N_REPEATS} seeds required, got {len(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must not be negative, got {list(self.seeds)}")
         if not self.models:
-            raise ValueError("at least one model required")
-        metrics.check_parameters(self.alpha, self.k_neighbors, self.concentration)
-        if not self.l2_strength > 0:
-            raise ValueError(f"l2_strength must be positive, got {self.l2_strength}")
+            raise ConfigError("at least one model required")
+        for name in ("alpha", "k_neighbors", "concentration", "l2_strength", "jobs"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     def logistic_config(self) -> LogisticConfig:
         return LogisticConfig(
@@ -135,17 +145,10 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "models": list(self.models),
-            "alpha": self.alpha,
-            "k_neighbors": self.k_neighbors,
-            "concentration": self.concentration,
-            "l2_strength": self.l2_strength,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "global_normalize": self.global_normalize,
-        }
+        """The settings that shape the results, for ``manifest.json``."""
+        settings = asdict(self)
+        del settings["jobs"]
+        return settings
 
 
 def canonical_models(names) -> tuple[str, ...]:
@@ -290,7 +293,7 @@ def run_experiment(
         registry.update(mitigators)
     unknown = [m for m in cfg.models if m not in registry]
     if unknown:
-        raise ValueError(f"no mitigator registered for models {unknown}")
+        raise ConfigError(f"no mitigator registered for models {unknown}")
 
     datasets = sorted(datasets, key=lambda d: d.name)
     names = [d.name for d in datasets]

@@ -121,21 +121,6 @@ def catalog_json() -> str:
     return json.dumps(entries, indent=2, sort_keys=True)
 
 
-def check_parameters(
-    alpha: float, k: int, concentration: float, n_rows: int | None = None
-) -> None:
-    """Raise ValueError unless the entropy-index ``alpha``, the consistency
-    neighbor count ``k`` and the Dirichlet ``concentration`` are positive
-    and, when the row count is known, ``k`` is below it."""
-    for name, value in (
-        ("alpha", alpha), ("k_neighbors", k), ("concentration", concentration)
-    ):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if n_rows is not None and k >= n_rows:
-        raise ValueError(f"k_neighbors must be below the row count {n_rows}, got {k}")
-
-
 # --------------------------------------------------------------------------
 # The count tensor
 # --------------------------------------------------------------------------

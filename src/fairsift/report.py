@@ -23,25 +23,48 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, metrics
+from .datamodel import ConfigError, check_fields
 from .harness import BASELINE, REWEIGHING, MetricSampleMatrix
+
+
+# correlation_scope value -> scope; "avg" is the CLI's name for the average
+_SCOPES = {"avg": analysis.PER_CELL_AVERAGE, analysis.POOLED: analysis.POOLED,
+           analysis.PER_CELL_AVERAGE: analysis.PER_CELL_AVERAGE}
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Analysis settings; ``ConfigError`` names a field of the wrong type or range."""
+
     correlation_scope: str = analysis.PER_CELL_AVERAGE
     sensitivity_d: float = 0.35
     movement_epsilon: float = 0.001
-    zero_band: tuple[float, float] = metrics.ZERO_FAIR_BAND
-    one_band: tuple[float, float] = metrics.ONE_FAIR_BAND
+    zero_band: tuple[float, float] = field(
+        default=metrics.ZERO_FAIR_BAND, metadata={"key": "thresholds.zero"})
+    one_band: tuple[float, float] = field(
+        default=metrics.ONE_FAIR_BAND, metadata={"key": "thresholds.one"})
 
     def __post_init__(self):
+        check_fields(self)
+        if self.correlation_scope not in _SCOPES:
+            raise ConfigError(f"correlation_scope must be one of {sorted(_SCOPES)}, "
+                              f"got {self.correlation_scope!r}")
+        object.__setattr__(self, "correlation_scope", _SCOPES[self.correlation_scope])
         if not self.sensitivity_d > 0:
-            raise ValueError(f"sensitivity_d must be positive, got {self.sensitivity_d}")
+            raise ConfigError(f"sensitivity_d must be positive, got {self.sensitivity_d}")
+        if not self.movement_epsilon >= 0:
+            raise ConfigError(
+                f"movement_epsilon must not be negative, got {self.movement_epsilon}"
+            )
+        for key, (low, high) in (("thresholds.zero", self.zero_band),
+                                 ("thresholds.one", self.one_band)):
+            if low > high:
+                raise ConfigError(f"{key} must have low <= high, got [{low}, {high}]")
 
 
 @dataclass(frozen=True)

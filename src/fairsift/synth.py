@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .datamodel import DatasetSpec
+from .datamodel import ConfigError, DatasetSpec
 
 GROUP_COLUMN = "group"
 LABEL_COLUMN = "outcome"
@@ -44,11 +44,13 @@ def generate_rows(
 ) -> tuple[list[str], list[list[str]]]:
     """Header and raw CSV rows for one synthetic dataset."""
     if n_rows < 20:
-        raise ValueError("need at least 20 rows")
+        raise ConfigError(f"need at least 20 rows, got {n_rows}")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
     lo = base_rate - bias_gap / 2.0
     hi = base_rate + bias_gap / 2.0
-    if not (0.0 < lo and hi < 1.0):
-        raise ValueError(f"bias_gap {bias_gap} incompatible with base_rate {base_rate}")
+    if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
+        raise ConfigError(f"bias_gap {bias_gap} incompatible with base_rate {base_rate}")
     rng = np.random.default_rng(seed)
 
     n_priv = n_rows // 2

@@ -90,6 +90,34 @@ class TestMetricsCommand:
         by_id = {l.split(",")[0]: l.split(",") for l in out.read_text().splitlines()}
         assert by_id["C13"][2] == "0.5"
 
+    def test_predictions_follow_the_loaders_rows(self, tmp_path):
+        # the same rows as a clean CSV, plus rows the loader rejects (an empty
+        # used cell, a short row), with x repeated in the header: the loader
+        # reads the last x column, so the first one may be empty
+        data, spec = write_toy(tmp_path, 24)
+        lines = data.read_text().splitlines()
+        dirty = ["sex,x,label,pred,x"]
+        for i, line in enumerate(lines[1:]):
+            sex, x, label, pred = line.split(",")
+            dirty.append(f"{sex},,{label},{pred},{x}")
+            if i % 5 == 0:
+                dirty.append(f"{sex},{x},{label},{pred},")
+            if i % 7 == 0:
+                dirty.append(f"{sex},{x},{label}")
+        dirty_data = tmp_path / "dirty.csv"
+        dirty_data.write_text("\n".join(dirty) + "\n")
+
+        def metrics_output(path):
+            out = tmp_path / f"{path.stem}.out.csv"
+            assert main(["metrics", "--data", str(path), "--spec", str(spec),
+                         "--predictions-column", "pred", "--out", str(out)]) == 0
+            return out.read_text()
+
+        clean = metrics_output(data)
+        with pytest.warns(UserWarning, match="rejected 9 incomplete rows"):
+            assert metrics_output(dirty_data) == clean
+        assert len(clean.splitlines()) == 1 + 30
+
     def test_missing_column_exit_code(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("a,b\n1,2\n")
@@ -258,6 +286,38 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["config"]["seeds"] == [10, 11, 12, 13, 14]
 
+    def test_flags_and_config_file_agree(self, tiny_dataset, tmp_path):
+        data, spec = tiny_dataset
+        flags, file = tmp_path / "flags", tmp_path / "file"
+        assert main(["experiment", "--data", str(data), "--spec", str(spec),
+                     "--out", str(flags), "--alpha", "3", "--k-neighbors", "4",
+                     "--l2", "0.5", "--seeds", "5,6,7,8,9", "--models", "rw"]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [{"data": str(data), "spec": str(spec)}],
+            "alpha": 3, "k_neighbors": 4, "l2_strength": 0.5,
+            "seeds": [5, 6, 7, 8, 9], "models": ["rw"],
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(file)]) == 0
+        for name in ("results.csv", "manifest.json"):
+            assert (flags / name).read_bytes() == (file / name).read_bytes(), name
+        settings = json.loads((file / "manifest.json").read_text())["config"]
+        assert (settings["alpha"], settings["k_neighbors"], settings["l2_strength"],
+                settings["seeds"], settings["models"]) == (
+                    3.0, 4, 0.5, [5, 6, 7, 8, 9], ["reweighing"])
+
+    def test_flag_overrides_config_file(self, tiny_dataset, tmp_path):
+        data, spec = tiny_dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [{"data": str(data), "spec": str(spec)}],
+            "models": ["baseline"], "alpha": 3, "global_normalize": True,
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path),
+                     "--alpha", "4"]) == 0
+        settings = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert (settings["alpha"], settings["global_normalize"]) == (4.0, True)
+
     def test_bad_seed_count_exit_code(self, tiny_dataset, tmp_path, capsys):
         data, spec = tiny_dataset
         assert main(["experiment", "--data", str(data), "--spec", str(spec),
@@ -321,8 +381,20 @@ class TestMalformedConfig:
         ({"alpha": None}, "alpha"),
         ({"models": 5}, "models"),
         ({"seeds": 5}, "seeds"),
+        ({"global_normalize": "false"}, "global_normalize"),
+        ({"seeds": [1.9, 2, 3, 4, 5]}, "seeds[0] must be an integer"),
+        ({"seeds": [-1, 2, 3, 4, 5]}, "seeds must not be negative"),
+        ({"k_neighbors": 5.7}, "k_neighbors must be an integer"),
+        ({"k_neighbors": 5.0}, "k_neighbors must be an integer"),
+        ({"alpha": True}, "alpha must be a finite number"),
+        ({"l2_strength": float("inf")}, "l2_strength must be a finite number"),
+        ({"l2": 0.5}, "unknown keys ['l2']"),
+        ({"models": []}, "at least one model"),
+        ({"models": ["rw", "mystery"]}, "no mitigator registered for models ['mystery']"),
     ], ids=["dataset-without-spec", "dataset-path-not-text", "datasets-text",
-            "alpha-null", "models-number", "seeds-number"])
+            "alpha-null", "models-number", "seeds-number", "normalize-text",
+            "seed-fraction", "seed-negative", "k-fraction", "k-float", "alpha-true",
+            "l2-infinity", "flag-name-as-key", "models-empty", "model-unknown"])
     def test_experiment(self, tiny_dataset, tmp_path, capsys, entry, key):
         data, spec = tiny_dataset
         config = tmp_path / "cfg.json"
@@ -332,6 +404,27 @@ class TestMalformedConfig:
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
         self._assert_config_error(code, capsys, key)
 
+    @pytest.mark.parametrize("command, flags, key", [
+        ("experiment", ["--jobs", "0"], "jobs must be positive"),
+        ("experiment", ["--alpha", "nan"], "alpha must be a finite number"),
+        ("experiment", ["--seeds", "1,2,3"], "exactly 5 seeds"),
+        ("metrics", ["--concentration", "inf"], "concentration must be a finite number"),
+        ("demo", ["--jobs", "0"], "jobs must be positive"),
+        ("demo", ["--rows", "5"], "at least 20 rows"),
+        ("demo", ["--bias-gap", "2"], "bias_gap 2.0"),
+        ("demo", ["--bias-gap", "-2"], "bias_gap -2.0"),
+        ("demo", ["--seed", "-1"], "seed must not be negative"),
+    ], ids=["experiment-jobs-0", "experiment-alpha-nan", "experiment-3-seeds",
+            "metrics-concentration-inf", "demo-jobs-0", "demo-5-rows", "demo-gap-2",
+            "demo-gap-minus-2", "demo-seed-negative"])
+    def test_flag(self, tiny_dataset, tmp_path, capsys, command, flags, key):
+        data, spec = tiny_dataset
+        argv = [command, "--out", str(tmp_path / "out")] + flags
+        if command != "demo":
+            argv += ["--data", str(data), "--spec", str(spec)]
+        self._assert_config_error(main(argv), capsys, key)
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize("entry, key", [
         ({"thresholds": {"zero": 5}}, "thresholds.zero"),
         ({"thresholds": [1, 2]}, "thresholds"),
@@ -339,8 +432,18 @@ class TestMalformedConfig:
         ({"sensitivity_d": None}, "sensitivity_d"),
         ({"sensitivity_d": 0}, "sensitivity_d"),
         ({"correlation_scope": ["avg"]}, "correlation_scope"),
+        ({"correlation_scope": "median"}, "correlation_scope"),
+        ({"movement_epsilon": float("nan")}, "movement_epsilon must be a finite number"),
+        ({"movement_epsilon": -1}, "movement_epsilon must not be negative"),
+        ({"thresholds": {"zero": [0.1, -0.1]}}, "thresholds.zero must have low <= high"),
+        ({"thresholds": {"one": [0.8, True]}}, "thresholds.one[1] must be a finite number"),
+        ({"thresholds": {"half": [0.4, 0.6]}}, "unknown keys ['thresholds.half']"),
+        ({"sensitivty_d": 100}, "unknown keys ['sensitivty_d']"),
+        ({"sensitivity_d": float("inf")}, "sensitivity_d must be a finite number"),
     ], ids=["zero-band-number", "thresholds-list", "epsilon-null", "d-null", "d-zero",
-            "scope-list"])
+            "scope-list", "scope-unknown", "epsilon-nan", "epsilon-negative",
+            "zero-band-reversed", "one-band-true", "thresholds-unknown", "d-typo",
+            "d-infinity"])
     def test_analyze(self, experiment_dir, tmp_path, capsys, entry, key):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(entry))
@@ -348,6 +451,56 @@ class TestMalformedConfig:
                      "--out", str(tmp_path / "out"), "--config", str(config)])
         self._assert_config_error(code, capsys, key)
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedSpec:
+    """A dataset spec of the wrong shape is a configuration error naming the
+    field: exit 2 from metrics, a failed dataset from experiment."""
+
+    @pytest.fixture(params=[
+        ([], "dataset spec must be an object"),
+        ({"feature_columns": "f1"}, "feature_columns must be a list of objects"),
+        ({"feature_columns": ["f1"]}, "feature_columns must be a list of objects"),
+        ({"encoding": []}, "encoding must be an object"),
+    ], ids=["list", "features-text", "features-names", "encoding-list"])
+    def bad_spec(self, request, tmp_path):
+        shape, message = request.param
+        spec = tmp_path / "bad.spec.json"
+        spec.write_text(json.dumps(
+            shape if isinstance(shape, list) else {**synth.spec_dict("bad"), **shape}
+        ))
+        return spec, message
+
+    def test_metrics_exit_code(self, tiny_dataset, bad_spec, capsys):
+        spec, message = bad_spec
+        code = main(["metrics", "--data", str(tiny_dataset[0]), "--spec", str(spec)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_only_dataset_exit_code(self, tiny_dataset, bad_spec, tmp_path, capsys):
+        spec, message = bad_spec
+        out = tmp_path / "out"
+        assert main(["experiment", "--data", str(tiny_dataset[0]), "--spec", str(spec),
+                     "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_is_partial_failure(self, tiny_dataset, bad_spec, tmp_path):
+        spec, message = bad_spec
+        data, good_spec = tiny_dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "datasets": [{"data": str(data), "spec": str(good_spec)},
+                         {"data": str(data), "spec": str(spec)}],
+            "models": ["baseline"],
+        }))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [message in f["error"] for f in manifest["failures"]] == [True]
+        assert manifest["record_count"] == 30 * 25
 
 
 def _set_field(lines, index, field, text):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from fairsift.datamodel import (
     DataError,
     DatasetSpec,
     apply_minmax,
+    check_fields,
     encode_dataset,
     fit_minmax,
 )
+from fairsift.harness import ExperimentConfig
 from fairsift.metrics import confusion_counts
 
 
@@ -76,6 +79,82 @@ class TestSpec:
         spec = toy_spec()
         again = DatasetSpec.from_dict(spec.to_dict())
         assert again == spec
+
+
+@dataclass(frozen=True)
+class Settings:
+    flag: bool = False
+    count: int = 1
+    rate: float = 0.5
+    label: str = "a"
+    counts: tuple[int, ...] = (1, 2)
+    band: tuple[float, float] = field(default=(0.0, 1.0), metadata={"key": "limits.band"})
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("kwargs, expected", [
+        ({"flag": True}, ("flag", True)),
+        ({"count": 7}, ("count", 7)),
+        ({"count": np.int64(7)}, ("count", 7)),
+        ({"rate": 2}, ("rate", 2.0)),
+        ({"rate": np.float32(0.25)}, ("rate", 0.25)),
+        ({"rate": np.int8(3)}, ("rate", 3.0)),
+        ({"label": "b"}, ("label", "b")),
+        ({"counts": [3, 4, 5]}, ("counts", (3, 4, 5))),
+        ({"counts": np.arange(3)}, ("counts", (0, 1, 2))),
+        ({"counts": ()}, ("counts", ())),
+        ({"band": [-1, 2.5]}, ("band", (-1.0, 2.5))),
+        ({"band": np.array([0.1, 0.2])}, ("band", (0.1, 0.2))),
+    ])
+    def test_accepted_and_converted(self, kwargs, expected):
+        name, value = expected
+        got = getattr(Settings(**kwargs), name)
+        assert got == value
+        assert type(got) is type(value)
+        if isinstance(value, tuple):
+            assert [type(v) for v in got] == [type(v) for v in value]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"flag": "false"}, "flag must be true or false, got 'false'"),
+        ({"flag": 1}, "flag must be true or false"),
+        ({"flag": None}, "flag must be true or false"),
+        ({"count": 5.0}, "count must be an integer, got 5.0"),
+        ({"count": 1.9}, "count must be an integer"),
+        ({"count": True}, "count must be an integer, got True"),
+        ({"count": "5"}, "count must be an integer"),
+        ({"rate": True}, "rate must be a finite number, got True"),
+        ({"rate": float("nan")}, "rate must be a finite number, got nan"),
+        ({"rate": float("inf")}, "rate must be a finite number"),
+        ({"rate": 10 ** 400}, "rate must be a finite number"),
+        ({"rate": "0.5"}, "rate must be a finite number"),
+        ({"rate": None}, "rate must be a finite number"),
+        ({"label": 5}, "label must be a string, got 5"),
+        ({"counts": "12"}, "counts must be a list, got '12'"),
+        ({"counts": 5}, "counts must be a list"),
+        ({"counts": {1: 2}}, "counts must be a list"),
+        ({"counts": [1, 2.5]}, "counts[1] must be an integer, got 2.5"),
+        ({"counts": np.array([1.0, 2.0])}, "counts[0] must be an integer"),
+        ({"counts": np.array(3)}, "counts must be a list"),
+        ({"band": [0.1]}, "limits.band must have 2 items"),
+        ({"band": [0, 1, 2]}, "limits.band must have 2 items"),
+        ({"band": [0, None]}, "limits.band[1] must be a finite number"),
+        ({"band": [[0, 1], [0, 1]]}, "limits.band[0] must be a finite number"),
+    ])
+    def test_rejected_naming_the_field(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            Settings(**kwargs)
+        assert message in str(info.value)
+
+    def test_experiment_config_from_numpy(self):
+        cfg = ExperimentConfig(seeds=np.arange(10, 15), k_neighbors=np.int64(4),
+                               alpha=np.float64(3), models=np.array(["RW"]))
+        assert cfg.seeds == (10, 11, 12, 13, 14)
+        assert all(type(s) is int for s in cfg.seeds)
+        assert (cfg.k_neighbors, cfg.alpha, cfg.models) == (4, 3.0, ("reweighing",))
+        assert type(cfg.k_neighbors) is int and type(cfg.alpha) is float
 
 
 class TestLoad:
