@@ -26,7 +26,6 @@ from .metrics import (
     label_weights,
 )
 from .models import (
-    LogisticConfig,
     LogisticModel,
     Mitigator,
     ReweighingMitigator,
@@ -45,7 +44,6 @@ __all__ = [
     "DatasetSpec",
     "EncodedDataset",
     "ExperimentConfig",
-    "LogisticConfig",
     "LogisticModel",
     "METRIC_CATALOG",
     "MetricDef",

@@ -184,7 +184,11 @@ class DatasetSpec:
     @classmethod
     def from_json_file(cls, path) -> "DatasetSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"dataset spec is not valid UTF-8: {exc}") from exc
+        return cls.from_json(text)
 
     def to_dict(self) -> dict:
         return {
@@ -241,6 +245,8 @@ def usable_rows(csv_source, spec: DatasetSpec) -> tuple[dict[str, int], list[lis
         except StopIteration:
             raise DataError("CSV is empty (no header row)")
         rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"CSV is not valid UTF-8: {exc}") from exc
     finally:
         if owned:
             fh.close()

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, models
 from .datamodel import (
     ConfigError,
     DatasetSpec,
@@ -47,12 +47,7 @@ from .datamodel import (
     encode_dataset,
     fit_minmax,
 )
-from .models import (
-    LogisticConfig,
-    Mitigator,
-    ReweighingError,
-    ReweighingMitigator,
-)
+from .models import Mitigator, ReweighingError, ReweighingMitigator
 
 N_FOLDS = 5
 N_REPEATS = 5
@@ -136,13 +131,6 @@ class ExperimentConfig:
         for name in ("alpha", "k_neighbors", "concentration", "l2_strength", "jobs"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def logistic_config(self) -> LogisticConfig:
-        return LogisticConfig(
-            l2_strength=self.l2_strength,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-        )
 
     def to_dict(self) -> dict:
         """The settings that shape the results, for ``manifest.json``."""
@@ -238,11 +226,12 @@ def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_norm
 
 
 def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
-          assignment: np.ndarray, mitigators: tuple[Mitigator, ...]):
+          assignment: np.ndarray, mitigators: tuple[tuple[str, Mitigator], ...]):
     """Count tensors ``[model, 2, 2, 2]`` of the test split, label-weight
-    tensors ``[model, 2, 2]`` and D0 of the training split.  A model whose
-    reweighing failed keeps all-zero tensors, so all 30 of its metrics are
-    Undefined."""
+    tensors ``[model, 2, 2]`` and D0 of the training split.  Each model is
+    ``models.train_logistic`` on its (name, mitigator)'s training weights; a
+    model whose reweighing failed keeps all-zero tensors, so all 30 of its
+    metrics are Undefined."""
     test = assignment == fold
     train = ~test
     X_train, X_test = _scale_split(ds.X, train, test, cfg.global_normalize)
@@ -254,16 +243,20 @@ def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
     # consistency ignores instance weights, so all models share the value
     train_consistency = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
 
-    for m, mitigator in enumerate(mitigators):
+    for m, (name, mitigator) in enumerate(mitigators):
         try:
             weights = mitigator.training_weights(y_train, s_train)
         except ReweighingError as exc:
             warnings.warn(
                 f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
-                f"recording Undefined for the {mitigator.name} model"
+                f"recording Undefined for the {name} model"
             )
             continue
-        fitted = mitigator.train(X_train, y_train, weights, cfg.logistic_config())
+        # through the module attribute, so a wrapper set on it sees each fit
+        fitted = models.train_logistic(
+            X_train, y_train, weights, l2_strength=cfg.l2_strength,
+            max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
+        )
         counts[m] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
         label_weights[m] = metrics.label_weights(y_train, s_train, weights)
     return counts, label_weights, train_consistency
@@ -301,8 +294,8 @@ def run_experiment(
         raise ValueError(f"dataset names must be unique, got {names}")
     if not datasets:
         raise ValueError("no datasets")
-    models = canonical_models(cfg.models)
-    selected = tuple(registry[m] for m in models)
+    model_names = canonical_models(cfg.models)
+    selected = tuple((m, registry[m]) for m in model_names)
 
     jobs = []
     for ds in datasets:
@@ -318,7 +311,7 @@ def run_experiment(
         results = [_repeat_job(job) for job in jobs]
 
     # [dataset, model, repeat, fold, ...], then one call per metric family
-    grid = (len(datasets), len(models), N_REPEATS, N_FOLDS)
+    grid = (len(datasets), len(model_names), N_REPEATS, N_FOLDS)
     counts = np.empty(grid + (2, 2, 2), dtype=np.int64)
     label_weights = np.empty(grid + (2, 2))
     consistency = np.empty((len(datasets), 1, N_REPEATS, N_FOLDS))  # shared by models
@@ -337,7 +330,7 @@ def run_experiment(
         ),
     ], axis=-1)
     values = per_fold.reshape(grid[:2] + (N_REPEATS * N_FOLDS, -1)).swapaxes(2, 3)
-    return MetricSampleMatrix(names, models, metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS,
+    return MetricSampleMatrix(names, model_names, metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS,
                               values)
 
 

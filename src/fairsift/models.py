@@ -1,12 +1,16 @@
-"""Baseline model and pre-processing mitigator.
+"""The fold model and the mitigators that choose its training weights.
 
-The baseline is a weighted logistic regression with L2 regularization on the
-coefficients (intercept unpenalized), fit by full-batch damped Newton steps.
-Training is deterministic: zero initialization, no stochasticity, converged
-when the gradient norm drops below tolerance.
+Every fold model is ``train_logistic``: a weighted logistic regression with
+L2 regularization on the coefficients (intercept unpenalized), fit by
+full-batch damped Newton steps.  Training is deterministic: zero
+initialization, no stochasticity, converged when the gradient norm drops
+below tolerance.  It also stops after a full Newton step whose predicted
+decrease is within the loss's rounding.
 
-The mitigator is the classic reweighing scheme: each (group, label) cell gets
-weight P(group)*P(label)/P(group, label), which makes the weighted joint
+A ``Mitigator`` decides only the instance weights of a training fold.  The
+base class gives every row weight 1, the baseline; ``ReweighingMitigator``
+is the classic reweighing scheme: each (group, label) cell gets weight
+P(group)*P(label)/P(group, label), which makes the weighted joint
 distribution of group and label exactly independent.
 """
 
@@ -17,17 +21,9 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class LogisticConfig:
-    l2_strength: float = 1.0
-    max_iterations: int = 1000
-    tolerance: float = 1e-6
-
-
-@dataclass(frozen=True)
 class LogisticModel:
     coefficients: np.ndarray
     intercept: float
-    config: LogisticConfig
     converged: bool
     n_iterations: int
 
@@ -82,14 +78,14 @@ def _evaluate(theta, X, y, w, l2_strength):
 
 
 def train_logistic(
-    X, y, weights=None, config: LogisticConfig | None = None
+    X, y, weights=None, *, l2_strength: float = 1.0, max_iterations: int = 1000,
+    tolerance: float = 1e-6,
 ) -> LogisticModel:
     """Fit by damped Newton: solve H step = -grad, backtrack until loss drops.
 
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
     """
-    config = config or LogisticConfig()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -106,11 +102,11 @@ def train_logistic(
         raise ValueError("weights must be non-negative and not all zero")
 
     theta = np.zeros(p + 1)
-    penalty = np.concatenate(([0.0], np.full(p, config.l2_strength)))
+    penalty = np.concatenate(([0.0], np.full(p, l2_strength)))
     diagonal = np.diag_indices(p + 1)
-    loss, grad, pr = _evaluate(theta, X, y, w, config.l2_strength)
+    loss, grad, pr = _evaluate(theta, X, y, w, l2_strength)
     iterations = 0
-    while np.linalg.norm(grad) > config.tolerance and iterations < config.max_iterations:
+    while np.linalg.norm(grad) > tolerance and iterations < max_iterations:
         curvature = w * pr * (1.0 - pr)
         Xc = X * curvature[:, None]
         hess = np.empty((p + 1, p + 1))
@@ -125,14 +121,19 @@ def train_logistic(
             step = np.linalg.solve(hess, -grad)
 
         # Backtracking line search (Armijo), guarantees monotone loss decrease.
+        # Except at float resolution: when the predicted decrease (half the
+        # squared Newton decrement) is within the loss's rounding, the loss
+        # cannot tell the step from no step (it may move by an ulp), so take
+        # it whole and stop (Boyd & Vandenberghe, Convex Optimization, 9.5).
         slope = float(grad @ step)
+        at_resolution = -slope / 2 <= np.spacing(loss)
         t = 1.0
         accepted = False
         for _ in range(60):
             new_loss, new_grad, new_pr = _evaluate(
-                theta + t * step, X, y, w, config.l2_strength
+                theta + t * step, X, y, w, l2_strength
             )
-            if new_loss <= loss + 1e-4 * t * slope:
+            if at_resolution or new_loss <= loss + 1e-4 * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -141,8 +142,10 @@ def train_logistic(
         theta = theta + t * step
         loss, grad, pr = new_loss, new_grad, new_pr
         iterations += 1
+        if at_resolution:
+            break
 
-    converged = bool(np.linalg.norm(grad) <= config.tolerance)
+    converged = bool(np.linalg.norm(grad) <= tolerance)
     if not converged:
         warnings.warn(
             f"logistic training stopped after {iterations} iterations with "
@@ -153,7 +156,6 @@ def train_logistic(
     return LogisticModel(
         coefficients=theta[1:].copy(),
         intercept=float(theta[0]),
-        config=config,
         converged=converged,
         n_iterations=iterations,
     )
@@ -163,18 +165,9 @@ class ReweighingError(ValueError):
     """Raised when some (group, label) cell is empty and weights are undefined."""
 
 
-@dataclass(frozen=True)
-class ReweighingWeights:
-    """Cell weights ``w[s, y] = P(s) * P(y) / P(s, y)``, a 2x2 array."""
-
-    w: np.ndarray
-
-    def per_row(self, y, s) -> np.ndarray:
-        return self.w[np.asarray(s, dtype=np.int64), np.asarray(y, dtype=np.int64)]
-
-
-def reweigh(y, s) -> ReweighingWeights:
-    """Weights that decouple the label from the protected group.
+def reweigh(y, s) -> np.ndarray:
+    """Weights that decouple the label from the protected group: the
+    read-only 2x2 array ``w[s, y] = P(s) * P(y) / P(s, y)``.
 
     After weighting, the weighted favorable rate is identical in both groups,
     so the weighted mean difference is exactly 0 and the weighted disparate
@@ -187,39 +180,26 @@ def reweigh(y, s) -> ReweighingWeights:
     n = len(y)
     if n == 0:
         raise ValueError("empty input")
-    weights = np.empty((2, 2))
-    for sv in (0, 1):
-        for yv in (0, 1):
-            cell = int(((s == sv) & (y == yv)).sum())
-            if cell == 0:
-                raise ReweighingError(
-                    f"cannot reweigh: cell (s={sv}, y={yv}) is empty"
-                )
-            weights[sv, yv] = (
-                int((s == sv).sum()) * int((y == yv).sum()) / (n * cell)
-            )
+    cells = np.bincount(2 * s + y, minlength=4).reshape(2, 2)
+    if not cells.all():
+        sv, yv = np.argwhere(cells == 0)[0]
+        raise ReweighingError(f"cannot reweigh: cell (s={sv}, y={yv}) is empty")
+    weights = np.outer(cells.sum(axis=1), cells.sum(axis=0)) / (n * cells)
     weights.setflags(write=False)
-    return ReweighingWeights(w=weights)
+    return weights
 
 
 class Mitigator:
     """Extension point for bias mitigation inside the experiment harness.
 
-    A mitigator can participate in each training fold at two places: it may
-    reassign instance weights before fitting (pre-processing) and it may take
-    over the fitting itself (in-processing).  The base class is the identity
-    on both, which is exactly the plain weighted logistic baseline.
+    A mitigator decides the instance weights of each training fold; the fold
+    model is always ``train_logistic`` on those weights.  The base class
+    gives every row weight 1, which is exactly the baseline.
     """
 
-    name = "baseline"
-
     def training_weights(self, y, s) -> np.ndarray:
-        """Pre-processing hook: per-row weights used to fit the fold model."""
+        """Per-row weights used to fit the fold model."""
         return np.ones(len(y))
-
-    def train(self, X, y, weights, config: LogisticConfig) -> LogisticModel:
-        """In-processing hook: fit the fold model."""
-        return train_logistic(X, y, weights, config)
 
 
 class ReweighingMitigator(Mitigator):
@@ -229,7 +209,5 @@ class ReweighingMitigator(Mitigator):
     training fold; the harness records such folds as undefined.
     """
 
-    name = "reweighing"
-
     def training_weights(self, y, s) -> np.ndarray:
-        return reweigh(y, s).per_row(y, s)
+        return reweigh(y, s)[s, y]

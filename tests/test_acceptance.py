@@ -99,7 +99,7 @@ def test_criterion_2_reweighing_exactness():
         s = rng.integers(0, 2, n)
         y[:4] = [0, 0, 1, 1]
         s[:4] = [0, 1, 0, 1]
-        w = reweigh(y, s).per_row(y, s)
+        w = reweigh(y, s)[s, y]
         out = dataset(y, s, rng.random((n, 2)), w, k=1)
         worst_d2 = max(worst_d2, abs(out["D2"]))
         worst_d3 = max(worst_d3, abs(out["D3"] - 1.0))

@@ -503,6 +503,60 @@ class TestMalformedSpec:
         assert manifest["record_count"] == 30 * 25
 
 
+class TestNonUtf8Input:
+    """A file that is not valid UTF-8 (here a valid file with one trailing
+    0xFF byte) gets the documented exit code, never a traceback: 2 for a
+    config or a spec, 3 for a data CSV; from experiment a bad dataset file
+    is a failed dataset."""
+
+    @staticmethod
+    def _spoil(path, tmp_path):
+        bad = tmp_path / f"bad-{path.name}"
+        bad.write_bytes(path.read_bytes() + b"\xff")
+        return str(bad)
+
+    @pytest.mark.parametrize("command, spoiled, code", [
+        ("experiment", "config", 2),
+        ("analyze", "config", 2),
+        ("metrics", "spec", 2),
+        ("metrics", "data", 3),
+        ("experiment", "data", 3),
+        ("experiment", "spec", 3),
+        ("experiment-with-good", "data", 4),
+        ("experiment-with-good", "spec", 4),
+    ], ids=["experiment-config", "analyze-config", "metrics-spec", "metrics-data",
+            "experiment-data", "experiment-spec", "experiment-data-with-good",
+            "experiment-spec-with-good"])
+    def test_exit_code(self, tiny_dataset, experiment_dir, tmp_path, capsys,
+                       command, spoiled, code):
+        data, spec = tiny_dataset
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"models": ["baseline"]}))
+        files = {"data": data, "spec": spec, "config": config}
+        paths = {key: str(path) for key, path in files.items()}
+        paths[spoiled] = self._spoil(files[spoiled], tmp_path)
+        out = str(tmp_path / "out")
+        if command == "analyze":
+            argv = ["analyze", "--results", str(experiment_dir / "results.csv"),
+                    "--config", paths["config"]]
+        elif command == "metrics":
+            argv = ["metrics", "--data", paths["data"], "--spec", paths["spec"]]
+        elif command == "experiment":
+            argv = ["experiment", "--config", paths["config"], "--data", paths["data"],
+                    "--spec", paths["spec"]]
+        else:
+            config.write_text(json.dumps({
+                "datasets": [{"data": str(data), "spec": str(spec)},
+                             {"data": paths["data"], "spec": paths["spec"]}],
+                "models": ["baseline"],
+            }))
+            argv = ["experiment", "--config", str(config)]
+        assert main(argv + ["--out", out]) == code
+        err = capsys.readouterr().err
+        assert "utf-8" in err.lower()
+        assert "Traceback" not in err
+
+
 def _set_field(lines, index, field, text):
     row = lines[index].split(",")
     row[field] = text

@@ -301,6 +301,53 @@ class TestMitigatorSlot:
         down_d2 = defined(samples, "plug", "downweight", "D2")
         assert not np.allclose(base_d2, down_d2)
 
+    def test_mitigator_without_name_runs(self):
+        class Halve:  # no name attribute and no Mitigator base
+            def training_weights(self, y, s):
+                return np.full(len(y), 0.5)
+
+        assert not hasattr(Halve(), "name")
+        ds = make_synthetic("plain", 100, 0.2, seed=8)
+        samples = run_experiment([ds], ExperimentConfig(models=("halve",)),
+                                 mitigators={"halve": Halve()})
+        assert samples.models == ("halve",)
+        assert np.isfinite(samples.cell("plain", "halve", "C15")).all()
+
+    def test_failure_warning_names_the_model(self):
+        from fairsift.models import Mitigator, ReweighingError
+
+        class Refuse(Mitigator):
+            def training_weights(self, y, s):
+                raise ReweighingError("cannot reweigh: refused")
+
+        ds = make_synthetic("refused", 100, 0.2, seed=8)
+        with pytest.warns(UserWarning, match="for the refuse model"):
+            samples = run_experiment([ds], ExperimentConfig(models=("refuse",)),
+                                     mitigators={"refuse": Refuse()})
+        assert np.isnan(samples.values).all()
+
+    def test_one_fit_per_trained_model(self, monkeypatch):
+        """Every fold model is ``models.train_logistic`` on its mitigator's
+        weights, looked up on the module at call time."""
+        from fairsift import models
+
+        calls = []
+        fit = models.train_logistic
+
+        def counting(X, y, weights, **settings):
+            calls.append((len(y), weights.copy(), settings))
+            return fit(X, y, weights, **settings)
+
+        monkeypatch.setattr(models, "train_logistic", counting)
+        datasets = [make_synthetic(f"fit{i}", 80, 0.3, seed=i) for i in range(2)]
+        run_experiment(datasets, ExperimentConfig(l2_strength=0.5, max_iterations=50))
+        assert len(calls) == 2 * 25 * 2
+        assert all(s == {"l2_strength": 0.5, "max_iterations": 50, "tolerance": 1e-6}
+                   for _, _, s in calls)
+        # the baseline fits on unit weights, the reweighed model on others
+        unit = [np.array_equal(w, np.ones(n)) for n, w, _ in calls]
+        assert sum(unit) == 50
+
 
 class TestPersistence:
     def test_roundtrip(self, small_experiment, tmp_path):

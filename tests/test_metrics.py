@@ -913,7 +913,7 @@ def labeled_folds(draw):
         return y, s, None
     if kind == "reweigh":
         y[:4], s[:4] = [0, 0, 1, 1], [0, 1, 0, 1]
-        return y, s, reweigh(y, s).per_row(y, s)
+        return y, s, reweigh(y, s)[s, y]
     weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
     return y, s, np.array(weights)
 

@@ -1,10 +1,13 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairsift.datamodel import DatasetSpec, apply_minmax, encode_dataset, fit_minmax
+from fairsift.harness import make_cv_plan
 from fairsift.models import (
-    LogisticConfig,
     LogisticModel,
     ReweighingError,
     loss_and_gradient,
@@ -12,6 +15,7 @@ from fairsift.models import (
     train_logistic,
 )
 
+from conftest import rows_to_csv_text
 from test_metrics import dataset
 
 
@@ -49,8 +53,8 @@ class TestTraining:
 
     def test_weight_doubling_with_scaled_l2_is_identical(self, rng):
         X, y, w = random_problem(rng)
-        a = train_logistic(X, y, w, LogisticConfig(l2_strength=1.0))
-        b = train_logistic(X, y, 2 * w, LogisticConfig(l2_strength=2.0))
+        a = train_logistic(X, y, w, l2_strength=1.0)
+        b = train_logistic(X, y, 2 * w, l2_strength=2.0)
         assert np.allclose(a.coefficients, b.coefficients, atol=1e-5)
         assert a.intercept == pytest.approx(b.intercept, abs=1e-5)
 
@@ -78,9 +82,9 @@ class TestTraining:
             assert model.converged
             _, grad = loss_and_gradient(
                 np.concatenate(([model.intercept], model.coefficients)),
-                X, y, w, model.config.l2_strength,
+                X, y, w, 1.0,
             )
-            assert np.linalg.norm(grad) <= model.config.tolerance
+            assert np.linalg.norm(grad) <= 1e-6
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -113,12 +117,55 @@ class TestTraining:
         assert worst < 1e-4
 
 
+    def test_stops_at_float_resolution(self):
+        """A fold whose full Newton step raises the loss by one ulp once the
+        gradient is near the tolerance: Armijo backtracking alone used to
+        spin through all 1000 iterations without moving."""
+        X, y = german_style_training_fold(seed=5, repeat=1, fold=0)
+        model = train_logistic(X, y)
+        assert model.converged
+        assert model.n_iterations < 1000
+
+
+def german_style_training_fold(seed, repeat, fold, n_rows=3000):
+    """Scaled training rows of one fold of integer-valued credit data: age,
+    duration, installment rate and a label-encoded telephone column, with a
+    label that depends on them and on the group."""
+    rng = np.random.default_rng(seed)
+    male = rng.random(n_rows) < 0.69
+    age = rng.integers(19, 76, n_rows)
+    duration = rng.choice((6, 12, 18, 24, 36, 48), n_rows)
+    rate = rng.integers(1, 5, n_rows)
+    telephone = rng.random(n_rows) < 0.4
+    z = (0.6 - 0.04 * (duration - 20) + 0.02 * (age - 35) - 0.25 * (rate - 2.5)
+         + 0.3 * telephone + 0.6 * male)
+    good = rng.random(n_rows) < 1.0 / (1.0 + np.exp(-z))
+    rows = [
+        ["male" if male[i] else "female", "good" if good[i] else "bad",
+         str(age[i]), str(duration[i]), str(rate[i]),
+         "yes" if telephone[i] else "none"]
+        for i in range(n_rows)
+    ]
+    header = ["sex", "credit", "age", "duration", "rate", "telephone"]
+    spec = DatasetSpec.from_dict({
+        "name": "german_style", "label_column": "credit", "favorable_value": "good",
+        "protected_column": "sex", "privileged_value": "male",
+        "feature_columns": [{"name": "age", "kind": "numeric"},
+                            {"name": "duration", "kind": "numeric"},
+                            {"name": "rate", "kind": "numeric"},
+                            {"name": "telephone", "kind": "categorical"}],
+        "encoding": {"telephone": "label_encode"},
+    })
+    ds = encode_dataset(io.StringIO(rows_to_csv_text(header, rows)), spec)
+    train = make_cv_plan(ds.row_count).assignments[repeat] != fold
+    return apply_minmax(ds.X[train], *fit_minmax(ds.X[train])), ds.y[train]
+
+
 class TestPrediction:
     def make(self, coef, intercept):
         return LogisticModel(
             coefficients=np.array(coef, dtype=float),
             intercept=float(intercept),
-            config=LogisticConfig(),
             converged=True,
             n_iterations=0,
         )
@@ -147,7 +194,7 @@ class TestReweighing:
     def test_hand_example(self):
         y = np.array([1] * 4 + [0] * 2 + [1] * 1 + [0] * 3)
         s = np.array([1] * 6 + [0] * 4)
-        w = reweigh(y, s).w
+        w = reweigh(y, s)
         assert w[(1, 1)] == pytest.approx(0.75)
         assert w[(1, 0)] == pytest.approx(1.5)
         assert w[(0, 1)] == pytest.approx(2.0)
@@ -156,13 +203,33 @@ class TestReweighing:
     def test_independent_data_gets_unit_weights(self):
         y = np.array([1, 0, 1, 0])
         s = np.array([1, 1, 0, 0])
-        w = reweigh(y, s).w
+        w = reweigh(y, s)
         assert w.shape == (2, 2)
         assert all(v == pytest.approx(1.0) for v in w.ravel())
 
     def test_empty_cell_raises(self):
         with pytest.raises(ReweighingError):
             reweigh(np.array([1, 1, 0]), np.array([1, 1, 0]))
+
+    def test_read_only(self):
+        w = reweigh(np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]))
+        with pytest.raises(ValueError):
+            w[0, 0] = 2.0
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=200))
+    def test_matches_per_cell_oracle(self, pairs):
+        y, s = (np.array(column) for column in zip(*pairs))
+        try:
+            want = reweigh_oracle(y, s)
+        except ReweighingError as exc:
+            with pytest.raises(ReweighingError) as caught:
+                reweigh(y, s)
+            assert str(caught.value) == str(exc)
+            return
+        got = reweigh(y, s)
+        assert got.shape == (2, 2)
+        assert got.tobytes() == want.tobytes()
 
     @given(st.integers(min_value=0, max_value=2**31))
     def test_exact_parity_and_mass(self, seed):
@@ -173,7 +240,7 @@ class TestReweighing:
         # force all four cells non-empty
         y[:4] = [0, 0, 1, 1]
         s[:4] = [0, 1, 0, 1]
-        per_row = reweigh(y, s).per_row(y, s)
+        per_row = reweigh(y, s)[s, y]
         assert per_row.sum() == pytest.approx(n, abs=1e-9)
         rate_unpriv = (per_row[s == 0] * y[s == 0]).sum() / per_row[s == 0].sum()
         rate_priv = (per_row[s == 1] * y[s == 1]).sum() / per_row[s == 1].sum()
@@ -185,7 +252,21 @@ class TestReweighing:
         s = rng.integers(0, 2, 40)
         y[:4] = [0, 0, 1, 1]
         s[:4] = [0, 1, 0, 1]
-        per_row = reweigh(y, s).per_row(y, s)
+        per_row = reweigh(y, s)[s, y]
         out = dataset(y, s, rng.random((40, 2)), per_row)
         assert out["D2"] == pytest.approx(0.0, abs=1e-9)
         assert out["D3"] == pytest.approx(1.0, abs=1e-9)
+
+
+def reweigh_oracle(y, s):
+    """The per-cell loop: each weight the correctly rounded quotient of
+    Python integers."""
+    n = len(y)
+    weights = np.empty((2, 2))
+    for sv in (0, 1):
+        for yv in (0, 1):
+            cell = int(((s == sv) & (y == yv)).sum())
+            if cell == 0:
+                raise ReweighingError(f"cannot reweigh: cell (s={sv}, y={yv}) is empty")
+            weights[sv, yv] = int((s == sv).sum()) * int((y == yv).sum()) / (n * cell)
+    return weights
