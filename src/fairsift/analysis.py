@@ -6,15 +6,19 @@ cross-validation samples (Spearman), turn correlation into dissimilarity
 widest stable gap, then score each cluster for intra-cluster agreement and
 fold-to-fold sensitivity so uninformative clusters can be pruned.
 
-Per-cell statistics are arrays over ``[dataset, model, metric]`` with NaN
-for Undefined.  ``sensitivity_table`` makes one quartile call per block of
-cells with equal counts of defined folds; its 50th percentile is each
+Everything here reads and returns arrays with NaN as the one Undefined
+value.  The sift runs on the correlation matrix: ``dissimilarity_matrix`` is
+one array expression, ``agglomerate`` takes each step's minimum over a mask
+of live row pairs and updates whole rows, ``select_cut`` takes the last
+widest gap of ``np.diff``, and ``extract_clusters`` relabels an array of
+per-leaf cluster labels.  Per-cell statistics are arrays over ``[dataset,
+model, metric]``.  ``sensitivity_table`` makes one quartile call per block
+of cells with equal counts of defined folds; its 50th percentile is each
 cell's one median, which the labels, the movement verdicts and every writer
 read.  ``movement_counts`` classifies whole median arrays in one call.
 """
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -112,12 +116,6 @@ class CorrelationMatrix:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def get(self, a: str, b: str) -> float | None:
-        i = self.metric_ids.index(a)
-        j = self.metric_ids.index(b)
-        v = self.values[i, j]
-        return None if np.isnan(v) else float(v)
-
 
 def correlation_matrix(
     samples: MetricSampleMatrix, metric_ids, scope: str = PER_CELL_AVERAGE
@@ -158,21 +156,15 @@ def correlation_matrix(
 # Dissimilarity and average-linkage clustering
 # --------------------------------------------------------------------------
 
-def dissimilarity(sim: float | None) -> float:
-    """d = 1 - |sim|; an undefined similarity is maximally dissimilar (1)."""
-    if sim is None or (isinstance(sim, float) and math.isnan(sim)):
-        return 1.0
-    if not -1.0 - 1e-9 <= sim <= 1.0 + 1e-9:
-        raise ValueError(f"similarity must lie in [-1, 1], got {sim}")
-    return max(0.0, 1.0 - abs(sim))
-
-
 def dissimilarity_matrix(corr: CorrelationMatrix) -> np.ndarray:
-    k = len(corr.metric_ids)
-    out = np.empty((k, k))
-    for i, row in enumerate(corr.values.tolist()):
-        for j, sim in enumerate(row):
-            out[i, j] = 0.0 if i == j else dissimilarity(sim)
+    """d = max(0, 1 - |rho|) per entry, with a zero diagonal; an undefined
+    (NaN) rho is maximally dissimilar (1)."""
+    rho = np.abs(corr.values)
+    outside = corr.values[rho > 1.0 + 1e-9]
+    if len(outside):
+        raise ValueError(f"similarity must lie in [-1, 1], got {outside[0]}")
+    out = np.where(np.isnan(rho), 1.0, np.maximum(0.0, 1.0 - rho))
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -220,43 +212,32 @@ def agglomerate(dismat, labels) -> Dendrogram:
     if np.any(np.diag(d) != 0):
         raise ValueError("dissimilarity matrix must have a zero diagonal")
 
-    # active: node id -> (row index into the working matrix, cluster size)
+    # row r of the working matrix holds cluster node[r] of size[r]; a merge
+    # lives on in the lower of its two rows.  ``live`` marks the upper-triangle
+    # pairs of rows still in play (a mask, not an inf sentinel: the input may
+    # itself hold inf).
     work = d.copy()
-    node_of_row = list(range(n))
-    sizes = {i: 1 for i in range(n)}
-    active_rows = set(range(n))
+    node = np.arange(n)
+    size = np.ones(n, dtype=int)
+    live = np.triu(np.ones((n, n), dtype=bool), 1)
     merges: list[Merge] = []
 
     for step in range(n - 1):
-        best = None
-        for ri in sorted(active_rows):
-            for rj in sorted(active_rows):
-                if rj <= ri:
-                    continue
-                a, b = node_of_row[ri], node_of_row[rj]
-                pair = (min(a, b), max(a, b))
-                key = (work[ri, rj], pair)
-                if best is None or key < best[0]:
-                    best = (key, ri, rj)
-        (height, pair), ri, rj = best
-        a, b = pair
-        size_i = sizes[node_of_row[ri]]
-        size_j = sizes[node_of_row[rj]]
-        new_id = n + step
-        new_size = size_i + size_j
-        merges.append(Merge(left=a, right=b, height=float(height), size=new_size))
+        rows, cols = np.nonzero(live & (work == work[live].min()))
+        low = np.minimum(node[rows], node[cols])
+        high = np.maximum(node[rows], node[cols])
+        best = np.lexsort((high, low))[0]
+        ri, rj = rows[best], cols[best]
+        new_size = size[ri] + size[rj]
+        merges.append(Merge(left=int(low[best]), right=int(high[best]),
+                            height=float(work[ri, rj]), size=int(new_size)))
 
         # Lance-Williams average-linkage update, written into row ri; weights
         # follow the clusters living in the rows, not the node-id order.
-        for rk in active_rows:
-            if rk in (ri, rj):
-                continue
-            work[ri, rk] = work[rk, ri] = (
-                size_i * work[ri, rk] + size_j * work[rj, rk]
-            ) / new_size
-        active_rows.remove(rj)
-        node_of_row[ri] = new_id
-        sizes[new_id] = new_size
+        work[ri] = work[:, ri] = (size[ri] * work[ri] + size[rj] * work[rj]) / new_size
+        live[rj] = live[:, rj] = False
+        node[ri] = n + step
+        size[ri] = new_size
     return Dendrogram(leaves=labels, merges=tuple(merges))
 
 
@@ -281,17 +262,12 @@ def select_cut(dendrogram: Dendrogram) -> CutSelection:
     """
     if not dendrogram.merges:
         raise ValueError("dendrogram has no merges")
-    heights = sorted(dendrogram.heights)
-    levels = heights + [max(CUT_SENTINEL, heights[-1])]
-    best = 0
-    for i in range(len(levels) - 1):
-        if levels[i + 1] - levels[i] >= levels[best + 1] - levels[best]:
-            best = i
-    return CutSelection(
-        height=0.5 * (levels[best] + levels[best + 1]),
-        gap_low=levels[best],
-        gap_high=levels[best + 1],
-    )
+    heights = np.sort(dendrogram.heights, kind="stable")
+    levels = np.append(heights, max(CUT_SENTINEL, heights[-1]))
+    gaps = np.diff(levels)
+    best = len(gaps) - 1 - int(np.argmax(gaps[::-1]))
+    low, high = levels[best].item(), levels[best + 1].item()
+    return CutSelection(height=0.5 * (low + high), gap_low=low, gap_high=high)
 
 
 def extract_clusters(dendrogram: Dendrogram, cut: float) -> tuple[tuple[str, ...], ...]:
@@ -301,50 +277,20 @@ def extract_clusters(dendrogram: Dendrogram, cut: float) -> tuple[tuple[str, ...
     so the numbering is deterministic.
     """
     n = len(dendrogram.leaves)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # every internal node keeps a representative leaf so later merges can be
-    # applied even when an earlier one fell above the cut
-    node_root = {i: i for i in range(n)}
-    for t, merge in enumerate(dendrogram.merges):
-        la, lb = node_root[merge.left], node_root[merge.right]
-        node_root[n + t] = la
+    cluster = np.arange(n)  # cluster label of each leaf
+    # every node keeps a representative leaf so later merges can be applied
+    # even when an earlier one fell above the cut
+    leaf_of_node = list(range(n))
+    for merge in dendrogram.merges:
+        la, lb = leaf_of_node[merge.left], leaf_of_node[merge.right]
+        leaf_of_node.append(la)
         if merge.height < cut:
-            ra, rb = find(la), find(lb)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for leaf in range(n):
-        groups.setdefault(find(leaf), []).append(leaf)
-    ordered = sorted(groups.values(), key=lambda g: min(g))
-    return tuple(tuple(dendrogram.leaves[i] for i in sorted(g)) for g in ordered)
-
-
-# --------------------------------------------------------------------------
-# Agreement and disagreement summaries
-# --------------------------------------------------------------------------
-
-def agreement_percentage(labels) -> float:
-    """Share of the majority label, in percent; an even split scores 50."""
-    labels = list(labels)
-    if not labels:
-        raise ValueError("need at least one label")
-    top = max(labels.count(v) for v in set(labels))
-    return 100.0 * top / len(labels)
-
-
-def unfair_percentage(labels) -> float:
-    """Share of Unfair labels, in percent."""
-    labels = list(labels)
-    if not labels:
-        raise ValueError("need at least one label")
-    return 100.0 * sum(1 for v in labels if v == "Unfair") / len(labels)
+            cluster[cluster == cluster[lb]] = cluster[la]
+    _, first = np.unique(cluster, return_index=True)
+    return tuple(
+        tuple(dendrogram.leaves[i] for i in np.flatnonzero(cluster == cluster[f]))
+        for f in np.sort(first)
+    )
 
 
 # --------------------------------------------------------------------------

@@ -77,14 +77,15 @@ def _checked(name: str, value, kind):
     raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
-def _as_values(raw) -> tuple[str, ...]:
-    """Normalize a scalar-or-list spec field to a tuple of CSV cell strings."""
+def _as_values(name: str, raw) -> tuple[str, ...]:
+    """Normalize the scalar-or-list spec field ``name`` to a tuple of CSV
+    cell strings."""
     if isinstance(raw, (list, tuple)):
         values = tuple(str(v) for v in raw)
     else:
         values = (str(raw),)
     if not values:
-        raise ConfigError("value list must not be empty")
+        raise ConfigError(f"{name} must not be an empty value list")
     return values
 
 
@@ -119,8 +120,8 @@ class DatasetSpec:
     encoding: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "favorable_value", _as_values(self.favorable_value))
-        object.__setattr__(self, "privileged_value", _as_values(self.privileged_value))
+        for name in ("favorable_value", "privileged_value"):
+            object.__setattr__(self, name, _as_values(name, getattr(self, name)))
         feature_names = [c.name for c in self.feature_columns]
         if len(set(feature_names)) != len(feature_names):
             raise ConfigError(f"dataset {self.name!r}: duplicate feature columns")

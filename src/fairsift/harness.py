@@ -374,18 +374,21 @@ def read_results_csv(path) -> MetricSampleMatrix:
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RESULTS_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
-            )
-        for row in reader:
-            if not row:
-                continue
-            try:
-                entries.append(_parse_row(row))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != RESULTS_HEADER:
+                raise ValueError(
+                    f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
+                )
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    entries.append(_parse_row(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         return MetricSampleMatrix.from_entries(entries)
     except ValueError as exc:

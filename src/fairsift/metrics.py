@@ -450,18 +450,23 @@ ONE_FAIR_BAND = (0.8, 1.2)
 
 
 def label_fair(
-    value: float | None,
-    ideal: float,
+    value,
+    ideal,
     zero_band: tuple[float, float] = ZERO_FAIR_BAND,
     one_band: tuple[float, float] = ONE_FAIR_BAND,
-) -> str:
-    """Label a metric value Fair or Unfair against its ideal's band.
+):
+    """Label metric values Fair or Unfair against their ideals' bands.
 
     Ideal 0 metrics are fair in [-0.1, 0.1]; ideal 1 metrics in [0.8, 1.2];
-    band boundaries included.  Undefined values are labeled Unfair: an
-    unmeasurable disparity deserves scrutiny, not a pass.
+    band boundaries included.  Undefined values (None, NaN, inf) are labeled
+    Unfair: an unmeasurable disparity deserves scrutiny, not a pass.
+    ``value`` and ``ideal`` broadcast against each other; scalars give one
+    label string, arrays an array of them.
     """
-    if value is None or not math.isfinite(value):
-        return UNFAIR
-    lo, hi = zero_band if ideal == 0 else one_band
-    return FAIR if lo <= value <= hi else UNFAIR
+    value = np.asarray(value, dtype=float)
+    zero = np.asarray(ideal) == 0
+    low = np.where(zero, zero_band[0], one_band[0])
+    high = np.where(zero, zero_band[1], one_band[1])
+    fair = np.isfinite(value) & (low <= value) & (value <= high)
+    labels = np.where(fair, FAIR, UNFAIR)
+    return labels.item() if labels.ndim == 0 else labels

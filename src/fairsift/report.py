@@ -12,9 +12,11 @@ clustered separately.  The report covers:
   metrics and clusters);
 * movement of each metric toward/away from its ideal after reweighing.
 
-The labels (``[dataset, metric]``) and the movement verdicts (``[dataset,
-classification metric]``) are arrays read off the sensitivity table's
-medians, so every artifact prints the same median for a cell.  Undefined
+The labels (``[dataset, metric]``, one ``label_fair`` call) and the movement
+verdicts (``[dataset, classification metric]``) are arrays read off the
+sensitivity table's medians, so every artifact prints the same median for a
+cell.  Per-cluster majority and agreement and the per-dataset unfair shares
+are counts over slices of the label array (``label_shares``).  Undefined
 stays NaN until a writer formats it with ``format_value``.  All writers
 emit canonically ordered UTF-8 so repeated runs are byte-equal.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, metrics
-from .datamodel import ConfigError, check_fields
+from .datamodel import ConfigError, DataError, check_fields
 from .harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
 
@@ -107,27 +109,37 @@ class AnalysisResult:
 
 
 def _representative(cluster, corr: analysis.CorrelationMatrix) -> str:
-    """Most central member: highest mean |rho| to the rest, ties to lowest id."""
+    """Most central member: highest mean |rho| to the rest, ties to lowest id.
+
+    Each member's mean is ``np.mean`` of its defined |rho| to the others in
+    member order; a member with none scores -1."""
     members = sorted(cluster, key=metrics.metric_sort_key)
-    if len(members) == 1:
-        return members[0]
-    best, best_score = members[0], -1.0
-    for m in members:
-        others = [
-            abs(corr.get(m, o))
-            for o in members
-            if o != m and corr.get(m, o) is not None
-        ]
-        score = float(np.mean(others)) if others else -1.0
-        if score > best_score:
-            best, best_score = m, score
-    return best
+    rows = [corr.metric_ids.index(m) for m in members]
+    rho = np.abs(corr.values[np.ix_(rows, rows)])
+    np.fill_diagonal(rho, np.nan)
+    defined = [r[~np.isnan(r)] for r in rho]
+    scores = [np.mean(r) if len(r) else -1.0 for r in defined]
+    return members[int(np.argmax(scores))]
 
 
 def _model_medians(sensitivity: analysis.SensitivityReport, model: str, metric_ids):
     """[dataset, metric] medians of one model over ``metric_ids``."""
     cols = [sensitivity.metric_ids.index(m) for m in metric_ids]
     return sensitivity.median[:, sensitivity.models.index(model)][:, cols]
+
+
+def label_shares(labels: np.ndarray):
+    """Per row of a Fair/Unfair label array: the majority label (an even split
+    goes to Fair), its share in percent, and the Unfair share in percent."""
+    n = labels.shape[-1]
+    n_unfair = (labels == metrics.UNFAIR).sum(axis=-1)
+    majority = np.where(2 * n_unfair > n, metrics.UNFAIR, metrics.FAIR)
+    return majority, 100.0 * np.maximum(n_unfair, n - n_unfair) / n, 100.0 * n_unfair / n
+
+
+def _metric_labels(labels: np.ndarray, sensitivity, metric_ids) -> np.ndarray:
+    """The [dataset, metric] labels of ``metric_ids``."""
+    return labels[:, [sensitivity.metric_ids.index(m) for m in metric_ids]]
 
 
 def _build_cluster_report(
@@ -146,11 +158,8 @@ def _build_cluster_report(
 
     summaries = []
     for cid, members in enumerate(parts):
-        cols = [sensitivity.metric_ids.index(m) for m in members]
-        per_dataset = {}
-        for ds, cluster_labels in zip(samples.datasets, labels[:, cols].tolist()):
-            majority = max((metrics.FAIR, metrics.UNFAIR), key=cluster_labels.count)
-            per_dataset[ds] = (majority, analysis.agreement_percentage(cluster_labels))
+        majority, agreement, _ = label_shares(_metric_labels(labels, sensitivity, members))
+        per_dataset = dict(zip(samples.datasets, zip(majority.tolist(), agreement.tolist())))
         summaries.append(
             ClusterSummary(
                 cluster_id=cid,
@@ -180,14 +189,18 @@ def build_analysis(
     ids = samples.metric_ids
     classification_ids = tuple(m for m in metrics.CLASSIFICATION_IDS if m in ids)
     dataset_ids = tuple(m for m in metrics.DATASET_IDS if m in ids)
+    if len(classification_ids) < 2:
+        raise DataError(
+            f"the classification scope needs at least 2 metrics to cluster, "
+            f"got {len(classification_ids)} ({', '.join(classification_ids) or 'none'})"
+        )
     ideals = {m: metrics.METRIC_CATALOG[m].ideal for m in ids}
 
     sensitivity = analysis.sensitivity_table(samples, d=cfg.sensitivity_d)
-    bands = dict(zero_band=cfg.zero_band, one_band=cfg.one_band)
-    labels = np.array([
-        [metrics.label_fair(v, ideals[m], **bands) for v, m in zip(row, ids)]
-        for row in _model_medians(sensitivity, label_model, ids).tolist()
-    ])
+    labels = metrics.label_fair(
+        _model_medians(sensitivity, label_model, ids), [ideals[m] for m in ids],
+        zero_band=cfg.zero_band, one_band=cfg.one_band,
+    )
 
     classification = _build_cluster_report(
         "classification", classification_ids, samples, labels, sensitivity, cfg
@@ -203,9 +216,9 @@ def build_analysis(
                              ("dataset", dataset_ids)):
         if not scope_ids:
             continue
-        cols = [ids.index(m) for m in scope_ids]
-        for ds, row in zip(datasets, labels[:, cols].tolist()):
-            unfair_pct[(scope, ds)] = analysis.unfair_percentage(row)
+        _, _, shares = label_shares(_metric_labels(labels, sensitivity, scope_ids))
+        for ds, share in zip(datasets, shares.tolist()):
+            unfair_pct[(scope, ds)] = share
     unfair_values = tuple(sorted(unfair_pct.values()))
     unfair_median = float(np.median(unfair_values))
 
@@ -498,34 +511,23 @@ def write_all(result: AnalysisResult, out_dir) -> dict:
     """Write every analysis artifact into ``out_dir``; returns path mapping."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
-        "correlation": os.path.join(out_dir, "correlation.csv"),
-        "dendrogram_dot": os.path.join(out_dir, "dendrogram.dot"),
-        "dendrogram_txt": os.path.join(out_dir, "dendrogram.txt"),
         "clusters": os.path.join(out_dir, "clusters.json"),
         "sensitivity": os.path.join(out_dir, "sensitivity.csv"),
         "movement": os.path.join(out_dir, "movement.csv"),
         "report": os.path.join(out_dir, "report.md"),
     }
-    write_correlation_csv(result.classification.correlation, paths["correlation"])
-    write_dendrogram_dot(
-        result.classification.dendrogram, paths["dendrogram_dot"],
-        "classification metrics",
-    )
-    write_dendrogram_txt(result.classification.dendrogram, paths["dendrogram_txt"])
-    if result.dataset_metrics is not None:
-        paths["correlation_dataset"] = os.path.join(out_dir, "correlation_dataset.csv")
-        paths["dendrogram_dataset_dot"] = os.path.join(out_dir, "dendrogram_dataset.dot")
-        paths["dendrogram_dataset_txt"] = os.path.join(out_dir, "dendrogram_dataset.txt")
-        write_correlation_csv(
-            result.dataset_metrics.correlation, paths["correlation_dataset"]
-        )
-        write_dendrogram_dot(
-            result.dataset_metrics.dendrogram, paths["dendrogram_dataset_dot"],
-            "dataset metrics",
-        )
-        write_dendrogram_txt(
-            result.dataset_metrics.dendrogram, paths["dendrogram_dataset_txt"]
-        )
+    for report, suffix in ((result.classification, ""),
+                           (result.dataset_metrics, "_dataset")):
+        if report is None:
+            continue
+        corr = os.path.join(out_dir, f"correlation{suffix}.csv")
+        dot = os.path.join(out_dir, f"dendrogram{suffix}.dot")
+        txt = os.path.join(out_dir, f"dendrogram{suffix}.txt")
+        paths.update({f"correlation{suffix}": corr, f"dendrogram{suffix}_dot": dot,
+                      f"dendrogram{suffix}_txt": txt})
+        write_correlation_csv(report.correlation, corr)
+        write_dendrogram_dot(report.dendrogram, dot, f"{report.scope} metrics")
+        write_dendrogram_txt(report.dendrogram, txt)
     write_clusters_json(result, paths["clusters"])
     write_sensitivity_csv(result.sensitivity, paths["sensitivity"])
     write_movement_csv(result, paths["movement"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairsift import analysis
+from fairsift import analysis, report
 from fairsift.harness import MetricSampleMatrix
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,142 @@ def upgma_bruteforce(dismat, labels):
         clusters[next_id] = clusters.pop(a) + clusters.pop(b)
         next_id += 1
     return merges
+
+
+# The scalar sift the array code replaced, kept verbatim as oracles: the array
+# versions must return == results, ties and non-monotone heights included.
+
+def dissimilarity_scalar(sim):
+    """d = 1 - |sim|; an undefined similarity is maximally dissimilar (1)."""
+    if sim is None or (isinstance(sim, float) and math.isnan(sim)):
+        return 1.0
+    if not -1.0 - 1e-9 <= sim <= 1.0 + 1e-9:
+        raise ValueError(f"similarity must lie in [-1, 1], got {sim}")
+    return max(0.0, 1.0 - abs(sim))
+
+
+def agglomerate_scan(dismat, labels):
+    """Average linkage by a scan over every pair of active rows per step."""
+    d = np.array(dismat, dtype=float)
+    n = d.shape[0]
+    work = d.copy()
+    node_of_row = list(range(n))
+    sizes = {i: 1 for i in range(n)}
+    active_rows = set(range(n))
+    merges = []
+    for step in range(n - 1):
+        best = None
+        for ri in sorted(active_rows):
+            for rj in sorted(active_rows):
+                if rj <= ri:
+                    continue
+                a, b = node_of_row[ri], node_of_row[rj]
+                pair = (min(a, b), max(a, b))
+                key = (work[ri, rj], pair)
+                if best is None or key < best[0]:
+                    best = (key, ri, rj)
+        (height, pair), ri, rj = best
+        a, b = pair
+        size_i = sizes[node_of_row[ri]]
+        size_j = sizes[node_of_row[rj]]
+        new_id = n + step
+        new_size = size_i + size_j
+        merges.append(analysis.Merge(left=a, right=b, height=float(height), size=new_size))
+        for rk in active_rows:
+            if rk in (ri, rj):
+                continue
+            work[ri, rk] = work[rk, ri] = (
+                size_i * work[ri, rk] + size_j * work[rj, rk]
+            ) / new_size
+        active_rows.remove(rj)
+        node_of_row[ri] = new_id
+        sizes[new_id] = new_size
+    return analysis.Dendrogram(leaves=tuple(labels), merges=tuple(merges))
+
+
+def select_cut_scan(dendrogram):
+    """Widest gap by a ``>=`` scan, so the last of equal gaps wins."""
+    heights = sorted(dendrogram.heights)
+    levels = heights + [max(analysis.CUT_SENTINEL, heights[-1])]
+    best = 0
+    for i in range(len(levels) - 1):
+        if levels[i + 1] - levels[i] >= levels[best + 1] - levels[best]:
+            best = i
+    return analysis.CutSelection(
+        height=0.5 * (levels[best] + levels[best + 1]),
+        gap_low=levels[best],
+        gap_high=levels[best + 1],
+    )
+
+
+def extract_clusters_union_find(dendrogram, cut):
+    """Partition below the cut by union-find over representative leaves."""
+    n = len(dendrogram.leaves)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    node_root = {i: i for i in range(n)}
+    for t, merge in enumerate(dendrogram.merges):
+        la, lb = node_root[merge.left], node_root[merge.right]
+        node_root[n + t] = la
+        if merge.height < cut:
+            ra, rb = find(la), find(lb)
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for leaf in range(n):
+        groups.setdefault(find(leaf), []).append(leaf)
+    ordered = sorted(groups.values(), key=lambda g: min(g))
+    return tuple(tuple(dendrogram.leaves[i] for i in sorted(g)) for g in ordered)
+
+
+QUARTER_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def dissimilarity_matrices(draw):
+    """Symmetric matrices with a zero diagonal: on the quarter grid (ties
+    everywhere, sometimes with inf entries) or uniform floats, the latter
+    sometimes with a lower triangle off by up to 1e-7 relative, which the
+    symmetry check accepts and the Lance-Williams update reads."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "grid-inf", "float", "float-asymmetric"]))
+    if kind.startswith("grid"):
+        grid = QUARTER_GRID + ((math.inf,) if kind == "grid-inf" else ())
+        d = rng.choice(grid, size=(n, n))
+    else:
+        d = rng.uniform(0.0, 1.0, size=(n, n))
+    d = np.triu(d, 1)
+    d = d + d.T
+    if kind == "float-asymmetric":
+        d *= 1.0 + np.tril(rng.uniform(-1e-7, 1e-7, size=(n, n)), -1)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def dendrograms(draw):
+    """Hand-built dendrograms: random merge topology, heights on the quarter
+    grid or uniform in [0, 1.5], in no particular order."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    on_grid = draw(st.booleans())
+    height = (st.sampled_from(QUARTER_GRID) if on_grid
+              else st.floats(min_value=0.0, max_value=1.5))
+    active = list(range(n))
+    merges = []
+    for t in range(n - 1):
+        a = active.pop(draw(st.integers(min_value=0, max_value=len(active) - 1)))
+        b = active.pop(draw(st.integers(min_value=0, max_value=len(active) - 1)))
+        merges.append(analysis.Merge(left=a, right=b, height=draw(height), size=2))
+        active.append(n + t)
+    return analysis.Dendrogram(leaves=tuple(f"L{i}" for i in range(n)),
+                               merges=tuple(merges))
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +448,44 @@ class TestCorrelationMatrix:
 # Dissimilarity + clustering
 # ---------------------------------------------------------------------------
 
+def correlation_of(values):
+    """A CorrelationMatrix over M0..Mk-1; None becomes NaN (Undefined)."""
+    values = np.array(values, dtype=float)
+    ids = tuple(f"M{i}" for i in range(len(values)))
+    return analysis.CorrelationMatrix(metric_ids=ids, values=values, scope=analysis.POOLED)
+
+
 class TestDissimilarity:
     def test_values(self):
-        assert analysis.dissimilarity(1.0) == 0.0
-        assert analysis.dissimilarity(-0.8) == pytest.approx(0.2)
-        assert analysis.dissimilarity(None) == 1.0
-        assert analysis.dissimilarity(float("nan")) == 1.0
+        d = analysis.dissimilarity_matrix(correlation_of([
+            [1.0, 1.0, -0.8, None, float("nan")],
+            [1.0, 1.0, 0.0, 0.0, 0.0],
+            [-0.8, 0.0, 1.0, 0.0, 0.0],
+            [None, 0.0, 0.0, 1.0, 0.0],
+            [float("nan"), 0.0, 0.0, 0.0, 1.0],
+        ]))
+        assert d[0, 1] == 0.0
+        assert d[0, 2] == pytest.approx(0.2)
+        assert d[0, 3] == 1.0
+        assert d[0, 4] == 1.0
+        assert (np.diag(d) == 0.0).all()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.dissimilarity(1.5)
+        for sim in (1.5, -1.5, math.inf):
+            with pytest.raises(ValueError, match="similarity must lie in"):
+                analysis.dissimilarity_matrix(correlation_of([[1.0, sim], [sim, 1.0]]))
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
+    def test_matches_scalar_oracle(self, k, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([-1.0 - 1e-9, -1.0, -0.5, 0.0, 0.25, 1.0, 1.0 + 1e-9, np.nan])
+        values = np.where(rng.random((k, k)) < 0.5, rng.choice(pool, (k, k)),
+                          rng.uniform(-1.0, 1.0, (k, k)))
+        values = np.triu(values, 1) + np.triu(values, 1).T
+        np.fill_diagonal(values, 1.0)
+        want = [[0.0 if i == j else dissimilarity_scalar(sim) for j, sim in enumerate(row)]
+                for i, row in enumerate(values.tolist())]
+        assert analysis.dissimilarity_matrix(correlation_of(values)).tolist() == want
 
 
 def symmetric_dissimilarity(n, seed):
@@ -364,6 +528,11 @@ class TestAgglomerate:
             heights = list(dend.heights)
             assert heights == sorted(heights)
 
+    @given(dissimilarity_matrices())
+    def test_matches_scan_oracle(self, d):
+        labels = tuple(f"L{i}" for i in range(len(d)))
+        assert analysis.agglomerate(d, labels) == agglomerate_scan(d, labels)
+
     def test_matches_exhaustive_oracle(self):
         for seed in range(100):
             d = symmetric_dissimilarity(6, seed)
@@ -397,6 +566,12 @@ class TestSelectCut:
     def test_single_merge(self):
         cut = analysis.select_cut(self.dend([0.3]))
         assert cut.height == pytest.approx(0.65)
+
+    @given(dendrograms())
+    def test_matches_scan_oracle(self, dend):
+        got = analysis.select_cut(dend)
+        assert got == select_cut_scan(dend)
+        assert all(type(v) is float for v in (got.height, got.gap_low, got.gap_high))
 
     def test_cut_strictly_inside_interval(self):
         for seed in range(20):
@@ -440,6 +615,19 @@ class TestExtractClusters:
         assert sorted(flat) == sorted(labels)
         assert all(part for part in parts)
 
+    @given(dendrograms(), st.sampled_from(QUARTER_GRID + (-1.0, 0.3, 2.0)))
+    def test_matches_union_find_oracle(self, dend, cut):
+        assert analysis.extract_clusters(dend, cut) == extract_clusters_union_find(dend, cut)
+
+    @given(dissimilarity_matrices().filter(lambda d: np.isfinite(d).all()))
+    def test_sift_matches_oracles(self, d):
+        labels = tuple(f"L{i}" for i in range(len(d)))
+        dend = analysis.agglomerate(d, labels)
+        cut = analysis.select_cut(dend)
+        assert analysis.extract_clusters(dend, cut.height) == extract_clusters_union_find(
+            agglomerate_scan(d, labels), select_cut_scan(dend).height
+        )
+
     def test_stable_interval_really_stable(self):
         for seed in range(10):
             d = symmetric_dissimilarity(7, seed)
@@ -456,38 +644,59 @@ class TestExtractClusters:
 # Agreement, sensitivity, movement
 # ---------------------------------------------------------------------------
 
+def agreement(labels):
+    """Majority label and its share in percent of one row of labels."""
+    majority, share, _ = report.label_shares(np.array([labels]))
+    return majority[0], share.tolist()[0]
+
+
+def unfair_share(labels):
+    return report.label_shares(np.array([labels]))[2].tolist()[0]
+
+
 class TestAgreement:
     def test_unanimous(self):
-        assert analysis.agreement_percentage(["Fair"] * 4) == 100.0
+        assert agreement(["Fair"] * 4) == ("Fair", 100.0)
 
     def test_even_split(self):
-        assert analysis.agreement_percentage(["Fair", "Fair", "Unfair", "Unfair"]) == 50.0
+        # an even split goes to Fair
+        assert agreement(["Fair", "Fair", "Unfair", "Unfair"]) == ("Fair", 50.0)
+        assert agreement(["Unfair", "Unfair", "Fair", "Fair"]) == ("Fair", 50.0)
 
     def test_two_thirds(self):
-        got = analysis.agreement_percentage(["Fair", "Fair", "Unfair"])
-        assert round(got) == 67
+        majority, got = agreement(["Fair", "Fair", "Unfair"])
+        assert (majority, round(got)) == ("Fair", 67)
+        assert agreement(["Unfair", "Fair", "Unfair"]) == ("Unfair", got)
 
     @given(st.lists(st.sampled_from(["Fair", "Unfair"]), min_size=1, max_size=12))
     def test_permutation_invariant(self, labels):
-        assert analysis.agreement_percentage(labels) == analysis.agreement_percentage(
-            labels[::-1]
-        )
-        assert 50.0 <= analysis.agreement_percentage(labels) <= 100.0
+        assert agreement(labels) == agreement(labels[::-1])
+        majority, share = agreement(labels)
+        assert 50.0 <= share <= 100.0
+        # the count arithmetic of the per-list scan it replaced
+        assert majority == max(("Fair", "Unfair"), key=labels.count)
+        assert share == 100.0 * max(map(labels.count, set(labels))) / len(labels)
 
 
 class TestUnfairPercentage:
     def test_adult_like(self):
         labels = ["Unfair"] * 15 + ["Fair"] * 11
-        assert round(analysis.unfair_percentage(labels)) == 58
+        assert round(unfair_share(labels)) == 58
 
     def test_all_fair(self):
-        assert analysis.unfair_percentage(["Fair", "Fair"]) == 0.0
+        assert unfair_share(["Fair", "Fair"]) == 0.0
 
     @given(st.lists(st.sampled_from(["Fair", "Unfair"]), min_size=1, max_size=12))
     def test_permutation_invariant(self, labels):
-        assert analysis.unfair_percentage(labels) == analysis.unfair_percentage(
-            labels[::-1]
-        )
+        assert unfair_share(labels) == unfair_share(labels[::-1])
+        assert unfair_share(labels) == 100.0 * labels.count("Unfair") / len(labels)
+
+    def test_rows_are_datasets(self):
+        labels = np.array([["Unfair", "Fair", "Fair"], ["Unfair", "Unfair", "Fair"]])
+        majority, share, unfair = report.label_shares(labels)
+        assert majority.tolist() == ["Fair", "Unfair"]
+        assert share.tolist() == [100.0 * 2 / 3] * 2
+        assert unfair.tolist() == [100.0 / 3, 100.0 * 2 / 3]
 
 
 def sample_grid(cells):

@@ -462,7 +462,10 @@ class TestMalformedSpec:
         ({"feature_columns": "f1"}, "feature_columns must be a list of objects"),
         ({"feature_columns": ["f1"]}, "feature_columns must be a list of objects"),
         ({"encoding": []}, "encoding must be an object"),
-    ], ids=["list", "features-text", "features-names", "encoding-list"])
+        ({"favorable_value": []}, "favorable_value must not be an empty value list"),
+        ({"privileged_value": []}, "privileged_value must not be an empty value list"),
+    ], ids=["list", "features-text", "features-names", "encoding-list", "favorable-empty",
+            "privileged-empty"])
     def bad_spec(self, request, tmp_path):
         shape, message = request.param
         spec = tmp_path / "bad.spec.json"
@@ -518,13 +521,15 @@ class TestNonUtf8Input:
     @pytest.mark.parametrize("command, spoiled, code", [
         ("experiment", "config", 2),
         ("analyze", "config", 2),
+        ("analyze", "results", 3),
         ("metrics", "spec", 2),
         ("metrics", "data", 3),
         ("experiment", "data", 3),
         ("experiment", "spec", 3),
         ("experiment-with-good", "data", 4),
         ("experiment-with-good", "spec", 4),
-    ], ids=["experiment-config", "analyze-config", "metrics-spec", "metrics-data",
+    ], ids=["experiment-config", "analyze-config", "analyze-results", "metrics-spec",
+            "metrics-data",
             "experiment-data", "experiment-spec", "experiment-data-with-good",
             "experiment-spec-with-good"])
     def test_exit_code(self, tiny_dataset, experiment_dir, tmp_path, capsys,
@@ -532,13 +537,13 @@ class TestNonUtf8Input:
         data, spec = tiny_dataset
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"models": ["baseline"]}))
-        files = {"data": data, "spec": spec, "config": config}
+        files = {"data": data, "spec": spec, "config": config,
+                 "results": experiment_dir / "results.csv"}
         paths = {key: str(path) for key, path in files.items()}
         paths[spoiled] = self._spoil(files[spoiled], tmp_path)
         out = str(tmp_path / "out")
         if command == "analyze":
-            argv = ["analyze", "--results", str(experiment_dir / "results.csv"),
-                    "--config", paths["config"]]
+            argv = ["analyze", "--results", paths["results"], "--config", paths["config"]]
         elif command == "metrics":
             argv = ["metrics", "--data", paths["data"], "--spec", paths["spec"]]
         elif command == "experiment":
@@ -555,6 +560,8 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert "utf-8" in err.lower()
         assert "Traceback" not in err
+        if spoiled == "results":
+            assert err.startswith(f"data error: {paths['results']}: ")
 
 
 def _set_field(lines, index, field, text):
@@ -575,8 +582,14 @@ def _add_unknown_metric(lines):
     return out
 
 
+def _keep_metrics(lines, metric_ids):
+    """The header and the rows of ``metric_ids``: still a complete grid."""
+    return lines[:1] + [line for line in lines[1:] if line.split(",")[4] in metric_ids]
+
+
 class TestMalformedResults:
-    """A results.csv that is not one value per grid entry is a data error."""
+    """A results.csv that is not one value per grid entry, or whose grid
+    holds too few classification metrics to cluster, is a data error."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: lines[:10] + lines[11:], "occurs 0 times"),
@@ -587,8 +600,13 @@ class TestMalformedResults:
         (lambda lines: lines[:1], "no entries"),
         (lambda lines: _set_field(lines, 10, 4, ""), "line 11: unknown metric id ''"),
         (_add_unknown_metric, "line 2: unknown metric id 'C99'"),
+        (lambda lines: _keep_metrics(lines, {"C0"}),
+         "classification scope needs at least 2 metrics to cluster, got 1 (C0)"),
+        (lambda lines: _keep_metrics(lines, {"D0", "D1", "D2", "D3"}),
+         "classification scope needs at least 2 metrics to cluster, got 0 (none)"),
     ], ids=["deleted-row", "duplicate-row", "repeat-7", "nan-value", "three-fields",
-            "header-only", "empty-metric-id", "unknown-metric-id"])
+            "header-only", "empty-metric-id", "unknown-metric-id", "only-C0",
+            "only-dataset-metrics"])
     def test_exit_code(self, experiment_dir, tmp_path, capsys, edit, message):
         lines = (experiment_dir / "results.csv").read_text().splitlines()
         edited = tmp_path / "results.csv"

@@ -987,6 +987,23 @@ class TestCheckBinary:
             metrics.label_weights(bad, [0, 1], np.ones(2))
 
 
+def label_fair_scalar(value, ideal, zero_band=metrics.ZERO_FAIR_BAND,
+                      one_band=metrics.ONE_FAIR_BAND):
+    """One value at a time, as the scalar labeler did."""
+    if value is None or not math.isfinite(value):
+        return "Unfair"
+    lo, hi = zero_band if ideal == 0 else one_band
+    return "Fair" if lo <= value <= hi else "Unfair"
+
+
+label_values = st.one_of(
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.1, 0.1, 0.8, 1.2, -0.0]),
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+)
+bands = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(sorted).map(tuple)
+
+
 class TestLabelFair:
     def test_examples(self):
         assert metrics.label_fair(0.05, 0) == "Fair"
@@ -1009,6 +1026,20 @@ class TestLabelFair:
         closer = ideal + (value - ideal) * shrink
         if metrics.label_fair(value, ideal) == "Fair":
             assert metrics.label_fair(closer, ideal) == "Fair"
+
+    @given(st.lists(st.tuples(label_values, st.sampled_from([0.0, 1.0])), min_size=1,
+                    max_size=20), bands, bands)
+    def test_array_matches_scalar_oracle(self, pairs, zero_band, one_band):
+        values, ideals = zip(*pairs)
+        want = [label_fair_scalar(v, i, zero_band, one_band) for v, i in pairs]
+        got = metrics.label_fair(np.array(values, dtype=float), ideals, zero_band, one_band)
+        assert got.tolist() == want
+        grid = metrics.label_fair(np.array([values, values], dtype=float), ideals,
+                                  zero_band, one_band)
+        assert grid.tolist() == [want, want]
+        for (v, i), label in zip(pairs, want):
+            scalar = metrics.label_fair(v, i, zero_band, one_band)
+            assert type(scalar) is str and scalar == label
 
 
 class TestCatalog:

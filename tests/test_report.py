@@ -4,11 +4,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fairsift import metrics, report
+from fairsift import analysis, metrics, report
 from fairsift.harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
 from test_analysis import holey_samples
+
+
+def representative_loop(cluster, corr):
+    """The most central member by one mean per member over a list of its
+    defined |rho| to the others, as the scalar report did."""
+    def get(a, b):
+        v = corr.values[corr.metric_ids.index(a), corr.metric_ids.index(b)]
+        return None if np.isnan(v) else float(v)
+
+    members = sorted(cluster, key=metrics.metric_sort_key)
+    if len(members) == 1:
+        return members[0]
+    best, best_score = members[0], -1.0
+    for m in members:
+        others = [abs(get(m, o)) for o in members if o != m and get(m, o) is not None]
+        score = float(np.mean(others)) if others else -1.0
+        if score > best_score:
+            best, best_score = m, score
+    return best
 
 
 def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
@@ -102,6 +123,23 @@ class TestBuildAnalysis:
             assert c.representative in c.metric_ids
 
 
+class TestRepresentative:
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
+    def test_matches_loop_oracle(self, k, seed):
+        # ties on a coarse grid, Undefined entries and near-equal means
+        rng = np.random.default_rng(seed)
+        grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 0.1, 0.7, np.nan])
+        values = np.where(rng.random((k, k)) < 0.5, rng.choice(grid, (k, k)),
+                          rng.uniform(-1.0, 1.0, (k, k)))
+        values = np.triu(values, 1) + np.triu(values, 1).T
+        np.fill_diagonal(values, 1.0)
+        ids = metrics.CLASSIFICATION_IDS[:k]
+        corr = analysis.CorrelationMatrix(metric_ids=ids, values=values, scope=analysis.POOLED)
+        members = [m for m in ids if rng.random() < 0.7] or [ids[0]]
+        members = [members[i] for i in rng.permutation(len(members))]
+        assert report._representative(members, corr) == representative_loop(members, corr)
+
+
 class TestWriters:
     def test_all_artifacts_written(self, result, tmp_path):
         paths = report.write_all(result, tmp_path)
@@ -181,12 +219,11 @@ class TestEndToEnd:
     def test_mirrored_pairs_on_real_data(self, small_experiment):
         result = report.build_analysis(small_experiment)
         corr = result.classification.correlation
-        assert corr.get("C0", "C2") == -1.0
-        assert corr.get("C16", "C20") == 1.0
+        col = corr.metric_ids.index
+        assert corr.values[col("C0"), col("C2")] == -1.0
+        assert corr.values[col("C16"), col("C20")] == 1.0
 
     def test_single_cell_scopes_agree(self):
-        from fairsift import analysis
-
         samples = synthetic_samples(models=("baseline",))
         avg = analysis.correlation_matrix(
             samples, metrics.CLASSIFICATION_IDS, scope=analysis.PER_CELL_AVERAGE
