@@ -61,41 +61,43 @@ def spearman(x, y=None) -> np.ndarray | float | None:
     are dropped; fewer than 3 surviving pairs, or a constant survivor
     series, gives undefined.
 
-    Pairs of rows are grouped by their common defined entries.  Each group's
-    rows are ranked on those entries once, and one product of the centred
-    ranks gives every pair's sums.  Average ranks are half-integers with
-    mean (m+1)/2, so those sums are exact and each coefficient is bit-equal
-    to correlating the pair on its own.
+    Pairs of rows are grouped by their common defined entries: one
+    ``np.unique`` over the rows' defined-entry patterns, one over the common
+    entries of each pair of patterns.  Each group's rows are ranked on those
+    entries once, and one product of the centred ranks gives every pair's
+    sums.  Average ranks are half-integers with mean (m+1)/2, so those sums
+    are exact and each coefficient is bit-equal to correlating the pair on
+    its own.
     """
     block = np.array(x if y is None else [x, y], dtype=float)
     if block.ndim != 2:
         raise ValueError("spearman needs two series or a 2-D block of series")
-    defined = np.isfinite(block)
+    # one bit per entry keeps the row comparisons of np.unique short
+    defined = np.packbits(np.isfinite(block), axis=1)
     patterns, pattern_of_row = np.unique(defined, axis=0, return_inverse=True)
+    common = patterns[:, None, :] & patterns[None, :, :]
+    commons, group_of_pair = np.unique(
+        common.reshape(len(patterns) ** 2, defined.shape[1]), axis=0, return_inverse=True
+    )
     pattern_of_row = pattern_of_row.ravel()
-    groups: dict[bytes, tuple[np.ndarray, list]] = {}
-    for p in range(len(patterns)):
-        for q in range(p, len(patterns)):
-            common = patterns[p] & patterns[q]
-            groups.setdefault(common.tobytes(), (common, []))[1].append((p, q))
+    # the group of every pair of rows (symmetric, as common entries are)
+    group = group_of_pair.reshape(common.shape[:2])[np.ix_(pattern_of_row, pattern_of_row)]
 
-    rho = np.full((len(block), len(block)), np.nan)
-    for common, pattern_pairs in groups.values():
-        m = int(common.sum())
+    rho = np.full(group.shape, np.nan)
+    for g, bits in enumerate(commons):
+        columns = np.unpackbits(bits, count=block.shape[1]).astype(bool)
+        m = int(columns.sum())
         if m < 3:
             continue
-        rows = np.flatnonzero(np.isin(pattern_of_row, np.ravel(pattern_pairs)))
-        centred = rank_average(block[np.ix_(rows, common)]) - 0.5 * (m + 1)
+        in_group = group == g
+        rows = np.flatnonzero(in_group.any(axis=1))
+        centred = rank_average(block[np.ix_(rows, columns)]) - 0.5 * (m + 1)
         sums = centred @ centred.T
         norms = np.diag(sums)
         denom = np.sqrt(np.outer(norms, norms))
         with np.errstate(divide="ignore", invalid="ignore"):
             coeffs = np.where(denom == 0, np.nan, sums / denom)
-        local = pattern_of_row[rows]
-        for p, q in pattern_pairs:
-            a, b = local == p, local == q
-            rho[np.ix_(rows[a], rows[b])] = coeffs[np.ix_(a, b)]
-            rho[np.ix_(rows[b], rows[a])] = coeffs[np.ix_(b, a)]
+        rho[in_group] = coeffs[in_group[np.ix_(rows, rows)]]
     if y is None:
         return rho
     return None if np.isnan(rho[0, 1]) else float(rho[0, 1])
@@ -126,7 +128,8 @@ def correlation_matrix(
     NaN for Undefined, so a pair uses the folds both series define.
     ``per_cell_average`` correlates each cell's block in one ``spearman``
     call, then averages every pair's defined per-cell coefficients in cell
-    order (undefined cells are skipped).  ``pooled`` concatenates the cell
+    order (undefined cells are skipped): one ``mean`` per ``defined_blocks``
+    block of the [pair, cell] coefficients.  ``pooled`` concatenates the cell
     blocks along the fold axis and correlates once.
     """
     if scope not in (PER_CELL_AVERAGE, POOLED):
@@ -140,14 +143,12 @@ def correlation_matrix(
         out = spearman(np.concatenate(blocks, axis=1))
     else:
         per_cell = np.stack([spearman(block) for block in blocks])
-        k = len(metric_ids)
-        out = np.full((k, k), np.nan)
-        for i in range(k):
-            for j in range(i + 1, k):
-                coeffs = per_cell[:, i, j]
-                coeffs = coeffs[~np.isnan(coeffs)]
-                if len(coeffs):
-                    out[i, j] = out[j, i] = float(np.mean(coeffs))
+        upper = np.triu_indices(len(metric_ids), 1)
+        pair_means = np.full(len(upper[0]), np.nan)
+        for selected, coeffs in defined_blocks(per_cell[:, upper[0], upper[1]].T):
+            pair_means[selected] = coeffs.mean(axis=1)
+        out = np.full(per_cell.shape[1:], np.nan)
+        out[upper] = out[upper[::-1]] = pair_means
     np.fill_diagonal(out, 1.0)
     return CorrelationMatrix(metric_ids=metric_ids, values=out, scope=scope)
 
@@ -196,7 +197,7 @@ def agglomerate(dismat, labels) -> Dendrogram:
     which keeps each inter-cluster distance equal to the mean pairwise
     dissimilarity between members.  Ties on the minimum distance are broken by
     the lexicographically smallest (node id, node id) pair, which makes the
-    merge order deterministic.
+    merge order deterministic.  Entries may be ``inf`` but not negative.
     """
     d = np.array(dismat, dtype=float)
     labels = tuple(labels)
@@ -211,6 +212,8 @@ def agglomerate(dismat, labels) -> Dendrogram:
         raise ValueError("dissimilarity matrix must be symmetric")
     if np.any(np.diag(d) != 0):
         raise ValueError("dissimilarity matrix must have a zero diagonal")
+    if np.any(d < 0):
+        raise ValueError(f"dissimilarities must not be negative, got {d[d < 0][0]}")
 
     # row r of the working matrix holds cluster node[r] of size[r]; a merge
     # lives on in the lower of its two rows.  ``live`` marks the upper-triangle
@@ -258,11 +261,13 @@ def select_cut(dendrogram: Dendrogram) -> CutSelection:
 
     Heights are sorted ascending and followed by a sentinel at 1.0, so a flat
     dendrogram cuts above everything (one cluster).  On ties the highest gap
-    wins, which also prefers the sentinel gap.
+    wins, which also prefers the sentinel gap.  Every height must be finite.
     """
     if not dendrogram.merges:
         raise ValueError("dendrogram has no merges")
     heights = np.sort(dendrogram.heights, kind="stable")
+    if not np.isfinite(heights).all():
+        raise ValueError(f"merge heights must be finite, got {heights.tolist()}")
     levels = np.append(heights, max(CUT_SENTINEL, heights[-1]))
     gaps = np.diff(levels)
     best = len(gaps) - 1 - int(np.argmax(gaps[::-1]))

@@ -16,7 +16,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 partial results.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -32,7 +31,11 @@ from .datamodel import (
     apply_minmax,
     encode_dataset,
     fit_minmax,
+    format_value,
     usable_rows,
+    write_csv,
+    write_json,
+    write_text,
 )
 from .harness import (
     BASELINE,
@@ -158,17 +161,13 @@ def cmd_metrics(args) -> int:
         ids = metrics.CLASSIFICATION_IDS + ids
         values = np.concatenate([row, values])
 
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("metric_id", "name", "value", "ideal", "label"))
-        for mid, v in zip(ids, values.tolist()):
-            mdef = metrics.METRIC_CATALOG[mid]
-            writer.writerow((mid, mdef.name, report.format_value(v),
-                             repr(mdef.ideal), metrics.label_fair(v, mdef.ideal)))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = []
+    for mid, v in zip(ids, values.tolist()):
+        mdef = metrics.METRIC_CATALOG[mid]
+        rows.append((mid, mdef.name, format_value(v), format_value(mdef.ideal),
+                     metrics.label_fair(v, mdef.ideal)))
+    write_csv(sys.stdout if args.out is None else args.out,
+              ("metric_id", "name", "value", "ideal", "label"), rows)
     return EXIT_OK
 
 
@@ -313,19 +312,12 @@ def cmd_demo(args) -> int:
         f"{control['c15_total_folds']} folds; "
         f"{control['unfair_pct_classification']:.0f}% of metrics unfair"
     )
-    with open(os.path.join(out, "demo_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "demo_summary.json"), summary)
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    text = metrics.catalog_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_text(args.out or sys.stdout, metrics.catalog_json())
     return EXIT_OK
 
 

@@ -1,15 +1,24 @@
-"""Dataset ingestion, encoding and min-max normalization.
+"""Dataset ingestion, encoding and min-max normalization, and the encoding
+of every file fairsift writes.
 
 A dataset is a CSV table plus a JSON side-file describing which column is the
 binary outcome, which column is the protected attribute, and how to encode the
 features.  After encoding, everything downstream works on plain numpy arrays:
 features (min-max scaled to [0, 1] from fitted bounds before use), labels in
 {0, 1} (1 = favorable) and protected values in {0, 1} (1 = privileged).
+
+Every artifact goes through ``write_csv``, ``write_json`` or ``write_text``:
+UTF-8 with LF line ends; JSON with indent 2, sorted keys and a trailing
+newline (``json_text``).  ``format_value`` is the one field rule for a
+number: ``UNDEFINED_FIELD`` (empty) for NaN, else its ``repr``.  A target is
+a path or an open text file, so stdout takes the same bytes as a file.
 """
 
+import contextlib
 import csv
 import json
 import math
+import os
 import typing
 import warnings
 from collections.abc import Sequence
@@ -223,34 +232,62 @@ class EncodedDataset:
     def row_count(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def col_count(self) -> int:
-        return self.X.shape[1]
+
+UNDEFINED_FIELD = ""
 
 
-def _open_csv(csv_source):
-    if hasattr(csv_source, "read"):
-        return csv_source, False
-    return open(csv_source, "r", encoding="utf-8", newline=""), True
+def format_value(v: float, digits: int | None = None) -> str:
+    """A Python float as a field: ``UNDEFINED_FIELD`` for NaN (Undefined),
+    else its ``repr``, or ``digits`` significant digits when given."""
+    if math.isnan(v):
+        return UNDEFINED_FIELD
+    return repr(v) if digits is None else f"{v:.{digits}g}"
+
+
+def _text_file(target, mode: str = "r"):
+    """A context manager for a path opened in ``mode`` as UTF-8 text with no
+    newline translation, or for an open file, which it leaves open."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(target)
+
+
+def write_csv(target, header, rows) -> None:
+    """``header`` and then each row of the iterable ``rows``, streamed, as
+    CSV lines ending in LF."""
+    with _text_file(target, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def json_text(payload) -> str:
+    """``payload`` as JSON with indent 2, sorted keys and a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(target, payload) -> None:
+    write_text(target, json_text(payload))
+
+
+def write_text(target, text: str) -> None:
+    with _text_file(target, "w") as fh:
+        fh.write(text)
 
 
 def usable_rows(csv_source, spec: DatasetSpec) -> tuple[dict[str, int], list[list[str]]]:
     """The CSV's column index by name (a repeated name is its last column)
     and its data rows, less the rows that are short of the header or have an
     empty cell in a column ``spec`` uses; those are rejected with a warning."""
-    fh, owned = _open_csv(csv_source)
-    try:
+    with _text_file(csv_source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise DataError("CSV is empty (no header row)")
-        rows = [row for row in reader if row]
-    except UnicodeDecodeError as exc:
-        raise DataError(f"CSV is not valid UTF-8: {exc}") from exc
-    finally:
-        if owned:
-            fh.close()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"CSV is not valid UTF-8: {exc}") from exc
     col_index = {name: i for i, name in enumerate(header)}
 
     used = [spec.label_column, spec.protected_column] + [

@@ -29,7 +29,6 @@ same inputs rewrites byte-identical results, regardless of worker count.
 import csv
 import hashlib
 import itertools
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +38,7 @@ import numpy as np
 
 from . import metrics, models
 from .datamodel import (
+    UNDEFINED_FIELD,
     ConfigError,
     DatasetSpec,
     EncodedDataset,
@@ -46,6 +46,9 @@ from .datamodel import (
     check_fields,
     encode_dataset,
     fit_minmax,
+    format_value,
+    write_csv,
+    write_json,
 )
 from .models import Mitigator, ReweighingError, ReweighingMitigator
 
@@ -64,9 +67,6 @@ BUILTIN_MITIGATORS: dict[str, Mitigator] = {
     BASELINE: Mitigator(),
     REWEIGHING: ReweighingMitigator(),
 }
-
-UNDEFINED_FIELD = ""
-
 
 @dataclass(frozen=True)
 class CvPlan:
@@ -344,19 +344,14 @@ RESULTS_HEADER = ("dataset", "model", "repeat", "fold", "metric_id", "value")
 def write_results_csv(samples: MetricSampleMatrix, path) -> None:
     """Long format, one row per grid entry, sorted by dataset, model name,
     repeat, fold and ``metric_sort_key``; Undefined serialized as empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for dataset, by_model in zip(samples.datasets, samples.values):
-            for model, by_metric in sorted(zip(samples.models, by_model),
-                                           key=lambda pair: pair[0]):
-                for t, column in enumerate(by_metric.T.tolist()):
-                    repeat, fold = divmod(t, N_FOLDS)
-                    writer.writerows(
-                        (dataset, model, repeat, fold, metric_id,
-                         UNDEFINED_FIELD if math.isnan(v) else repr(v))
-                        for metric_id, v in zip(samples.metric_ids, column)
-                    )
+    slots = list(itertools.product(range(N_REPEATS), range(N_FOLDS)))
+    write_csv(path, RESULTS_HEADER, (
+        (dataset, model, repeat, fold, metric_id, format_value(v))
+        for dataset, by_model in zip(samples.datasets, samples.values)
+        for model, by_metric in sorted(zip(samples.models, by_model), key=lambda pair: pair[0])
+        for (repeat, fold), column in zip(slots, by_metric.T.tolist())
+        for metric_id, v in zip(samples.metric_ids, column)
+    ))
 
 
 def _parse_row(row) -> tuple:
@@ -424,7 +419,7 @@ class DatasetSource:
 
 def write_manifest(path, config: ExperimentConfig, sources, record_count: int,
                    failures=()) -> None:
-    manifest = {
+    write_json(path, {
         "config": config.to_dict(),
         "inputs": [src.digests() for src in sources],
         "record_count": record_count,
@@ -432,10 +427,7 @@ def write_manifest(path, config: ExperimentConfig, sources, record_count: int,
         "failures": [
             {"dataset": name, "error": message} for name, message in failures
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def expected_record_count(n_datasets: int, config: ExperimentConfig) -> int:

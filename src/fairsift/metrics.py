@@ -15,11 +15,12 @@ into a number: it propagates, is excluded pairwise from correlations, and is
 labeled Unfair.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datamodel import json_text
 
 # Families for reporting, mirroring the metric-type groupings common in the
 # fairness-toolkit literature.
@@ -113,12 +114,13 @@ def metric_sort_key(metric_id: str) -> tuple[int, int]:
 
 
 def catalog_json() -> str:
-    """The metric inventory as JSON, for downstream tools to pin against."""
+    """The metric inventory as JSON (``datamodel.json_text``), for
+    downstream tools to pin against."""
     entries = [
         {"id": m.id, "name": m.name, "ideal": m.ideal, "family": m.family, "kind": m.kind}
         for m in ALL_METRICS
     ]
-    return json.dumps(entries, indent=2, sort_keys=True)
+    return json_text(entries)
 
 
 # --------------------------------------------------------------------------

@@ -16,21 +16,23 @@ The labels (``[dataset, metric]``, one ``label_fair`` call) and the movement
 verdicts (``[dataset, classification metric]``) are arrays read off the
 sensitivity table's medians, so every artifact prints the same median for a
 cell.  Per-cluster majority and agreement and the per-dataset unfair shares
-are counts over slices of the label array (``label_shares``).  Undefined
-stays NaN until a writer formats it with ``format_value``.  All writers
-emit canonically ordered UTF-8 so repeated runs are byte-equal.
+are counts over slices of the label array (``label_shares``).
+
+Renderers return content and write nothing: CSV rows (``correlation_rows``,
+``sensitivity_rows``, ``movement_rows``; Undefined stays NaN until
+``format_value`` makes it an empty field), ``clusters_payload`` and the
+``render_*`` texts.  ``write_all`` hands each to ``datamodel``'s
+``write_csv``, ``write_json`` or ``write_text``, the one encoding.
 """
 
-import csv
-import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, metrics
-from .datamodel import ConfigError, DataError, check_fields
+from .datamodel import (ConfigError, DataError, check_fields, format_value, write_csv,
+                        write_json, write_text)
 from .harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
 
@@ -251,26 +253,20 @@ def build_analysis(
 
 
 # --------------------------------------------------------------------------
-# Writers
+# Renderers and the writer
 # --------------------------------------------------------------------------
 
-def format_value(v: float, digits: int | None = None) -> str:
-    """A Python float as a field: empty for NaN (Undefined), else its
-    ``repr``, or ``digits`` significant digits when given."""
-    if math.isnan(v):
-        return ""
-    return repr(v) if digits is None else f"{v:.{digits}g}"
+SENSITIVITY_HEADER = ("dataset", "model", "metric_id", "median", "iqr", "flagged")
+MOVEMENT_HEADER = ("dataset", "metric_id", "baseline_median", "mitigated_median",
+                   "ideal", "verdict")
 
 
-def write_correlation_csv(corr: analysis.CorrelationMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("metric_id",) + corr.metric_ids)
-        for mid, row in zip(corr.metric_ids, corr.values.tolist()):
-            writer.writerow([mid] + [format_value(v) for v in row])
+def correlation_rows(corr: analysis.CorrelationMatrix):
+    return ([mid] + [format_value(v) for v in row]
+            for mid, row in zip(corr.metric_ids, corr.values.tolist()))
 
 
-def write_dendrogram_dot(dendro: analysis.Dendrogram, path, title: str) -> None:
+def render_dendrogram_dot(dendro: analysis.Dendrogram, title: str) -> str:
     n = len(dendro.leaves)
     lines = [f'graph "{title}" {{', "  rankdir=BT;"]
     for i, leaf in enumerate(dendro.leaves):
@@ -281,8 +277,7 @@ def write_dendrogram_dot(dendro: analysis.Dendrogram, path, title: str) -> None:
         lines.append(f"  n{nid} -- n{merge.left};")
         lines.append(f"  n{nid} -- n{merge.right};")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def render_dendrogram_text(dendro: analysis.Dendrogram) -> str:
@@ -306,11 +301,6 @@ def render_dendrogram_text(dendro: analysis.Dendrogram) -> str:
     lines.extend(render(merge.left, "", tail=False))
     lines.extend(render(merge.right, "", tail=True))
     return "\n".join(lines) + "\n"
-
-
-def write_dendrogram_txt(dendro: analysis.Dendrogram, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_dendrogram_text(dendro))
 
 
 def _cluster_report_dict(report: ClusterReport) -> dict:
@@ -341,8 +331,9 @@ def _cluster_report_dict(report: ClusterReport) -> dict:
     }
 
 
-def write_clusters_json(result: AnalysisResult, path) -> None:
-    payload = {
+def clusters_payload(result: AnalysisResult) -> dict:
+    """The content of ``clusters.json``."""
+    return {
         "label_model": result.label_model,
         "classification": _cluster_report_dict(result.classification),
         "dataset": (
@@ -356,45 +347,29 @@ def write_clusters_json(result: AnalysisResult, path) -> None:
         },
         "unfair_median": result.unfair_median,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def write_sensitivity_csv(report: analysis.SensitivityReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("dataset", "model", "metric_id", "median", "iqr", "flagged")
-        )
-        for ds, model, mid, median, iqr, flagged in report.rows():
-            writer.writerow(
-                (ds, model, mid, format_value(median), format_value(iqr), int(flagged))
-            )
+def sensitivity_rows(report: analysis.SensitivityReport):
+    return ((ds, model, mid, format_value(median), format_value(iqr), int(flagged))
+            for ds, model, mid, median, iqr, flagged in report.rows())
 
 
-def write_movement_csv(result: AnalysisResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("dataset", "metric_id", "baseline_median", "mitigated_median",
-             "ideal", "verdict")
-        )
-        if result.movement_models is None:
-            return
-        ids = result.classification.correlation.metric_ids
-        base, mitigated = (
-            _model_medians(result.sensitivity, m, ids).tolist()
-            for m in result.movement_models
-        )
-        for ds, base_row, mit_row, verdicts in zip(
-            result.datasets, base, mitigated, result.movement.tolist()
-        ):
-            for mid, b, m, verdict in zip(ids, base_row, mit_row, verdicts):
-                writer.writerow(
-                    (ds, mid, format_value(b), format_value(m),
-                     repr(metrics.METRIC_CATALOG[mid].ideal), verdict)
-                )
+def movement_rows(result: AnalysisResult):
+    """One row per (dataset, classification metric); none without both
+    movement models."""
+    if result.movement_models is None:
+        return
+    ids = result.classification.correlation.metric_ids
+    base, mitigated = (
+        _model_medians(result.sensitivity, m, ids).tolist()
+        for m in result.movement_models
+    )
+    for ds, base_row, mit_row, verdicts in zip(
+        result.datasets, base, mitigated, result.movement.tolist()
+    ):
+        for mid, b, m, verdict in zip(ids, base_row, mit_row, verdicts):
+            yield (ds, mid, format_value(b), format_value(m),
+                   format_value(metrics.METRIC_CATALOG[mid].ideal), verdict)
 
 
 def render_report_md(result: AnalysisResult) -> str:
@@ -502,34 +477,32 @@ def render_report_md(result: AnalysisResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_md(result: AnalysisResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report_md(result))
-
-
 def write_all(result: AnalysisResult, out_dir) -> dict:
     """Write every analysis artifact into ``out_dir``; returns path mapping."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "clusters": os.path.join(out_dir, "clusters.json"),
-        "sensitivity": os.path.join(out_dir, "sensitivity.csv"),
-        "movement": os.path.join(out_dir, "movement.csv"),
-        "report": os.path.join(out_dir, "report.md"),
-    }
+    # (path key, file name, writer, the writer's arguments after the path)
+    artifacts = [
+        ("clusters", "clusters.json", write_json, [clusters_payload(result)]),
+        ("sensitivity", "sensitivity.csv", write_csv,
+         [SENSITIVITY_HEADER, sensitivity_rows(result.sensitivity)]),
+        ("movement", "movement.csv", write_csv, [MOVEMENT_HEADER, movement_rows(result)]),
+        ("report", "report.md", write_text, [render_report_md(result)]),
+    ]
     for report, suffix in ((result.classification, ""),
                            (result.dataset_metrics, "_dataset")):
         if report is None:
             continue
-        corr = os.path.join(out_dir, f"correlation{suffix}.csv")
-        dot = os.path.join(out_dir, f"dendrogram{suffix}.dot")
-        txt = os.path.join(out_dir, f"dendrogram{suffix}.txt")
-        paths.update({f"correlation{suffix}": corr, f"dendrogram{suffix}_dot": dot,
-                      f"dendrogram{suffix}_txt": txt})
-        write_correlation_csv(report.correlation, corr)
-        write_dendrogram_dot(report.dendrogram, dot, f"{report.scope} metrics")
-        write_dendrogram_txt(report.dendrogram, txt)
-    write_clusters_json(result, paths["clusters"])
-    write_sensitivity_csv(result.sensitivity, paths["sensitivity"])
-    write_movement_csv(result, paths["movement"])
-    write_report_md(result, paths["report"])
+        corr, dendro = report.correlation, report.dendrogram
+        artifacts += [
+            (f"correlation{suffix}", f"correlation{suffix}.csv", write_csv,
+             [("metric_id",) + corr.metric_ids, correlation_rows(corr)]),
+            (f"dendrogram{suffix}_dot", f"dendrogram{suffix}.dot", write_text,
+             [render_dendrogram_dot(dendro, f"{report.scope} metrics")]),
+            (f"dendrogram{suffix}_txt", f"dendrogram{suffix}.txt", write_text,
+             [render_dendrogram_text(dendro)]),
+        ]
+    paths = {}
+    for key, name, write, content in artifacts:
+        paths[key] = os.path.join(out_dir, name)
+        write(paths[key], *content)
     return paths

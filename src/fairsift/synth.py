@@ -13,12 +13,9 @@ behavior, the way proxy features leak bias in real data.  A categorical
 column exercises the one-hot encoding path.
 """
 
-import csv
-import json
-
 import numpy as np
 
-from .datamodel import ConfigError, DatasetSpec
+from .datamodel import ConfigError, DatasetSpec, write_csv, write_json
 
 GROUP_COLUMN = "group"
 LABEL_COLUMN = "outcome"
@@ -118,11 +115,5 @@ def spec_dict(name: str) -> dict:
 def write_dataset(
     data_path, spec_path, name: str, n_rows: int, bias_gap: float, seed: int
 ) -> None:
-    header, rows = generate_rows(n_rows, bias_gap, seed)
-    with open(data_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    with open(spec_path, "w", encoding="utf-8") as fh:
-        json.dump(spec_dict(name), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(data_path, *generate_rows(n_rows, bias_gap, seed))
+    write_json(spec_path, spec_dict(name))

@@ -521,6 +521,10 @@ class TestAgglomerate:
         with pytest.raises(ValueError, match="symmetric"):
             analysis.agglomerate([[0, 0.2], [0.3, 0]], ("A", "B"))
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="must not be negative, got -0.5"):
+            analysis.agglomerate([[0, -0.5], [-0.5, 0]], ("A", "B"))
+
     def test_heights_non_decreasing(self):
         for seed in range(20):
             d = symmetric_dissimilarity(7, seed)
@@ -566,6 +570,13 @@ class TestSelectCut:
     def test_single_merge(self):
         cut = analysis.select_cut(self.dend([0.3]))
         assert cut.height == pytest.approx(0.65)
+
+    def test_infinite_height_rejected(self):
+        # agglomerate accepts inf entries; the cut cannot place a gap above inf
+        dend = analysis.agglomerate([[0, math.inf], [math.inf, 0]], ("A", "B"))
+        assert dend.heights == (math.inf,)
+        with pytest.raises(ValueError, match="merge heights must be finite"):
+            analysis.select_cut(dend)
 
     @given(dendrograms())
     def test_matches_scan_oracle(self, dend):

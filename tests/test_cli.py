@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -635,3 +636,64 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert '"id": "C0"' in proc.stdout
+
+
+def _run_cli(*argv) -> bytes:
+    """``python -m fairsift.cli argv``'s stdout as bytes; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-m", "fairsift.cli", *argv],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+class TestEncodingContract:
+    """Every file that experiment, analyze and demo write is UTF-8 with
+    "\\n" line ends and a final "\\n"; every JSON file is in the canonical
+    form (indent 2, sorted keys, trailing newline)."""
+
+    @pytest.fixture(scope="class")
+    def written(self, experiment_dir, tmp_path_factory) -> list[Path]:
+        analyzed = tmp_path_factory.mktemp("analyzed")
+        assert main(["analyze", "--results", str(experiment_dir / "results.csv"),
+                     "--out", str(analyzed)]) == 0
+        demo = tmp_path_factory.mktemp("demo")
+        assert main(["demo", "--rows", "200", "--out", str(demo)]) == 0
+        return [path for root in (experiment_dir, analyzed, demo)
+                for path in sorted(root.rglob("*")) if path.is_file()]
+
+    def test_every_artifact_is_covered(self, written):
+        names = {path.name for path in written}
+        assert names >= {
+            "results.csv", "manifest.json", "correlation.csv", "correlation_dataset.csv",
+            "dendrogram.dot", "dendrogram.txt", "clusters.json", "sensitivity.csv",
+            "movement.csv", "report.md", "demo_summary.json", "biased.csv",
+            "biased.spec.json",
+        }
+
+    def test_utf8_with_newline_line_ends(self, written):
+        for path in written:
+            data = path.read_bytes()
+            data.decode("utf-8")
+            assert b"\r" not in data, path
+            assert data.endswith(b"\n"), path
+
+    def test_json_is_canonical(self, written):
+        for path in written:
+            if path.suffix == ".json":
+                text = path.read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--predictions-column", "outcome"]],
+                             ids=["dataset-only", "predictions"])
+    def test_metrics_stdout_equals_out_file(self, tiny_dataset, tmp_path, flags):
+        data, spec = tiny_dataset
+        args = ["metrics", "--data", str(data), "--spec", str(spec), *flags]
+        out = tmp_path / "m.csv"
+        assert _run_cli(*args, "--out", str(out)) == b""
+        assert _run_cli(*args) == out.read_bytes()
+        assert out.read_bytes().count(b"\n") == 1 + (30 if flags else 4)
+
+    def test_catalog_stdout_equals_out_file(self, tmp_path):
+        out = tmp_path / "catalog.json"
+        assert _run_cli("catalog", "--out", str(out)) == b""
+        assert _run_cli("catalog") == out.read_bytes()

@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,10 @@ from fairsift.datamodel import (
     check_fields,
     encode_dataset,
     fit_minmax,
+    format_value,
+    write_csv,
+    write_json,
+    write_text,
 )
 from fairsift.harness import ExperimentConfig
 from fairsift.metrics import confusion_counts
@@ -316,3 +321,29 @@ class TestEncodingRoundTrip:
         ds = encode_dataset(io.StringIO("\n".join(lines) + "\n"), spec)
         assert ds.s.sum() == (sexes == "Male").sum()
         assert ds.y.sum() == (labels == "yes").sum()
+
+
+class TestArtifactWriters:
+    def test_format_value(self):
+        assert format_value(math.nan) == ""
+        assert format_value(0.1 + 0.2) == "0.30000000000000004"
+        assert format_value(-0.0) == "-0.0"
+        assert format_value(1e-20) == "1e-20"
+        assert format_value(2 / 3, 4) == "0.6667"
+        assert format_value(math.nan, 4) == ""
+
+    def test_path_and_open_file_get_the_same_bytes(self, tmp_path):
+        header, rows = ("a", "b"), [("x,y", "1.5"), ("é", "")]
+        write_csv(tmp_path / "t.csv", header, iter(rows))
+        buffer = io.StringIO(newline="")
+        write_csv(buffer, header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+        assert buffer.getvalue() == 'a,b\n"x,y",1.5\né,\n'
+
+    def test_json_and_text(self, tmp_path):
+        write_json(tmp_path / "p.json", {"b": [1.0, None], "a": "é"})
+        assert (tmp_path / "p.json").read_bytes() == (
+            b'{\n  "a": "\\u00e9",\n  "b": [\n    1.0,\n    null\n  ]\n}\n'
+        )
+        write_text(str(tmp_path / "t.md"), "one\ntwo\n")
+        assert (tmp_path / "t.md").read_bytes() == b"one\ntwo\n"
