@@ -12,6 +12,8 @@ thread run:
 * ``fairsift experiment --jobs 1`` on every workload input, and
   ``fairsift analyze`` on its ``results.csv`` with ``--correlation-scope``
   ``avg`` and ``pooled``;
+* ``fairsift experiment --jobs 2`` on every workload input, into
+  ``out-jobs2``, so the worker-pool path is compared too;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -90,6 +92,8 @@ def commands(inputs: str):
             for scope in SCOPES:
                 yield ["analyze", "--results", f"{case}/out/results.csv",
                        "--out", f"{case}/{scope}", "--correlation-scope", scope], None
+            yield ["experiment", "--config", config, "--out", f"{case}/out-jobs2",
+                   "--jobs", "2"], None
     yield ["demo", "--out", "demo"], None
     data = ["--data", os.path.join(inputs, "metrics.csv"),
             "--spec", os.path.join(inputs, "metrics.spec.json")]

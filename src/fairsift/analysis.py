@@ -197,7 +197,7 @@ def agglomerate(dismat, labels) -> Dendrogram:
     which keeps each inter-cluster distance equal to the mean pairwise
     dissimilarity between members.  Ties on the minimum distance are broken by
     the lexicographically smallest (node id, node id) pair, which makes the
-    merge order deterministic.  Entries may be ``inf`` but not negative.
+    merge order deterministic.  Entries may be ``inf`` but not NaN or negative.
     """
     d = np.array(dismat, dtype=float)
     labels = tuple(labels)
@@ -208,6 +208,8 @@ def agglomerate(dismat, labels) -> Dendrogram:
         raise ValueError("labels must match matrix size")
     if n < 2:
         raise ValueError("need at least 2 items to cluster")
+    if np.isnan(d).any():
+        raise ValueError("dissimilarities must not be NaN")
     if not np.allclose(d, d.T, atol=1e-12):
         raise ValueError("dissimilarity matrix must be symmetric")
     if np.any(np.diag(d) != 0):

@@ -200,19 +200,6 @@ class DatasetSpec:
                 raise ConfigError(f"dataset spec is not valid UTF-8: {exc}") from exc
         return cls.from_json(text)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "label_column": self.label_column,
-            "favorable_value": list(self.favorable_value),
-            "protected_column": self.protected_column,
-            "privileged_value": list(self.privileged_value),
-            "feature_columns": [
-                {"name": c.name, "kind": c.kind} for c in self.feature_columns
-            ],
-            "encoding": dict(self.encoding),
-        }
-
 
 @dataclass(frozen=True)
 class EncodedDataset:

@@ -6,10 +6,16 @@ model are trained on the training split and evaluated on the held-out split.
 Each model keeps one count tensor of its test predictions
 (``metrics.confusion_counts``) and one label-weight tensor of its (raw /
 reweighed) training weights (``metrics.label_weights``); the models share
-the training split's D0.  The run stacks them over ``[dataset, model,
-repeat, fold]`` and makes one ``metrics.compute_classification_metrics``
-and one ``metrics.compute_dataset_metrics`` call.  A fold whose reweighing
-failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
+the training split's D0.  A fold whose reweighing failed keeps all-zero
+tensors, so all 30 of its metrics are Undefined.
+
+The unit of work is one repeat of one dataset (``_repeat_job``, also the
+unit of ``--jobs``).  It scales each fold's rows once and returns its slice
+of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
+tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The run stacks the
+slices into ``[dataset, model, repeat, fold, ...]`` and makes one
+``metrics.compute_classification_metrics`` and one
+``metrics.compute_dataset_metrics`` call.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
 downstream correlation and sensitivity analyses consume.
@@ -79,9 +85,6 @@ class CvPlan:
     def __post_init__(self):
         self.assignments.setflags(write=False)
 
-    def test_mask(self, repeat: int, fold: int) -> np.ndarray:
-        return self.assignments[repeat] == fold
-
 
 def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
     """Deterministic shuffled fold assignment, sizes differing by at most 1."""
@@ -90,15 +93,12 @@ def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
         raise ValueError(f"need exactly {N_REPEATS} seeds, got {len(seeds)}")
     if n_rows < 2 * N_FOLDS:
         raise ValueError(f"need at least {2 * N_FOLDS} rows, got {n_rows}")
+    # the first n_rows % N_FOLDS folds get one row more
+    sizes = n_rows // N_FOLDS + (np.arange(N_FOLDS) < n_rows % N_FOLDS)
+    folds = np.repeat(np.arange(N_FOLDS), sizes)
     assignments = np.empty((N_REPEATS, n_rows), dtype=np.int64)
-    base, extra = divmod(n_rows, N_FOLDS)
-    sizes = [base + (1 if f < extra else 0) for f in range(N_FOLDS)]
     for r, seed in enumerate(seeds):
-        perm = np.random.default_rng(seed).permutation(n_rows)
-        start = 0
-        for f, size in enumerate(sizes):
-            assignments[r, perm[start : start + size]] = f
-            start += size
+        assignments[r, np.random.default_rng(seed).permutation(n_rows)] = folds
     return CvPlan(n_rows=n_rows, seeds=seeds, assignments=assignments)
 
 
@@ -128,7 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must not be negative, got {list(self.seeds)}")
         if not self.models:
             raise ConfigError("at least one model required")
-        for name in ("alpha", "k_neighbors", "concentration", "l2_strength", "jobs"):
+        for name in ("alpha", "k_neighbors", "concentration", "l2_strength",
+                     "max_iterations", "tolerance", "jobs"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -217,55 +218,46 @@ class MetricSampleMatrix:
                            self.metric_ids.index(metric_id)]
 
 
-def _scale_split(X: np.ndarray, train: np.ndarray, test: np.ndarray, global_normalize: bool):
-    if global_normalize:
-        mins, maxs = fit_minmax(X)
-    else:
-        mins, maxs = fit_minmax(X[train])
-    return apply_minmax(X[train], mins, maxs), apply_minmax(X[test], mins, maxs)
-
-
-def _fold(ds: EncodedDataset, cfg: ExperimentConfig, repeat: int, fold: int,
-          assignment: np.ndarray, mitigators: tuple[tuple[str, Mitigator], ...]):
-    """Count tensors ``[model, 2, 2, 2]`` of the test split, label-weight
-    tensors ``[model, 2, 2]`` and D0 of the training split.  Each model is
-    ``models.train_logistic`` on its (name, mitigator)'s training weights; a
-    model whose reweighing failed keeps all-zero tensors, so all 30 of its
-    metrics are Undefined."""
-    test = assignment == fold
-    train = ~test
-    X_train, X_test = _scale_split(ds.X, train, test, cfg.global_normalize)
-    y_train, y_test = ds.y[train], ds.y[test]
-    s_train, s_test = ds.s[train], ds.s[test]
-
-    counts = np.zeros((len(mitigators), 2, 2, 2), dtype=np.int64)
-    label_weights = np.zeros((len(mitigators), 2, 2))
-    # consistency ignores instance weights, so all models share the value
-    train_consistency = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
-
-    for m, (name, mitigator) in enumerate(mitigators):
-        try:
-            weights = mitigator.training_weights(y_train, s_train)
-        except ReweighingError as exc:
-            warnings.warn(
-                f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
-                f"recording Undefined for the {name} model"
-            )
-            continue
-        # through the module attribute, so a wrapper set on it sees each fit
-        fitted = models.train_logistic(
-            X_train, y_train, weights, l2_strength=cfg.l2_strength,
-            max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
-        )
-        counts[m] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
-        label_weights[m] = metrics.label_weights(y_train, s_train, weights)
-    return counts, label_weights, train_consistency
-
-
 def _repeat_job(args):
-    """``_fold`` of every fold of one repeat."""
+    """One repeat of one dataset, as its slice of the run's arrays: D0 of each
+    fold's training split in ``consistency[0, fold]`` (one row, shared by the
+    models), and each model's count tensor of the test split and label-weight
+    tensor of the training split in ``counts[model, fold]`` and
+    ``label_weights[model, fold]``.  Each model is ``models.train_logistic``
+    on its (name, mitigator)'s training weights; a model whose reweighing
+    failed keeps all-zero tensors, so all 30 of its metrics are Undefined."""
     ds, cfg, repeat, assignment, mitigators = args
-    return [_fold(ds, cfg, repeat, fold, assignment, mitigators) for fold in range(N_FOLDS)]
+    counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
+    label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
+    consistency = np.empty((1, N_FOLDS))
+    for fold in range(N_FOLDS):
+        test = assignment == fold
+        train = ~test
+        # apply_minmax scales every entry on its own, so scaling all rows once
+        # gives both splits the bits they would get scaled apart
+        X = apply_minmax(ds.X, *fit_minmax(ds.X if cfg.global_normalize else ds.X[train]))
+        X_train, y_train, s_train = X[train], ds.y[train], ds.s[train]
+        X_test, y_test, s_test = X[test], ds.y[test], ds.s[test]
+        # consistency ignores instance weights, so all models share the value
+        consistency[0, fold] = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
+
+        for m, (name, mitigator) in enumerate(mitigators):
+            try:
+                weights = mitigator.training_weights(y_train, s_train)
+            except ReweighingError as exc:
+                warnings.warn(
+                    f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
+                    f"recording Undefined for the {name} model"
+                )
+                continue
+            # through the module attribute, so a wrapper set on it sees each fit
+            fitted = models.train_logistic(
+                X_train, y_train, weights, l2_strength=cfg.l2_strength,
+                max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
+            )
+            counts[m, fold] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
+            label_weights[m, fold] = metrics.label_weights(y_train, s_train, weights)
+    return counts, label_weights, consistency
 
 
 def run_experiment(
@@ -310,17 +302,12 @@ def run_experiment(
     else:
         results = [_repeat_job(job) for job in jobs]
 
-    # [dataset, model, repeat, fold, ...], then one call per metric family
-    grid = (len(datasets), len(model_names), N_REPEATS, N_FOLDS)
-    counts = np.empty(grid + (2, 2, 2), dtype=np.int64)
-    label_weights = np.empty(grid + (2, 2))
-    consistency = np.empty((len(datasets), 1, N_REPEATS, N_FOLDS))  # shared by models
-    for i, folds in enumerate(results):
-        d, repeat = divmod(i, N_REPEATS)
-        for fold, (fold_counts, fold_weights, fold_consistency) in enumerate(folds):
-            counts[d, :, repeat, fold] = fold_counts
-            label_weights[d, :, repeat, fold] = fold_weights
-            consistency[d, 0, repeat, fold] = fold_consistency
+    # jobs run dataset by dataset, repeat by repeat: each array's job slices
+    # stack to [dataset, repeat, model, fold, ...], then model goes first
+    counts, label_weights, consistency = (
+        np.stack(part).reshape((len(datasets), N_REPEATS) + part[0].shape).swapaxes(1, 2)
+        for part in zip(*results)
+    )
     per_fold = np.concatenate([
         metrics.compute_classification_metrics(
             counts, alpha=cfg.alpha, concentration=cfg.concentration
@@ -329,7 +316,7 @@ def run_experiment(
             label_weights, consistency, concentration=cfg.concentration
         ),
     ], axis=-1)
-    values = per_fold.reshape(grid[:2] + (N_REPEATS * N_FOLDS, -1)).swapaxes(2, 3)
+    values = per_fold.reshape(counts.shape[:2] + (N_REPEATS * N_FOLDS, -1)).swapaxes(2, 3)
     return MetricSampleMatrix(names, model_names, metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS,
                               values)
 

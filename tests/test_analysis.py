@@ -525,6 +525,10 @@ class TestAgglomerate:
         with pytest.raises(ValueError, match="must not be negative, got -0.5"):
             analysis.agglomerate([[0, -0.5], [-0.5, 0]], ("A", "B"))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            analysis.agglomerate([[0, np.nan], [np.nan, 0]], ("A", "B"))
+
     def test_heights_non_decreasing(self):
         for seed in range(20):
             d = symmetric_dissimilarity(7, seed)

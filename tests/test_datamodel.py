@@ -80,11 +80,6 @@ class TestSpec:
         spec = toy_spec(privileged_value=["Male", "Other"])
         assert spec.privileged_value == ("Male", "Other")
 
-    def test_roundtrip(self):
-        spec = toy_spec()
-        again = DatasetSpec.from_dict(spec.to_dict())
-        assert again == spec
-
 
 @dataclass(frozen=True)
 class Settings:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairsift import harness, metrics
-from fairsift.datamodel import EncodedDataset, apply_minmax, fit_minmax
+from fairsift.datamodel import ConfigError, EncodedDataset, apply_minmax, fit_minmax
 from fairsift.harness import (
     BASELINE,
     REWEIGHING,
@@ -46,6 +46,36 @@ def full_grid(values, datasets=("d",), models=("baseline",)):
     return entries
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces the worker pool by one that runs the jobs in this process;
+    returns the list of pool sizes asked for."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+def uneven_datasets():
+    """83 and 91 rows: folds of 17 or 16 and of 19 or 18 rows, so every
+    repeat has folds of two sizes and the datasets differ in size."""
+    return [make_synthetic(name, n, 0.3, seed=i)
+            for i, (name, n) in enumerate((("zeta", 83), ("alpha", 91)))]
+
+
 class TestCvPlan:
     def test_fold_sizes_balanced(self):
         plan = make_cv_plan(13)
@@ -58,7 +88,7 @@ class TestCvPlan:
         plan = make_cv_plan(10)
         for r in range(5):
             assert sorted(np.unique(plan.assignments[r])) == [0, 1, 2, 3, 4]
-            union = [np.flatnonzero(plan.test_mask(r, f)) for f in range(5)]
+            union = [np.flatnonzero(plan.assignments[r] == f) for f in range(5)]
             assert sorted(np.concatenate(union).tolist()) == list(range(10))
 
     def test_ten_rows_fold_size_two(self):
@@ -165,29 +195,47 @@ class TestExperiment:
                 d0 = metrics.consistency(X, ds.y[train])
                 assert consistency[d, 0, repeat, fold] == d0
 
-    def test_worker_pool_capped_at_job_count(self, monkeypatch):
-        sizes = []
-
-        class Pool:
-            """Runs the jobs in this process; records the pool size asked for."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    def test_worker_pool_capped_at_job_count(self, in_process_pool):
         ds = make_synthetic("pool", 60, 0.2, seed=3)
         samples = run_experiment([ds], ExperimentConfig(jobs=10_000))
-        assert sizes == [5]  # one job per repeat
+        assert in_process_pool == [5]  # one job per repeat
         assert same_grid(samples, run_experiment([ds], ExperimentConfig()))
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_job_slices_land_at_their_fold(self, monkeypatch, in_process_pool, jobs):
+        """Each (dataset, model, repeat, fold) holds the tensors of that fold:
+        test-row counts per group x label, and baseline training weights per
+        group.  Folds of unequal size make a swapped axis show."""
+        calls = {}
+
+        def spy_on(name):
+            batch = getattr(metrics, name)
+
+            def spy(tensors, *args, **kwargs):
+                calls[name] = np.array(tensors)
+                return batch(tensors, *args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, spy)
+
+        spy_on("compute_classification_metrics")
+        spy_on("compute_dataset_metrics")
+        datasets = sorted(uneven_datasets(), key=lambda ds: ds.name)
+        run_experiment(datasets, ExperimentConfig(jobs=jobs))
+        assert in_process_pool == ([3] if jobs > 1 else [])
+        counts = calls["compute_classification_metrics"]
+        weights = calls["compute_dataset_metrics"]
+        assert counts.shape == (2, 2, 5, 5, 2, 2, 2)
+        for d, ds in enumerate(datasets):
+            plan = make_cv_plan(ds.row_count)
+            for repeat, fold in np.ndindex(5, 5):
+                test = plan.assignments[repeat] == fold
+                cells = np.bincount(2 * ds.s[test] + ds.y[test], minlength=4).reshape(2, 2)
+                for m in range(2):
+                    assert (counts[d, m, repeat, fold].sum(axis=-1) == cells).all()
+                train = ~test
+                groups = [np.bincount(ds.s[train & (ds.y == 1)], minlength=2),
+                          np.bincount(ds.s[train], minlength=2)]
+                assert (weights[d, 0, repeat, fold] == np.transpose(groups)).all()
 
     def test_models_subset(self):
         ds = make_synthetic("solo", 100, 0.2, seed=5)
@@ -217,16 +265,29 @@ class TestExperiment:
         c15 = defined(samples, "nobias", BASELINE, "C15")
         assert abs(np.median(c15)) < 0.1
 
-    def test_scaling_fit_on_training_rows_only(self):
-        from fairsift.harness import _scale_split
+    def test_scaling_fit_on_training_rows_only(self, monkeypatch):
+        """``fit_minmax`` sees each fold's training rows, in job order, or
+        every row under ``global_normalize``."""
+        seen = []
+        fit = harness.fit_minmax
 
-        X = np.array([[0.0], [1.0], [2.0], [100.0]])
-        train = np.array([True, True, True, False])
-        X_train, X_test = _scale_split(X, train, ~train, global_normalize=False)
-        assert X_train.min() == 0.0 and X_train.max() == 1.0
-        assert X_test[0, 0] == pytest.approx(50.0)  # outlier scaled by train stats
-        X_train_g, X_test_g = _scale_split(X, train, ~train, global_normalize=True)
-        assert X_test_g[0, 0] == pytest.approx(1.0)
+        def spy(X):
+            seen.append(np.array(X))
+            return fit(X)
+
+        monkeypatch.setattr(harness, "fit_minmax", spy)
+        datasets = sorted(uneven_datasets(), key=lambda ds: ds.name)
+        for global_normalize in (False, True):
+            seen.clear()
+            run_experiment(datasets, ExperimentConfig(global_normalize=global_normalize))
+            want = [
+                ds.X if global_normalize
+                else ds.X[make_cv_plan(ds.row_count).assignments[repeat] != fold]
+                for ds in datasets
+                for repeat, fold in np.ndindex(5, 5)
+            ]
+            assert len(seen) == len(want) == 50
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
 
     def test_reweighing_impossible_fold_records_undefined(self):
         # one lonely (s=1, y=0) row: whenever it lands in the test fold the
@@ -272,6 +333,10 @@ class TestConfig:
             ExperimentConfig(alpha=0)
         with pytest.raises(ValueError):
             ExperimentConfig(concentration=-1)
+        for name, value in (("max_iterations", 0), ("max_iterations", -3),
+                            ("tolerance", -1.0), ("tolerance", 0.0)):
+            with pytest.raises(ConfigError, match=name):
+                ExperimentConfig(**{name: value})
 
     def test_seed_count_enforced(self):
         with pytest.raises(ValueError, match="exactly 5 seeds"):
