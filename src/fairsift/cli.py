@@ -28,9 +28,7 @@ from .datamodel import (
     ConfigError,
     DataError,
     DatasetSpec,
-    apply_minmax,
     encode_dataset,
-    fit_minmax,
     format_value,
     usable_rows,
     write_csv,
@@ -146,11 +144,13 @@ def cmd_metrics(args) -> int:
         raise ConfigError(f"k_neighbors must be below the row count {ds.row_count}, "
                           f"got {cfg.k_neighbors}")
 
-    X = apply_minmax(ds.X, *fit_minmax(ds.X))
+    # D0 of one mask of all rows, min-max scaled by their own bounds
+    all_rows = np.ones((1, ds.row_count), dtype=bool)
     ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
         metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
-        metrics.consistency(X, ds.y, k=cfg.k_neighbors), concentration=cfg.concentration,
+        metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows)[0],
+        concentration=cfg.concentration,
     )
     if args.predictions_column:
         predictions = _read_prediction_column(args.data, args.predictions_column, spec)

@@ -10,8 +10,10 @@ the training split's D0.  A fold whose reweighing failed keeps all-zero
 tensors, so all 30 of its metrics are Undefined.
 
 The unit of work is one repeat of one dataset (``_repeat_job``, also the
-unit of ``--jobs``).  It scales each fold's rows once and returns its slice
-of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
+unit of ``--jobs``).  It gets D0 of its five training splits from one
+``metrics.consistency`` call on the raw rows (on integer-coded data, from
+one neighbour list), then scales each fold's rows once, and returns its
+slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
 tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The run stacks the
 slices into ``[dataset, model, repeat, fold, ...]`` and makes one
 ``metrics.compute_classification_metrics`` and one
@@ -225,11 +227,19 @@ def _repeat_job(args):
     tensor of the training split in ``counts[model, fold]`` and
     ``label_weights[model, fold]``.  Each model is ``models.train_logistic``
     on its (name, mitigator)'s training weights; a model whose reweighing
-    failed keeps all-zero tensors, so all 30 of its metrics are Undefined."""
+    failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
+
+    D0 of all five folds is one ``metrics.consistency`` call on the raw rows
+    before the fold loop, so integer-coded data gets every fold from one
+    neighbour list and no scaled fold is alive while it runs."""
     ds, cfg, repeat, assignment, mitigators = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
-    consistency = np.empty((1, N_FOLDS))
+    # consistency ignores instance weights, so all models share the value
+    consistency = metrics.consistency(
+        ds.X, ds.y, cfg.k_neighbors, assignment != np.arange(N_FOLDS)[:, None],
+        global_bounds=cfg.global_normalize,
+    )[None]
     for fold in range(N_FOLDS):
         test = assignment == fold
         train = ~test
@@ -238,8 +248,6 @@ def _repeat_job(args):
         X = apply_minmax(ds.X, *fit_minmax(ds.X if cfg.global_normalize else ds.X[train]))
         X_train, y_train, s_train = X[train], ds.y[train], ds.s[train]
         X_test, y_test, s_test = X[test], ds.y[test], ds.s[test]
-        # consistency ignores instance weights, so all models share the value
-        consistency[0, fold] = metrics.consistency(X_train, y_train, k=cfg.k_neighbors)
 
         for m, (name, mitigator) in enumerate(mitigators):
             try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import json_text
+from .datamodel import apply_minmax, fit_minmax, json_text
 
 # Families for reporting, mirroring the metric-type groupings common in the
 # fairness-toolkit literature.
@@ -258,9 +258,14 @@ def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
 # rows, so memory stays O(n) whatever the number of rows.
 CONSISTENCY_BLOCK_ELEMENTS = 2**18
 
+# The neighbour list keeps each row's first CONSISTENCY_LIST_FACTOR * k
+# candidates, enough that a row of a training fold (four fifths of the rows)
+# all but never has fewer than k of them inside its fold.
+CONSISTENCY_LIST_FACTOR = 4
+
 
 def _row_blocks(n: int):
-    """(start, stop) of the consecutive row blocks ``consistency`` works on.
+    """(start, stop) of the consecutive row blocks the kNN kernels work on.
 
     No block has a single row: numpy multiplies one row through its
     matrix-vector path, which rounds differently from a matrix product.
@@ -273,31 +278,165 @@ def _row_blocks(n: int):
         start = stop
 
 
-def consistency(X, y, k: int = 5) -> float:
-    """1 - mean |y_i - mean(y of the k nearest neighbors of x_i)|.
+def consistency(X, y, k: int = 5, masks=None, global_bounds: bool = False):
+    """kNN consistency (D0, Zemel et al. 2013): 1 - mean |y_i - mean(y of the
+    k nearest neighbors of x_i)|, Euclidean distance, self excluded, distance
+    ties broken by the smallest row index.
 
-    Euclidean distance on (normalized) features, self excluded, distance ties
-    broken by smallest row index.  Requires n > k >= 1.
+    Without ``masks``: D0 of all rows of X as given, a float.  With
+    ``masks``, a boolean (m, n) array: X holds raw rows, and the result is
+    the array of each mask's D0 over its rows, min-max scaled as
+    ``datamodel.apply_minmax`` scales them, by the mask's own column bounds
+    or, with ``global_bounds``, by those of all rows.  Each mask needs more
+    than k rows.
 
-    Squared distances are computed as |a|^2 + |b|^2 - 2ab one block of rows
-    at a time, about ``CONSISTENCY_BLOCK_ELEMENTS`` entries (2 MB) per block,
-    so memory is O(n) per block rather than n^2: ``fairsift metrics`` on a
-    whole dataset of tens of thousands of rows needs a few MB.  Up to the
-    budget the one block is ``X @ X.T`` itself.  Above it, the BLAS may round
-    a block's products differently in the last bit from the whole product,
-    which on exactly tied data can decide a tie at the k-th distance.
+    Integer-valued rows take the exact path: scaled squared distances times
+    ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties are exact
+    and the tie rule holds whatever the BLAS.  Then one blocked pass keeps
+    every row's first ``CONSISTENCY_LIST_FACTOR * k`` neighbours among all
+    rows, scaled by all rows' bounds, and each mask with the same spans
+    (every mask under ``global_bounds``) reads its rows' k nearest in-mask
+    neighbours off that one list.  A mask with other spans, or one with a
+    row short of k in-mask candidates, runs the per-mask exact kernel
+    instead.  Other data, or integers past the ``2**53`` bound, runs
+    the float kernel per mask on the scaled rows (``_float_consistency``).
+
+    Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
+    entries (2 MB), plus O(n k) for the list: a whole dataset of tens of
+    thousands of rows needs a few MB.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
-    n = X.shape[0]
+    n, p = X.shape
     if y.shape != (n,):
         raise ValueError("y must align with X rows")
-    if not (1 <= k < n):
-        raise ValueError(f"need n > k >= 1, got n={n} k={k}")
+    single = masks is None
+    if single:
+        masks = np.ones((1, n), dtype=bool)
+    masks = np.asarray(masks)
+    if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"masks must be a boolean (m, {n}) array, "
+                         f"got {masks.dtype} {masks.shape}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    sizes = masks.sum(axis=1)
+    if (sizes <= k).any():
+        raise ValueError(f"every mask needs more than k={k} rows, got {sizes.tolist()}")
 
+    # the rows as given are the rows scaled by mins 0 and maxs 1
+    full = (np.zeros(p), np.ones(p)) if single else fit_minmax(X)
+    metric = _exact_metric(X, *full)
+    nearest = None
+    d0 = np.empty(len(masks))
+    for i, mask in enumerate(masks):
+        rows = X[mask]
+        own = full if single or global_bounds else fit_minmax(rows)
+        first = None
+        if metric is not None and np.array_equal(own[1] - own[0], full[1] - full[0]):
+            if nearest is None:
+                nearest = _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, n - 1))
+            first = _first_in_mask(nearest, mask, k)
+        if first is None:
+            d0[i] = _mask_consistency(rows, y[mask], k, *own)
+        else:
+            d0[i] = _d0(y[mask], y[first])
+    return float(d0[0]) if single else d0
+
+
+def _mask_consistency(X, y, k: int, mins, maxs) -> float:
+    """The per-mask kernel: D0 of all rows of X, min-max scaled by (mins,
+    maxs).  Exact where ``_exact_metric`` allows, else the float kernel on
+    the scaled rows."""
+    metric = _exact_metric(X, mins, maxs)
+    if metric is None:
+        return _float_consistency(apply_minmax(X, mins, maxs), y, k)
+    return _d0(y, y[_nearest(*metric, k)])
+
+
+def _d0(y, neighbor_labels) -> float:
+    """1 - mean |y_i - mean of row i's k neighbour labels|."""
+    k = neighbor_labels.shape[1]
+    return float(1.0 - np.abs(y - neighbor_labels.sum(axis=1) / k).mean())
+
+
+def _exact_metric(X, mins, maxs):
+    """Rows and integer column weights under which the weighted squared
+    distance is the min-max scaled one times ``lcm(span**2)``, exactly; None
+    where X or the spans are not integers, or the bound below fails.
+
+    Scaling divides column c by its span s_c, so the scaled squared distance
+    times L = lcm(s_c**2) is sum_c (L / s_c**2) (x_c - x'_c)**2; a constant
+    column maps to 0 and weighs nothing.  With the rows shifted to start at
+    0, every product, partial sum and key ``_nearest`` forms is an integer
+    of magnitude at most 2 R n + n, R the largest weighted distance (at most
+    p L).  ``4 R n < 2**53`` keeps them all exact in float64, in whatever
+    order the BLAS adds.
+    """
+    spans = maxs - mins
+    if not ((X == np.round(X)).all() and (spans == np.round(spans)).all()
+            and np.isfinite(X).all() and np.isfinite(spans).all() and (spans >= 0).all()):
+        return None
+    squares = [int(s) ** 2 for s in spans]
+    lcm = math.lcm(*(q for q in squares if q))
+    weights = [lcm // q if q else 0 for q in squares]
+    lo = X.min(axis=0)
+    reach = sum(w * int(r) ** 2 for w, r in zip(weights, X.max(axis=0) - lo))
+    if 4 * reach * len(X) >= 2**53:
+        return None
+    return X - lo, np.array(weights, dtype=float)
+
+
+def _nearest(A, weights, k: int) -> np.ndarray:
+    """Each row's k nearest other rows of A, in (distance, row index) order,
+    under the exact weighted distance of ``_exact_metric``.
+
+    Each candidate is keyed ``distance * n + index``, one exact float per
+    pair, so a partition of a row's keys picks its k smallest by (distance,
+    index) with no separate tie rule, and the index is the key modulo n.
+    """
+    n = len(A)
+    # keys are -2 n (a . b) + n |a|^2 + (n |b|^2 + index), every term exact
+    left = A * (-2.0 * n * weights)
+    sq = (A * A) @ weights * n
+    right = sq + np.arange(n)
+    nearest = np.empty((n, k), dtype=np.intp)
+    for start, stop in _row_blocks(n):
+        keys = left[start:stop] @ A.T
+        keys += sq[start:stop, None]
+        keys += right
+        rows = np.arange(stop - start)
+        keys[rows, rows + start] = np.inf  # self
+        keys.partition(k - 1, axis=1)
+        first = np.sort(keys[:, :k], axis=1)
+        nearest[start:stop] = first % n
+    return nearest
+
+
+def _first_in_mask(nearest, mask, k: int):
+    """Each mask row's first k neighbours inside the mask, in list order,
+    read off the list ``nearest``; None when some row has fewer than k."""
+    candidates = nearest[mask]
+    inside = mask[candidates]
+    rank = np.cumsum(inside, axis=1)
+    if (rank[:, -1] < k).any():
+        return None
+    return candidates[inside & (rank <= k)].reshape(-1, k)
+
+
+def _float_consistency(X, y, k: int) -> float:
+    """D0 of the rows of X as given, in floating point: squared distances as
+    |a|^2 + |b|^2 - 2ab, the k-th smallest as each row's threshold, and ties
+    at it broken by the smallest row index.
+
+    Up to the block budget the one block is ``X @ X.T`` itself.  Above it,
+    the BLAS may round a block's products differently in the last bit from
+    the whole product; and equal distances of values that are not dyadic
+    may round apart.  Either can decide a tie at the k-th distance.
+    """
     sq = (X * X).sum(axis=1)
+    n = len(X)
     neighbor_mean = np.empty(n)
     for start, stop in _row_blocks(n):
         rows = slice(start, stop)

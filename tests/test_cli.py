@@ -8,6 +8,9 @@ import pytest
 from fairsift import synth
 from fairsift.cli import main
 
+from conftest import german_style, german_style_text
+from test_metrics import consistency_int64
+
 
 def write_toy(root, n_rows, favorable="yes", labels=("yes", "no"), preds=("1", "0")):
     """A CSV + spec of n_rows alternating groups, labels and predictions."""
@@ -57,6 +60,20 @@ class TestMetricsCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4
         assert lines[1].startswith("D0,consistency,")
+
+    def test_tied_integer_rows_d0_is_exact(self, tmp_path):
+        # raw integer-coded rows take the exact kernel: D0 equals the int64
+        # oracle, where scaled floating-point distances split ties
+        text, spec = german_style_text(3000, 1)
+        data, spec_path, out = (tmp_path / "g.csv", tmp_path / "g.spec.json",
+                                tmp_path / "m.csv")
+        data.write_text(text)
+        spec_path.write_text(json.dumps(spec))
+        assert main(["metrics", "--data", str(data), "--spec", str(spec_path),
+                     "--out", str(out)]) == 0
+        d0 = out.read_text().splitlines()[1].split(",")[2]
+        ds = german_style(3000, 1)
+        assert float(d0) == consistency_int64(ds.X, ds.y)
 
     def test_with_predictions_column(self, tmp_path):
         # reuse the label column as a stand-in prediction column

@@ -195,6 +195,30 @@ class TestExperiment:
                 d0 = metrics.consistency(X, ds.y[train])
                 assert consistency[d, 0, repeat, fold] == d0
 
+    @pytest.mark.parametrize("global_normalize", [False, True])
+    def test_one_consistency_call_per_repeat_job(self, monkeypatch, global_normalize):
+        """D0 of a repeat's five folds is one call on the raw rows, with the
+        training masks, before any fold is scaled."""
+        calls = []
+        consistency = metrics.consistency
+
+        def spy(X, y, k, masks, **kwargs):
+            calls.append((X, masks, kwargs, len(scaled)))
+            return consistency(X, y, k, masks, **kwargs)
+
+        scaled = []
+        apply = harness.apply_minmax
+        monkeypatch.setattr(metrics, "consistency", spy)
+        monkeypatch.setattr(harness, "apply_minmax", lambda *a: scaled.append(1) or apply(*a))
+        ds = make_synthetic("once", 90, 0.2, seed=6)
+        run_experiment([ds], ExperimentConfig(global_normalize=global_normalize))
+        plan = make_cv_plan(ds.row_count)
+        assert len(calls) == 5
+        for repeat, (X, masks, kwargs, n_scaled) in enumerate(calls):
+            assert X is ds.X and n_scaled == 5 * repeat
+            assert (masks == (plan.assignments[repeat] != np.arange(5)[:, None])).all()
+            assert kwargs == {"global_bounds": global_normalize}
+
     def test_worker_pool_capped_at_job_count(self, in_process_pool):
         ds = make_synthetic("pool", 60, 0.2, seed=3)
         samples = run_experiment([ds], ExperimentConfig(jobs=10_000))

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairsift import metrics
+from fairsift.datamodel import apply_minmax, fit_minmax
+from fairsift.harness import make_cv_plan
 from fairsift.models import reweigh
+
+from conftest import german_style
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles: plain-python translations of the definitional sums,
@@ -84,6 +89,58 @@ def consistency_exact(grid, y, k):
         neighbor_mean.append(sum(y[j] for _, j in order[:k]) / k)
     y = np.asarray(y, dtype=float)
     return float(1.0 - np.abs(y - np.array(neighbor_mean)).mean())
+
+
+def consistency_rational(rows, y, k, mask, global_bounds=False):
+    """D0 of the mask's rows of integer ``rows``, min-max scaled in Fraction
+    arithmetic by the bounds of the mask's rows (or of all rows), through
+    ``consistency_exact``'s (squared distance, row index) sort."""
+    fit = rows if global_bounds else [row for row, m in zip(rows, mask) if m]
+    bounds = [(min(col), max(col)) for col in zip(*fit)]
+    points = [
+        [Fraction(v - lo, hi - lo) if hi > lo else Fraction(0) for v, (lo, hi) in zip(row, bounds)]
+        for row, m in zip(rows, mask) if m
+    ]
+    return consistency_exact(points, [v for v, m in zip(y, mask) if m], k)
+
+
+def consistency_int64(X, y, k=5, fit=None):
+    """D0 of integer rows X, min-max scaled by the bounds of ``fit`` (default
+    X), by direct int64 differences: squared distances times lcm(span**2),
+    each row's others ordered by a stable argsort, so by (distance, index)."""
+    X = np.asarray(X).astype(np.int64)
+    fit = X if fit is None else np.asarray(fit).astype(np.int64)
+    squares = [int(s) ** 2 for s in fit.max(axis=0) - fit.min(axis=0)]
+    lcm = math.lcm(*(q for q in squares if q))
+    weights = np.array([lcm // q if q else 0 for q in squares], dtype=np.int64)
+    y = np.asarray(y, dtype=float)
+    n = len(X)
+    neighbor_mean = np.empty(n)
+    for start in range(0, n, 100):
+        block = X[start : start + 100]
+        d = (((block[:, None, :] - X[None, :, :]) ** 2) * weights).sum(axis=2)
+        d[np.arange(len(block)), np.arange(start, start + len(block))] = np.iinfo(np.int64).max
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+        neighbor_mean[start : start + len(block)] = y[nearest].sum(axis=1) / k
+    return float(1.0 - np.abs(y - neighbor_mean).mean())
+
+
+@st.composite
+def integer_folds(draw):
+    """Integer rows of few levels (duplicates, ties, constant columns), their
+    labels, k, 1-4 masks of more than k rows (random subsets, often with
+    narrower spans than all rows), and whether to scale by all rows."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 16))
+    row = st.lists(st.integers(-2, 5), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1))
+    masks = []
+    for _ in range(draw(st.integers(1, 4))):
+        keep = set(draw(st.permutations(range(n)))[: draw(st.integers(k + 1, n))])
+        masks.append([i in keep for i in range(n)])
+    return rows, y, k, masks, draw(st.booleans())
 
 
 def integer_fold(rng, n):
@@ -660,6 +717,151 @@ class TestBlockedConsistency:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestExactConsistency:
+    """Integer-coded rows: D0 from exact integer distances, per mask or off
+    one neighbour list, equal to exact oracles."""
+
+    @given(integer_folds(), st.sampled_from([1, 40, 2**18]))
+    # duplicate rows tied at the k-th distance, in two folds sharing a list
+    @example(([[0, 0], [1, 1], [1, 1], [1, 1], [0, 1], [1, 0], [1, 1]], [0, 1, 0, 1, 1, 0, 0], 2,
+              [[True] * 7, [True, True, False, True, True, True, True]], False), 1)
+    # a constant column
+    @example(([[3, 0], [3, 1], [3, 2], [3, 2], [3, 0], [3, 1]], [1, 0, 0, 1, 1, 0], 1,
+              [[True] * 6, [False, True, True, True, True, True]], False), 2**18)
+    # n = k + 1
+    @example(([[0], [2], [1]], [1, 0, 0], 2, [[True, True, True]], False), 1)
+    # the last fold drops the far row, so its spans are narrower
+    @example(([[0], [1], [2], [3], [4], [10]], [0, 1, 1, 0, 1, 0], 2,
+              [[True] * 6, [True, True, True, True, True, False]], False), 40)
+    @example(([[0], [1], [2], [3], [4], [10]], [0, 1, 1, 0, 1, 0], 2,
+              [[True] * 6, [True, True, True, True, True, False]], True), 40)
+    def test_integer_folds_match_rational_oracle(self, case, budget):
+        rows, y, k, masks, global_bounds = case
+        with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
+            got = metrics.consistency(np.array(rows, dtype=float), y, k, np.array(masks),
+                                      global_bounds=global_bounds)
+        assert got.tolist() == [
+            consistency_rational(rows, y, k, mask, global_bounds) for mask in masks
+        ]
+
+    def test_small_integer_folds_independent_of_block_budget(self, monkeypatch):
+        # 240 datasets x 5 training folds; budget 1 makes blocks of two rows
+        rng = np.random.default_rng(1200)
+        cases = []
+        for i in range(240):
+            n = int(rng.integers(10, 80))
+            X = np.column_stack([
+                rng.integers(19, 76, n) // 10, rng.integers(1, 5, n), rng.integers(0, 4, n)
+            ]).astype(float)
+            masks = rng.permutation(n) % 5 != np.arange(5)[:, None]
+            cases.append((X, rng.integers(0, 2, n), masks, i % 2 == 1))
+        got = []
+        for budget in (1, 1000, 2**18):
+            monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
+            got.append(np.concatenate([
+                metrics.consistency(X, y, 5, masks, global_bounds=g) for X, y, masks, g in cases
+            ]))
+        assert got[0].size == 1200
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+        want = [
+            consistency_int64(X[mask], y[mask], fit=X if g else None)
+            for X, y, masks, g in cases for mask in masks
+        ]
+        assert got[0].tolist() == want
+
+    def spy(self, monkeypatch):
+        """Record what ``_first_in_mask`` returns and each per-mask kernel call."""
+        calls = {"list": [], "mask": []}
+        first_in_mask, mask_consistency = metrics._first_in_mask, metrics._mask_consistency
+
+        def from_list(*args):
+            calls["list"].append(first_in_mask(*args))
+            return calls["list"][-1]
+
+        def per_mask(*args):
+            calls["mask"].append(args)
+            return mask_consistency(*args)
+
+        monkeypatch.setattr(metrics, "_first_in_mask", from_list)
+        monkeypatch.setattr(metrics, "_mask_consistency", per_mask)
+        return calls
+
+    @pytest.mark.parametrize("global_bounds", [False, True])
+    def test_list_equals_per_mask_kernel(self, monkeypatch, global_bounds):
+        ds = german_style(300, 4)
+        X, y = ds.X.copy(), ds.y
+        X[0, 0] = 90  # the one oldest row: the fold that tests it has narrower spans
+        masks = np.arange(300) % 5 != np.arange(5)[:, None]
+        kernel = metrics._mask_consistency
+        calls = self.spy(monkeypatch)
+        got = metrics.consistency(X, y, 5, masks, global_bounds=global_bounds)
+        for mask, d0 in zip(masks, got):
+            assert d0 == kernel(X[mask], y[mask], 5, *fit_minmax(X if global_bounds else X[mask]))
+        # all rows' bounds serve every fold; otherwise fold 0 has its own
+        assert len(calls["list"]) == (5 if global_bounds else 4)
+        assert all(first is not None for first in calls["list"])
+        assert len(calls["mask"]) == 5 - len(calls["list"])
+
+    def test_row_short_of_k_candidates_runs_per_mask_kernel(self, monkeypatch):
+        # k = 1 keeps 4 candidates a row; in mask 0 row 0's four nearest,
+        # its duplicates, are all outside the mask
+        rows = [[0]] * 5 + [[3], [5], [7], [9], [9]]
+        y = [1, 0, 0, 0, 0, 1, 0, 1, 0, 1]
+        masks = np.array([[True] + [False] * 4 + [True] * 5, [True] * 10])
+        calls = self.spy(monkeypatch)
+        got = metrics.consistency(np.array(rows, dtype=float), y, 1, masks)
+        assert calls["list"][0] is None and calls["list"][1] is not None
+        assert len(calls["mask"]) == 1
+        assert got.tolist() == [consistency_rational(rows, y, 1, mask) for mask in masks]
+
+    def test_one_list_serves_every_fold_of_tied_data(self, monkeypatch):
+        ds = german_style(3000, 1)
+        plan = make_cv_plan(3000)
+        calls = self.spy(monkeypatch)
+        got = np.array([
+            metrics.consistency(ds.X, ds.y, 5, assignment != np.arange(5)[:, None])
+            for assignment in plan.assignments
+        ])
+        assert calls["mask"] == [] and len(calls["list"]) == 25
+        for repeat, fold in ((0, 0), (2, 3), (4, 4)):
+            train = plan.assignments[repeat] != fold
+            assert got[repeat, fold] == consistency_int64(ds.X[train], ds.y[train])
+
+    def test_past_the_bound_runs_the_float_kernel(self):
+        # coprime spans make lcm(span**2) about 1e24, far past 2**53
+        spans = (10007, 10009, 10037)
+        rng = np.random.default_rng(7)
+        X = np.column_stack([rng.integers(0, s + 1, 200) for s in spans]).astype(float)
+        X[:2] = [[0, 0, 0], spans]
+        y = rng.integers(0, 2, 200)
+        assert metrics._exact_metric(X, *fit_minmax(X)) is None
+        masks = np.arange(200) % 5 != np.arange(5)[:, None]
+        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, global_bounds=True)):
+            scaled = apply_minmax(X[mask], *fit_minmax(X))
+            assert d0 == metrics._float_consistency(scaled, y[mask], 5)
+
+    def test_list_memory_linear_in_rows(self):
+        ds = german_style(4000, 5)
+        masks = np.arange(4000) % 5 != np.arange(5)[:, None]
+        tracemalloc.start()
+        try:
+            metrics.consistency(ds.X, ds.y, 5, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("masks, message", [
+        (np.ones(6, dtype=bool), "boolean"),
+        (np.ones((2, 6), dtype=int), "boolean"),
+        (np.ones((2, 5), dtype=bool), "boolean"),
+        (np.array([[True] * 6, [True] * 2 + [False] * 4]), "more than k=2 rows"),
+    ])
+    def test_bad_masks_rejected(self, masks, message):
+        with pytest.raises(ValueError, match=message):
+            metrics.consistency(np.arange(6.0)[:, None], np.ones(6), 2, masks)
 
 
 def random_instance(rng, n_lo=6, n_hi=40):
