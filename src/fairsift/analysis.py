@@ -51,15 +51,12 @@ def rank_average(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(x, y=None) -> np.ndarray | float | None:
-    """Spearman rho with pairwise deletion of undefined entries.
-
-    ``spearman(x, y)`` correlates two series and returns a float or None.
-    ``spearman(block)`` correlates every pair of rows of a 2-D block (one
-    series per row) and returns the matrix of coefficients, NaN where
-    undefined.  Entries that are None or non-finite on either side of a pair
-    are dropped; fewer than 3 surviving pairs, or a constant survivor
-    series, gives undefined.
+def spearman(block) -> np.ndarray:
+    """Spearman rho of every pair of rows of a 2-D block (one series per
+    row), with pairwise deletion of undefined entries: the matrix of
+    coefficients, NaN where undefined.  Entries that are NaN or infinite on
+    either side of a pair are dropped; fewer than 3 surviving pairs, or a
+    constant survivor series, gives NaN.
 
     Pairs of rows are grouped by their common defined entries: one
     ``np.unique`` over the rows' defined-entry patterns, one over the common
@@ -69,9 +66,9 @@ def spearman(x, y=None) -> np.ndarray | float | None:
     are exact and each coefficient is bit-equal to correlating the pair on
     its own.
     """
-    block = np.array(x if y is None else [x, y], dtype=float)
+    block = np.asarray(block, dtype=float)
     if block.ndim != 2:
-        raise ValueError("spearman needs two series or a 2-D block of series")
+        raise ValueError("spearman needs a 2-D block of series")
     # one bit per entry keeps the row comparisons of np.unique short
     defined = np.packbits(np.isfinite(block), axis=1)
     patterns, pattern_of_row = np.unique(defined, axis=0, return_inverse=True)
@@ -98,9 +95,7 @@ def spearman(x, y=None) -> np.ndarray | float | None:
         with np.errstate(divide="ignore", invalid="ignore"):
             coeffs = np.where(denom == 0, np.nan, sums / denom)
         rho[in_group] = coeffs[in_group[np.ix_(rows, rows)]]
-    if y is None:
-        return rho
-    return None if np.isnan(rho[0, 1]) else float(rho[0, 1])
+    return rho
 
 
 PER_CELL_AVERAGE = "per_cell_average"

@@ -184,21 +184,17 @@ class DatasetSpec:
             raise ConfigError(f"dataset spec missing field {exc.args[0]!r}") from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetSpec":
+    def from_json_file(cls, path) -> "DatasetSpec":
         try:
-            raw = json.loads(text)
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read dataset spec: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"dataset spec is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"dataset spec is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
-
-    @classmethod
-    def from_json_file(cls, path) -> "DatasetSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"dataset spec is not valid UTF-8: {exc}") from exc
-        return cls.from_json(text)
 
 
 @dataclass(frozen=True)
@@ -357,6 +353,12 @@ def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
             if not np.all(np.isfinite(col)):
                 raise DataError(
                     f"dataset {spec.name!r}: non-finite value in column {feat.name!r}"
+                )
+            # in Python floats, so an overflowing span is inf with no warning
+            if not math.isfinite(float(col.max()) - float(col.min())):
+                raise DataError(
+                    f"dataset {spec.name!r}: the span of column {feat.name!r} "
+                    f"(max - min) overflows; min-max scaling needs a finite span"
                 )
             columns.append(col)
             names.append(feat.name)

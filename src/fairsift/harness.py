@@ -76,12 +76,14 @@ BUILTIN_MITIGATORS: dict[str, Mitigator] = {
     REWEIGHING: ReweighingMitigator(),
 }
 
+# the (repeat, fold) of each sample, in the order of the grid's last axis
+SLOTS = tuple(itertools.product(range(N_REPEATS), range(N_FOLDS)))
+
+
 @dataclass(frozen=True)
 class CvPlan:
     """Per-repeat fold id for every row; folds are shuffled, not stratified."""
 
-    n_rows: int
-    seeds: tuple[int, ...]
     assignments: np.ndarray  # shape (n_repeats, n_rows), values in 0..N_FOLDS-1
 
     def __post_init__(self):
@@ -101,7 +103,7 @@ def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
     assignments = np.empty((N_REPEATS, n_rows), dtype=np.int64)
     for r, seed in enumerate(seeds):
         assignments[r, np.random.default_rng(seed).permutation(n_rows)] = folds
-    return CvPlan(n_rows=n_rows, seeds=seeds, assignments=assignments)
+    return CvPlan(assignments)
 
 
 @dataclass(frozen=True)
@@ -142,19 +144,12 @@ class ExperimentConfig:
         return settings
 
 
-def canonical_models(names) -> tuple[str, ...]:
-    """The grid's model order: the built-in models first, then the others
-    sorted by name."""
-    named = set(names)
-    return tuple([m for m in MODEL_NAMES if m in named] + sorted(named - set(MODEL_NAMES)))
-
-
 class MetricSampleMatrix:
     """Every sample of a run: ``values[d, m, k, repeat * N_FOLDS + fold]`` is
     metric ``metric_ids[k]`` of model ``models[m]`` on dataset
-    ``datasets[d]``, NaN for Undefined.  Datasets are sorted, models follow
-    ``canonical_models``, metric ids follow ``metric_sort_key``.  ``len()``
-    is the number of entries.
+    ``datasets[d]``, NaN for Undefined.  Datasets and models are sorted by
+    name, metric ids follow ``metric_sort_key``, and the last axis follows
+    ``SLOTS``.  ``len()`` is the number of entries.
 
     The constructor takes the axes and the grid as they are; ``from_entries``
     builds them from (dataset, model, repeat, fold, metric_id, value) rows.
@@ -174,7 +169,7 @@ class MetricSampleMatrix:
     @classmethod
     def from_entries(cls, entries) -> "MetricSampleMatrix":
         """The grid of (dataset, model, repeat, fold, metric_id, value)
-        entries, a value that is None or not finite being Undefined.  Every
+        entries, a value that is None, NaN or infinite being Undefined.  Every
         (dataset, model, metric, repeat, fold) of the axes must occur exactly
         once, with repeat and fold in 0..4; anything else raises
         ``ValueError``."""
@@ -182,12 +177,11 @@ class MetricSampleMatrix:
         if not columns:
             raise ValueError("no entries")
         datasets, models, repeats, folds, metric_ids, values = columns
-        slots = tuple(itertools.product(range(N_REPEATS), range(N_FOLDS)))
         axes = (
             tuple(sorted(set(datasets))),
-            canonical_models(models),
+            tuple(sorted(set(models))),
             tuple(sorted(set(metric_ids), key=metrics.metric_sort_key)),
-            slots,
+            SLOTS,
         )
         shape = tuple(len(axis) for axis in axes)
         index = [{key: i for i, key in enumerate(axis)} for axis in axes]
@@ -203,11 +197,11 @@ class MetricSampleMatrix:
             i = int(np.argmax(counts != 1))
             d, m, k, t = np.unravel_index(i, shape)
             raise ValueError(
-                f"entry {axes[0][d]},{axes[1][m]},{slots[t][0]},{slots[t][1]},"
+                f"entry {axes[0][d]},{axes[1][m]},{SLOTS[t][0]},{SLOTS[t][1]},"
                 f"{axes[2][k]} occurs {counts[i]} times, not once"
             )
         grid = np.empty(counts.size)
-        grid[flat] = [np.nan if v is None else v for v in values]
+        grid[flat] = values
         grid[~np.isfinite(grid)] = np.nan
         return cls(*axes[:3], grid.reshape(shape))
 
@@ -294,7 +288,7 @@ def run_experiment(
         raise ValueError(f"dataset names must be unique, got {names}")
     if not datasets:
         raise ValueError("no datasets")
-    model_names = canonical_models(cfg.models)
+    model_names = tuple(sorted(cfg.models))
     selected = tuple((m, registry[m]) for m in model_names)
 
     jobs = []
@@ -337,14 +331,14 @@ RESULTS_HEADER = ("dataset", "model", "repeat", "fold", "metric_id", "value")
 
 
 def write_results_csv(samples: MetricSampleMatrix, path) -> None:
-    """Long format, one row per grid entry, sorted by dataset, model name,
-    repeat, fold and ``metric_sort_key``; Undefined serialized as empty."""
-    slots = list(itertools.product(range(N_REPEATS), range(N_FOLDS)))
+    """Long format, one row per grid entry in grid order: by dataset, model
+    name, repeat, fold and ``metric_sort_key``; Undefined serialized as
+    empty."""
     write_csv(path, RESULTS_HEADER, (
         (dataset, model, repeat, fold, metric_id, format_value(v))
         for dataset, by_model in zip(samples.datasets, samples.values)
-        for model, by_metric in sorted(zip(samples.models, by_model), key=lambda pair: pair[0])
-        for (repeat, fold), column in zip(slots, by_metric.T.tolist())
+        for model, by_metric in zip(samples.models, by_model)
+        for (repeat, fold), column in zip(SLOTS, by_metric.T.tolist())
         for metric_id, v in zip(samples.metric_ids, column)
     ))
 
@@ -353,8 +347,8 @@ def _parse_row(row) -> tuple:
     dataset, model, repeat, fold, metric_id, value = row
     if metric_id not in metrics.METRIC_CATALOG:
         raise ValueError(f"unknown metric id {metric_id!r}")
-    number = None if value == UNDEFINED_FIELD else float(value)
-    if number is not None and not math.isfinite(number):
+    number = math.nan if value == UNDEFINED_FIELD else float(value)
+    if value != UNDEFINED_FIELD and not math.isfinite(number):
         raise ValueError(f"value {value!r} is not finite; Undefined is an empty field")
     return dataset, model, int(repeat), int(fold), metric_id, number
 

@@ -190,7 +190,7 @@ BENEFITS = (0.0, 1.0, 2.0)
 
 def entropy_indices(values, counts, alpha: float = 2.0):
     """(GE(alpha), Theil, CoV) of a population where ``values[j]`` occurs
-    ``counts[j]`` times; all three None when the mean mu is 0.
+    ``counts[j]`` times; all three NaN (Undefined) when the mean mu is 0.
 
     GE(alpha) = 1/(n*alpha*(alpha-1)) * sum(count * ((v/mu)^alpha - 1)), with
     alpha = 1 the Theil limit and alpha = 0 the mean-log-deviation limit;
@@ -202,7 +202,7 @@ def entropy_indices(values, counts, alpha: float = 2.0):
     n = sum(c for c, _ in terms)
     mu = sum(c * v for c, v in terms) / n
     if mu <= 0:
-        return None, None, None
+        return math.nan, math.nan, math.nan
     ratios = [(c, v / mu) for c, v in terms]
 
     def ge(a: float) -> float:
@@ -230,7 +230,7 @@ def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
     favorable rate is smoothed as ``(pos + concentration/2) / (total +
     concentration)``; the result is the max over group pairs of
     max(|ln(r_g/r_h)|, |ln((1-r_g)/(1-r_h))|).  Fewer than two groups give
-    None.
+    NaN (Undefined).
     """
     pos = np.asarray(pos_counts, dtype=float)
     tot = np.asarray(totals, dtype=float)
@@ -241,7 +241,7 @@ def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
     if np.any(tot <= 0) or np.any(pos < 0) or np.any(pos > tot):
         raise ValueError("need 0 <= pos <= total and total > 0 per group")
     if pos.shape[-1] < 2:
-        return None
+        return np.full(pos.shape[:-1], np.nan)[()]
     rates = (pos + concentration / 2.0) / (tot + concentration)
     gaps = [
         np.abs(logs[..., :, None] - logs[..., None, :])
@@ -515,7 +515,7 @@ def compute_classification_metrics(
 
     # per tensor: counts of the benefits in BENEFITS, i.e. (FN, TP + TN, FP)
     individual, between = [], []
-    undefined = (None, None, None)
+    undefined = (math.nan, math.nan, math.nan)
     for groups in np.stack([fn, tp + tn, fp], axis=-1).reshape(-1, 2, 3).tolist():
         sizes = [sum(counts) for counts in groups]
         individual.append(
@@ -599,7 +599,7 @@ def label_fair(
     """Label metric values Fair or Unfair against their ideals' bands.
 
     Ideal 0 metrics are fair in [-0.1, 0.1]; ideal 1 metrics in [0.8, 1.2];
-    band boundaries included.  Undefined values (None, NaN, inf) are labeled
+    band boundaries included.  Undefined values (NaN, inf) are labeled
     Unfair: an unmeasurable disparity deserves scrutiny, not a pass.
     ``value`` and ``ideal`` broadcast against each other; scalars give one
     label string, arrays an array of them.

@@ -52,20 +52,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_and_gradient(theta, X, y, weights, l2_strength):
-    """Weighted regularized negative log-likelihood and its gradient.
+def loss_and_gradient(theta, X, y, w, l2_strength):
+    """Weighted regularized negative log-likelihood, its gradient and
+    sigmoid(z), the last for the Hessian; ``theta``, ``X``, ``y`` and ``w``
+    are float arrays.
 
     ``theta`` packs [intercept, coefficients...].  The loss is
     sum_i w_i * (log(1 + e^{z_i}) - y_i * z_i) + (l2/2) * ||coef||^2
     with z = intercept + X @ coef; the intercept carries no penalty.
     """
-    arrays = (np.asarray(a, dtype=float) for a in (theta, X, y, weights))
-    loss, grad, _ = _evaluate(*arrays, l2_strength)
-    return loss, grad
-
-
-def _evaluate(theta, X, y, w, l2_strength):
-    """``loss_and_gradient`` on float arrays, plus sigmoid(z) for the Hessian."""
     intercept, coef = theta[0], theta[1:]
     z = X @ coef + intercept
     # log(1 + e^z) computed stably for large |z|
@@ -104,7 +99,7 @@ def train_logistic(
     theta = np.zeros(p + 1)
     penalty = np.concatenate(([0.0], np.full(p, l2_strength)))
     diagonal = np.diag_indices(p + 1)
-    loss, grad, pr = _evaluate(theta, X, y, w, l2_strength)
+    loss, grad, pr = loss_and_gradient(theta, X, y, w, l2_strength)
     iterations = 0
     while np.linalg.norm(grad) > tolerance and iterations < max_iterations:
         curvature = w * pr * (1.0 - pr)
@@ -130,7 +125,7 @@ def train_logistic(
         t = 1.0
         accepted = False
         for _ in range(60):
-            new_loss, new_grad, new_pr = _evaluate(
+            new_loss, new_grad, new_pr = loss_and_gradient(
                 theta + t * step, X, y, w, l2_strength
             )
             if at_resolution or new_loss <= loss + 1e-4 * t * slope:

@@ -15,7 +15,7 @@ column exercises the one-hot encoding path.
 
 import numpy as np
 
-from .datamodel import ConfigError, DatasetSpec, write_csv, write_json
+from .datamodel import ConfigError, write_csv, write_json
 
 GROUP_COLUMN = "group"
 LABEL_COLUMN = "outcome"
@@ -27,10 +27,6 @@ UNFAVORABLE = "no"
 _SIGNALS = (1.0, 0.8, 0.6)  # label coefficient per numeric feature
 _NOISES = (0.55, 0.65, 0.75)  # noise scale per numeric feature
 _PROXY_NOISE = 0.25  # noise on the group-proxy feature
-
-
-def synthetic_spec(name: str) -> DatasetSpec:
-    return DatasetSpec.from_dict(spec_dict(name))
 
 
 def generate_rows(

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from fairsift.datamodel import DatasetSpec, encode_dataset
 from fairsift.harness import ExperimentConfig, run_experiment
-from fairsift.synth import generate_rows, synthetic_spec
+from fairsift.synth import generate_rows, spec_dict
 
 settings.register_profile("ci", max_examples=60, deadline=None)
 settings.load_profile("ci")
@@ -21,7 +21,7 @@ def rows_to_csv_text(header, rows) -> str:
 def make_synthetic(name: str, n_rows: int, bias_gap: float, seed: int):
     header, rows = generate_rows(n_rows, bias_gap, seed)
     return encode_dataset(io.StringIO(rows_to_csv_text(header, rows)),
-                          synthetic_spec(name))
+                          DatasetSpec.from_dict(spec_dict(name)))
 
 
 def german_style_text(n_rows: int, seed: int) -> tuple[str, dict]:

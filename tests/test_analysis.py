@@ -265,33 +265,40 @@ def dendrograms(draw):
 # Spearman
 # ---------------------------------------------------------------------------
 
+def spearman_pair(x, y):
+    """``analysis.spearman`` of the two-row block [x, y]: its coefficient,
+    or None where undefined."""
+    rho = analysis.spearman([x, y])[0, 1]
+    return None if np.isnan(rho) else float(rho)
+
+
 class TestSpearman:
     def test_identical_ranking(self):
-        assert analysis.spearman([1, 2, 3], [10, 20, 30]) == 1.0
+        assert spearman_pair([1, 2, 3], [10, 20, 30]) == 1.0
 
     def test_reversed_ranking(self):
-        assert analysis.spearman([1, 2, 3], [3, 2, 1]) == -1.0
+        assert spearman_pair([1, 2, 3], [3, 2, 1]) == -1.0
 
     def test_hand_value(self):
-        assert analysis.spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5)
+        assert spearman_pair([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5)
 
     def test_pairwise_deletion(self):
         x = [1.0, None, 2.0, 3.0, float("nan")]
         y = [2.0, 5.0, 4.0, 6.0, 1.0]
-        assert analysis.spearman(x, y) == 1.0
+        assert spearman_pair(x, y) == 1.0
 
     def test_too_few_pairs(self):
-        assert analysis.spearman([1, 2], [2, 1]) is None
-        assert analysis.spearman([1, None, 2], [1, 2, None]) is None
+        assert spearman_pair([1, 2], [2, 1]) is None
+        assert spearman_pair([1, None, 2], [1, 2, None]) is None
 
     def test_constant_vector(self):
-        assert analysis.spearman([1, 1, 1], [1, 2, 3]) is None
+        assert spearman_pair([1, 1, 1], [1, 2, 3]) is None
 
     def test_all_permutations_match_bruteforce(self):
         for n in range(3, 7):
             x = list(range(1, n + 1))
             for perm in itertools.permutations(x):
-                got = analysis.spearman(x, list(perm))
+                got = spearman_pair(x, list(perm))
                 assert got == pytest.approx(spearman_bruteforce(x, list(perm)), abs=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=8))
@@ -300,7 +307,7 @@ class TestSpearman:
         expected = (
             None if min(ys) == max(ys) else spearman_bruteforce(xs, ys)
         )
-        got = analysis.spearman(xs, ys)
+        got = spearman_pair(xs, ys)
         if expected is None:
             assert got is None
         else:
@@ -309,12 +316,12 @@ class TestSpearman:
     def test_monotone_transform_invariance(self):
         x = [0.5, 2.0, 1.5, 3.0, 0.1]
         y = [2 * math.sqrt(v) for v in x]
-        assert analysis.spearman(x, y) == 1.0
+        assert spearman_pair(x, y) == 1.0
 
     def test_mirror_is_exactly_minus_one(self):
         x = [0.3, -1.2, 0.8, 0.3, 2.4]  # includes a tie
         y = [-v for v in x]
-        assert analysis.spearman(x, y) == -1.0
+        assert spearman_pair(x, y) == -1.0
 
 
 class TestRanks:
@@ -378,7 +385,7 @@ class TestBlockSpearman:
             else:
                 assert got[i, j] == expected
         if len(rows) >= 2:
-            assert analysis.spearman(rows[0], rows[1]) == spearman_pairwise(rows[0], rows[1])
+            assert spearman_pair(rows[0], rows[1]) == spearman_pairwise(rows[0], rows[1])
 
     def test_hole_patterns_share_one_ranking(self):
         # C has a hole where A and B do not: (A, C) and (B, C) use 4 folds

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -524,41 +525,50 @@ class TestMalformedSpec:
         assert manifest["record_count"] == 30 * 25
 
 
+# case id -> (command, spoiled file, exit code)
+SPOILED_CASES = {
+    "experiment-config": ("experiment", "config", 2),
+    "analyze-config": ("analyze", "config", 2),
+    "analyze-results": ("analyze", "results", 3),
+    "metrics-spec": ("metrics", "spec", 2),
+    "metrics-data": ("metrics", "data", 3),
+    "experiment-data": ("experiment", "data", 3),
+    "experiment-spec": ("experiment", "spec", 3),
+    "experiment-data-with-good": ("experiment-with-good", "data", 4),
+    "experiment-spec-with-good": ("experiment-with-good", "spec", 4),
+}
+# how the file is spoiled -> what the error message says
+DAMAGES = {"utf8": "utf-8", "missing": "no such file", "directory": "is a directory"}
+
+
 class TestNonUtf8Input:
     """A file that is not valid UTF-8 (here a valid file with one trailing
-    0xFF byte) gets the documented exit code, never a traceback: 2 for a
-    config or a spec, 3 for a data CSV; from experiment a bad dataset file
-    is a failed dataset."""
+    0xFF byte), is missing or is a directory gets the documented exit code,
+    never a traceback: 2 for a config or a spec, 3 for a data CSV or a
+    results file; from experiment a bad dataset file is a failed dataset."""
 
     @staticmethod
-    def _spoil(path, tmp_path):
-        bad = tmp_path / f"bad-{path.name}"
-        bad.write_bytes(path.read_bytes() + b"\xff")
+    def _spoil(path, tmp_path, damage):
+        bad = tmp_path / f"{damage}-{path.name}"
+        if damage == "utf8":
+            bad.write_bytes(path.read_bytes() + b"\xff")
+        elif damage == "directory":
+            bad.mkdir()
         return str(bad)
 
-    @pytest.mark.parametrize("command, spoiled, code", [
-        ("experiment", "config", 2),
-        ("analyze", "config", 2),
-        ("analyze", "results", 3),
-        ("metrics", "spec", 2),
-        ("metrics", "data", 3),
-        ("experiment", "data", 3),
-        ("experiment", "spec", 3),
-        ("experiment-with-good", "data", 4),
-        ("experiment-with-good", "spec", 4),
-    ], ids=["experiment-config", "analyze-config", "analyze-results", "metrics-spec",
-            "metrics-data",
-            "experiment-data", "experiment-spec", "experiment-data-with-good",
-            "experiment-spec-with-good"])
+    @pytest.mark.parametrize("command, spoiled, code, damage", [
+        pytest.param(*case, damage, id=name if damage == "utf8" else f"{name}-{damage}")
+        for name, case in SPOILED_CASES.items() for damage in DAMAGES
+    ])
     def test_exit_code(self, tiny_dataset, experiment_dir, tmp_path, capsys,
-                       command, spoiled, code):
+                       command, spoiled, code, damage):
         data, spec = tiny_dataset
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"models": ["baseline"]}))
         files = {"data": data, "spec": spec, "config": config,
                  "results": experiment_dir / "results.csv"}
         paths = {key: str(path) for key, path in files.items()}
-        paths[spoiled] = self._spoil(files[spoiled], tmp_path)
+        paths[spoiled] = self._spoil(files[spoiled], tmp_path, damage)
         out = str(tmp_path / "out")
         if command == "analyze":
             argv = ["analyze", "--results", paths["results"], "--config", paths["config"]]
@@ -576,9 +586,11 @@ class TestNonUtf8Input:
             argv = ["experiment", "--config", str(config)]
         assert main(argv + ["--out", out]) == code
         err = capsys.readouterr().err
-        assert "utf-8" in err.lower()
+        assert DAMAGES[damage] in err.lower()
         assert "Traceback" not in err
-        if spoiled == "results":
+        if damage != "utf8":
+            assert paths[spoiled] in err
+        elif spoiled == "results":
             assert err.startswith(f"data error: {paths['results']}: ")
 
 
@@ -636,6 +648,36 @@ class TestMalformedResults:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestOverflowingSpan:
+    """A numeric column of finite values whose span (max - min) overflows is
+    a data error naming the column, found before any arithmetic warns."""
+
+    @pytest.fixture
+    def wide_dataset(self, tmp_path):
+        data, spec = tmp_path / "wide.csv", tmp_path / "wide.spec.json"
+        synth.write_dataset(data, spec, "wide", n_rows=60, bias_gap=0.3, seed=1)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        noise = lines[0].split(",").index("noise")
+        for i in range(1, len(lines)):
+            lines = _set_field(lines, i, noise, ("1e308", "-1e308")[i % 2])
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return data, spec
+
+    @pytest.mark.parametrize("command", ["experiment", "metrics"])
+    def test_data_error_names_column(self, wide_dataset, tmp_path, capsys, command):
+        data, spec = wide_dataset
+        argv = [command, "--data", str(data), "--spec", str(spec)]
+        if command == "experiment":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "column 'noise'" in err and "overflows" in err
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestCatalogCommand:

@@ -390,6 +390,26 @@ class TestMitigatorSlot:
         down_d2 = defined(samples, "plug", "downweight", "D2")
         assert not np.allclose(base_d2, down_d2)
 
+    def test_one_model_order_in_grid_results_and_report(self, tmp_path):
+        """A custom model sorts by name among the built-in ones: the grid,
+        the rows of results.csv and report.md's "Models:" line agree."""
+        from fairsift import report
+        from fairsift.models import Mitigator
+
+        ds = make_synthetic("order", 100, 0.2, seed=8)
+        samples = run_experiment([ds], ExperimentConfig(models=("baseline", "adv")),
+                                 mitigators={"adv": Mitigator()})
+        assert samples.models == ("adv", "baseline")
+        path = tmp_path / "results.csv"
+        write_results_csv(samples, path)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert list(dict.fromkeys(row.split(",")[1] for row in rows)) == ["adv", "baseline"]
+        again = read_results_csv(path)
+        assert same_grid(again, samples)
+        report.write_all(report.build_analysis(again), tmp_path / "analysis")
+        lines = (tmp_path / "analysis" / "report.md").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("Models:")] == ["Models: adv, baseline"]
+
     def test_mitigator_without_name_runs(self):
         class Halve:  # no name attribute and no Mitigator base
             def training_weights(self, y, s):
@@ -463,7 +483,7 @@ class TestPersistence:
         )
         mat = MetricSampleMatrix.from_entries(entries[::-1])
         assert mat.datasets == ("d", "e")
-        assert mat.models == (BASELINE, REWEIGHING, "downweight")
+        assert mat.models == (BASELINE, "downweight", REWEIGHING)  # by name
         assert mat.metric_ids == ("C1", "C2", "C10", "D2")
         path = tmp_path / "r.csv"
         write_results_csv(mat, path)
@@ -477,7 +497,7 @@ class TestPersistence:
             ("d", BASELINE, 0, 0, "C10"), ("d", BASELINE, 0, 0, "D2"),
             ("d", BASELINE, 0, 1, "C1"),
         ]
-        assert keys[100][1] == "downweight"  # model names sort as strings
+        assert [key[1] for key in keys[:300:100]] == list(mat.models)
         assert same_grid(read_results_csv(path), mat)
 
     def test_missing_entry_rejected(self):

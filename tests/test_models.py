@@ -25,8 +25,8 @@ def finite_difference_gradient(theta, X, y, w, l2, step=1e-5):
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
-        lu, _ = loss_and_gradient(up, X, y, w, l2)
-        ld, _ = loss_and_gradient(down, X, y, w, l2)
+        lu = loss_and_gradient(up, X, y, w, l2)[0]
+        ld = loss_and_gradient(down, X, y, w, l2)[0]
         grad[i] = (lu - ld) / (2 * step)
     return grad
 
@@ -80,7 +80,7 @@ class TestTraining:
             X, y, w = random_problem(rng)
             model = train_logistic(X, y, w)
             assert model.converged
-            _, grad = loss_and_gradient(
+            _, grad, _ = loss_and_gradient(
                 np.concatenate(([model.intercept], model.coefficients)),
                 X, y, w, 1.0,
             )
@@ -110,7 +110,7 @@ class TestTraining:
         for _ in range(20):
             X, y, w = random_problem(rng)
             theta = rng.normal(scale=0.5, size=X.shape[1] + 1)
-            _, analytic = loss_and_gradient(theta, X, y, w, 1.0)
+            _, analytic, _ = loss_and_gradient(theta, X, y, w, 1.0)
             numeric = finite_difference_gradient(theta, X, y, w, 1.0)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
             worst = max(worst, rel)

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from fairsift.datamodel import encode_dataset
-from fairsift.synth import generate_rows, spec_dict, synthetic_spec
+from fairsift.datamodel import DatasetSpec, encode_dataset
+from fairsift.synth import generate_rows, spec_dict
 
 from conftest import rows_to_csv_text
 
@@ -12,7 +12,7 @@ from conftest import rows_to_csv_text
 def encode(n_rows, gap, seed):
     header, rows = generate_rows(n_rows, gap, seed)
     return encode_dataset(
-        io.StringIO(rows_to_csv_text(header, rows)), synthetic_spec("s")
+        io.StringIO(rows_to_csv_text(header, rows)), DatasetSpec.from_dict(spec_dict("s"))
     )
 
 
@@ -43,5 +43,5 @@ class TestGenerator:
             generate_rows(100, 1.2, seed=0)
 
     def test_spec_dict_loads(self):
-        assert synthetic_spec("x").name == "x"
+        assert DatasetSpec.from_dict(spec_dict("x")).name == "x"
         assert spec_dict("x")["encoding"] == {"tier": "one_hot"}
