@@ -14,6 +14,8 @@ thread run:
   ``avg`` and ``pooled``;
 * ``fairsift experiment --jobs 2`` on every workload input, into
   ``out-jobs2``, so the worker-pool path is compared too;
+* ``fairsift experiment --jobs 1 --global-normalize`` on every workload
+  input, into ``out-global``, so scaling by all rows' bounds is compared too;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -94,6 +96,8 @@ def commands(inputs: str):
                        "--out", f"{case}/{scope}", "--correlation-scope", scope], None
             yield ["experiment", "--config", config, "--out", f"{case}/out-jobs2",
                    "--jobs", "2"], None
+            yield ["experiment", "--config", config, "--out", f"{case}/out-global",
+                   "--jobs", "1", "--global-normalize"], None
     yield ["demo", "--out", "demo"], None
     data = ["--data", os.path.join(inputs, "metrics.csv"),
             "--spec", os.path.join(inputs, "metrics.spec.json")]

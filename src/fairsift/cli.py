@@ -29,6 +29,7 @@ from .datamodel import (
     DataError,
     DatasetSpec,
     encode_dataset,
+    fit_minmax,
     format_value,
     usable_rows,
     write_csv,
@@ -132,10 +133,7 @@ def _sources(args, file_cfg: dict) -> list[DatasetSource]:
 
 def cmd_metrics(args) -> int:
     cfg = _config(ExperimentConfig, args, {})
-    try:
-        spec = DatasetSpec.from_json_file(args.spec)
-    except ConfigError as exc:
-        raise ConfigError(f"{args.spec}: {exc}") from exc
+    spec = DatasetSpec.from_json_file(args.spec)
     try:
         ds = encode_dataset(args.data, spec)
     except DataError as exc:
@@ -149,7 +147,7 @@ def cmd_metrics(args) -> int:
     ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
         metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
-        metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows)[0],
+        metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows, [fit_minmax(ds.X)])[0],
         concentration=cfg.concentration,
     )
     if args.predictions_column:
@@ -257,7 +255,7 @@ def cmd_analyze(args) -> int:
     try:
         samples = read_results_csv(args.results)
     except OSError as exc:
-        raise DataError(f"cannot read results: {exc}") from exc
+        raise DataError(f"{args.results}: cannot read results: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     result = report.build_analysis(samples, cfg)

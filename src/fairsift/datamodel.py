@@ -185,16 +185,19 @@ class DatasetSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "DatasetSpec":
+        """The spec in a JSON file; every ``ConfigError`` starts with the path."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                return cls.from_dict(json.load(fh))
         except OSError as exc:
-            raise ConfigError(f"cannot read dataset spec: {exc}") from exc
+            message = f"cannot read dataset spec: {exc.strerror or exc}"
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"dataset spec is not valid UTF-8: {exc}") from exc
+            message = f"dataset spec is not valid UTF-8: {exc}"
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"dataset spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+            message = f"dataset spec is not valid JSON: {exc}"
+        except ConfigError as exc:
+            message = str(exc)
+        raise ConfigError(f"{path}: {message}")
 
 
 @dataclass(frozen=True)

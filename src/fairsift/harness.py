@@ -10,13 +10,14 @@ the training split's D0.  A fold whose reweighing failed keeps all-zero
 tensors, so all 30 of its metrics are Undefined.
 
 The unit of work is one repeat of one dataset (``_repeat_job``, also the
-unit of ``--jobs``).  It gets D0 of its five training splits from one
-``metrics.consistency`` call on the raw rows (on integer-coded data, from
-one neighbour list), then scales each fold's rows once, and returns its
-slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
-tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The run stacks the
-slices into ``[dataset, model, repeat, fold, ...]`` and makes one
-``metrics.compute_classification_metrics`` and one
+unit of ``--jobs``).  It fits each fold's min-max bounds once, gets D0 of
+its five training splits from one ``metrics.consistency`` call on the raw
+rows and those bounds (on integer-coded data, from one neighbour list),
+then scales each fold's rows once by the same bounds, and returns its
+slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``,
+label-weight tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The
+run stacks the slices into ``[dataset, model, repeat, fold, ...]`` and
+makes one ``metrics.compute_classification_metrics`` and one
 ``metrics.compute_dataset_metrics`` call.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
@@ -28,7 +29,8 @@ Undefined; ``results.csv`` lists that grid one entry per row.
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
 ``global_normalize`` switch restores the simpler one-pass normalization for
-pipelines that were defined that way.
+pipelines that were defined that way.  This module is the one place that
+decides the scaling: D0 gets the bounds the fits use.
 
 Everything is a pure function of (data, seeds, config): rerunning with the
 same inputs rewrites byte-identical results, regardless of worker count.
@@ -223,23 +225,23 @@ def _repeat_job(args):
     on its (name, mitigator)'s training weights; a model whose reweighing
     failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
 
-    D0 of all five folds is one ``metrics.consistency`` call on the raw rows
-    before the fold loop, so integer-coded data gets every fold from one
-    neighbour list and no scaled fold is alive while it runs."""
+    Each fold's min-max bounds are fitted once, on its training rows or,
+    under ``global_normalize``, on all rows; the same bounds scale the fits'
+    rows and D0's.  D0 of all five folds is one ``metrics.consistency`` call
+    on the raw rows before the fold loop, so integer-coded data gets every
+    fold from one neighbour list and no scaled fold is alive while it runs."""
     ds, cfg, repeat, assignment, mitigators = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
+    trains = assignment != np.arange(N_FOLDS)[:, None]
+    bounds = [fit_minmax(ds.X if cfg.global_normalize else ds.X[train]) for train in trains]
     # consistency ignores instance weights, so all models share the value
-    consistency = metrics.consistency(
-        ds.X, ds.y, cfg.k_neighbors, assignment != np.arange(N_FOLDS)[:, None],
-        global_bounds=cfg.global_normalize,
-    )[None]
-    for fold in range(N_FOLDS):
-        test = assignment == fold
-        train = ~test
+    consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds)[None]
+    for fold, train in enumerate(trains):
+        test = ~train
         # apply_minmax scales every entry on its own, so scaling all rows once
         # gives both splits the bits they would get scaled apart
-        X = apply_minmax(ds.X, *fit_minmax(ds.X if cfg.global_normalize else ds.X[train]))
+        X = apply_minmax(ds.X, *bounds[fold])
         X_train, y_train, s_train = X[train], ds.y[train], ds.s[train]
         X_test, y_test, s_test = X[test], ds.y[test], ds.s[test]
 

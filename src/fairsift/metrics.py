@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import apply_minmax, fit_minmax, json_text
+from .datamodel import apply_minmax, json_text
 
 # Families for reporting, mirroring the metric-type groupings common in the
 # fairness-toolkit literature.
@@ -278,28 +278,28 @@ def _row_blocks(n: int):
         start = stop
 
 
-def consistency(X, y, k: int = 5, masks=None, global_bounds: bool = False):
-    """kNN consistency (D0, Zemel et al. 2013): 1 - mean |y_i - mean(y of the
-    k nearest neighbors of x_i)|, Euclidean distance, self excluded, distance
-    ties broken by the smallest row index.
+def consistency(X, y, k: int, masks, bounds) -> np.ndarray:
+    """kNN consistency (D0, Zemel et al. 2013) of each mask's rows: 1 - mean
+    |y_i - mean(y of the k nearest neighbors of x_i)|, Euclidean distance,
+    self excluded, distance ties broken by the smallest row index.
 
-    Without ``masks``: D0 of all rows of X as given, a float.  With
-    ``masks``, a boolean (m, n) array: X holds raw rows, and the result is
-    the array of each mask's D0 over its rows, min-max scaled as
-    ``datamodel.apply_minmax`` scales them, by the mask's own column bounds
-    or, with ``global_bounds``, by those of all rows.  Each mask needs more
-    than k rows.
+    X holds raw rows, ``masks`` is a boolean (m, n) array, and ``bounds``
+    holds one ``(mins, maxs)`` per mask, fitted by the caller, which scale
+    the mask's rows as ``datamodel.apply_minmax`` does; unit bounds take the
+    rows as given.  Each mask needs more than k rows.  The result is the
+    array of each mask's D0.
 
     Integer-valued rows take the exact path: scaled squared distances times
     ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties are exact
     and the tie rule holds whatever the BLAS.  Then one blocked pass keeps
     every row's first ``CONSISTENCY_LIST_FACTOR * k`` neighbours among all
-    rows, scaled by all rows' bounds, and each mask with the same spans
-    (every mask under ``global_bounds``) reads its rows' k nearest in-mask
-    neighbours off that one list.  A mask with other spans, or one with a
-    row short of k in-mask candidates, runs the per-mask exact kernel
-    instead.  Other data, or integers past the ``2**53`` bound, runs
-    the float kernel per mask on the scaled rows (``_float_consistency``).
+    rows under all rows' spans, and each mask whose bounds have those spans
+    reads its rows' k nearest in-mask neighbours off that one list.  A mask
+    with other spans, or one with a row short of k in-mask candidates, runs
+    the exact kernel on its own rows instead.  Other data, or integers past
+    the ``2**53`` bound, runs the float kernel on each mask's scaled rows
+    (``_float_nearest``).  All three paths end in the same neighbour indices
+    and one D0 expression.
 
     Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
     entries (2 MB), plus O(n k) for the list: a whole dataset of tens of
@@ -312,59 +312,51 @@ def consistency(X, y, k: int = 5, masks=None, global_bounds: bool = False):
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError("y must align with X rows")
-    single = masks is None
-    if single:
-        masks = np.ones((1, n), dtype=bool)
     masks = np.asarray(masks)
     if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
         raise ValueError(f"masks must be a boolean (m, {n}) array, "
                          f"got {masks.dtype} {masks.shape}")
+    if len(bounds) != len(masks):
+        raise ValueError(f"need one (mins, maxs) per mask: {len(masks)} masks, "
+                         f"{len(bounds)} bounds")
+    bounds = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in bounds]
+    for lo, hi in bounds:
+        if lo.shape != (p,) or hi.shape != (p,):
+            raise ValueError(f"bounds must be (mins, maxs) of width {p}, "
+                             f"got shapes {lo.shape} and {hi.shape}")
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     sizes = masks.sum(axis=1)
     if (sizes <= k).any():
         raise ValueError(f"every mask needs more than k={k} rows, got {sizes.tolist()}")
 
-    # the rows as given are the rows scaled by mins 0 and maxs 1
-    full = (np.zeros(p), np.ones(p)) if single else fit_minmax(X)
-    metric = _exact_metric(X, *full)
-    nearest = None
+    # the list is an index under all rows' spans, not a scaling: a mask
+    # reads it only when its own bounds have those spans
+    full = X.max(axis=0) - X.min(axis=0)
+    metric = _exact_metric(X, full)
+    listed = None
     d0 = np.empty(len(masks))
-    for i, mask in enumerate(masks):
-        rows = X[mask]
-        own = full if single or global_bounds else fit_minmax(rows)
-        first = None
-        if metric is not None and np.array_equal(own[1] - own[0], full[1] - full[0]):
-            if nearest is None:
-                nearest = _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, n - 1))
-            first = _first_in_mask(nearest, mask, k)
-        if first is None:
-            d0[i] = _mask_consistency(rows, y[mask], k, *own)
-        else:
-            d0[i] = _d0(y[mask], y[first])
-    return float(d0[0]) if single else d0
+    for i, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
+        nearest = None
+        if metric is not None and np.array_equal(maxs - mins, full):
+            if listed is None:
+                listed = _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, n - 1))
+            nearest = _first_in_mask(listed, mask, k)
+        if nearest is None:
+            rows = X[mask]
+            own = _exact_metric(rows, maxs - mins)
+            local = (_float_nearest(apply_minmax(rows, mins, maxs), k) if own is None
+                     else _nearest(*own, k))
+            nearest = np.flatnonzero(mask)[local]
+        d0[i] = 1.0 - np.abs(y[mask] - y[nearest].sum(axis=1) / k).mean()
+    return d0
 
 
-def _mask_consistency(X, y, k: int, mins, maxs) -> float:
-    """The per-mask kernel: D0 of all rows of X, min-max scaled by (mins,
-    maxs).  Exact where ``_exact_metric`` allows, else the float kernel on
-    the scaled rows."""
-    metric = _exact_metric(X, mins, maxs)
-    if metric is None:
-        return _float_consistency(apply_minmax(X, mins, maxs), y, k)
-    return _d0(y, y[_nearest(*metric, k)])
-
-
-def _d0(y, neighbor_labels) -> float:
-    """1 - mean |y_i - mean of row i's k neighbour labels|."""
-    k = neighbor_labels.shape[1]
-    return float(1.0 - np.abs(y - neighbor_labels.sum(axis=1) / k).mean())
-
-
-def _exact_metric(X, mins, maxs):
+def _exact_metric(X, spans):
     """Rows and integer column weights under which the weighted squared
-    distance is the min-max scaled one times ``lcm(span**2)``, exactly; None
-    where X or the spans are not integers, or the bound below fails.
+    distance is the one min-max scaled by column ``spans`` (maxs - mins)
+    times ``lcm(span**2)``, exactly; None where X or the spans are not
+    integers, or the bound below fails.
 
     Scaling divides column c by its span s_c, so the scaled squared distance
     times L = lcm(s_c**2) is sum_c (L / s_c**2) (x_c - x'_c)**2; a constant
@@ -374,7 +366,6 @@ def _exact_metric(X, mins, maxs):
     p L).  ``4 R n < 2**53`` keeps them all exact in float64, in whatever
     order the BLAS adds.
     """
-    spans = maxs - mins
     if not ((X == np.round(X)).all() and (spans == np.round(spans)).all()
             and np.isfinite(X).all() and np.isfinite(spans).all() and (spans >= 0).all()):
         return None
@@ -425,10 +416,10 @@ def _first_in_mask(nearest, mask, k: int):
     return candidates[inside & (rank <= k)].reshape(-1, k)
 
 
-def _float_consistency(X, y, k: int) -> float:
-    """D0 of the rows of X as given, in floating point: squared distances as
-    |a|^2 + |b|^2 - 2ab, the k-th smallest as each row's threshold, and ties
-    at it broken by the smallest row index.
+def _float_nearest(X, k: int) -> np.ndarray:
+    """Each row's k nearest other rows of X as given, in floating point:
+    squared distances as |a|^2 + |b|^2 - 2ab, the k-th smallest as each
+    row's threshold, and ties at it broken by the smallest row index.
 
     Up to the block budget the one block is ``X @ X.T`` itself.  Above it,
     the BLAS may round a block's products differently in the last bit from
@@ -437,7 +428,7 @@ def _float_consistency(X, y, k: int) -> float:
     """
     sq = (X * X).sum(axis=1)
     n = len(X)
-    neighbor_mean = np.empty(n)
+    nearest = np.empty((n, k), dtype=np.intp)
     for start, stop in _row_blocks(n):
         rows = slice(start, stop)
         d = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
@@ -452,14 +443,13 @@ def _float_consistency(X, y, k: int) -> float:
         idx = np.argpartition(d, k, axis=1)[:, : k + 1]
         cand = np.take_along_axis(d, idx, axis=1)
         kth = cand[:, :k].max(axis=1)
-        neighbor_mean[rows] = y[idx[:, :k]].sum(axis=1) / k
+        nearest[rows] = idx[:, :k]
         for i in np.flatnonzero(cand[:, k] == kth):
             row = d[i]
-            strict = row < kth[i]
-            m = int(strict.sum())
-            tied = np.flatnonzero(row == kth[i])[: k - m]
-            neighbor_mean[start + i] = (y[strict].sum() + y[tied].sum()) / k
-    return float(1.0 - np.abs(y - neighbor_mean).mean())
+            strict = np.flatnonzero(row < kth[i])
+            tied = np.flatnonzero(row == kth[i])[: k - len(strict)]
+            nearest[start + i] = np.concatenate([strict, tied])
+    return nearest
 
 
 # --------------------------------------------------------------------------

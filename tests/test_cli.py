@@ -588,10 +588,13 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert DAMAGES[damage] in err.lower()
         assert "Traceback" not in err
-        if damage != "utf8":
+        if damage != "utf8" or spoiled == "spec":
             assert paths[spoiled] in err
-        elif spoiled == "results":
+        if spoiled == "results":
             assert err.startswith(f"data error: {paths['results']}: ")
+        if spoiled == "spec" and command == "experiment-with-good":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert [paths["spec"] in f["error"] for f in manifest["failures"]] == [True]
 
 
 def _set_field(lines, index, field, text):

@@ -16,7 +16,7 @@ from fairsift.harness import (
 )
 
 from conftest import make_synthetic
-from test_metrics import as_row, classification_oracle
+from test_metrics import as_given, as_row, classification_oracle
 
 
 def same_grid(a, b):
@@ -192,32 +192,37 @@ class TestExperiment:
             for repeat, fold in np.ndindex(5, 5):
                 train = plan.assignments[repeat] != fold
                 X = apply_minmax(ds.X[train], *fit_minmax(ds.X[train]))
-                d0 = metrics.consistency(X, ds.y[train])
-                assert consistency[d, 0, repeat, fold] == d0
+                assert consistency[d, 0, repeat, fold] == as_given(X, ds.y[train])
 
     @pytest.mark.parametrize("global_normalize", [False, True])
     def test_one_consistency_call_per_repeat_job(self, monkeypatch, global_normalize):
         """D0 of a repeat's five folds is one call on the raw rows, with the
-        training masks, before any fold is scaled."""
+        training masks, before any fold is scaled; each mask's bounds are
+        those of its training rows, or of all rows under ``global_normalize``,
+        and the same pair then scales that fold for the fits."""
         calls = []
         consistency = metrics.consistency
 
-        def spy(X, y, k, masks, **kwargs):
-            calls.append((X, masks, kwargs, len(scaled)))
-            return consistency(X, y, k, masks, **kwargs)
+        def spy(X, y, k, masks, bounds):
+            calls.append((X, masks, bounds, len(scaled)))
+            return consistency(X, y, k, masks, bounds)
 
         scaled = []
         apply = harness.apply_minmax
         monkeypatch.setattr(metrics, "consistency", spy)
-        monkeypatch.setattr(harness, "apply_minmax", lambda *a: scaled.append(1) or apply(*a))
+        monkeypatch.setattr(harness, "apply_minmax", lambda *a: scaled.append(a[1:]) or apply(*a))
         ds = make_synthetic("once", 90, 0.2, seed=6)
         run_experiment([ds], ExperimentConfig(global_normalize=global_normalize))
         plan = make_cv_plan(ds.row_count)
         assert len(calls) == 5
-        for repeat, (X, masks, kwargs, n_scaled) in enumerate(calls):
+        for repeat, (X, masks, bounds, n_scaled) in enumerate(calls):
             assert X is ds.X and n_scaled == 5 * repeat
             assert (masks == (plan.assignments[repeat] != np.arange(5)[:, None])).all()
-            assert kwargs == {"global_bounds": global_normalize}
+            for fold, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
+                want = fit_minmax(ds.X if global_normalize else ds.X[mask])
+                assert mins.tobytes() == want[0].tobytes() and maxs.tobytes() == want[1].tobytes()
+                fit_scaling = scaled[5 * repeat + fold]
+                assert fit_scaling[0] is mins and fit_scaling[1] is maxs
 
     def test_worker_pool_capped_at_job_count(self, in_process_pool):
         ds = make_synthetic("pool", 60, 0.2, seed=3)

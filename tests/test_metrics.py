@@ -91,17 +91,35 @@ def consistency_exact(grid, y, k):
     return float(1.0 - np.abs(y - np.array(neighbor_mean)).mean())
 
 
-def consistency_rational(rows, y, k, mask, global_bounds=False):
+def integer_bounds(rows, fit):
+    """(mins, maxs) of the ``fit`` rows of integer ``rows``, as int lists."""
+    cols = list(zip(*(row for row, f in zip(rows, fit) if f)))
+    return [min(col) for col in cols], [max(col) for col in cols]
+
+
+def consistency_rational(rows, y, k, mask, bounds):
     """D0 of the mask's rows of integer ``rows``, min-max scaled in Fraction
-    arithmetic by the bounds of the mask's rows (or of all rows), through
+    arithmetic by ``bounds``, integer (mins, maxs), through
     ``consistency_exact``'s (squared distance, row index) sort."""
-    fit = rows if global_bounds else [row for row, m in zip(rows, mask) if m]
-    bounds = [(min(col), max(col)) for col in zip(*fit)]
     points = [
-        [Fraction(v - lo, hi - lo) if hi > lo else Fraction(0) for v, (lo, hi) in zip(row, bounds)]
+        [Fraction(v - lo, hi - lo) if hi > lo else Fraction(0) for v, lo, hi in zip(row, *bounds)]
         for row, m in zip(rows, mask) if m
     ]
     return consistency_exact(points, [v for v, m in zip(y, mask) if m], k)
+
+
+def d0_of(y, nearest):
+    """The D0 expression over each row's k neighbour indices."""
+    return 1.0 - np.abs(y - y[nearest].sum(axis=1) / nearest.shape[1]).mean()
+
+
+def as_given(X, y, k=5):
+    """D0 of all rows of X as given: one all-rows mask under unit bounds."""
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    return float(metrics.consistency(
+        X, y, k, np.ones((1, n), dtype=bool), [(np.zeros(p), np.ones(p))]
+    )[0])
 
 
 def consistency_int64(X, y, k=5, fit=None):
@@ -129,7 +147,8 @@ def consistency_int64(X, y, k=5, fit=None):
 def integer_folds(draw):
     """Integer rows of few levels (duplicates, ties, constant columns), their
     labels, k, 1-4 masks of more than k rows (random subsets, often with
-    narrower spans than all rows), and whether to scale by all rows."""
+    narrower spans than all rows), and per mask the rows whose bounds scale
+    it: -1 for all rows, else a mask's index (its own or another's)."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(2, 16))
     row = st.lists(st.integers(-2, 5), min_size=dim, max_size=dim)
@@ -140,7 +159,9 @@ def integer_folds(draw):
     for _ in range(draw(st.integers(1, 4))):
         keep = set(draw(st.permutations(range(n)))[: draw(st.integers(k + 1, n))])
         masks.append([i in keep for i in range(n)])
-    return rows, y, k, masks, draw(st.booleans())
+    sources = [draw(st.sampled_from([-1, i, draw(st.integers(0, len(masks) - 1))]))
+               for i in range(len(masks))]
+    return rows, y, k, masks, sources
 
 
 def integer_fold(rng, n):
@@ -570,19 +591,19 @@ class TestBiasAmplification:
 class TestConsistency:
     def test_uniform_labels(self):
         X = np.random.default_rng(0).random((10, 2))
-        assert metrics.consistency(X, np.ones(10), k=3) == 1.0
+        assert as_given(X, np.ones(10), k=3) == 1.0
 
     def test_two_point_disagreement(self):
-        assert metrics.consistency([[0.0], [1.0]], [1, 0], k=1) == 0.0
+        assert as_given([[0.0], [1.0]], [1, 0], k=1) == 0.0
 
     def test_three_points_agree(self):
-        assert metrics.consistency([[0.0], [0.1], [1.0]], [1, 1, 1], k=2) == 1.0
+        assert as_given([[0.0], [0.1], [1.0]], [1, 1, 1], k=2) == 1.0
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            metrics.consistency([[0.0], [1.0]], [1, 0], k=2)
+            as_given([[0.0], [1.0]], [1, 0], k=2)
         with pytest.raises(ValueError):
-            metrics.consistency([[0.0], [1.0]], [1, 0], k=0)
+            as_given([[0.0], [1.0]], [1, 0], k=0)
 
     def test_tie_break_by_row_index(self):
         # rows 1 and 2 are duplicates equidistant from row 0; k=1 must pick row 1
@@ -590,7 +611,7 @@ class TestConsistency:
         y = [0, 1, 0]
         # neighbor of row 0 is row 1 (label 1) -> |0-1| = 1
         # neighbor of row 1 is row 2 (distance 0), of row 2 is row 1
-        got = metrics.consistency(X, y, k=1)
+        got = as_given(X, y, k=1)
         assert got == pytest.approx(1.0 - (1 + 1 + 1) / 3)
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -599,7 +620,7 @@ class TestConsistency:
         n = int(rng.integers(6, 30))
         X = rng.random((n, 3))
         y = rng.integers(0, 2, n)
-        v = metrics.consistency(X, y, k=5)
+        v = as_given(X, y, k=5)
         assert 0.0 <= v <= 1.0
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -608,10 +629,10 @@ class TestConsistency:
         n = int(rng.integers(4, 20))
         X = rng.random((n, 2))
         y = rng.integers(0, 2, n)
-        base = metrics.consistency(X, y, k=1)
+        base = as_given(X, y, k=1)
         X2 = np.vstack([X, X[0]])
         y2 = np.append(y, y[0])
-        assert metrics.consistency(X2, y2, k=1) >= base - 1e-12
+        assert as_given(X2, y2, k=1) >= base - 1e-12
 
 
 class TestBlockedConsistency:
@@ -646,7 +667,7 @@ class TestBlockedConsistency:
             X = rng.random((n, 4))
             y = rng.integers(0, 2, n)
             for k in (1, 5):
-                assert metrics.consistency(X, y, k=k) == consistency_dense(X, y, k)
+                assert as_given(X, y, k=k) == consistency_dense(X, y, k)
 
     @pytest.mark.parametrize("n,budget", BLOCKINGS)
     def test_integer_folds_equal_dense_oracle(self, n, budget, monkeypatch):
@@ -662,7 +683,7 @@ class TestBlockedConsistency:
             y = rng.integers(0, 2, n)
             gram = np.vstack([X[a:b] @ X.T for a, b in metrics._row_blocks(n)])
             for k in (1, 5):
-                assert metrics.consistency(X, y, k=k) == consistency_dense(
+                assert as_given(X, y, k=k) == consistency_dense(
                     X, y, k, gram
                 )
 
@@ -673,7 +694,7 @@ class TestBlockedConsistency:
         for n in (6, 97, 300, 511):
             X = integer_fold(rng, n)
             y = rng.integers(0, 2, n)
-            assert metrics.consistency(X, y) == consistency_dense(X, y)
+            assert as_given(X, y) == consistency_dense(X, y)
 
     @pytest.mark.parametrize("n", [40, 300])
     def test_integer_folds_have_boundary_ties(self, n):
@@ -703,7 +724,7 @@ class TestBlockedConsistency:
         budget = data.draw(st.sampled_from([1, 3 * n, 2**18]))
         X = np.array(grid, dtype=float) / 8.0
         with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
-            got = metrics.consistency(X, y, k=k)
+            got = as_given(X, y, k=k)
         assert got == consistency_exact(grid, y, k)
 
     def test_memory_linear_in_rows(self):
@@ -713,7 +734,7 @@ class TestBlockedConsistency:
         y = rng.integers(0, 2, 4000)
         tracemalloc.start()
         try:
-            metrics.consistency(X, y)
+            as_given(X, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -727,24 +748,29 @@ class TestExactConsistency:
     @given(integer_folds(), st.sampled_from([1, 40, 2**18]))
     # duplicate rows tied at the k-th distance, in two folds sharing a list
     @example(([[0, 0], [1, 1], [1, 1], [1, 1], [0, 1], [1, 0], [1, 1]], [0, 1, 0, 1, 1, 0, 0], 2,
-              [[True] * 7, [True, True, False, True, True, True, True]], False), 1)
+              [[True] * 7, [True, True, False, True, True, True, True]], [0, 1]), 1)
     # a constant column
     @example(([[3, 0], [3, 1], [3, 2], [3, 2], [3, 0], [3, 1]], [1, 0, 0, 1, 1, 0], 1,
-              [[True] * 6, [False, True, True, True, True, True]], False), 2**18)
+              [[True] * 6, [False, True, True, True, True, True]], [0, 1]), 2**18)
     # n = k + 1
-    @example(([[0], [2], [1]], [1, 0, 0], 2, [[True, True, True]], False), 1)
+    @example(([[0], [2], [1]], [1, 0, 0], 2, [[True, True, True]], [0]), 1)
     # the last fold drops the far row, so its spans are narrower
     @example(([[0], [1], [2], [3], [4], [10]], [0, 1, 1, 0, 1, 0], 2,
-              [[True] * 6, [True, True, True, True, True, False]], False), 40)
+              [[True] * 6, [True, True, True, True, True, False]], [0, 1]), 40)
     @example(([[0], [1], [2], [3], [4], [10]], [0, 1, 1, 0, 1, 0], 2,
-              [[True] * 6, [True, True, True, True, True, False]], True), 40)
+              [[True] * 6, [True, True, True, True, True, False]], [-1, -1]), 40)
+    # each fold scaled by the other's bounds: the narrow fold by the wide
+    # bounds, and the wide fold by narrow ones that leave row 5 past 1
+    @example(([[0], [1], [2], [3], [4], [10]], [0, 1, 1, 0, 1, 0], 2,
+              [[True] * 6, [True, True, True, True, True, False]], [1, 0]), 40)
     def test_integer_folds_match_rational_oracle(self, case, budget):
-        rows, y, k, masks, global_bounds = case
+        rows, y, k, masks, sources = case
+        bounds = [integer_bounds(rows, [True] * len(rows) if i < 0 else masks[i])
+                  for i in sources]
         with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
-            got = metrics.consistency(np.array(rows, dtype=float), y, k, np.array(masks),
-                                      global_bounds=global_bounds)
+            got = metrics.consistency(np.array(rows, dtype=float), y, k, np.array(masks), bounds)
         assert got.tolist() == [
-            consistency_rational(rows, y, k, mask, global_bounds) for mask in masks
+            consistency_rational(rows, y, k, mask, b) for mask, b in zip(masks, bounds)
         ]
 
     def test_small_integer_folds_independent_of_block_budget(self, monkeypatch):
@@ -762,7 +788,9 @@ class TestExactConsistency:
         for budget in (1, 1000, 2**18):
             monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
             got.append(np.concatenate([
-                metrics.consistency(X, y, 5, masks, global_bounds=g) for X, y, masks, g in cases
+                metrics.consistency(X, y, 5, masks,
+                                    [fit_minmax(X if g else X[mask]) for mask in masks])
+                for X, y, masks, g in cases
             ]))
         assert got[0].size == 1200
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
@@ -773,37 +801,39 @@ class TestExactConsistency:
         assert got[0].tolist() == want
 
     def spy(self, monkeypatch):
-        """Record what ``_first_in_mask`` returns and each per-mask kernel call."""
-        calls = {"list": [], "mask": []}
-        first_in_mask, mask_consistency = metrics._first_in_mask, metrics._mask_consistency
+        """Record what ``_first_in_mask`` returns, and the (rows, k) of each
+        ``_nearest`` call: the list's (all rows, 4k) or a per-mask kernel's."""
+        calls = {"list": [], "nearest": []}
+        first_in_mask, nearest = metrics._first_in_mask, metrics._nearest
 
         def from_list(*args):
             calls["list"].append(first_in_mask(*args))
             return calls["list"][-1]
 
-        def per_mask(*args):
-            calls["mask"].append(args)
-            return mask_consistency(*args)
+        def kernel(A, weights, k):
+            calls["nearest"].append((len(A), k))
+            return nearest(A, weights, k)
 
         monkeypatch.setattr(metrics, "_first_in_mask", from_list)
-        monkeypatch.setattr(metrics, "_mask_consistency", per_mask)
+        monkeypatch.setattr(metrics, "_nearest", kernel)
         return calls
 
-    @pytest.mark.parametrize("global_bounds", [False, True])
-    def test_list_equals_per_mask_kernel(self, monkeypatch, global_bounds):
+    @pytest.mark.parametrize("all_rows", [False, True])
+    def test_list_equals_per_mask_kernel(self, monkeypatch, all_rows):
         ds = german_style(300, 4)
         X, y = ds.X.copy(), ds.y
         X[0, 0] = 90  # the one oldest row: the fold that tests it has narrower spans
         masks = np.arange(300) % 5 != np.arange(5)[:, None]
-        kernel = metrics._mask_consistency
+        bounds = [fit_minmax(X if all_rows else X[mask]) for mask in masks]
+        nearest, exact_metric = metrics._nearest, metrics._exact_metric
         calls = self.spy(monkeypatch)
-        got = metrics.consistency(X, y, 5, masks, global_bounds=global_bounds)
-        for mask, d0 in zip(masks, got):
-            assert d0 == kernel(X[mask], y[mask], 5, *fit_minmax(X if global_bounds else X[mask]))
+        got = metrics.consistency(X, y, 5, masks, bounds)
+        for mask, (mins, maxs), d0 in zip(masks, bounds, got):
+            assert d0 == d0_of(y[mask], nearest(*exact_metric(X[mask], maxs - mins), 5))
         # all rows' bounds serve every fold; otherwise fold 0 has its own
-        assert len(calls["list"]) == (5 if global_bounds else 4)
+        assert len(calls["list"]) == (5 if all_rows else 4)
         assert all(first is not None for first in calls["list"])
-        assert len(calls["mask"]) == 5 - len(calls["list"])
+        assert sorted(calls["nearest"]) == [(240, 5)] * (5 - len(calls["list"])) + [(300, 20)]
 
     def test_row_short_of_k_candidates_runs_per_mask_kernel(self, monkeypatch):
         # k = 1 keeps 4 candidates a row; in mask 0 row 0's four nearest,
@@ -811,24 +841,28 @@ class TestExactConsistency:
         rows = [[0]] * 5 + [[3], [5], [7], [9], [9]]
         y = [1, 0, 0, 0, 0, 1, 0, 1, 0, 1]
         masks = np.array([[True] + [False] * 4 + [True] * 5, [True] * 10])
+        bounds = [integer_bounds(rows, mask) for mask in masks]
         calls = self.spy(monkeypatch)
-        got = metrics.consistency(np.array(rows, dtype=float), y, 1, masks)
+        got = metrics.consistency(np.array(rows, dtype=float), y, 1, masks, bounds)
         assert calls["list"][0] is None and calls["list"][1] is not None
-        assert len(calls["mask"]) == 1
-        assert got.tolist() == [consistency_rational(rows, y, 1, mask) for mask in masks]
+        assert calls["nearest"] == [(10, 4), (6, 1)]  # the list, then mask 0's own
+        assert got.tolist() == [
+            consistency_rational(rows, y, 1, mask, b) for mask, b in zip(masks, bounds)
+        ]
 
     def test_one_list_serves_every_fold_of_tied_data(self, monkeypatch):
         ds = german_style(3000, 1)
         plan = make_cv_plan(3000)
         calls = self.spy(monkeypatch)
-        got = np.array([
-            metrics.consistency(ds.X, ds.y, 5, assignment != np.arange(5)[:, None])
-            for assignment in plan.assignments
-        ])
-        assert calls["mask"] == [] and len(calls["list"]) == 25
+        got = []
+        for assignment in plan.assignments:
+            masks = assignment != np.arange(5)[:, None]
+            got.append(metrics.consistency(ds.X, ds.y, 5, masks,
+                                           [fit_minmax(ds.X[mask]) for mask in masks]))
+        assert calls["nearest"] == [(3000, 20)] * 5 and len(calls["list"]) == 25
         for repeat, fold in ((0, 0), (2, 3), (4, 4)):
             train = plan.assignments[repeat] != fold
-            assert got[repeat, fold] == consistency_int64(ds.X[train], ds.y[train])
+            assert got[repeat][fold] == consistency_int64(ds.X[train], ds.y[train])
 
     def test_past_the_bound_runs_the_float_kernel(self):
         # coprime spans make lcm(span**2) about 1e24, far past 2**53
@@ -837,18 +871,20 @@ class TestExactConsistency:
         X = np.column_stack([rng.integers(0, s + 1, 200) for s in spans]).astype(float)
         X[:2] = [[0, 0, 0], spans]
         y = rng.integers(0, 2, 200)
-        assert metrics._exact_metric(X, *fit_minmax(X)) is None
+        bounds = fit_minmax(X)
+        assert metrics._exact_metric(X, bounds[1] - bounds[0]) is None
         masks = np.arange(200) % 5 != np.arange(5)[:, None]
-        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, global_bounds=True)):
-            scaled = apply_minmax(X[mask], *fit_minmax(X))
-            assert d0 == metrics._float_consistency(scaled, y[mask], 5)
+        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, [bounds] * 5)):
+            scaled = apply_minmax(X[mask], *bounds)
+            assert d0 == d0_of(y[mask], metrics._float_nearest(scaled, 5))
 
     def test_list_memory_linear_in_rows(self):
         ds = german_style(4000, 5)
         masks = np.arange(4000) % 5 != np.arange(5)[:, None]
+        bounds = [fit_minmax(ds.X[mask]) for mask in masks]
         tracemalloc.start()
         try:
-            metrics.consistency(ds.X, ds.y, 5, masks)
+            metrics.consistency(ds.X, ds.y, 5, masks, bounds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -862,7 +898,20 @@ class TestExactConsistency:
     ])
     def test_bad_masks_rejected(self, masks, message):
         with pytest.raises(ValueError, match=message):
-            metrics.consistency(np.arange(6.0)[:, None], np.ones(6), 2, masks)
+            metrics.consistency(np.arange(6.0)[:, None], np.ones(6), 2, masks,
+                                [([0.0], [1.0])] * 2)
+
+    @pytest.mark.parametrize("bounds, message", [
+        ([([0.0, 0.0], [1.0, 1.0])], r"one \(mins, maxs\) per mask: 2 masks, 1 bounds"),
+        ([([0.0, 0.0], [1.0, 1.0])] * 3, r"one \(mins, maxs\) per mask: 2 masks, 3 bounds"),
+        ([([0.0, 0.0], [1.0, 1.0]), ([0.0], [1.0])], r"width 2, got shapes \(1,\) and \(1,\)"),
+        ([([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0, 1.0])], "width 2"),
+        ([([0.0, 0.0], [1.0, 1.0]), (0.0, 1.0)], "width 2"),
+    ])
+    def test_bad_bounds_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            metrics.consistency(np.arange(12.0).reshape(6, 2), np.ones(6), 2,
+                                np.ones((2, 6), dtype=bool), bounds)
 
 
 def random_instance(rng, n_lo=6, n_hi=40):
@@ -1038,7 +1087,7 @@ def dataset_oracle(y, s, X, weights=None, k=5, concentration=1.0):
     s = np.asarray(s)
     w = np.ones(len(y), dtype=float) if weights is None else np.asarray(weights, float)
     out = {m.id: None for m in metrics.DATASET_METRICS}
-    out["D0"] = metrics.consistency(np.asarray(X, dtype=float), y, k=k)
+    out["D0"] = as_given(X, y, k=k)
     if len(np.unique(s)) < 2:
         return out
     values = np.asarray(y, dtype=float)
@@ -1060,7 +1109,7 @@ def dataset(y, s, X, weights=None, k=5, concentration=1.0):
     with None for Undefined; ``weights`` default to 1."""
     w = np.ones(len(y)) if weights is None else weights
     row = metrics.compute_dataset_metrics(
-        metrics.label_weights(y, s, w), metrics.consistency(X, y, k=k), concentration
+        metrics.label_weights(y, s, w), as_given(X, y, k=k), concentration
     )
     return {
         mid: None if math.isnan(v) else v
