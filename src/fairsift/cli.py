@@ -17,7 +17,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 partial results.
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -28,9 +27,10 @@ from .datamodel import (
     ConfigError,
     DataError,
     DatasetSpec,
-    encode_dataset,
+    encode_rows,
     fit_minmax,
     format_value,
+    read_json,
     usable_rows,
     write_csv,
     write_json,
@@ -89,22 +89,16 @@ def _load_run_config(path) -> dict:
     ``thresholds.zero`` and ``thresholds.one``; {} for no path."""
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise ConfigError(f"{path}: a run config must be a JSON object")
     thresholds = cfg.pop("thresholds", {})
     if not isinstance(thresholds, dict):
         raise ConfigError(f"thresholds must be an object, got {thresholds!r}")
     cfg.update((f"thresholds.{key}", value) for key, value in thresholds.items())
     unknown = sorted(set(cfg) - _RUN_CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"config {path}: unknown keys {unknown}")
+        raise ConfigError(f"{path}: unknown keys {unknown}")
     return cfg
 
 
@@ -134,10 +128,9 @@ def _sources(args, file_cfg: dict) -> list[DatasetSource]:
 def cmd_metrics(args) -> int:
     cfg = _config(ExperimentConfig, args, {})
     spec = DatasetSpec.from_json_file(args.spec)
-    try:
-        ds = encode_dataset(args.data, spec)
-    except DataError as exc:
-        raise DataError(f"{args.data}: {exc}") from exc
+    # one parse of the CSV: the encoding and the predictions take its rows
+    col_index, kept = usable_rows(args.data, spec)
+    ds = encode_rows(spec, col_index, kept)
     if cfg.k_neighbors >= ds.row_count:
         raise ConfigError(f"k_neighbors must be below the row count {ds.row_count}, "
                           f"got {cfg.k_neighbors}")
@@ -150,8 +143,19 @@ def cmd_metrics(args) -> int:
         metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows, [fit_minmax(ds.X)])[0],
         concentration=cfg.concentration,
     )
-    if args.predictions_column:
-        predictions = _read_prediction_column(args.data, args.predictions_column, spec)
+    column = args.predictions_column
+    if column:
+        if column not in col_index:
+            raise ConfigError(f"predictions column {column!r} not in CSV header")
+        cells = [row[col_index[column]] for row in kept]
+        if "" in cells:
+            raise DataError(f"empty prediction in column {column!r}")
+        # a cell is favorable iff it is a favorable value, or, when none of
+        # those is a number, the 1 or 1.0 of 0/1 predictions
+        favorable = set(spec.favorable_value)
+        if not any(_is_number(v) for v in favorable):
+            favorable |= {"1", "1.0"}
+        predictions = np.array([cell in favorable for cell in cells], dtype=np.int64)
         row = metrics.compute_classification_metrics(
             metrics.confusion_counts(ds.y, predictions, ds.s),
             alpha=cfg.alpha, concentration=cfg.concentration,
@@ -175,25 +179,6 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _read_prediction_column(data_path, column, spec: DatasetSpec):
-    """Binary predictions from a CSV column, for the rows the loader keeps.
-
-    A cell is favorable iff it is one of the spec's favorable values.  When
-    none of those is a number, the cells ``1`` and ``1.0`` count as
-    favorable too.
-    """
-    col_index, rows = usable_rows(data_path, spec)
-    if column not in col_index:
-        raise ConfigError(f"predictions column {column!r} not in CSV header")
-    cells = [row[col_index[column]] for row in rows]
-    if "" in cells:
-        raise DataError(f"empty prediction in column {column!r}")
-    favorable = set(spec.favorable_value)
-    if not any(_is_number(v) for v in favorable):
-        favorable |= {"1", "1.0"}  # 0/1 predictions for a non-numeric label
-    return np.array([cell in favorable for cell in cells], dtype=np.int64)
 
 
 def _experiment(sources, cfg: ExperimentConfig, out_dir):
@@ -222,9 +207,9 @@ def _experiment(sources, cfg: ExperimentConfig, out_dir):
                 )
             loaded.append(ds)
             ok_sources.append(src)
-        except (ConfigError, DataError, OSError) as exc:
+        except (ConfigError, DataError) as exc:
             failures.append((src.data_path, str(exc)))
-            print(f"error: dataset {src.data_path}: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
     if not loaded:
         raise DataError("every dataset failed to load")
 
@@ -254,8 +239,6 @@ def cmd_analyze(args) -> int:
     cfg = _config(report.AnalysisConfig, args, file_cfg)
     try:
         samples = read_results_csv(args.results)
-    except OSError as exc:
-        raise DataError(f"{args.results}: cannot read results: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     result = report.build_analysis(samples, cfg)
@@ -405,10 +388,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

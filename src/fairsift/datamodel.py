@@ -1,5 +1,5 @@
 """Dataset ingestion, encoding and min-max normalization, and the encoding
-of every file fairsift writes.
+of every file fairsift reads or writes.
 
 A dataset is a CSV table plus a JSON side-file describing which column is the
 binary outcome, which column is the protected attribute, and how to encode the
@@ -7,6 +7,10 @@ features.  After encoding, everything downstream works on plain numpy arrays:
 features (min-max scaled to [0, 1] from fitted bounds before use), labels in
 {0, 1} (1 = favorable) and protected values in {0, 1} (1 = privileged).
 
+Every input goes through ``read_json`` or ``read_csv`` (rows streamed): a
+file that cannot be read, is not UTF-8 or not JSON, or is an empty or
+malformed CSV raises ``ConfigError`` (JSON) or ``DataError`` (CSV) as
+``<path>: <reason>``.
 Every artifact goes through ``write_csv``, ``write_json`` or ``write_text``:
 UTF-8 with LF line ends; JSON with indent 2, sorted keys and a trailing
 newline (``json_text``).  ``format_value`` is the one field rule for a
@@ -16,6 +20,7 @@ a path or an open text file, so stdout takes the same bytes as a file.
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import os
@@ -186,18 +191,11 @@ class DatasetSpec:
     @classmethod
     def from_json_file(cls, path) -> "DatasetSpec":
         """The spec in a JSON file; every ``ConfigError`` starts with the path."""
+        raw = read_json(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except OSError as exc:
-            message = f"cannot read dataset spec: {exc.strerror or exc}"
-        except UnicodeDecodeError as exc:
-            message = f"dataset spec is not valid UTF-8: {exc}"
-        except json.JSONDecodeError as exc:
-            message = f"dataset spec is not valid JSON: {exc}"
+            return cls.from_dict(raw)
         except ConfigError as exc:
-            message = str(exc)
-        raise ConfigError(f"{path}: {message}")
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -261,38 +259,74 @@ def write_text(target, text: str) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _reading(target, error):
+    """``target`` open as UTF-8 text; a file that cannot be read, or whose
+    text is not UTF-8, JSON or CSV, raises ``error`` as ``<path>: <reason>``."""
+    try:
+        with _text_file(target) as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{target}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{target}: not valid UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{target}: not valid JSON: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise error(f"{target}: not valid CSV: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``, a run config or a dataset spec,
+    so a read fault raises ``ConfigError``."""
+    with _reading(path, ConfigError) as fh:
+        return json.load(fh)
+
+
+@contextlib.contextmanager
+def read_csv(target):
+    """The CSV ``target`` (a path or an open text file) as its header row and
+    a ``csv.reader`` that streams the rest; a read fault or an empty file
+    raises ``DataError``."""
+    with _reading(target, DataError) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{target}: CSV is empty (no header row)")
+        yield header, reader
+
+
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def usable_rows(csv_source, spec: DatasetSpec) -> tuple[dict[str, int], list[list[str]]]:
     """The CSV's column index by name (a repeated name is its last column)
     and its data rows, less the rows that are short of the header or have an
     empty cell in a column ``spec`` uses; those are rejected with a warning."""
-    with _text_file(csv_source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            rows = [row for row in reader if row]
-        except StopIteration:
-            raise DataError("CSV is empty (no header row)")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"CSV is not valid UTF-8: {exc}") from exc
-    col_index = {name: i for i, name in enumerate(header)}
+    with read_csv(csv_source) as (header, rows):
+        col_index = {name: i for i, name in enumerate(header)}
+        used = [spec.label_column, spec.protected_column] + [
+            c.name for c in spec.feature_columns
+        ]
+        missing = [name for name in used if name not in col_index]
+        if missing:
+            raise ConfigError(
+                f"dataset {spec.name!r}: CSV is missing columns {missing} "
+                f"(header has {header})"
+            )
 
-    used = [spec.label_column, spec.protected_column] + [
-        c.name for c in spec.feature_columns
-    ]
-    missing = [name for name in used if name not in col_index]
-    if missing:
-        raise ConfigError(
-            f"dataset {spec.name!r}: CSV is missing columns {missing} "
-            f"(header has {header})"
-        )
-
-    used_idx = [col_index[name] for name in used]
-    kept, rejected = [], []
-    for i, row in enumerate(rows):
-        if len(row) < len(header) or any(row[j] == "" for j in used_idx):
-            rejected.append(i)
-        else:
-            kept.append(row)
+        used_idx = [col_index[name] for name in used]
+        kept, rejected = [], []
+        for i, row in enumerate(filter(None, rows)):
+            if len(row) < len(header) or any(row[j] == "" for j in used_idx):
+                rejected.append(i)
+            else:
+                kept.append(row)
     if rejected:
         shown = ", ".join(str(i) for i in rejected[:10])
         more = "" if len(rejected) <= 10 else f" (+{len(rejected) - 10} more)"
@@ -306,14 +340,19 @@ def usable_rows(csv_source, spec: DatasetSpec) -> tuple[dict[str, int], list[lis
 
 
 def encode_dataset(csv_source, spec: DatasetSpec) -> EncodedDataset:
-    """Read + encode a CSV without normalizing the result.
+    """``encode_rows`` of the CSV's ``usable_rows``."""
+    return encode_rows(spec, *usable_rows(csv_source, spec))
+
+
+def encode_rows(spec: DatasetSpec, col_index: dict[str, int],
+                kept: list[list[str]]) -> EncodedDataset:
+    """Encode ``usable_rows`` without normalizing the result.
 
     Labels map favorable -> 1, protected maps privileged -> 1, categoricals
-    are label- or one-hot-encoded (full dummy set, nothing dropped).  Only
-    ``usable_rows`` are encoded.  Feature values stay on their raw scale;
-    ``fit_minmax`` and ``apply_minmax`` scale them.
+    are label- or one-hot-encoded (full dummy set, nothing dropped).
+    Feature values stay on their raw scale; ``fit_minmax`` and
+    ``apply_minmax`` scale them.
     """
-    col_index, kept = usable_rows(csv_source, spec)
     n = len(kept)
     favorable = set(spec.favorable_value)
     privileged = set(spec.privileged_value)

@@ -36,8 +36,6 @@ Everything is a pure function of (data, seeds, config): rerunning with the
 same inputs rewrites byte-identical results, regardless of worker count.
 """
 
-import csv
-import hashlib
 import itertools
 import math
 import warnings
@@ -55,8 +53,10 @@ from .datamodel import (
     apply_minmax,
     check_fields,
     encode_dataset,
+    file_sha256,
     fit_minmax,
     format_value,
+    read_csv,
     write_csv,
     write_json,
 )
@@ -225,16 +225,17 @@ def _repeat_job(args):
     on its (name, mitigator)'s training weights; a model whose reweighing
     failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
 
-    Each fold's min-max bounds are fitted once, on its training rows or,
-    under ``global_normalize``, on all rows; the same bounds scale the fits'
-    rows and D0's.  D0 of all five folds is one ``metrics.consistency`` call
+    Each fold's min-max bounds are fitted once on its training rows or,
+    under ``global_normalize``, one fit on all rows serves every fold; the
+    same bounds scale the fits' rows and D0's.  D0 of all five folds is one ``metrics.consistency`` call
     on the raw rows before the fold loop, so integer-coded data gets every
     fold from one neighbour list and no scaled fold is alive while it runs."""
     ds, cfg, repeat, assignment, mitigators = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
     trains = assignment != np.arange(N_FOLDS)[:, None]
-    bounds = [fit_minmax(ds.X if cfg.global_normalize else ds.X[train]) for train in trains]
+    bounds = ([fit_minmax(ds.X)] * N_FOLDS if cfg.global_normalize
+              else [fit_minmax(ds.X[train]) for train in trains])
     # consistency ignores instance weights, so all models share the value
     consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds)[None]
     for fold, train in enumerate(trains):
@@ -356,37 +357,24 @@ def _parse_row(row) -> tuple:
 
 
 def read_results_csv(path) -> MetricSampleMatrix:
-    """``results.csv`` back as its grid; a malformed file raises ``ValueError``."""
+    """``results.csv`` back as its grid.  A file that cannot be read, is not
+    UTF-8 or is empty raises ``DataError`` (``datamodel.read_csv``); a header,
+    row or grid that is not a results grid raises ``ValueError``."""
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or tuple(header) != RESULTS_HEADER:
-                raise ValueError(
-                    f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
-                )
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    entries.append(_parse_row(row))
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    with read_csv(path) as (header, reader):
+        if tuple(header) != RESULTS_HEADER:
+            raise ValueError(
+                f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
+            )
+        for row in filter(None, reader):
+            try:
+                entries.append(_parse_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     try:
         return MetricSampleMatrix.from_entries(entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,21 @@ class TestMetricsCommand:
             assert metrics_output(dirty_data) == clean
         assert len(clean.splitlines()) == 1 + 30
 
+    def test_predictions_from_the_same_parse(self, tmp_path):
+        """The encoding and the predictions take the rows of one parse of the
+        CSV, so a rejected row is reported once."""
+        data, spec = write_toy(tmp_path, 24)
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].replace(",2,", ",,")  # row 2's feature x is empty
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metrics", "--data", str(data), "--spec", str(spec),
+                         "--predictions-column", "pred",
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        messages = [str(w.message) for w in caught]
+        assert sum("rejected 1 incomplete rows" in m for m in messages) == 1, messages
+
     def test_missing_column_exit_code(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("a,b\n1,2\n")
@@ -537,15 +552,25 @@ SPOILED_CASES = {
     "experiment-data-with-good": ("experiment-with-good", "data", 4),
     "experiment-spec-with-good": ("experiment-with-good", "spec", 4),
 }
-# how the file is spoiled -> what the error message says
-DAMAGES = {"utf8": "utf-8", "missing": "no such file", "directory": "is a directory"}
+# how a file is spoiled -> (the files it can spoil, what its error says)
+DAMAGES = {
+    "utf8": (("config", "spec", "data", "results"), "not valid utf-8"),
+    "missing": (("config", "spec", "data", "results"), "cannot read: no such file"),
+    "directory": (("config", "spec", "data", "results"), "cannot read: is a directory"),
+    "json": (("config", "spec"), "not valid json"),
+    "empty": (("data", "results"), "csv is empty"),
+    "oversized": (("data", "results"), "not valid csv: field larger than field limit"),
+}
 
 
 class TestNonUtf8Input:
-    """A file that is not valid UTF-8 (here a valid file with one trailing
-    0xFF byte), is missing or is a directory gets the documented exit code,
+    """A file that cannot be read (missing, or a directory), is not valid
+    UTF-8 (here a valid file with one trailing 0xFF byte), is not JSON (a
+    config or a spec), or is empty or has an oversized field (a CSV) gets the documented exit code,
     never a traceback: 2 for a config or a spec, 3 for a data CSV or a
-    results file; from experiment a bad dataset file is a failed dataset."""
+    results file; from experiment a bad dataset file is a failed dataset.
+    The failure is one ``<tag>: <path>: <reason>`` line that names the
+    spoiled file once."""
 
     @staticmethod
     def _spoil(path, tmp_path, damage):
@@ -554,11 +579,18 @@ class TestNonUtf8Input:
             bad.write_bytes(path.read_bytes() + b"\xff")
         elif damage == "directory":
             bad.mkdir()
+        elif damage == "json":
+            bad.write_text("{not json")
+        elif damage == "empty":
+            bad.write_text("")
+        elif damage == "oversized":  # a field beyond csv.field_size_limit()
+            bad.write_text(path.read_text() + '"' + "x" * 200_000 + '"\n')
         return str(bad)
 
     @pytest.mark.parametrize("command, spoiled, code, damage", [
         pytest.param(*case, damage, id=name if damage == "utf8" else f"{name}-{damage}")
-        for name, case in SPOILED_CASES.items() for damage in DAMAGES
+        for name, case in SPOILED_CASES.items() for damage, (spoils, _) in DAMAGES.items()
+        if case[1] in spoils
     ])
     def test_exit_code(self, tiny_dataset, experiment_dir, tmp_path, capsys,
                        command, spoiled, code, damage):
@@ -586,15 +618,19 @@ class TestNonUtf8Input:
             argv = ["experiment", "--config", str(config)]
         assert main(argv + ["--out", out]) == code
         err = capsys.readouterr().err
-        assert DAMAGES[damage] in err.lower()
+        path = paths[spoiled]
         assert "Traceback" not in err
-        if damage != "utf8" or spoiled == "spec":
-            assert paths[spoiled] in err
-        if spoiled == "results":
-            assert err.startswith(f"data error: {paths['results']}: ")
-        if spoiled == "spec" and command == "experiment-with-good":
+        assert err.count(path) == 1
+        if command.startswith("experiment") and spoiled in ("data", "spec"):
+            tag = "error"  # a failed dataset
+        else:
+            tag = "configuration error" if code == 2 else "data error"
+        line = next(line for line in err.splitlines() if path in line)
+        assert line.startswith(f"{tag}: {path}: ")
+        assert DAMAGES[damage][1] in line.lower()
+        if command == "experiment-with-good":
             manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-            assert [paths["spec"] in f["error"] for f in manifest["failures"]] == [True]
+            assert [f["error"].startswith(f"{path}: ") for f in manifest["failures"]] == [True]
 
 
 def _set_field(lines, index, field, text):

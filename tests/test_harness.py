@@ -296,7 +296,7 @@ class TestExperiment:
 
     def test_scaling_fit_on_training_rows_only(self, monkeypatch):
         """``fit_minmax`` sees each fold's training rows, in job order, or
-        every row under ``global_normalize``."""
+        every row once per repeat under ``global_normalize``."""
         seen = []
         fit = harness.fit_minmax
 
@@ -310,12 +310,13 @@ class TestExperiment:
             seen.clear()
             run_experiment(datasets, ExperimentConfig(global_normalize=global_normalize))
             want = [
-                ds.X if global_normalize
-                else ds.X[make_cv_plan(ds.row_count).assignments[repeat] != fold]
+                ds.X for ds in datasets for _ in range(5)
+            ] if global_normalize else [
+                ds.X[make_cv_plan(ds.row_count).assignments[repeat] != fold]
                 for ds in datasets
                 for repeat, fold in np.ndindex(5, 5)
             ]
-            assert len(seen) == len(want) == 50
+            assert len(seen) == len(want) == (10 if global_normalize else 50)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
 
     def test_reweighing_impossible_fold_records_undefined(self):
