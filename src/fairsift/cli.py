@@ -30,6 +30,7 @@ from .datamodel import (
     encode_rows,
     fit_minmax,
     format_value,
+    make_dirs,
     read_json,
     usable_rows,
     write_csv,
@@ -140,7 +141,8 @@ def cmd_metrics(args) -> int:
     ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
         metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
-        metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows, [fit_minmax(ds.X)])[0],
+        metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows, [fit_minmax(ds.X)],
+                            metrics.neighbour_list(ds.X, cfg.k_neighbors))[0],
         concentration=cfg.concentration,
     )
     column = args.predictions_column
@@ -184,7 +186,7 @@ def _is_number(text: str) -> bool:
 def _experiment(sources, cfg: ExperimentConfig, out_dir):
     """Load and check the sources, run the ones that load and write
     ``results.csv`` and ``manifest.json``; returns (samples, load failures)."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     loaded, ok_sources, failures = [], [], []
     for src in sources:
         try:
@@ -251,7 +253,7 @@ def cmd_demo(args) -> int:
     """Planted-bias end-to-end run: biased dataset vs. zero-bias control."""
     cfg = ExperimentConfig(jobs=args.jobs)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    make_dirs(out)
     runs = (
         ("biased", args.bias_gap),
         ("control", 0.0),
@@ -259,7 +261,7 @@ def cmd_demo(args) -> int:
     summary = {}
     for name, gap in runs:
         run_dir = os.path.join(out, name)
-        os.makedirs(run_dir, exist_ok=True)
+        make_dirs(run_dir)
         data_path = os.path.join(run_dir, f"{name}.csv")
         spec_path = os.path.join(run_dir, f"{name}.spec.json")
         synth.write_dataset(
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:  # OSError: an output that cannot be written
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

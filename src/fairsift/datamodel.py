@@ -11,9 +11,11 @@ Every input goes through ``read_json`` or ``read_csv`` (rows streamed): a
 file that cannot be read, is not UTF-8 or not JSON, or is an empty or
 malformed CSV raises ``ConfigError`` (JSON) or ``DataError`` (CSV) as
 ``<path>: <reason>``.
-Every artifact goes through ``write_csv``, ``write_json`` or ``write_text``:
-UTF-8 with LF line ends; JSON with indent 2, sorted keys and a trailing
-newline (``json_text``).  ``format_value`` is the one field rule for a
+Every artifact goes through ``write_csv``, ``write_json`` or ``write_text``,
+into directories ``make_dirs`` creates: UTF-8 with LF line ends; JSON with
+indent 2, sorted keys and a trailing newline (``json_text``).  A file or
+directory that cannot be written raises ``DataError`` as ``<path>: cannot
+write: <reason>``.  ``format_value`` is the one field rule for a
 number: ``UNDEFINED_FIELD`` (empty) for NaN, else its ``repr``.  A target is
 a path or an open text file, so stdout takes the same bytes as a file.
 """
@@ -236,10 +238,26 @@ def _text_file(target, mode: str = "r"):
     return contextlib.nullcontext(target)
 
 
+@contextlib.contextmanager
+def _writing(target):
+    """Turns a fault while writing ``target``, a file or a directory, into
+    ``DataError`` as ``<path>: cannot write: <reason>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{target}: cannot write: {exc.strerror or exc}") from exc
+
+
+def make_dirs(path) -> None:
+    """The output directory ``path`` and its parents, made where missing."""
+    with _writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
 def write_csv(target, header, rows) -> None:
     """``header`` and then each row of the iterable ``rows``, streamed, as
     CSV lines ending in LF."""
-    with _text_file(target, "w") as fh:
+    with _writing(target), _text_file(target, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -255,7 +273,7 @@ def write_json(target, payload) -> None:
 
 
 def write_text(target, text: str) -> None:
-    with _text_file(target, "w") as fh:
+    with _writing(target), _text_file(target, "w") as fh:
         fh.write(text)
 
 
@@ -298,9 +316,12 @@ def read_csv(target):
 
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     return digest.hexdigest()
 
 

@@ -10,11 +10,13 @@ the training split's D0.  A fold whose reweighing failed keeps all-zero
 tensors, so all 30 of its metrics are Undefined.
 
 The unit of work is one repeat of one dataset (``_repeat_job``, also the
-unit of ``--jobs``).  It fits each fold's min-max bounds once, gets D0 of
-its five training splits from one ``metrics.consistency`` call on the raw
-rows and those bounds (on integer-coded data, from one neighbour list),
-then scales each fold's rows once by the same bounds, and returns its
-slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``,
+unit of ``--jobs``).  The run builds each dataset's kNN neighbour list
+once, with that dataset's five jobs (``metrics.neighbour_list``: a list on
+integer-coded data, else None), and hands it to each of them.  A job fits
+each fold's min-max bounds once, gets D0 of its five training splits from
+one ``metrics.consistency`` call on the raw rows, those bounds and the
+list, then scales each fold's rows once by the same bounds, and returns
+its slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``,
 label-weight tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The
 run stacks the slices into ``[dataset, model, repeat, fold, ...]`` and
 makes one ``metrics.compute_classification_metrics`` and one
@@ -227,17 +229,20 @@ def _repeat_job(args):
 
     Each fold's min-max bounds are fitted once on its training rows or,
     under ``global_normalize``, one fit on all rows serves every fold; the
-    same bounds scale the fits' rows and D0's.  D0 of all five folds is one ``metrics.consistency`` call
-    on the raw rows before the fold loop, so integer-coded data gets every
-    fold from one neighbour list and no scaled fold is alive while it runs."""
-    ds, cfg, repeat, assignment, mitigators = args
+    same bounds scale the fits' rows and D0's.  D0 of all five folds is one
+    ``metrics.consistency`` call on the raw rows before the fold loop, so no
+    scaled fold is alive while it runs.  ``listed`` is the dataset's
+    ``metrics.neighbour_list``, shared by its five jobs: every fold whose
+    bounds have the list's spans reads its neighbours off it."""
+    ds, cfg, repeat, assignment, mitigators, listed = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
     trains = assignment != np.arange(N_FOLDS)[:, None]
     bounds = ([fit_minmax(ds.X)] * N_FOLDS if cfg.global_normalize
               else [fit_minmax(ds.X[train]) for train in trains])
     # consistency ignores instance weights, so all models share the value
-    consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds)[None]
+    consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds,
+                                      listed)[None]
     for fold, train in enumerate(trains):
         test = ~train
         # apply_minmax scales every entry on its own, so scaling all rows once
@@ -297,8 +302,11 @@ def run_experiment(
     jobs = []
     for ds in datasets:
         plan = make_cv_plan(ds.row_count, cfg.seeds)
+        # the list depends only on the rows and k: one per dataset, read by
+        # every repeat job, which stays the unit of --jobs
+        listed = metrics.neighbour_list(ds.X, cfg.k_neighbors)
         for repeat in range(N_REPEATS):
-            jobs.append((ds, cfg, repeat, plan.assignments[repeat], selected))
+            jobs.append((ds, cfg, repeat, plan.assignments[repeat], selected, listed))
 
     if cfg.jobs > 1 and len(jobs) > 1:
         # the fork start method starts every worker up front: no more than jobs

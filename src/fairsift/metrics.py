@@ -278,7 +278,30 @@ def _row_blocks(n: int):
         start = stop
 
 
-def consistency(X, y, k: int, masks, bounds) -> np.ndarray:
+def neighbour_list(X, k: int):
+    """The neighbour list of integer-valued rows X, or None: every row's first
+    ``CONSISTENCY_LIST_FACTOR * k`` nearest other rows in (distance, row
+    index) order, min-max scaled by all rows' spans, and those spans, as the
+    pair ``(nearest, spans)``.
+
+    The list depends only on the rows and k, so one list serves every mask
+    of every ``consistency`` call on X whose bounds have these spans.  It is
+    None where the exact path does not hold (``_exact_metric``): rows that
+    are not integers, or integers past the ``2**53`` bound.  The spans make
+    an index, not a scaling.  The list takes O(n k) memory.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) < 2 or k < 1:
+        raise ValueError(f"need 2-D X of at least 2 rows and k >= 1, "
+                         f"got shape {X.shape} and k={k}")
+    spans = X.max(axis=0) - X.min(axis=0)
+    metric = _exact_metric(X, spans)
+    if metric is None:
+        return None
+    return _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, len(X) - 1)), spans
+
+
+def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     """kNN consistency (D0, Zemel et al. 2013) of each mask's rows: 1 - mean
     |y_i - mean(y of the k nearest neighbors of x_i)|, Euclidean distance,
     self excluded, distance ties broken by the smallest row index.
@@ -286,24 +309,23 @@ def consistency(X, y, k: int, masks, bounds) -> np.ndarray:
     X holds raw rows, ``masks`` is a boolean (m, n) array, and ``bounds``
     holds one ``(mins, maxs)`` per mask, fitted by the caller, which scale
     the mask's rows as ``datamodel.apply_minmax`` does; unit bounds take the
-    rows as given.  Each mask needs more than k rows.  The result is the
-    array of each mask's D0.
+    rows as given.  ``listed`` is ``neighbour_list(X, k)``, built once by the
+    caller for all its calls on X, or None.  Each mask needs more than k
+    rows.  The result is the array of each mask's D0.
 
-    Integer-valued rows take the exact path: scaled squared distances times
-    ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties are exact
-    and the tie rule holds whatever the BLAS.  Then one blocked pass keeps
-    every row's first ``CONSISTENCY_LIST_FACTOR * k`` neighbours among all
-    rows under all rows' spans, and each mask whose bounds have those spans
-    reads its rows' k nearest in-mask neighbours off that one list.  A mask
-    with other spans, or one with a row short of k in-mask candidates, runs
-    the exact kernel on its own rows instead.  Other data, or integers past
-    the ``2**53`` bound, runs the float kernel on each mask's scaled rows
-    (``_float_nearest``).  All three paths end in the same neighbour indices
-    and one D0 expression.
+    A mask whose bounds have the list's spans reads its rows' k nearest
+    in-mask neighbours off the list.  Any other mask, or one with a row
+    short of k in-mask candidates, runs a kernel on its own rows.
+    Integer-valued rows take the exact kernel: scaled squared distances
+    times ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties
+    are exact and the tie rule holds whatever the BLAS.  Other data, or
+    integers past the ``2**53`` bound, takes the float kernel on the mask's
+    scaled rows (``_float_nearest``).  All three paths end in the same
+    neighbour indices and one D0 expression.
 
     Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
-    entries (2 MB), plus O(n k) for the list: a whole dataset of tens of
-    thousands of rows needs a few MB.
+    entries (2 MB): a whole dataset of tens of thousands of rows needs a few
+    MB.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -329,19 +351,14 @@ def consistency(X, y, k: int, masks, bounds) -> np.ndarray:
     sizes = masks.sum(axis=1)
     if (sizes <= k).any():
         raise ValueError(f"every mask needs more than k={k} rows, got {sizes.tolist()}")
+    if listed is not None and len(listed[0]) != n:
+        raise ValueError(f"the neighbour list has {len(listed[0])} rows, X has {n}")
 
-    # the list is an index under all rows' spans, not a scaling: a mask
-    # reads it only when its own bounds have those spans
-    full = X.max(axis=0) - X.min(axis=0)
-    metric = _exact_metric(X, full)
-    listed = None
     d0 = np.empty(len(masks))
     for i, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
         nearest = None
-        if metric is not None and np.array_equal(maxs - mins, full):
-            if listed is None:
-                listed = _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, n - 1))
-            nearest = _first_in_mask(listed, mask, k)
+        if listed is not None and np.array_equal(maxs - mins, listed[1]):
+            nearest = _first_in_mask(listed[0], mask, k)
         if nearest is None:
             rows = X[mask]
             own = _exact_metric(rows, maxs - mins)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, metrics
-from .datamodel import (ConfigError, DataError, check_fields, format_value, write_csv,
-                        write_json, write_text)
+from .datamodel import (ConfigError, DataError, check_fields, format_value, make_dirs,
+                        write_csv, write_json, write_text)
 from .harness import BASELINE, REWEIGHING, MetricSampleMatrix
 
 
@@ -479,7 +479,7 @@ def render_report_md(result: AnalysisResult) -> str:
 
 def write_all(result: AnalysisResult, out_dir) -> dict:
     """Write every analysis artifact into ``out_dir``; returns path mapping."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     # (path key, file name, writer, the writer's arguments after the path)
     artifacts = [
         ("clusters", "clusters.json", write_json, [clusters_payload(result)]),

@@ -633,6 +633,51 @@ class TestNonUtf8Input:
             assert [f["error"].startswith(f"{path}: ") for f in manifest["failures"]] == [True]
 
 
+# command -> (the first file it writes under --out, --out's own kind)
+WRITTEN_FIRST = {
+    "experiment": ("results.csv", "directory"),
+    "analyze": ("clusters.json", "directory"),
+    "demo": ("biased/biased.csv", "directory"),
+    "metrics": (None, "file"),
+}
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written, because a file stands where a
+    directory must be made or a directory where a file must be written, is a
+    data error (exit 3) as ``data error: <path>: cannot write: <reason>``,
+    never a traceback."""
+
+    @pytest.mark.parametrize("blocker", ["file", "directory"])
+    @pytest.mark.parametrize("command", list(WRITTEN_FIRST))
+    def test_exit_code(self, tiny_dataset, experiment_dir, tmp_path, capsys, command, blocker):
+        data, spec = tiny_dataset
+        first, kind = WRITTEN_FIRST[command]
+        out = tmp_path / "out"
+        if blocker == "file":  # no directory can be made where a file is
+            out.write_text("")
+            target = out if kind == "directory" else out / "m.csv"
+            bad = target
+            reason = "file exists" if kind == "directory" else "not a directory"
+        else:  # no file can be written where a directory is
+            target = out
+            bad = out if kind == "file" else out / first
+            bad.mkdir(parents=True)
+            reason = "is a directory"
+        argv = {
+            "experiment": ["experiment", "--data", str(data), "--spec", str(spec)],
+            "analyze": ["analyze", "--results", str(experiment_dir / "results.csv")],
+            "demo": ["demo", "--rows", "200"],
+            "metrics": ["metrics", "--data", str(data), "--spec", str(spec)],
+        }[command]
+        assert main(argv + ["--out", str(target)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count(str(bad)) == 1
+        line = next(line for line in err.splitlines() if str(bad) in line)
+        assert line.startswith(f"data error: {bad}: cannot write: ")
+        assert line.lower().endswith(f": {reason}")
+
+
 def _set_field(lines, index, field, text):
     row = lines[index].split(",")
     row[field] = text

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +15,10 @@ from fairsift.datamodel import (
     apply_minmax,
     check_fields,
     encode_dataset,
+    file_sha256,
     fit_minmax,
     format_value,
+    make_dirs,
     write_csv,
     write_json,
     write_text,
@@ -342,3 +345,27 @@ class TestArtifactWriters:
         )
         write_text(str(tmp_path / "t.md"), "one\ntwo\n")
         assert (tmp_path / "t.md").read_bytes() == b"one\ntwo\n"
+
+    def test_make_dirs_makes_parents_once(self, tmp_path):
+        make_dirs(tmp_path / "a" / "b")
+        make_dirs(tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        message = f"^{re.escape(str(blocker))}: cannot write: File exists$"
+        with pytest.raises(DataError, match=message):
+            make_dirs(blocker)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, ("a",), [("1",)]),
+        lambda path: write_json(path, {}),
+        lambda path: write_text(path, ""),
+    ], ids=["csv", "json", "text"])
+    def test_write_fault_names_the_path(self, tmp_path, write):
+        message = f"^{re.escape(str(tmp_path))}: cannot write: Is a directory$"
+        with pytest.raises(DataError, match=message):
+            write(tmp_path)
+
+    def test_digest_of_a_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="nope.csv: cannot read: No such file"):
+            file_sha256(tmp_path / "nope.csv")

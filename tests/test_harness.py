@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fairsift.harness import (
     write_results_csv,
 )
 
-from conftest import make_synthetic
+from conftest import german_style, make_synthetic
 from test_metrics import as_given, as_row, classification_oracle
 
 
@@ -199,23 +201,28 @@ class TestExperiment:
         """D0 of a repeat's five folds is one call on the raw rows, with the
         training masks, before any fold is scaled; each mask's bounds are
         those of its training rows, or of all rows under ``global_normalize``,
-        and the same pair then scales that fold for the fits."""
+        and the same pair then scales that fold for the fits.  The five calls
+        share the dataset's one neighbour list."""
         calls = []
         consistency = metrics.consistency
 
-        def spy(X, y, k, masks, bounds):
-            calls.append((X, masks, bounds, len(scaled)))
-            return consistency(X, y, k, masks, bounds)
+        def spy(X, y, k, masks, bounds, listed):
+            calls.append((X, masks, bounds, len(scaled), listed))
+            return consistency(X, y, k, masks, bounds, listed)
 
         scaled = []
         apply = harness.apply_minmax
         monkeypatch.setattr(metrics, "consistency", spy)
         monkeypatch.setattr(harness, "apply_minmax", lambda *a: scaled.append(a[1:]) or apply(*a))
-        ds = make_synthetic("once", 90, 0.2, seed=6)
+        ds = german_style(90, 6)
         run_experiment([ds], ExperimentConfig(global_normalize=global_normalize))
         plan = make_cv_plan(ds.row_count)
         assert len(calls) == 5
-        for repeat, (X, masks, bounds, n_scaled) in enumerate(calls):
+        listed = calls[0][4]
+        assert all(call[4] is listed for call in calls)
+        want = metrics.neighbour_list(ds.X, 5)
+        assert [part.tolist() for part in listed] == [part.tolist() for part in want]
+        for repeat, (X, masks, bounds, n_scaled, _) in enumerate(calls):
             assert X is ds.X and n_scaled == 5 * repeat
             assert (masks == (plan.assignments[repeat] != np.arange(5)[:, None])).all()
             for fold, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
@@ -223,6 +230,25 @@ class TestExperiment:
                 assert mins.tobytes() == want[0].tobytes() and maxs.tobytes() == want[1].tobytes()
                 fit_scaling = scaled[5 * repeat + fold]
                 assert fit_scaling[0] is mins and fit_scaling[1] is maxs
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_one_neighbour_list_per_integer_dataset(self, monkeypatch, in_process_pool, jobs):
+        """Each integer-coded dataset's all-rows list is built once, not once
+        per repeat job, whether the jobs run in one process or in a pool;
+        float data has none.  The folds' own kernels run on fewer rows."""
+        calls = []
+        nearest = metrics._nearest
+
+        def spy(A, weights, k):
+            calls.append((len(A), k))
+            return nearest(A, weights, k)
+
+        monkeypatch.setattr(metrics, "_nearest", spy)
+        datasets = [german_style(120, 1), dataclasses.replace(german_style(160, 2), name="other"),
+                    make_synthetic("float", 100, 0.2, seed=1)]
+        run_experiment(datasets, ExperimentConfig(jobs=jobs))
+        assert in_process_pool == ([3] if jobs > 1 else [])
+        assert [call for call in calls if call[0] in (100, 120, 160)] == [(120, 20), (160, 20)]
 
     def test_worker_pool_capped_at_job_count(self, in_process_pool):
         ds = make_synthetic("pool", 60, 0.2, seed=3)

@@ -114,11 +114,13 @@ def d0_of(y, nearest):
 
 
 def as_given(X, y, k=5):
-    """D0 of all rows of X as given: one all-rows mask under unit bounds."""
+    """D0 of all rows of X as given: one all-rows mask under unit bounds,
+    with X's neighbour list, which serves the mask when X's spans are 1."""
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     return float(metrics.consistency(
-        X, y, k, np.ones((1, n), dtype=bool), [(np.zeros(p), np.ones(p))]
+        X, y, k, np.ones((1, n), dtype=bool), [(np.zeros(p), np.ones(p))],
+        metrics.neighbour_list(X, k),
     )[0])
 
 
@@ -768,7 +770,9 @@ class TestExactConsistency:
         bounds = [integer_bounds(rows, [True] * len(rows) if i < 0 else masks[i])
                   for i in sources]
         with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
-            got = metrics.consistency(np.array(rows, dtype=float), y, k, np.array(masks), bounds)
+            X = np.array(rows, dtype=float)
+            got = metrics.consistency(X, y, k, np.array(masks), bounds,
+                                      metrics.neighbour_list(X, k))
         assert got.tolist() == [
             consistency_rational(rows, y, k, mask, b) for mask, b in zip(masks, bounds)
         ]
@@ -789,7 +793,8 @@ class TestExactConsistency:
             monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
             got.append(np.concatenate([
                 metrics.consistency(X, y, 5, masks,
-                                    [fit_minmax(X if g else X[mask]) for mask in masks])
+                                    [fit_minmax(X if g else X[mask]) for mask in masks],
+                                    metrics.neighbour_list(X, 5))
                 for X, y, masks, g in cases
             ]))
         assert got[0].size == 1200
@@ -827,7 +832,7 @@ class TestExactConsistency:
         bounds = [fit_minmax(X if all_rows else X[mask]) for mask in masks]
         nearest, exact_metric = metrics._nearest, metrics._exact_metric
         calls = self.spy(monkeypatch)
-        got = metrics.consistency(X, y, 5, masks, bounds)
+        got = metrics.consistency(X, y, 5, masks, bounds, metrics.neighbour_list(X, 5))
         for mask, (mins, maxs), d0 in zip(masks, bounds, got):
             assert d0 == d0_of(y[mask], nearest(*exact_metric(X[mask], maxs - mins), 5))
         # all rows' bounds serve every fold; otherwise fold 0 has its own
@@ -843,7 +848,8 @@ class TestExactConsistency:
         masks = np.array([[True] + [False] * 4 + [True] * 5, [True] * 10])
         bounds = [integer_bounds(rows, mask) for mask in masks]
         calls = self.spy(monkeypatch)
-        got = metrics.consistency(np.array(rows, dtype=float), y, 1, masks, bounds)
+        X = np.array(rows, dtype=float)
+        got = metrics.consistency(X, y, 1, masks, bounds, metrics.neighbour_list(X, 1))
         assert calls["list"][0] is None and calls["list"][1] is not None
         assert calls["nearest"] == [(10, 4), (6, 1)]  # the list, then mask 0's own
         assert got.tolist() == [
@@ -854,12 +860,13 @@ class TestExactConsistency:
         ds = german_style(3000, 1)
         plan = make_cv_plan(3000)
         calls = self.spy(monkeypatch)
+        listed = metrics.neighbour_list(ds.X, 5)
         got = []
         for assignment in plan.assignments:
             masks = assignment != np.arange(5)[:, None]
             got.append(metrics.consistency(ds.X, ds.y, 5, masks,
-                                           [fit_minmax(ds.X[mask]) for mask in masks]))
-        assert calls["nearest"] == [(3000, 20)] * 5 and len(calls["list"]) == 25
+                                           [fit_minmax(ds.X[mask]) for mask in masks], listed))
+        assert calls["nearest"] == [(3000, 20)] and len(calls["list"]) == 25
         for repeat, fold in ((0, 0), (2, 3), (4, 4)):
             train = plan.assignments[repeat] != fold
             assert got[repeat][fold] == consistency_int64(ds.X[train], ds.y[train])
@@ -873,8 +880,9 @@ class TestExactConsistency:
         y = rng.integers(0, 2, 200)
         bounds = fit_minmax(X)
         assert metrics._exact_metric(X, bounds[1] - bounds[0]) is None
+        assert metrics.neighbour_list(X, 5) is None
         masks = np.arange(200) % 5 != np.arange(5)[:, None]
-        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, [bounds] * 5)):
+        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, [bounds] * 5, None)):
             scaled = apply_minmax(X[mask], *bounds)
             assert d0 == d0_of(y[mask], metrics._float_nearest(scaled, 5))
 
@@ -884,7 +892,7 @@ class TestExactConsistency:
         bounds = [fit_minmax(ds.X[mask]) for mask in masks]
         tracemalloc.start()
         try:
-            metrics.consistency(ds.X, ds.y, 5, masks, bounds)
+            metrics.consistency(ds.X, ds.y, 5, masks, bounds, metrics.neighbour_list(ds.X, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -899,7 +907,7 @@ class TestExactConsistency:
     def test_bad_masks_rejected(self, masks, message):
         with pytest.raises(ValueError, match=message):
             metrics.consistency(np.arange(6.0)[:, None], np.ones(6), 2, masks,
-                                [([0.0], [1.0])] * 2)
+                                [([0.0], [1.0])] * 2, None)
 
     @pytest.mark.parametrize("bounds, message", [
         ([([0.0, 0.0], [1.0, 1.0])], r"one \(mins, maxs\) per mask: 2 masks, 1 bounds"),
@@ -911,7 +919,51 @@ class TestExactConsistency:
     def test_bad_bounds_rejected(self, bounds, message):
         with pytest.raises(ValueError, match=message):
             metrics.consistency(np.arange(12.0).reshape(6, 2), np.ones(6), 2,
-                                np.ones((2, 6), dtype=bool), bounds)
+                                np.ones((2, 6), dtype=bool), bounds, None)
+
+
+class TestNeighbourList:
+    """``neighbour_list`` is built once per dataset and read by every
+    ``consistency`` call on its rows."""
+
+    def test_list_gives_the_bits_of_the_per_mask_kernels(self):
+        ds = german_style(600, 3)
+        listed = metrics.neighbour_list(ds.X, 5)
+        assert listed is not None
+        for assignment in make_cv_plan(600).assignments:
+            masks = assignment != np.arange(5)[:, None]
+            for bounds in ([fit_minmax(ds.X[mask]) for mask in masks], [fit_minmax(ds.X)] * 5):
+                with_list = metrics.consistency(ds.X, ds.y, 5, masks, bounds, listed)
+                without = metrics.consistency(ds.X, ds.y, 5, masks, bounds, None)
+                assert with_list.tobytes() == without.tobytes()
+
+    def test_list_is_the_spans_and_nearest_of_all_rows(self):
+        ds = german_style(200, 4)
+        nearest, spans = metrics.neighbour_list(ds.X, 3)
+        assert spans.tolist() == (ds.X.max(axis=0) - ds.X.min(axis=0)).tolist()
+        assert nearest.shape == (200, 12)
+        want = metrics._nearest(*metrics._exact_metric(ds.X, spans), 12)
+        assert nearest.tolist() == want.tolist()
+
+    def test_none_on_float_rows(self):
+        rng = np.random.default_rng(11)
+        X = rng.random((50, 3))
+        assert metrics.neighbour_list(X, 5) is None
+        X[:, 0] = np.round(X[:, 0] * 10)  # one integer column is not enough
+        assert metrics.neighbour_list(X, 5) is None
+
+    def test_list_of_other_rows_rejected(self):
+        ds = german_style(60, 2)
+        listed = metrics.neighbour_list(ds.X[:50], 5)
+        masks = np.ones((1, 60), dtype=bool)
+        with pytest.raises(ValueError, match="neighbour list has 50 rows, X has 60"):
+            metrics.consistency(ds.X, ds.y, 5, masks, [fit_minmax(ds.X)], listed)
+
+    @pytest.mark.parametrize("X, k", [(np.arange(6.0), 2), (np.zeros((1, 2)), 1),
+                                      (np.zeros((6, 2)), 0)])
+    def test_bad_arguments_rejected(self, X, k):
+        with pytest.raises(ValueError, match="need 2-D X of at least 2 rows and k >= 1"):
+            metrics.neighbour_list(X, k)
 
 
 def random_instance(rng, n_lo=6, n_hi=40):
