@@ -39,9 +39,9 @@ from .datamodel import (
 )
 from .harness import (
     BASELINE,
-    N_FOLDS,
     DatasetSource,
     ExperimentConfig,
+    check_cv_size,
     run_experiment,
     read_results_csv,
     write_manifest,
@@ -53,13 +53,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PARTIAL = 4
 
-# every key a run config may hold ("thresholds": {"zero": ...} is
-# "thresholds.zero"); a flag's dest is its key
-_RUN_CONFIG_KEYS = {
-    "datasets", "seeds", "models", "alpha", "k_neighbors", "concentration",
-    "l2_strength", "global_normalize", "correlation_scope", "sensitivity_d",
-    "movement_epsilon", "thresholds.zero", "thresholds.one",
-}
+# every key a run config may hold: each config field's key but the flag-only
+# jobs ("thresholds": {"zero": ...} is "thresholds.zero"), and datasets; a
+# flag's dest is its key
+_RUN_CONFIG_KEYS = {"datasets"} | {
+    f.metadata.get("key", f.name)
+    for cls in (ExperimentConfig, report.AnalysisConfig)
+    for f in dataclasses.fields(cls)
+} - {"jobs"}
 
 
 def _parse_models(text: str) -> list[str]:
@@ -70,13 +71,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _config(cls, args, file_cfg: dict, **settings):
-    """``cls`` with each run-config key taken from its flag, else from the
-    run config, else left at its default; ``settings`` are passed as given."""
+def _config(cls, args, file_cfg: dict):
+    """``cls`` with each field taken from its flag, else from the run config,
+    else left at its default."""
+    settings = {}
     for f in dataclasses.fields(cls):
         key = f.metadata.get("key", f.name)
-        if key not in _RUN_CONFIG_KEYS:
-            continue
         flag = getattr(args, key, None)
         if flag is not None:
             settings[f.name] = flag
@@ -191,18 +191,7 @@ def _experiment(sources, cfg: ExperimentConfig, out_dir):
     for src in sources:
         try:
             ds = src.load()
-            if ds.row_count < 2 * N_FOLDS:
-                raise DataError(
-                    f"dataset {ds.name!r}: {ds.row_count} usable rows, "
-                    f"{N_FOLDS}-fold cross-validation needs at least {2 * N_FOLDS}"
-                )
-            # make_cv_plan's largest test fold has ceil(n / N_FOLDS) rows
-            n_train = ds.row_count - -(-ds.row_count // N_FOLDS)
-            if cfg.k_neighbors >= n_train:
-                raise DataError(
-                    f"dataset {ds.name!r}: smallest training fold: k_neighbors must "
-                    f"be below the row count {n_train}, got {cfg.k_neighbors}"
-                )
+            check_cv_size(ds, cfg.k_neighbors)
             if any(ds.name == other.name for other in loaded):
                 raise ConfigError(
                     f"dataset name {ds.name!r} repeats an earlier dataset's"
@@ -231,7 +220,7 @@ def _experiment(sources, cfg: ExperimentConfig, out_dir):
 
 def cmd_experiment(args) -> int:
     file_cfg = _load_run_config(args.config)
-    cfg = _config(ExperimentConfig, args, file_cfg, jobs=args.jobs)
+    cfg = _config(ExperimentConfig, args, file_cfg)
     _, failures = _experiment(_sources(args, file_cfg), cfg, args.out)
     return EXIT_PARTIAL if failures else EXIT_OK
 
@@ -273,28 +262,20 @@ def cmd_demo(args) -> int:
         print(f"wrote {report.write_all(result, run_dir)['report']}")
 
         c15 = samples.cell(name, BASELINE, "C15")
-        unfair_folds = sum(
-            1 for v in c15 if metrics.label_fair(v, 0.0) == metrics.UNFAIR
-        )
         summary[name] = {
             "run_dir": run_dir,
-            "c15_unfair_folds": unfair_folds,
+            "c15_unfair_folds": int((metrics.label_fair(c15, 0.0) == metrics.UNFAIR).sum()),
             "c15_total_folds": len(c15),
             "unfair_pct_classification": result.unfair_pct[("classification", name)],
         }
 
-    biased, control = summary["biased"], summary["control"]
     print("demo summary")
-    print(
-        f"  biased:  C15 unfair in {biased['c15_unfair_folds']}/"
-        f"{biased['c15_total_folds']} folds; "
-        f"{biased['unfair_pct_classification']:.0f}% of metrics unfair"
-    )
-    print(
-        f"  control: C15 unfair in {control['c15_unfair_folds']}/"
-        f"{control['c15_total_folds']} folds; "
-        f"{control['unfair_pct_classification']:.0f}% of metrics unfair"
-    )
+    for name, run in summary.items():
+        print(
+            f"  {name + ':':<9}C15 unfair in {run['c15_unfair_folds']}/"
+            f"{run['c15_total_folds']} folds; "
+            f"{run['unfair_pct_classification']:.0f}% of metrics unfair"
+        )
     write_json(os.path.join(out, "demo_summary.json"), summary)
     return EXIT_OK
 
@@ -308,22 +289,14 @@ def cmd_catalog(args) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
-def _add_common_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=_parse_seeds, default=None,
-                   help="5 comma-separated repeat seeds (default 0,1,2,3,4)")
-    p.add_argument("--models", type=_parse_models, default=None,
-                   help="comma list from {baseline,rw} (default both)")
+def _add_metric_flags(p: argparse.ArgumentParser) -> None:
+    """The metric settings of ``metrics`` and ``experiment``."""
     p.add_argument("--alpha", type=float, default=None,
                    help="entropy-index alpha (default 2)")
     p.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=None,
                    help="neighbors for the consistency metric (default 5)")
     p.add_argument("--concentration", type=float, default=None,
                    help="Dirichlet smoothing for differential fairness (default 1.0)")
-    p.add_argument("--l2", dest="l2_strength", type=float, default=None,
-                   help="logistic L2 strength (default 1.0)")
-    p.add_argument("--global-normalize", action="store_true", default=None,
-                   help="min-max normalize once globally instead of per training fold")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV column holding predicted labels; adds the "
                         "classification metrics")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k-neighbors", dest="k_neighbors", type=int, default=None)
-    p.add_argument("--concentration", type=float, default=None)
+    _add_metric_flags(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("experiment", help="run the cross-validation pipeline")
@@ -350,7 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="dataset CSV (with --spec)")
     p.add_argument("--spec", default=None, help="dataset spec JSON (with --data)")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common_experiment_flags(p)
+    p.add_argument("--seeds", type=_parse_seeds, default=None,
+                   help="5 comma-separated repeat seeds (default 0,1,2,3,4)")
+    p.add_argument("--models", type=_parse_models, default=None,
+                   help="comma list from {baseline,rw} (default both)")
+    _add_metric_flags(p)
+    p.add_argument("--l2", dest="l2_strength", type=float, default=None,
+                   help="logistic L2 strength (default 1.0)")
+    p.add_argument("--global-normalize", action="store_true", default=None,
+                   help="min-max normalize once globally instead of per training fold")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("analyze", help="analyze a results.csv")

@@ -50,6 +50,7 @@ from . import metrics, models
 from .datamodel import (
     UNDEFINED_FIELD,
     ConfigError,
+    DataError,
     DatasetSpec,
     EncodedDataset,
     apply_minmax,
@@ -94,6 +95,12 @@ class CvPlan:
         self.assignments.setflags(write=False)
 
 
+def _fold_sizes(n_rows: int) -> np.ndarray:
+    """The test fold sizes of ``make_cv_plan``: the first n_rows % N_FOLDS
+    folds get one row more."""
+    return n_rows // N_FOLDS + (np.arange(N_FOLDS) < n_rows % N_FOLDS)
+
+
 def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
     """Deterministic shuffled fold assignment, sizes differing by at most 1."""
     seeds = tuple(int(s) for s in seeds)
@@ -101,13 +108,28 @@ def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
         raise ValueError(f"need exactly {N_REPEATS} seeds, got {len(seeds)}")
     if n_rows < 2 * N_FOLDS:
         raise ValueError(f"need at least {2 * N_FOLDS} rows, got {n_rows}")
-    # the first n_rows % N_FOLDS folds get one row more
-    sizes = n_rows // N_FOLDS + (np.arange(N_FOLDS) < n_rows % N_FOLDS)
-    folds = np.repeat(np.arange(N_FOLDS), sizes)
+    folds = np.repeat(np.arange(N_FOLDS), _fold_sizes(n_rows))
     assignments = np.empty((N_REPEATS, n_rows), dtype=np.int64)
     for r, seed in enumerate(seeds):
         assignments[r, np.random.default_rng(seed).permutation(n_rows)] = folds
     return CvPlan(assignments)
+
+
+def check_cv_size(ds: EncodedDataset, k_neighbors: int) -> None:
+    """Raise ``DataError`` unless ``ds`` has the rows ``make_cv_plan`` needs
+    and its smallest training fold has more than ``k_neighbors`` rows, the
+    candidates D0 needs."""
+    if ds.row_count < 2 * N_FOLDS:
+        raise DataError(
+            f"dataset {ds.name!r}: {ds.row_count} usable rows, "
+            f"{N_FOLDS}-fold cross-validation needs at least {2 * N_FOLDS}"
+        )
+    n_train = ds.row_count - int(_fold_sizes(ds.row_count).max())
+    if k_neighbors >= n_train:
+        raise DataError(
+            f"dataset {ds.name!r}: smallest training fold: k_neighbors must "
+            f"be below the row count {n_train}, got {k_neighbors}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,8 +142,6 @@ class ExperimentConfig:
     k_neighbors: int = 5
     concentration: float = 1.0
     l2_strength: float = 1.0
-    max_iterations: int = 1000
-    tolerance: float = 1e-6
     global_normalize: bool = False
     jobs: int = 1
 
@@ -136,15 +156,16 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must not be negative, got {list(self.seeds)}")
         if not self.models:
             raise ConfigError("at least one model required")
-        for name in ("alpha", "k_neighbors", "concentration", "l2_strength",
-                     "max_iterations", "tolerance", "jobs"):
+        for name in ("alpha", "k_neighbors", "concentration", "l2_strength", "jobs"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        """The settings that shape the results, for ``manifest.json``."""
+        """The settings that shape the results, for ``manifest.json``: the
+        fields but ``jobs``, and the solver's fixed limits."""
         settings = asdict(self)
         del settings["jobs"]
+        settings.update(max_iterations=models.MAX_ITERATIONS, tolerance=models.TOLERANCE)
         return settings
 
 
@@ -261,10 +282,8 @@ def _repeat_job(args):
                 )
                 continue
             # through the module attribute, so a wrapper set on it sees each fit
-            fitted = models.train_logistic(
-                X_train, y_train, weights, l2_strength=cfg.l2_strength,
-                max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
-            )
+            fitted = models.train_logistic(X_train, y_train, weights,
+                                           l2_strength=cfg.l2_strength)
             counts[m, fold] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
             label_weights[m, fold] = metrics.label_weights(y_train, s_train, weights)
     return counts, label_weights, consistency

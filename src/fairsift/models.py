@@ -4,8 +4,10 @@ Every fold model is ``train_logistic``: a weighted logistic regression with
 L2 regularization on the coefficients (intercept unpenalized), fit by
 full-batch damped Newton steps.  Training is deterministic: zero
 initialization, no stochasticity, converged when the gradient norm drops
-below tolerance.  It also stops after a full Newton step whose predicted
-decrease is within the loss's rounding.
+to ``TOLERANCE``.  It also stops after ``MAX_ITERATIONS`` steps, or after a
+full Newton step whose predicted decrease is within the loss's rounding.
+The two limits are fixed: no experiment varies them, and ``manifest.json``
+records them with the run's settings.
 
 A ``Mitigator`` decides only the instance weights of a training fold.  The
 base class gives every row weight 1, the baseline; ``ReweighingMitigator``
@@ -18,6 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+MAX_ITERATIONS = 1000
+TOLERANCE = 1e-6  # on the gradient norm
 
 
 @dataclass(frozen=True)
@@ -72,14 +77,14 @@ def loss_and_gradient(theta, X, y, w, l2_strength):
     return loss, grad, pr
 
 
-def train_logistic(
-    X, y, weights=None, *, l2_strength: float = 1.0, max_iterations: int = 1000,
-    tolerance: float = 1e-6,
-) -> LogisticModel:
+def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticModel:
     """Fit by damped Newton: solve H step = -grad, backtrack until loss drops.
 
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
+    It stops at ``TOLERANCE`` or after ``MAX_ITERATIONS`` steps, both read at
+    call time; a model stopped short of ``TOLERANCE`` warns and has
+    ``converged`` False.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -101,7 +106,7 @@ def train_logistic(
     diagonal = np.diag_indices(p + 1)
     loss, grad, pr = loss_and_gradient(theta, X, y, w, l2_strength)
     iterations = 0
-    while np.linalg.norm(grad) > tolerance and iterations < max_iterations:
+    while np.linalg.norm(grad) > TOLERANCE and iterations < MAX_ITERATIONS:
         curvature = w * pr * (1.0 - pr)
         Xc = X * curvature[:, None]
         hess = np.empty((p + 1, p + 1))
@@ -140,7 +145,7 @@ def train_logistic(
         if at_resolution:
             break
 
-    converged = bool(np.linalg.norm(grad) <= tolerance)
+    converged = bool(np.linalg.norm(grad) <= TOLERANCE)
     if not converged:
         warnings.warn(
             f"logistic training stopped after {iterations} iterations with "

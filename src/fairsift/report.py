@@ -107,7 +107,6 @@ class AnalysisResult:
     # [dataset, classification metric] verdicts of movement_models, or None
     movement: np.ndarray | None
     movement_models: tuple[str, str] | None
-    config: AnalysisConfig
 
 
 def _representative(cluster, corr: analysis.CorrelationMatrix) -> str:
@@ -248,7 +247,6 @@ def build_analysis(
         sensitivity=sensitivity,
         movement=movement,
         movement_models=movement_models,
-        config=cfg,
     )
 
 

@@ -1,7 +1,7 @@
 """Synthetic binary-classification data with a planted group bias.
 
 The generator controls P(favorable | group) directly through ``bias_gap``:
-group A (privileged) gets base_rate + gap/2, group B gets base_rate - gap/2,
+group A (privileged) gets BASE_RATE + gap/2, group B gets BASE_RATE - gap/2,
 with exact counts rather than Bernoulli draws so the planted disparity is not
 washed out by sampling noise.
 
@@ -24,26 +24,22 @@ UNPRIVILEGED = "B"
 FAVORABLE = "yes"
 UNFAVORABLE = "no"
 
+BASE_RATE = 0.5  # P(favorable) midway between the groups
 _SIGNALS = (1.0, 0.8, 0.6)  # label coefficient per numeric feature
 _NOISES = (0.55, 0.65, 0.75)  # noise scale per numeric feature
 _PROXY_NOISE = 0.25  # noise on the group-proxy feature
 
 
-def generate_rows(
-    n_rows: int,
-    bias_gap: float,
-    seed: int,
-    base_rate: float = 0.5,
-) -> tuple[list[str], list[list[str]]]:
+def generate_rows(n_rows: int, bias_gap: float, seed: int) -> tuple[list[str], list[list[str]]]:
     """Header and raw CSV rows for one synthetic dataset."""
     if n_rows < 20:
         raise ConfigError(f"need at least 20 rows, got {n_rows}")
     if seed < 0:
         raise ConfigError(f"seed must not be negative, got {seed}")
-    lo = base_rate - bias_gap / 2.0
-    hi = base_rate + bias_gap / 2.0
+    lo = BASE_RATE - bias_gap / 2.0
+    hi = BASE_RATE + bias_gap / 2.0
     if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
-        raise ConfigError(f"bias_gap {bias_gap} incompatible with base_rate {base_rate}")
+        raise ConfigError(f"bias_gap {bias_gap} incompatible with base rate {BASE_RATE}")
     rng = np.random.default_rng(seed)
 
     n_priv = n_rows // 2

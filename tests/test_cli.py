@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fairsift import synth
+from fairsift import cli, synth
 from fairsift.cli import main
 
 from conftest import german_style, german_style_text
@@ -423,12 +425,15 @@ class TestMalformedConfig:
         ({"alpha": True}, "alpha must be a finite number"),
         ({"l2_strength": float("inf")}, "l2_strength must be a finite number"),
         ({"l2": 0.5}, "unknown keys ['l2']"),
+        ({"max_iterations": 50}, "unknown keys ['max_iterations']"),
+        ({"tolerance": 1e-3}, "unknown keys ['tolerance']"),
         ({"models": []}, "at least one model"),
         ({"models": ["rw", "mystery"]}, "no mitigator registered for models ['mystery']"),
     ], ids=["dataset-without-spec", "dataset-path-not-text", "datasets-text",
             "alpha-null", "models-number", "seeds-number", "normalize-text",
             "seed-fraction", "seed-negative", "k-fraction", "k-float", "alpha-true",
-            "l2-infinity", "flag-name-as-key", "models-empty", "model-unknown"])
+            "l2-infinity", "flag-name-as-key", "solver-iterations", "solver-tolerance",
+            "models-empty", "model-unknown"])
     def test_experiment(self, tiny_dataset, tmp_path, capsys, entry, key):
         data, spec = tiny_dataset
         config = tmp_path / "cfg.json"
@@ -762,6 +767,39 @@ class TestOverflowingSpan:
         assert code == 3
         assert "column 'noise'" in err and "overflows" in err
         assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _readme_config_table() -> dict[str, list[str]]:
+    """README's configuration table: config key -> the flags its row lists."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| config key | flag | type | default |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, flag = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        table[key] = re.findall(r"--[a-z0-9-]+", flag)
+    return table
+
+
+class TestConfigDocs:
+    """README's configuration table is the run config's reference: one row
+    per key, and only flags the commands have, each setting its key."""
+
+    def test_keys_are_the_run_config_keys(self):
+        assert set(_readme_config_table()) == cli._RUN_CONFIG_KEYS
+
+    def test_flags_exist_and_set_their_key(self):
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        options = {**commands["analyze"]._option_string_actions,
+                   **commands["experiment"]._option_string_actions}
+        for key, flags in _readme_config_table().items():
+            for flag in flags:
+                assert flag in options, (key, flag)
+                if key != "datasets":
+                    assert options[flag].dest == key, (key, flag)
 
 
 class TestCatalogCommand:

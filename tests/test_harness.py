@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairsift import harness, metrics
+from fairsift import harness, metrics, models
 from fairsift.datamodel import ConfigError, EncodedDataset, apply_minmax, fit_minmax
 from fairsift.harness import (
     BASELINE,
@@ -372,6 +372,20 @@ class TestExperiment:
         assert failed.any()
         assert np.isnan(samples.values[0, samples.models.index(REWEIGHING)][:, failed]).all()
 
+    def test_folds_stopped_by_the_iteration_limit_are_recorded(self, monkeypatch):
+        """A fold model stopped at ``models.MAX_ITERATIONS`` short of the
+        tolerance warns, and its folds' metrics are still recorded: no fold
+        is Undefined in all 30 metrics, and C15 is defined in every fold."""
+        monkeypatch.setattr(models, "MAX_ITERATIONS", 1)
+        ds = make_synthetic("capped", 100, 0.3, seed=2)
+        with pytest.warns(UserWarning) as caught:
+            samples = run_experiment([ds])
+        stopped = [w for w in caught if "stopped after 1 iterations" in str(w.message)]
+        assert len(stopped) == 2 * 25
+        assert not np.isnan(samples.values).all(axis=2).any()
+        for model in (BASELINE, REWEIGHING):
+            assert np.isfinite(samples.cell("capped", model, "C15")).all()
+
     def test_duplicate_names_rejected(self):
         ds = make_synthetic("dup", 60, 0.2, seed=1)
         with pytest.raises(ValueError, match="unique"):
@@ -389,9 +403,9 @@ class TestConfig:
             ExperimentConfig(alpha=0)
         with pytest.raises(ValueError):
             ExperimentConfig(concentration=-1)
-        for name, value in (("max_iterations", 0), ("max_iterations", -3),
-                            ("tolerance", -1.0), ("tolerance", 0.0)):
-            with pytest.raises(ConfigError, match=name):
+        for name, value in (("k_neighbors", 0), ("l2_strength", -1.0), ("l2_strength", 0.0),
+                            ("jobs", 0)):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
                 ExperimentConfig(**{name: value})
 
     def test_seed_count_enforced(self):
@@ -470,8 +484,6 @@ class TestMitigatorSlot:
     def test_one_fit_per_trained_model(self, monkeypatch):
         """Every fold model is ``models.train_logistic`` on its mitigator's
         weights, looked up on the module at call time."""
-        from fairsift import models
-
         calls = []
         fit = models.train_logistic
 
@@ -481,10 +493,9 @@ class TestMitigatorSlot:
 
         monkeypatch.setattr(models, "train_logistic", counting)
         datasets = [make_synthetic(f"fit{i}", 80, 0.3, seed=i) for i in range(2)]
-        run_experiment(datasets, ExperimentConfig(l2_strength=0.5, max_iterations=50))
+        run_experiment(datasets, ExperimentConfig(l2_strength=0.5))
         assert len(calls) == 2 * 25 * 2
-        assert all(s == {"l2_strength": 0.5, "max_iterations": 50, "tolerance": 1e-6}
-                   for _, _, s in calls)
+        assert all(s == {"l2_strength": 0.5} for _, _, s in calls)
         # the baseline fits on unit weights, the reweighed model on others
         unit = [np.array_equal(w, np.ones(n)) for n, w, _ in calls]
         assert sum(unit) == 50

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairsift import models
 from fairsift.datamodel import DatasetSpec, apply_minmax, encode_dataset, fit_minmax
 from fairsift.harness import make_cv_plan
 from fairsift.models import (
@@ -125,6 +126,17 @@ class TestTraining:
         model = train_logistic(X, y)
         assert model.converged
         assert model.n_iterations < 1000
+
+    def test_stops_at_the_iteration_limit(self, rng, monkeypatch):
+        """A fit that reaches ``MAX_ITERATIONS`` short of ``TOLERANCE`` warns
+        and is not converged; the limit is read at each call."""
+        X, y, w = random_problem(rng)
+        assert train_logistic(X, y, w).n_iterations > 1
+        monkeypatch.setattr(models, "MAX_ITERATIONS", 1)
+        with pytest.warns(UserWarning, match="stopped after 1 iterations"):
+            model = train_logistic(X, y, w)
+        assert not model.converged
+        assert model.n_iterations == 1
 
 
 def german_style_training_fold(seed, repeat, fold, n_rows=3000):
