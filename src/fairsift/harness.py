@@ -15,9 +15,11 @@ once, with that dataset's five jobs (``metrics.neighbour_list``: a list on
 integer-coded data, else None), and hands it to each of them.  A job fits
 each fold's min-max bounds once, gets D0 of its five training splits from
 one ``metrics.consistency`` call on the raw rows, those bounds and the
-list, then scales each fold's rows once by the same bounds, and returns
-its slice of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``,
-label-weight tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The
+list, then scales each fold's rows once by the same bounds.  It calls
+each mitigator once per fold and fits all its (model, fold) models as one
+stacked ``models.train_logistic`` call.  It returns its slice of the run's
+arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight tensors
+``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The
 run stacks the slices into ``[dataset, model, repeat, fold, ...]`` and
 makes one ``metrics.compute_classification_metrics`` and one
 ``metrics.compute_dataset_metrics`` call.
@@ -102,12 +104,11 @@ def _fold_sizes(n_rows: int) -> np.ndarray:
 
 
 def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
-    """Deterministic shuffled fold assignment, sizes differing by at most 1."""
+    """Deterministic shuffled fold assignment, sizes differing by at most 1.
+    ``check_cv_size`` holds the size rule a dataset must meet."""
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) != N_REPEATS:
         raise ValueError(f"need exactly {N_REPEATS} seeds, got {len(seeds)}")
-    if n_rows < 2 * N_FOLDS:
-        raise ValueError(f"need at least {2 * N_FOLDS} rows, got {n_rows}")
     folds = np.repeat(np.arange(N_FOLDS), _fold_sizes(n_rows))
     assignments = np.empty((N_REPEATS, n_rows), dtype=np.int64)
     for r, seed in enumerate(seeds):
@@ -116,9 +117,9 @@ def make_cv_plan(n_rows: int, seeds=DEFAULT_SEEDS) -> CvPlan:
 
 
 def check_cv_size(ds: EncodedDataset, k_neighbors: int) -> None:
-    """Raise ``DataError`` unless ``ds`` has the rows ``make_cv_plan`` needs
-    and its smallest training fold has more than ``k_neighbors`` rows, the
-    candidates D0 needs."""
+    """Raise ``DataError`` unless ``ds`` has two rows per fold and its
+    smallest training fold has more than ``k_neighbors`` rows, the candidates
+    D0 needs.  ``run_experiment`` checks every dataset by this rule."""
     if ds.row_count < 2 * N_FOLDS:
         raise DataError(
             f"dataset {ds.name!r}: {ds.row_count} usable rows, "
@@ -254,7 +255,11 @@ def _repeat_job(args):
     ``metrics.consistency`` call on the raw rows before the fold loop, so no
     scaled fold is alive while it runs.  ``listed`` is the dataset's
     ``metrics.neighbour_list``, shared by its five jobs: every fold whose
-    bounds have the list's spans reads its neighbours off it."""
+    bounds have the list's spans reads its neighbours off it.
+
+    The mitigators are called fold by fold; the fits they weigh are the
+    members of one stacked ``models.train_logistic`` call, with a training
+    fold one row short of the longest padded by a zero-weight row."""
     ds, cfg, repeat, assignment, mitigators, listed = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
@@ -264,14 +269,9 @@ def _repeat_job(args):
     # consistency ignores instance weights, so all models share the value
     consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds,
                                       listed)[None]
+    members = []  # (model, fold, weights) of each fit, fold by fold
     for fold, train in enumerate(trains):
-        test = ~train
-        # apply_minmax scales every entry on its own, so scaling all rows once
-        # gives both splits the bits they would get scaled apart
-        X = apply_minmax(ds.X, *bounds[fold])
-        X_train, y_train, s_train = X[train], ds.y[train], ds.s[train]
-        X_test, y_test, s_test = X[test], ds.y[test], ds.s[test]
-
+        y_train, s_train = ds.y[train], ds.s[train]
         for m, (name, mitigator) in enumerate(mitigators):
             try:
                 weights = mitigator.training_weights(y_train, s_train)
@@ -281,11 +281,38 @@ def _repeat_job(args):
                     f"recording Undefined for the {name} model"
                 )
                 continue
-            # through the module attribute, so a wrapper set on it sees each fit
-            fitted = models.train_logistic(X_train, y_train, weights,
-                                           l2_strength=cfg.l2_strength)
-            counts[m, fold] = metrics.confusion_counts(y_test, fitted.predict(X_test), s_test)
             label_weights[m, fold] = metrics.label_weights(y_train, s_train, weights)
+            members.append((m, fold, weights))
+    if not members:
+        return counts, label_weights, consistency
+
+    n_train = trains.sum(axis=1)
+    member_folds = np.array([fold for _, fold, _ in members])
+    X_fit = np.zeros((len(members), n_train.max(), ds.X.shape[1]))
+    y_fit = np.zeros(X_fit.shape[:2])
+    w_fit = np.zeros(X_fit.shape[:2])
+    for i, (_, fold, weights) in enumerate(members):
+        w_fit[i, :n_train[fold]] = weights
+    tests = []
+    for fold, train in enumerate(trains):
+        # apply_minmax scales every entry on its own, so scaling all rows once
+        # gives both splits the bits they would get scaled apart
+        X = apply_minmax(ds.X, *bounds[fold])
+        in_fold = member_folds == fold
+        X_fit[in_fold, :n_train[fold]] = X[train]
+        y_fit[in_fold, :n_train[fold]] = ds.y[train]
+        tests.append(X[~train])
+    del X  # only the stack and the test rows stay alive through the solve
+    # through the module attribute, so a wrapper set on it sees each fit
+    fitted = models.train_logistic(X_fit, y_fit, w_fit, l2_strength=cfg.l2_strength)
+    for fold, X_test in enumerate(tests):
+        test = ~trains[fold]
+        # every member predicts the fold's test rows; the fold's members count
+        predicted = fitted.predict(X_test)
+        for i in np.flatnonzero(member_folds == fold):
+            counts[members[i][0], fold] = metrics.confusion_counts(
+                ds.y[test], predicted[i], ds.s[test]
+            )
     return counts, label_weights, consistency
 
 
@@ -299,7 +326,8 @@ def run_experiment(
     ``datasets`` is an iterable of EncodedDataset as produced by
     ``datamodel.encode_dataset``; scaling happens inside each fold.  Custom
     mitigators can be plugged in by name: ``config.models`` selects from the
-    built-ins merged with the ``mitigators`` mapping.
+    built-ins merged with the ``mitigators`` mapping.  A dataset too small
+    for the cross-validation raises ``DataError`` (``check_cv_size``).
     """
     cfg = config or ExperimentConfig()
     registry = dict(BUILTIN_MITIGATORS)
@@ -320,6 +348,7 @@ def run_experiment(
 
     jobs = []
     for ds in datasets:
+        check_cv_size(ds, cfg.k_neighbors)
         plan = make_cv_plan(ds.row_count, cfg.seeds)
         # the list depends only on the rows and k: one per dataset, read by
         # every repeat job, which stays the unit of --jobs

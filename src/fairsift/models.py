@@ -9,6 +9,12 @@ full Newton step whose predicted decrease is within the loss's rounding.
 The two limits are fixed: no experiment varies them, and ``manifest.json``
 records them with the run's settings.
 
+``train_logistic`` fits a stack of independent models in one solve: each
+Newton pass runs over all members at once, which is what makes many small
+fits cheap, while each member keeps its own step length, stops and
+iteration count.  Every per-member product is the BLAS call a single fit
+makes, so a member's parameters are bit-identical to fitting it alone.
+
 A ``Mitigator`` decides only the instance weights of a training fold.  The
 base class gives every row weight 1, the baseline; ``ReweighingMitigator``
 is the classic reweighing scheme: each (group, label) cell gets weight
@@ -27,21 +33,29 @@ TOLERANCE = 1e-6  # on the gradient norm
 
 @dataclass(frozen=True)
 class LogisticModel:
+    """A fitted model, or a stack of them with one entry per member:
+    ``coefficients`` has shape ``(..., p)`` and ``intercept`` shape ``(...)``
+    (a float for one model).  ``converged`` is True iff every member reached
+    ``TOLERANCE``; ``n_iterations`` is the members' total Newton steps."""
+
     coefficients: np.ndarray
-    intercept: float
+    intercept: float | np.ndarray
     converged: bool
     n_iterations: int
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
+        if isinstance(self.intercept, np.ndarray):
+            self.intercept.setflags(write=False)
 
     def decision_function(self, X) -> np.ndarray:
+        """``X`` of shape ``(..., m, p)`` gives ``(..., m)``; a model's leading
+        axes broadcast against those of ``X``."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(self.coefficients):
-            raise ValueError(
-                f"expected {len(self.coefficients)} features, got shape {X.shape}"
-            )
-        return X @ self.coefficients + self.intercept
+        p = self.coefficients.shape[-1]
+        if X.ndim < 2 or X.shape[-1] != p:
+            raise ValueError(f"expected {p} features, got shape {X.shape}")
+        return (X @ self.coefficients[..., None])[..., 0] + np.asarray(self.intercept)[..., None]
 
     def predict(self, X) -> np.ndarray:
         """Hard labels: 1 iff the predicted probability is >= 0.5."""
@@ -49,115 +63,166 @@ class LogisticModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of each member's vectors over the last axis; the product of
+    a row and a column is the same BLAS dot a 1-D ``a @ b`` makes."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def loss_and_gradient(theta, X, y, w, l2_strength):
     """Weighted regularized negative log-likelihood, its gradient and
     sigmoid(z), the last for the Hessian; ``theta``, ``X``, ``y`` and ``w``
-    are float arrays.
+    are float arrays, of shapes ``(..., p+1)``, ``(..., n, p)``, ``(..., n)``
+    and ``(..., n)``: each leading index is one member of a stack.
 
     ``theta`` packs [intercept, coefficients...].  The loss is
     sum_i w_i * (log(1 + e^{z_i}) - y_i * z_i) + (l2/2) * ||coef||^2
     with z = intercept + X @ coef; the intercept carries no penalty.
     """
-    intercept, coef = theta[0], theta[1:]
-    z = X @ coef + intercept
+    intercept, coef = theta[..., 0], theta[..., 1:]
+    z = (X @ coef[..., None])[..., 0] + intercept[..., None]
     # log(1 + e^z) computed stably for large |z|
     softplus = np.logaddexp(0.0, z)
-    loss = float((w * (softplus - y * z)).sum() + 0.5 * l2_strength * (coef @ coef))
+    loss = (w * (softplus - y * z)).sum(axis=-1) + 0.5 * l2_strength * _dot(coef, coef)
     pr = _sigmoid(z)
     resid = w * (pr - y)
-    grad = np.concatenate(([resid.sum()], X.T @ resid + l2_strength * coef))
+    grad = np.concatenate(
+        (resid.sum(axis=-1)[..., None],
+         (resid[..., None, :] @ X)[..., 0, :] + l2_strength * coef),
+        axis=-1,
+    )
     return loss, grad, pr
+
+
+def _member(i, stacked: bool) -> str:
+    return f"member {i}: " if stacked else ""
+
+
+def _require(ok: np.ndarray, message: str, stacked: bool) -> None:
+    """Raise ``ValueError(message)`` unless every member is ok; a stack's
+    message names the first member that is not."""
+    if not ok.all():
+        raise ValueError(_member(int(np.argmin(ok)), stacked) + message)
+
+
+def _newton_step(X, w, pr, grad, penalty) -> np.ndarray:
+    """Each member's Newton step: solve H step = -grad."""
+    curvature = w * pr * (1.0 - pr)
+    Xc = X * curvature[..., None]
+    hess = np.empty(grad.shape + grad.shape[-1:])
+    hess[:, 0, 0] = curvature.sum(axis=-1)
+    hess[:, 0, 1:] = hess[:, 1:, 0] = Xc.sum(axis=-2)
+    hess[:, 1:, 1:] = np.swapaxes(X, -1, -2) @ Xc
+    diagonal = np.arange(grad.shape[-1])
+    hess[:, diagonal, diagonal] += penalty
+    try:
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # some member's Hessian is singular: solve member by member, and give
+        # each singular one a tiny ridge
+        step = np.empty_like(grad)
+        for i, (h, g) in enumerate(zip(hess, grad)):
+            try:
+                step[i] = np.linalg.solve(h, -g)
+            except np.linalg.LinAlgError:
+                h[diagonal, diagonal] += 1e-8
+                step[i] = np.linalg.solve(h, -g)
+        return step
 
 
 def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticModel:
     """Fit by damped Newton: solve H step = -grad, backtrack until loss drops.
 
+    ``X`` is one ``(n, p)`` matrix, or a ``(B, n, p)`` stack of B independent
+    fits with ``y`` and ``weights`` of shape ``(B, n)``; a 2-D call is the
+    stack of one, returned as one model.  Members of different length are
+    padded to one ``n`` with zero-weight rows.  Each member takes its own
+    steps and stops on its own.
+
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
     It stops at ``TOLERANCE`` or after ``MAX_ITERATIONS`` steps, both read at
-    call time; a model stopped short of ``TOLERANCE`` warns and has
+    call time; a member stopped short of ``TOLERANCE`` warns, and makes
     ``converged`` False.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-D matrix")
-    n, p = X.shape
-    if y.shape != (n,):
+    stacked = X.ndim == 3
+    if X.ndim not in (2, 3) or 0 in X.shape[:-1]:
+        raise ValueError("X must be a non-empty (n, p) matrix or (B, n, p) stack")
+    if y.shape != X.shape[:-1]:
         raise ValueError("y must align with X rows")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("y must be binary")
-    w = np.ones(n, dtype=float) if weights is None else np.asarray(weights, float)
-    if w.shape != (n,):
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, float)
+    if w.shape != y.shape:
         raise ValueError("weights must align with X rows")
-    if np.any(w < 0) or w.sum() == 0:
-        raise ValueError("weights must be non-negative and not all zero")
+    if not stacked:
+        X, y, w = X[None], y[None], w[None]
+    _require(((y == 0) | (y == 1)).all(axis=1), "y must be binary", stacked)
+    _require(~(w < 0).any(axis=1) & (w.sum(axis=1) != 0),
+             "weights must be non-negative and not all zero", stacked)
 
-    theta = np.zeros(p + 1)
+    n_members, _, p = X.shape
+    theta = np.zeros((n_members, p + 1))
     penalty = np.concatenate(([0.0], np.full(p, l2_strength)))
-    diagonal = np.diag_indices(p + 1)
     loss, grad, pr = loss_and_gradient(theta, X, y, w, l2_strength)
-    iterations = 0
-    while np.linalg.norm(grad) > TOLERANCE and iterations < MAX_ITERATIONS:
-        curvature = w * pr * (1.0 - pr)
-        Xc = X * curvature[:, None]
-        hess = np.empty((p + 1, p + 1))
-        hess[0, 0] = curvature.sum()
-        hess[0, 1:] = hess[1:, 0] = Xc.sum(axis=0)
-        hess[1:, 1:] = X.T @ Xc
-        hess[diagonal] += penalty
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            hess[diagonal] += 1e-8
-            step = np.linalg.solve(hess, -grad)
+    iterations = np.zeros(n_members, dtype=np.int64)
+    active = np.ones(n_members, dtype=bool)
+    # Every member is computed on each pass and only the active ones move,
+    # which keeps the stack whole: no member's arithmetic depends on another.
+    while True:
+        active &= (np.sqrt(_dot(grad, grad)) > TOLERANCE) & (iterations < MAX_ITERATIONS)
+        if not active.any():
+            break
+        step = _newton_step(X, w, pr, grad, penalty)
 
         # Backtracking line search (Armijo), guarantees monotone loss decrease.
         # Except at float resolution: when the predicted decrease (half the
         # squared Newton decrement) is within the loss's rounding, the loss
         # cannot tell the step from no step (it may move by an ulp), so take
         # it whole and stop (Boyd & Vandenberghe, Convex Optimization, 9.5).
-        slope = float(grad @ step)
+        slope = _dot(grad, step)
         at_resolution = -slope / 2 <= np.spacing(loss)
         t = 1.0
-        accepted = False
+        searching = active.copy()
         for _ in range(60):
-            new_loss, new_grad, new_pr = loss_and_gradient(
-                theta + t * step, X, y, w, l2_strength
-            )
-            if at_resolution or new_loss <= loss + 1e-4 * t * slope:
-                accepted = True
+            trial = theta + t * step
+            new_loss, new_grad, new_pr = loss_and_gradient(trial, X, y, w, l2_strength)
+            accepted = searching & (at_resolution | (new_loss <= loss + 1e-4 * t * slope))
+            theta[accepted] = trial[accepted]
+            loss[accepted] = new_loss[accepted]
+            grad[accepted] = new_grad[accepted]
+            pr[accepted] = new_pr[accepted]
+            iterations[accepted] += 1
+            searching &= ~accepted
+            if not searching.any():
                 break
             t *= 0.5
-        if not accepted:
-            break  # step direction unusable; stop with current iterate
-        theta = theta + t * step
-        loss, grad, pr = new_loss, new_grad, new_pr
-        iterations += 1
-        if at_resolution:
-            break
+        # a member still searching has an unusable step direction: it stops
+        # with its current iterate
+        active &= ~(searching | at_resolution)
 
-    converged = bool(np.linalg.norm(grad) <= TOLERANCE)
-    if not converged:
+    norm = np.sqrt(_dot(grad, grad))
+    converged = norm <= TOLERANCE
+    for i in np.flatnonzero(~converged):
         warnings.warn(
-            f"logistic training stopped after {iterations} iterations with "
-            f"gradient norm {np.linalg.norm(grad):.3g}"
+            f"{_member(i, stacked)}logistic training stopped after {iterations[i]} "
+            f"iterations with gradient norm {norm[i]:.3g}"
         )
     if not np.all(np.isfinite(theta)):
         raise ArithmeticError("logistic training produced non-finite parameters")
+    if stacked:
+        coefficients, intercept = theta[:, 1:].copy(), theta[:, 0].copy()
+    else:
+        coefficients, intercept = theta[0, 1:].copy(), float(theta[0, 0])
     return LogisticModel(
-        coefficients=theta[1:].copy(),
-        intercept=float(theta[0]),
-        converged=converged,
-        n_iterations=iterations,
+        coefficients=coefficients,
+        intercept=intercept,
+        converged=bool(converged.all()),
+        n_iterations=int(iterations.sum()),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairsift import harness, metrics, models
-from fairsift.datamodel import ConfigError, EncodedDataset, apply_minmax, fit_minmax
+from fairsift.datamodel import ConfigError, DataError, EncodedDataset, apply_minmax, fit_minmax
 from fairsift.harness import (
     BASELINE,
     REWEIGHING,
@@ -111,8 +111,20 @@ class TestCvPlan:
         assert not np.array_equal(a.assignments, b.assignments)
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError, match="at least"):
-            make_cv_plan(9)
+        rng = np.random.default_rng(0)
+        ds = EncodedDataset("nine", rng.random((9, 2)), np.arange(9) % 2,
+                            np.arange(9) // 5, ("a", "b"))
+        with pytest.raises(DataError, match="9 usable rows, 5-fold cross-validation "
+                                            "needs at least 10"):
+            run_experiment([ds])
+
+    def test_k_neighbors_below_the_smallest_training_fold(self):
+        """The run checks each dataset by the CLI's rule: 60 rows leave 48
+        training rows, too few for k = 50."""
+        ds = make_synthetic("sixty", 60, 0.3, seed=1)
+        with pytest.raises(DataError, match="'sixty': smallest training fold: "
+                                            "k_neighbors must be below the row count 48, got 50"):
+            run_experiment([ds], ExperimentConfig(k_neighbors=50))
 
     def test_wrong_seed_count(self):
         with pytest.raises(ValueError, match="exactly 5 seeds"):
@@ -482,23 +494,54 @@ class TestMitigatorSlot:
         assert np.isnan(samples.values).all()
 
     def test_one_fit_per_trained_model(self, monkeypatch):
-        """Every fold model is ``models.train_logistic`` on its mitigator's
-        weights, looked up on the module at call time."""
+        """Every fold model is a member of its repeat job's one stacked
+        ``models.train_logistic`` call on its mitigator's weights, looked up
+        on the module at call time."""
         calls = []
         fit = models.train_logistic
 
         def counting(X, y, weights, **settings):
-            calls.append((len(y), weights.copy(), settings))
+            calls.append((X.shape, weights.copy(), settings))
             return fit(X, y, weights, **settings)
 
         monkeypatch.setattr(models, "train_logistic", counting)
         datasets = [make_synthetic(f"fit{i}", 80, 0.3, seed=i) for i in range(2)]
         run_experiment(datasets, ExperimentConfig(l2_strength=0.5))
-        assert len(calls) == 2 * 25 * 2
+        assert len(calls) == 2 * 5
+        # ten members of 64 training rows: 80 rows leave no fold short
+        assert all(shape[:2] == (2 * 5, 64) for shape, _, _ in calls)
         assert all(s == {"l2_strength": 0.5} for _, _, s in calls)
+        members = [w for _, weights, _ in calls for w in weights]
+        assert len(members) == 2 * 25 * 2
         # the baseline fits on unit weights, the reweighed model on others
-        unit = [np.array_equal(w, np.ones(n)) for n, w, _ in calls]
-        assert sum(unit) == 50
+        assert sum(np.array_equal(w, np.ones(64)) for w in members) == 50
+
+    def test_padded_folds_fit_as_unpadded_ones(self, monkeypatch):
+        """251 rows: one training fold per repeat is a row short of the
+        others and is padded in the stack; the grid is bit-identical to a
+        run that fits every member unpadded, by itself."""
+        ds = make_synthetic("odd", 251, 0.3, seed=4)
+        stacked = run_experiment([ds])
+        fit = models.train_logistic
+        padded = []
+
+        def one_by_one(X, y, weights, **settings):
+            fits = []
+            for member in zip(X, y, weights):
+                n = np.flatnonzero(member[2])[-1] + 1
+                padded.append(n < len(member[2]))
+                fits.append(fit(*(column[:n] for column in member), **settings))
+            return models.LogisticModel(
+                coefficients=np.stack([m.coefficients for m in fits]),
+                intercept=np.array([m.intercept for m in fits]),
+                converged=all(m.converged for m in fits),
+                n_iterations=sum(m.n_iterations for m in fits),
+            )
+
+        monkeypatch.setattr(models, "train_logistic", one_by_one)
+        alone = run_experiment([ds])
+        assert sum(padded) == 5 * 2
+        assert same_grid(alone, stacked)
 
 
 class TestPersistence:

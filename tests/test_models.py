@@ -139,6 +139,115 @@ class TestTraining:
         assert model.n_iterations == 1
 
 
+def masked_sigmoid(z):
+    """The boolean-mask formula ``models._sigmoid`` had: the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula(rng):
+    edges = np.array([0.0, 1e-300, 700.0, 745.0])
+    z = np.concatenate((edges, -edges, rng.normal(scale=20.0, size=100_000)))
+    assert models._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+def random_stack(rng, n_members, n, p):
+    """Members with a noisy linear label, features at scales 1 to 50 and
+    log-normal weights: under a weak penalty some are nearly separable, and
+    their line search backtracks while other members' does not."""
+    X = rng.normal(size=(n_members, n, p)) * rng.choice([1.0, 10.0, 50.0], (n_members, 1, 1))
+    coef = rng.normal(size=(n_members, p, 1)) * 3.0
+    noise = rng.normal(size=(n_members, n)) * rng.choice([0.1, 1.0, 10.0], (n_members, 1))
+    y = ((X @ coef)[..., 0] + noise > 0).astype(np.int64)
+    w = np.exp(rng.normal(size=(n_members, n)) * rng.choice([0.1, 2.0], (n_members, 1)))
+    return X, y, w
+
+
+class TestStackedTraining:
+    """A ``(B, n, p)`` stack fits each member as its own 2-D call does."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1.0, 1e-6]))
+    def test_members_fit_as_they_do_alone(self, seed, n_members, l2_strength):
+        rng = np.random.default_rng(seed)
+        X, y, w = random_stack(rng, n_members, int(rng.integers(2, 60)), int(rng.integers(1, 6)))
+        stack = train_logistic(X, y, w, l2_strength=l2_strength)
+        alone = [train_logistic(*member, l2_strength=l2_strength) for member in zip(X, y, w)]
+        assert stack.coefficients.tobytes() == np.stack([m.coefficients for m in alone]).tobytes()
+        assert stack.intercept.tobytes() == np.array([m.intercept for m in alone]).tobytes()
+        assert stack.n_iterations == sum(m.n_iterations for m in alone)
+        assert stack.converged == all(m.converged for m in alone)
+        assert type(stack.n_iterations) is int and type(stack.converged) is bool
+
+    def test_padded_members_fit_as_they_do_unpadded(self, rng):
+        X, y, w = random_stack(rng, 6, 80, 4)
+        # odd members are one row shorter, padded with a zero-weight row
+        short = np.arange(6) % 2 == 1
+        X[short, -1], y[short, -1], w[short, -1] = 0.0, 0, 0.0
+        X_test = rng.normal(size=(200, 4))
+        stack = train_logistic(X, y, w)
+        predicted = stack.predict(X_test)
+        for i in range(6):
+            n = 80 - short[i]
+            alone = train_logistic(X[i, :n], y[i, :n], w[i, :n])
+            assert np.abs(stack.coefficients[i] - alone.coefficients).max() <= 1e-12
+            assert abs(stack.intercept[i] - alone.intercept) <= 1e-12
+            assert np.array_equal(predicted[i], alone.predict(X_test))
+
+    def test_float_resolution_member_stops_as_it_does_alone(self, rng):
+        X, y = german_style_training_fold(seed=5, repeat=1, fold=0)
+        members = [(X, y, np.ones(len(y))), (X, 1 - y, np.ones(len(y))),
+                   (X, y, rng.uniform(0.5, 2.0, len(y)))]
+        stack = train_logistic(*(np.stack(column) for column in zip(*members)))
+        alone = [train_logistic(*member) for member in members]
+        assert alone[0].converged and alone[0].n_iterations < 1000
+        assert stack.converged
+        assert stack.coefficients[0].tobytes() == alone[0].coefficients.tobytes()
+        assert stack.intercept[0] == alone[0].intercept
+        assert stack.n_iterations == sum(m.n_iterations for m in alone)
+
+    def test_members_stopped_at_the_iteration_limit(self, rng, monkeypatch):
+        X, y, w = random_stack(rng, 4, 50, 3)
+        assert all(train_logistic(*member).n_iterations > 1 for member in zip(X, y, w))
+        monkeypatch.setattr(models, "MAX_ITERATIONS", 1)
+        with pytest.warns(UserWarning) as caught:
+            model = train_logistic(X, y, w)
+        messages = [str(warning.message) for warning in caught]
+        assert [m.split(" with ")[0] for m in messages] == [
+            f"member {i}: logistic training stopped after 1 iterations" for i in range(4)
+        ]
+        assert not model.converged
+        assert model.n_iterations == 4
+
+    @pytest.mark.parametrize("field, message", [
+        ("y", "member 2: y must be binary"),
+        ("w", "member 2: weights must be non-negative and not all zero"),
+    ])
+    def test_invalid_member_is_named(self, rng, field, message):
+        X, y, w = random_stack(rng, 4, 20, 2)
+        y = y.astype(float)
+        if field == "y":
+            y[2, 5] = 0.5
+        else:
+            w[2] = 0.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_logistic(X, y, w)
+
+    def test_singular_member_alone_gets_the_ridge(self, rng):
+        """Without a penalty a zero column makes member 1's Hessian singular:
+        it alone is solved with the ridge, the others as they are."""
+        X, y, w = rng.normal(size=(3, 40, 3)), rng.integers(0, 2, (3, 40)), np.ones((3, 40))
+        X[1, :, 2] = 0.0
+        stack = train_logistic(X, y, w, l2_strength=0.0)
+        for i, member in enumerate(zip(X, y, w)):
+            alone = train_logistic(*member, l2_strength=0.0)
+            assert stack.coefficients[i].tobytes() == alone.coefficients.tobytes()
+            assert stack.intercept[i] == alone.intercept
+
+
 def german_style_training_fold(seed, repeat, fold, n_rows=3000):
     """Scaled training rows of one fold of integer-valued credit data: age,
     duration, installment rate and a label-encoded telephone column, with a
