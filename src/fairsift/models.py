@@ -139,9 +139,9 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
 
     ``X`` is one ``(n, p)`` matrix, or a ``(B, n, p)`` stack of B independent
     fits with ``y`` and ``weights`` of shape ``(B, n)``; a 2-D call is the
-    stack of one, returned as one model.  Members of different length are
-    padded to one ``n`` with zero-weight rows.  Each member takes its own
-    steps and stops on its own.
+    stack of one, returned as one model.  A member with fewer rows is
+    padded to ``n`` with zero-weight rows by the caller.  Each member takes
+    its own steps and stops on its own.
 
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
