@@ -457,10 +457,9 @@ def fit_minmax(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    """Scale columns to [0, 1] using fitted bounds; constant columns map to 0."""
+    """Scale columns to [0, 1] by fitted bounds that broadcast against ``X``
+    (``(k, 1, p)`` bounds scale rows k ways); constant columns map to 0."""
     X = np.asarray(X, dtype=float)
     span = maxs - mins
     safe = np.where(span > 0, span, 1.0)
-    out = (X - mins) / safe
-    out[:, span == 0] = 0.0
-    return out
+    return np.where(span > 0, (X - mins) / safe, 0.0)

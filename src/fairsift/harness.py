@@ -3,10 +3,10 @@
 For each dataset: 5-fold cross-validation repeated 5 times with per-repeat
 seeds.  In every fold the baseline logistic model and the reweighed logistic
 model are trained on the training split and evaluated on the held-out split.
-Each model keeps one count tensor of its test predictions
-(``metrics.confusion_counts``) and one label-weight tensor of its (raw /
-reweighed) training weights (``metrics.label_weights``); the models share
-the training split's D0.  A fold whose reweighing failed keeps all-zero
+Each model keeps one count tensor ``c[group, label, prediction]`` of its
+test predictions and one label-weight tensor of its (raw / reweighed)
+training weights (``metrics.label_weights``); the models share the
+training split's D0.  A fold whose reweighing failed keeps all-zero
 tensors, so all 30 of its metrics are Undefined.
 
 The unit of work is one repeat of one dataset (``_repeat_job``, also the
@@ -15,13 +15,14 @@ once, with that dataset's five jobs (``metrics.neighbour_list``: a list on
 integer-coded data, else None), and hands it to each of them.  A job fits
 each fold's min-max bounds once, gets D0 of its five training splits from
 one ``metrics.consistency`` call on the raw rows, those bounds and the
-list, then scales each fold's rows once by the same bounds.  It calls
-each mitigator once per fold and fits all its (model, fold) models as one
-stacked ``models.train_logistic`` call.  It returns its slice of the run's
-arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight tensors
-``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The
-run stacks the slices into ``[dataset, model, repeat, fold, ...]`` and
-makes one ``metrics.compute_classification_metrics`` and one
+list.  It calls each mitigator once per fold, then scales all rows by the
+five folds' bounds in one ``apply_minmax`` call, fits all its (model,
+fold) models as one stacked ``models.train_logistic`` call and counts
+their test predictions with one ``np.bincount``.  It returns its slice
+of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
+tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The run stacks
+the slices into ``[dataset, model, repeat, fold, ...]`` and makes one
+``metrics.compute_classification_metrics`` and one
 ``metrics.compute_dataset_metrics`` call.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
@@ -252,14 +253,19 @@ def _repeat_job(args):
     Each fold's min-max bounds are fitted once on its training rows or,
     under ``global_normalize``, one fit on all rows serves every fold; the
     same bounds scale the fits' rows and D0's.  D0 of all five folds is one
-    ``metrics.consistency`` call on the raw rows before the fold loop, so no
-    scaled fold is alive while it runs.  ``listed`` is the dataset's
+    ``metrics.consistency`` call on the raw rows before anything is scaled,
+    so no scaled row is alive while it runs.  ``listed`` is the dataset's
     ``metrics.neighbour_list``, shared by its five jobs: every fold whose
     bounds have the list's spans reads its neighbours off it.
 
     The mitigators are called fold by fold; the fits they weigh are the
-    members of one stacked ``models.train_logistic`` call, with a training
-    fold one row short of the longest padded by a zero-weight row."""
+    members of one stacked ``models.train_logistic`` call.  A member's rows
+    are its fold's training rows, then its test rows, both in row order,
+    scaled by one ``apply_minmax`` call for all folds; a fold one row short
+    of the longest is padded by its first test row at weight 0, which adds
+    exactly 0 to the fit.  One ``np.bincount`` of ``8 * member + 4 * s +
+    2 * y + prediction`` over the test rows fills every ``counts[model,
+    fold]``."""
     ds, cfg, repeat, assignment, mitigators, listed = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
@@ -286,33 +292,25 @@ def _repeat_job(args):
     if not members:
         return counts, label_weights, consistency
 
+    member_model, member_fold = np.array([member[:2] for member in members]).T
     n_train = trains.sum(axis=1)
-    member_folds = np.array([fold for _, fold, _ in members])
-    X_fit = np.zeros((len(members), n_train.max(), ds.X.shape[1]))
-    y_fit = np.zeros(X_fit.shape[:2])
-    w_fit = np.zeros(X_fit.shape[:2])
+    n_fit = n_train.max()
+    w_fit = np.zeros((len(members), n_fit))
     for i, (_, fold, weights) in enumerate(members):
         w_fit[i, :n_train[fold]] = weights
-    tests = []
-    for fold, train in enumerate(trains):
-        # apply_minmax scales every entry on its own, so scaling all rows once
-        # gives both splits the bits they would get scaled apart
-        X = apply_minmax(ds.X, *bounds[fold])
-        in_fold = member_folds == fold
-        X_fit[in_fold, :n_train[fold]] = X[train]
-        y_fit[in_fold, :n_train[fold]] = ds.y[train]
-        tests.append(X[~train])
-    del X  # only the stack and the test rows stay alive through the solve
+    rows = np.argsort(~trains, axis=1, kind="stable")[member_fold]
+    mins, maxs = (np.stack(column)[:, None] for column in zip(*bounds))
+    # apply_minmax scales every entry on its own, so scaling all rows once per
+    # fold gives both splits the bits they would get scaled apart
+    X = apply_minmax(ds.X, mins, maxs)[member_fold[:, None], rows]
+    y, s = ds.y[rows], ds.s[rows]
     # through the module attribute, so a wrapper set on it sees each fit
-    fitted = models.train_logistic(X_fit, y_fit, w_fit, l2_strength=cfg.l2_strength)
-    for fold, X_test in enumerate(tests):
-        test = ~trains[fold]
-        # every member predicts the fold's test rows; the fold's members count
-        predicted = fitted.predict(X_test)
-        for i in np.flatnonzero(member_folds == fold):
-            counts[members[i][0], fold] = metrics.confusion_counts(
-                ds.y[test], predicted[i], ds.s[test]
-            )
+    fitted = models.train_logistic(X[:, :n_fit], y[:, :n_fit], w_fit,
+                                   l2_strength=cfg.l2_strength)
+    key = 8 * np.arange(len(members))[:, None] + 4 * s + 2 * y + fitted.predict(X)
+    test = np.arange(ds.row_count) >= n_train[member_fold][:, None]
+    per_member = np.bincount(key[test], minlength=8 * len(key)).reshape(-1, 2, 2, 2)
+    counts[member_model, member_fold] = per_member
     return counts, label_weights, consistency
 
 

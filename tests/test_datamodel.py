@@ -259,6 +259,27 @@ class TestNormalization:
         out = apply_minmax(test, mins, maxs)
         assert out[:, 0].tolist() == [0.5, 2.0]  # test rows may exceed [0,1]
 
+    def test_stacked_bounds_scale_as_one_call_per_fold(self):
+        """``(fold, 1, p)`` bounds scale all rows once per fold, each fold
+        with the bits of its own call, also for a column constant in one
+        fold's training rows only; a 1-D row scales as its 2-D row."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(0, 50, size=(40, 4))
+        trains = np.arange(40) % 5 != np.arange(5)[:, None]
+        X[trains[2], 1] = 7.25
+        bounds = [fit_minmax(X[train]) for train in trains]
+        constant = [(maxs - mins)[1] == 0 for mins, maxs in bounds]
+        assert constant == [False, False, True, False, False]
+        mins, maxs = (np.stack(column)[:, None] for column in zip(*bounds))
+        stacked = apply_minmax(X, mins, maxs)
+        assert stacked.shape == (5, 40, 4)
+        for fold, pair in enumerate(bounds):
+            assert stacked[fold].tobytes() == apply_minmax(X, *pair).tobytes()
+        assert (stacked[2, :, 1] == 0).all()
+        assert (stacked[[0, 1, 3, 4], :, 1] != 0).any(axis=1).all()
+        row = apply_minmax(X[5], *bounds[2])
+        assert row.shape == (4,) and row.tobytes() == apply_minmax(X[5:6], *bounds[2])[0].tobytes()
+
 
 class TestGroupedConfusion:
     """The count tensor c[group, label, prediction] of metrics.confusion_counts."""

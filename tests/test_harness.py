@@ -212,9 +212,10 @@ class TestExperiment:
     def test_one_consistency_call_per_repeat_job(self, monkeypatch, global_normalize):
         """D0 of a repeat's five folds is one call on the raw rows, with the
         training masks, before any fold is scaled; each mask's bounds are
-        those of its training rows, or of all rows under ``global_normalize``,
-        and the same pair then scales that fold for the fits.  The five calls
-        share the dataset's one neighbour list."""
+        those of its training rows, or of all rows under ``global_normalize``.
+        Then one ``apply_minmax`` call per job scales the raw rows by the
+        same five pairs, stacked fold by fold.  The five calls share the
+        dataset's one neighbour list."""
         calls = []
         consistency = metrics.consistency
 
@@ -225,23 +226,28 @@ class TestExperiment:
         scaled = []
         apply = harness.apply_minmax
         monkeypatch.setattr(metrics, "consistency", spy)
-        monkeypatch.setattr(harness, "apply_minmax", lambda *a: scaled.append(a[1:]) or apply(*a))
+        monkeypatch.setattr(harness, "apply_minmax",
+                            lambda *a: scaled.append(a + (len(calls),)) or apply(*a))
         ds = german_style(90, 6)
         run_experiment([ds], ExperimentConfig(global_normalize=global_normalize))
         plan = make_cv_plan(ds.row_count)
-        assert len(calls) == 5
+        assert len(calls) == 5 and len(scaled) == 5
         listed = calls[0][4]
         assert all(call[4] is listed for call in calls)
         want = metrics.neighbour_list(ds.X, 5)
         assert [part.tolist() for part in listed] == [part.tolist() for part in want]
         for repeat, (X, masks, bounds, n_scaled, _) in enumerate(calls):
-            assert X is ds.X and n_scaled == 5 * repeat
+            assert X is ds.X and n_scaled == repeat
             assert (masks == (plan.assignments[repeat] != np.arange(5)[:, None])).all()
+            rows, stacked_mins, stacked_maxs, n_d0 = scaled[repeat]
+            # the job's one scale call comes after its D0 call
+            assert rows is ds.X and n_d0 == repeat + 1
+            assert stacked_mins.shape == stacked_maxs.shape == (5, 1, ds.X.shape[1])
             for fold, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
                 want = fit_minmax(ds.X if global_normalize else ds.X[mask])
                 assert mins.tobytes() == want[0].tobytes() and maxs.tobytes() == want[1].tobytes()
-                fit_scaling = scaled[5 * repeat + fold]
-                assert fit_scaling[0] is mins and fit_scaling[1] is maxs
+                assert stacked_mins[fold, 0].tobytes() == mins.tobytes()
+                assert stacked_maxs[fold, 0].tobytes() == maxs.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_neighbour_list_per_integer_dataset(self, monkeypatch, in_process_pool, jobs):
@@ -542,6 +548,51 @@ class TestMitigatorSlot:
         alone = run_experiment([ds])
         assert sum(padded) == 5 * 2
         assert same_grid(alone, stacked)
+
+    def test_counts_are_each_members_own_test_predictions(self, monkeypatch):
+        """Every ``counts[d, m, repeat, fold]`` is the count tensor of that
+        model's own 2-D fit on its fold's scaled training rows, predicted on
+        the fold's scaled test rows; the fold a mitigator refuses stays all
+        zero.  Both datasets have folds of two sizes, so stacks are padded."""
+        from fairsift.models import Mitigator, ReweighingError
+
+        class HalveFavorable(Mitigator):
+            calls = 0
+
+            def training_weights(self, y, s):
+                self.calls += 1
+                if self.calls == 8:  # the second job's third fold
+                    raise ReweighingError("cannot reweigh: refused")
+                return np.where(y == 1, 0.5, 1.0)
+
+        seen = []
+        classification = metrics.compute_classification_metrics
+
+        def spy(counts, **settings):
+            seen.append(counts)
+            return classification(counts, **settings)
+
+        monkeypatch.setattr(metrics, "compute_classification_metrics", spy)
+        datasets = uneven_datasets()
+        with pytest.warns(UserWarning, match="repeat=1 fold=2: cannot reweigh"):
+            run_experiment(datasets, ExperimentConfig(models=("baseline", "half")),
+                           mitigators={"half": HalveFavorable()})
+        (counts,) = seen
+        assert counts.shape == (2, 2, 5, 5, 2, 2, 2)
+        for d, ds in enumerate(sorted(datasets, key=lambda ds: ds.name)):
+            plan = make_cv_plan(ds.row_count)
+            for repeat, fold in harness.SLOTS:
+                train = plan.assignments[repeat] != fold
+                X = apply_minmax(ds.X, *fit_minmax(ds.X[train]))
+                y = ds.y[train]
+                for m, weights in enumerate((np.ones(len(y)), np.where(y == 1, 0.5, 1.0))):
+                    if (d, m, repeat, fold) == (0, 1, 1, 2):
+                        assert not counts[d, m, repeat, fold].any()
+                        continue
+                    fitted = models.train_logistic(X[train], y, weights)
+                    want = metrics.confusion_counts(ds.y[~train], fitted.predict(X[~train]),
+                                                    ds.s[~train])
+                    assert (counts[d, m, repeat, fold] == want).all(), (d, m, repeat, fold)
 
 
 class TestPersistence:
