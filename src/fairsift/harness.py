@@ -261,7 +261,8 @@ def _repeat_job(args):
     The mitigators are called fold by fold; the fits they weigh are the
     members of one stacked ``models.train_logistic`` call.  A member's rows
     are its fold's training rows, then its test rows, both in row order,
-    scaled by one ``apply_minmax`` call for all folds; a fold one row short
+    scaled by one ``apply_minmax`` call for all folds (one copy under
+    ``global_normalize``, read by every fold); a fold one row short
     of the longest is padded by its first test row at weight 0, which adds
     exactly 0 to the fit.  One ``np.bincount`` of ``8 * member + 4 * s +
     2 * y + prediction`` over the test rows fills every ``counts[model,
@@ -299,10 +300,13 @@ def _repeat_job(args):
     for i, (_, fold, weights) in enumerate(members):
         w_fit[i, :n_train[fold]] = weights
     rows = np.argsort(~trains, axis=1, kind="stable")[member_fold]
-    mins, maxs = (np.stack(column)[:, None] for column in zip(*bounds))
+    # global bounds are one pair: scaled once, every fold reads that copy
+    pairs = bounds[:1] if cfg.global_normalize else bounds
+    mins, maxs = (np.stack(column)[:, None] for column in zip(*pairs))
     # apply_minmax scales every entry on its own, so scaling all rows once per
     # fold gives both splits the bits they would get scaled apart
-    X = apply_minmax(ds.X, mins, maxs)[member_fold[:, None], rows]
+    X = np.broadcast_to(apply_minmax(ds.X, mins, maxs),
+                        (N_FOLDS,) + ds.X.shape)[member_fold[:, None], rows]
     y, s = ds.y[rows], ds.s[rows]
     # through the module attribute, so a wrapper set on it sees each fit
     fitted = models.train_logistic(X[:, :n_fit], y[:, :n_fit], w_fit,

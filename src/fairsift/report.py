@@ -1,7 +1,10 @@
 """Assemble experiment samples into the full analysis report.
 
-Classification metrics (26) and dataset metrics (4) are correlated and
-clustered separately.  The report covers:
+Classification metrics (26) and dataset metrics (4) are two scopes,
+correlated and clustered separately.  ``AnalysisResult.scopes`` holds one
+``ClusterReport`` per scope of at least 2 metrics, classification first, and
+every renderer loops over it; a scope of 1 metric has unfair shares but no
+clusters.  The report covers:
 
 * per-dataset fair/unfair labels and the share of metrics calling each
   dataset unfair (with the median of those shares across datasets);
@@ -98,10 +101,9 @@ class AnalysisResult:
     # [dataset, metric] Fair / Unfair of the label model's medians; the metric
     # axis is sensitivity.metric_ids
     labels: np.ndarray
-    classification: ClusterReport
-    dataset_metrics: ClusterReport | None
+    # classification, then dataset when it has at least 2 metrics to cluster
+    scopes: tuple[ClusterReport, ...]
     unfair_pct: dict[tuple[str, str], float]  # (scope, dataset) -> percent
-    unfair_values: tuple[float, ...]  # combined, ascending
     unfair_median: float
     sensitivity: analysis.SensitivityReport  # median, iqr, flagged per cell
     # [dataset, classification metric] verdicts of movement_models, or None
@@ -203,25 +205,15 @@ def build_analysis(
         zero_band=cfg.zero_band, one_band=cfg.one_band,
     )
 
-    classification = _build_cluster_report(
-        "classification", classification_ids, samples, labels, sensitivity, cfg
-    )
-    dataset_report = None
-    if len(dataset_ids) >= 2:
-        dataset_report = _build_cluster_report(
-            "dataset", dataset_ids, samples, labels, sensitivity, cfg
-        )
-
-    unfair_pct: dict[tuple[str, str], float] = {}
+    scopes, unfair_pct = [], {}
     for scope, scope_ids in (("classification", classification_ids),
                              ("dataset", dataset_ids)):
-        if not scope_ids:
-            continue
-        _, _, shares = label_shares(_metric_labels(labels, sensitivity, scope_ids))
-        for ds, share in zip(datasets, shares.tolist()):
-            unfair_pct[(scope, ds)] = share
-    unfair_values = tuple(sorted(unfair_pct.values()))
-    unfair_median = float(np.median(unfair_values))
+        if len(scope_ids) >= 2:
+            scopes.append(_build_cluster_report(scope, scope_ids, samples, labels,
+                                                sensitivity, cfg))
+        if scope_ids:
+            _, _, shares = label_shares(_metric_labels(labels, sensitivity, scope_ids))
+            unfair_pct.update(zip(((scope, ds) for ds in datasets), shares.tolist()))
 
     movement = movement_models = None
     if BASELINE in models and REWEIGHING in models:
@@ -239,11 +231,9 @@ def build_analysis(
         datasets=datasets,
         models=models,
         labels=labels,
-        classification=classification,
-        dataset_metrics=dataset_report,
+        scopes=tuple(scopes),
         unfair_pct=unfair_pct,
-        unfair_values=unfair_values,
-        unfair_median=unfair_median,
+        unfair_median=float(np.median(sorted(unfair_pct.values()))),
         sensitivity=sensitivity,
         movement=movement,
         movement_models=movement_models,
@@ -279,26 +269,20 @@ def render_dendrogram_dot(dendro: analysis.Dendrogram, title: str) -> str:
 
 
 def render_dendrogram_text(dendro: analysis.Dendrogram) -> str:
+    """The tree from its last merge down, one node per line; a dendrogram
+    with no merge prints its leaves."""
     n = len(dendro.leaves)
 
-    def render(node: int, prefix: str, tail: bool) -> list[str]:
-        connector = "`- " if tail else "|- "
-        child_prefix = prefix + ("   " if tail else "|  ")
+    def render(node: int, head: str, indent: str) -> list[str]:
         if node < n:
-            return [prefix + connector + dendro.leaves[node]]
+            return [head + dendro.leaves[node]]
         merge = dendro.merges[node - n]
-        out = [prefix + connector + f"[{merge.height:.4f}]"]
-        out.extend(render(merge.left, child_prefix, tail=False))
-        out.extend(render(merge.right, child_prefix, tail=True))
-        return out
+        return ([head + f"[{merge.height:.4f}]"]
+                + render(merge.left, indent + "|- ", indent + "|  ")
+                + render(merge.right, indent + "`- ", indent + "   "))
 
-    if not dendro.merges:
-        return "\n".join(dendro.leaves) + "\n"
-    merge = dendro.merges[-1]
-    lines = [f"[{merge.height:.4f}]"]
-    lines.extend(render(merge.left, "", tail=False))
-    lines.extend(render(merge.right, "", tail=True))
-    return "\n".join(lines) + "\n"
+    roots = [n + len(dendro.merges) - 1] if dendro.merges else range(n)
+    return "".join(line + "\n" for root in roots for line in render(root, "", ""))
 
 
 def _cluster_report_dict(report: ClusterReport) -> dict:
@@ -333,12 +317,8 @@ def clusters_payload(result: AnalysisResult) -> dict:
     """The content of ``clusters.json``."""
     return {
         "label_model": result.label_model,
-        "classification": _cluster_report_dict(result.classification),
-        "dataset": (
-            None
-            if result.dataset_metrics is None
-            else _cluster_report_dict(result.dataset_metrics)
-        ),
+        "dataset": None,  # fewer than 2 dataset metrics
+        **{report.scope: _cluster_report_dict(report) for report in result.scopes},
         "unfair_percentage": {
             f"{scope}:{ds}": pct
             for (scope, ds), pct in sorted(result.unfair_pct.items())
@@ -357,7 +337,7 @@ def movement_rows(result: AnalysisResult):
     movement models."""
     if result.movement_models is None:
         return
-    ids = result.classification.correlation.metric_ids
+    ids = result.scopes[0].correlation.metric_ids
     base, mitigated = (
         _model_medians(result.sensitivity, m, ids).tolist()
         for m in result.movement_models
@@ -387,13 +367,11 @@ def render_report_md(result: AnalysisResult) -> str:
     for (scope, ds), pct in sorted(result.unfair_pct.items()):
         add(f"| {scope} | {ds} | {round(pct)}% |")
     add("")
-    combined = ", ".join(f"{round(v)}" for v in result.unfair_values)
+    combined = ", ".join(f"{round(v)}" for v in sorted(result.unfair_pct.values()))
     add(f"Combined (ascending): {{{combined}}}%; median {round(result.unfair_median)}%.")
     add("")
 
-    for report in (result.classification, result.dataset_metrics):
-        if report is None:
-            continue
+    for report in result.scopes:
         add(f"## Clusters: {report.scope} metrics")
         add("")
         add(
@@ -446,8 +424,7 @@ def render_report_md(result: AnalysisResult) -> str:
     add("")
     insensitive = [
         m
-        for report in (result.classification, result.dataset_metrics)
-        if report is not None
+        for report in result.scopes
         for m in report.correlation.metric_ids
         if result.sensitivity.metric_insensitive(m)
     ]
@@ -486,10 +463,7 @@ def write_all(result: AnalysisResult, out_dir) -> dict:
         ("movement", "movement.csv", write_csv, [MOVEMENT_HEADER, movement_rows(result)]),
         ("report", "report.md", write_text, [render_report_md(result)]),
     ]
-    for report, suffix in ((result.classification, ""),
-                           (result.dataset_metrics, "_dataset")):
-        if report is None:
-            continue
+    for report, suffix in zip(result.scopes, ("", "_dataset")):
         corr, dendro = report.correlation, report.dendrogram
         artifacts += [
             (f"correlation{suffix}", f"correlation{suffix}.csv", write_csv,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fairsift import cli, synth
+from fairsift import cli, metrics, synth
 from fairsift.cli import main
 
 from conftest import german_style, german_style_text
@@ -737,6 +737,31 @@ class TestMalformedResults:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestPartialDatasetScope:
+    """Every classification metric with fewer than 2 dataset metrics is one
+    cluster scope: ``"dataset": null`` in clusters.json, no dataset
+    correlation or dendrogram file and no dataset clusters section.  A lone
+    D0 still has its rows in the Disagreement table."""
+
+    @pytest.mark.parametrize("dataset_ids", [set(), {"D0"}], ids=["no-D", "only-D0"])
+    def test_one_cluster_scope(self, experiment_dir, tmp_path, dataset_ids):
+        lines = (experiment_dir / "results.csv").read_text().splitlines()
+        edited = tmp_path / "results.csv"
+        kept = _keep_metrics(lines, set(metrics.CLASSIFICATION_IDS) | dataset_ids)
+        edited.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--results", str(edited), "--out", str(out)]) == 0
+        assert json.loads((out / "clusters.json").read_text())["dataset"] is None
+        assert (out / "correlation.csv").exists() and (out / "dendrogram.txt").exists()
+        assert [path.name for path in out.glob("*_dataset*")] == []
+        md = (out / "report.md").read_text()
+        assert "## Clusters: classification metrics" in md
+        assert "## Clusters: dataset metrics" not in md
+        disagreement = [line for line in md.splitlines()
+                        if re.fullmatch(r"\| dataset \| [^|]+ \| \d+% \|", line)]
+        assert bool(disagreement) == bool(dataset_ids)
 
 
 class TestOverflowingSpan:

@@ -214,8 +214,8 @@ class TestExperiment:
         training masks, before any fold is scaled; each mask's bounds are
         those of its training rows, or of all rows under ``global_normalize``.
         Then one ``apply_minmax`` call per job scales the raw rows by the
-        same five pairs, stacked fold by fold.  The five calls share the
-        dataset's one neighbour list."""
+        same five pairs, stacked fold by fold, or by the one global pair.
+        The five calls share the dataset's one neighbour list."""
         calls = []
         consistency = metrics.consistency
 
@@ -242,12 +242,14 @@ class TestExperiment:
             rows, stacked_mins, stacked_maxs, n_d0 = scaled[repeat]
             # the job's one scale call comes after its D0 call
             assert rows is ds.X and n_d0 == repeat + 1
-            assert stacked_mins.shape == stacked_maxs.shape == (5, 1, ds.X.shape[1])
+            n_pairs = 1 if global_normalize else 5
+            assert stacked_mins.shape == stacked_maxs.shape == (n_pairs, 1, ds.X.shape[1])
             for fold, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
                 want = fit_minmax(ds.X if global_normalize else ds.X[mask])
                 assert mins.tobytes() == want[0].tobytes() and maxs.tobytes() == want[1].tobytes()
-                assert stacked_mins[fold, 0].tobytes() == mins.tobytes()
-                assert stacked_maxs[fold, 0].tobytes() == maxs.tobytes()
+                pair = fold % n_pairs
+                assert stacked_mins[pair, 0].tobytes() == mins.tobytes()
+                assert stacked_maxs[pair, 0].tobytes() == maxs.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_neighbour_list_per_integer_dataset(self, monkeypatch, in_process_pool, jobs):

@@ -71,12 +71,12 @@ class TestBuildAnalysis:
     def test_mirrored_pairs_cocluster(self, result):
         for a, b in (("C0", "C2"), ("C16", "C20")):
             cluster = [
-                c for c in result.classification.clusters if a in c.metric_ids
+                c for c in result.scopes[0].clusters if a in c.metric_ids
             ][0]
             assert b in cluster.metric_ids
 
     def test_clusters_partition_inventory(self, result):
-        seen = [m for c in result.classification.clusters for m in c.metric_ids]
+        seen = [m for c in result.scopes[0].clusters for m in c.metric_ids]
         assert sorted(seen, key=metrics.metric_sort_key) == list(
             metrics.CLASSIFICATION_IDS
         )
@@ -95,17 +95,18 @@ class TestBuildAnalysis:
             assert repr(median) == repr(want)
 
     def test_dataset_metrics_clustered_separately(self, result):
-        ds_ids = [m for c in result.dataset_metrics.clusters for m in c.metric_ids]
+        assert [r.scope for r in result.scopes] == ["classification", "dataset"]
+        ds_ids = [m for c in result.scopes[1].clusters for m in c.metric_ids]
         assert sorted(ds_ids) == sorted(metrics.DATASET_IDS)
-        assert len(result.classification.correlation.metric_ids) == 26
-        assert len(result.dataset_metrics.correlation.metric_ids) == 4
+        assert len(result.scopes[0].correlation.metric_ids) == 26
+        assert len(result.scopes[1].correlation.metric_ids) == 4
 
     def test_unfair_percentages(self, result):
         assert set(result.unfair_pct) == {("classification", "d1"), ("dataset", "d1")}
         for pct in result.unfair_pct.values():
             assert 0 <= pct <= 100
         assert result.unfair_median == pytest.approx(
-            float(np.median(result.unfair_values))
+            float(np.median(sorted(result.unfair_pct.values())))
         )
 
     def test_movement_present_with_both_models(self, result):
@@ -119,7 +120,7 @@ class TestBuildAnalysis:
         assert single.movement is None
 
     def test_representative_member_of_cluster(self, result):
-        for c in result.classification.clusters:
+        for c in result.scopes[0].clusters:
             assert c.representative in c.metric_ids
 
 
@@ -167,8 +168,19 @@ class TestWriters:
             assert f"{round(agreement)}%" in md
         assert payload["unfair_median"] == result.unfair_median
 
+    @pytest.mark.parametrize("leaves, merges, want", [
+        ("abcd", [(0, 1, 0.1, 2), (2, 3, 0.2, 2), (4, 5, 0.5, 4)],
+         "[0.5000]\n|- [0.1000]\n|  |- a\n|  `- b\n`- [0.2000]\n   |- c\n   `- d\n"),
+        ("abcd", [(0, 1, 0.1, 2), (2, 4, 0.2, 3), (3, 5, 0.5, 4)],
+         "[0.5000]\n|- d\n`- [0.2000]\n   |- c\n   `- [0.1000]\n      |- a\n      `- b\n"),
+        ("ab", [], "a\nb\n"),
+    ], ids=["balanced", "chain", "no-merge"])
+    def test_dendrogram_text_golden(self, leaves, merges, want):
+        dendro = analysis.Dendrogram(tuple(leaves), tuple(analysis.Merge(*m) for m in merges))
+        assert report.render_dendrogram_text(dendro) == want
+
     def test_dendrogram_text_contains_all_leaves(self, result):
-        text = report.render_dendrogram_text(result.classification.dendrogram)
+        text = report.render_dendrogram_text(result.scopes[0].dendrogram)
         for mid in metrics.CLASSIFICATION_IDS:
             assert mid in text
 
@@ -177,7 +189,7 @@ class TestWriters:
         dot = (tmp_path / "dendrogram.dot").read_text()
         assert dot.startswith("graph")
         assert dot.rstrip().endswith("}")
-        assert dot.count(" -- ") == 2 * len(result.classification.dendrogram.merges)
+        assert dot.count(" -- ") == 2 * len(result.scopes[0].dendrogram.merges)
 
     def test_even_count_median_same_in_both_csvs(self, tmp_path):
         # np.median and np.percentile(..., 50) round the mean of -0.1 and 0.3
@@ -218,7 +230,7 @@ class TestEndToEnd:
 
     def test_mirrored_pairs_on_real_data(self, small_experiment):
         result = report.build_analysis(small_experiment)
-        corr = result.classification.correlation
+        corr = result.scopes[0].correlation
         col = corr.metric_ids.index
         assert corr.values[col("C0"), col("C2")] == -1.0
         assert corr.values[col("C16"), col("C20")] == 1.0
