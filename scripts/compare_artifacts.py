@@ -5,7 +5,9 @@
 
 The inputs are written once, from the parent tree: both workloads of
 ``perfbench/workloads.py`` (``write_inputs``) for seeds 1 and 2, and a
-300-row synthetic dataset with four prediction columns.  Then, for each
+300-row synthetic dataset with four prediction columns, and a 303-row
+synthetic dataset (``uneven``), whose folds have 61 or 60 rows, so the
+experiment pads a short fold's fits.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -16,6 +18,7 @@ thread run:
   ``out-jobs2``, so the worker-pool path is compared too;
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
+* ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -66,6 +69,13 @@ with open("metrics.csv", "w", encoding="utf-8", newline="") as fh:
                                yes if group_yes else no])
 with open("metrics.spec.json", "w", encoding="utf-8") as fh:
     json.dump(synth.spec_dict("metrics"), fh, indent=2, sort_keys=True)
+
+os.makedirs("uneven", exist_ok=True)
+entry = {{"data": os.path.abspath("uneven/data.csv"),
+         "spec": os.path.abspath("uneven/data.spec.json")}}
+synth.write_dataset(entry["data"], entry["spec"], "uneven", 303, 0.3, 7)
+with open("uneven/config.json", "w", encoding="utf-8") as fh:
+    json.dump({{"datasets": [entry]}}, fh, indent=2)
 """
 
 
@@ -98,6 +108,9 @@ def commands(inputs: str):
                    "--jobs", "2"], None
             yield ["experiment", "--config", config, "--out", f"{case}/out-global",
                    "--jobs", "1", "--global-normalize"], None
+    yield ["experiment", "--config", os.path.join(inputs, "uneven", "config.json"),
+           "--out", "uneven/out", "--jobs", "1"], None
+    yield ["analyze", "--results", "uneven/out/results.csv", "--out", "uneven/analysis"], None
     yield ["demo", "--out", "demo"], None
     data = ["--data", os.path.join(inputs, "metrics.csv"),
             "--spec", os.path.join(inputs, "metrics.spec.json")]

@@ -136,13 +136,13 @@ def cmd_metrics(args) -> int:
         raise ConfigError(f"k_neighbors must be below the row count {ds.row_count}, "
                           f"got {cfg.k_neighbors}")
 
-    # D0 of one mask of all rows, min-max scaled by their own bounds
+    # D0 of one mask of all rows, scaled by their own bounds: no list needed
     all_rows = np.ones((1, ds.row_count), dtype=bool)
     ids = metrics.DATASET_IDS
     values = metrics.compute_dataset_metrics(
         metrics.label_weights(ds.y, ds.s, np.ones(ds.row_count)),
         metrics.consistency(ds.X, ds.y, cfg.k_neighbors, all_rows, [fit_minmax(ds.X)],
-                            metrics.neighbour_list(ds.X, cfg.k_neighbors))[0],
+                            None)[0],
         concentration=cfg.concentration,
     )
     column = args.predictions_column

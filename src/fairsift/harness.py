@@ -12,16 +12,13 @@ tensors, so all 30 of its metrics are Undefined.
 The unit of work is one repeat of one dataset (``_repeat_job``, also the
 unit of ``--jobs``).  The run builds each dataset's kNN neighbour list
 once, with that dataset's five jobs (``metrics.neighbour_list``: a list on
-integer-coded data, else None), and hands it to each of them.  A job fits
-each fold's min-max bounds once, gets D0 of its five training splits from
-one ``metrics.consistency`` call on the raw rows, those bounds and the
-list.  It calls each mitigator once per fold, then scales all rows by the
-five folds' bounds in one ``apply_minmax`` call, fits all its (model,
-fold) models as one stacked ``models.train_logistic`` call and counts
-their test predictions with one ``np.bincount``.  It returns its slice
-of the run's arrays: count tensors ``[model, fold, 2, 2, 2]``, label-weight
-tensors ``[model, fold, 2, 2]`` and D0 ``[1, fold]``.  The run stacks
-the slices into ``[dataset, model, repeat, fold, ...]`` and makes one
+integer-coded data, else None), and hands it to each of them.  A job makes
+one ``metrics.consistency`` call for D0 of its five training splits (raw
+rows, each fold's bounds, the list) and calls its mitigators once per fold,
+which fill a ``fitted[model, fold]`` table; then one ``apply_minmax``, one
+stacked ``models.train_logistic`` and one ``metrics.confusion_counts`` call
+serve all the table's models.  The run stacks the jobs' ``[model, fold,
+...]`` slices into ``[dataset, model, repeat, fold, ...]`` and makes one
 ``metrics.compute_classification_metrics`` and one
 ``metrics.compute_dataset_metrics`` call.
 
@@ -246,9 +243,8 @@ def _repeat_job(args):
     fold's training split in ``consistency[0, fold]`` (one row, shared by the
     models), and each model's count tensor of the test split and label-weight
     tensor of the training split in ``counts[model, fold]`` and
-    ``label_weights[model, fold]``.  Each model is ``models.train_logistic``
-    on its (name, mitigator)'s training weights; a model whose reweighing
-    failed keeps all-zero tensors, so all 30 of its metrics are Undefined.
+    ``label_weights[model, fold]``.  A model whose reweighing failed keeps
+    all-zero tensors, so all 30 of its metrics are Undefined.
 
     Each fold's min-max bounds are fitted once on its training rows or,
     under ``global_normalize``, one fit on all rows serves every fold; the
@@ -258,15 +254,16 @@ def _repeat_job(args):
     ``metrics.neighbour_list``, shared by its five jobs: every fold whose
     bounds have the list's spans reads its neighbours off it.
 
-    The mitigators are called fold by fold; the fits they weigh are the
-    members of one stacked ``models.train_logistic`` call.  A member's rows
-    are its fold's training rows, then its test rows, both in row order,
-    scaled by one ``apply_minmax`` call for all folds (one copy under
-    ``global_normalize``, read by every fold); a fold one row short
-    of the longest is padded by its first test row at weight 0, which adds
-    exactly 0 to the fit.  One ``np.bincount`` of ``8 * member + 4 * s +
-    2 * y + prediction`` over the test rows fills every ``counts[model,
-    fold]``."""
+    The mitigators, called fold by fold, fill ``fitted[model, fold]`` and the
+    zero-filled weights ``w_fit[model, fold, row]``; the fits are one stacked
+    ``models.train_logistic`` call on ``w_fit[fitted]``, model by model.  A
+    member's rows are its fold's training rows, then its test rows, both in
+    row order, scaled by one ``apply_minmax`` call for all folds (one copy
+    under ``global_normalize``).  A fold one row short of the longest is
+    padded by its first test row at weight 0: each padded term is 0, but
+    the pad regroups the fit's sums, so the fit is the unpadded one up to
+    float rounding.  One ``metrics.confusion_counts`` call over the test
+    rows fills ``counts[fitted]``."""
     ds, cfg, repeat, assignment, mitigators, listed = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
@@ -276,7 +273,9 @@ def _repeat_job(args):
     # consistency ignores instance weights, so all models share the value
     consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds,
                                       listed)[None]
-    members = []  # (model, fold, weights) of each fit, fold by fold
+    n_train = trains.sum(axis=1)
+    fitted = np.zeros((len(mitigators), N_FOLDS), dtype=bool)
+    w_fit = np.zeros((len(mitigators), N_FOLDS, n_train.max()))
     for fold, train in enumerate(trains):
         y_train, s_train = ds.y[train], ds.s[train]
         for m, (name, mitigator) in enumerate(mitigators):
@@ -289,16 +288,12 @@ def _repeat_job(args):
                 )
                 continue
             label_weights[m, fold] = metrics.label_weights(y_train, s_train, weights)
-            members.append((m, fold, weights))
-    if not members:
+            w_fit[m, fold, :n_train[fold]] = weights
+            fitted[m, fold] = True
+    if not fitted.any():
         return counts, label_weights, consistency
 
-    member_model, member_fold = np.array([member[:2] for member in members]).T
-    n_train = trains.sum(axis=1)
-    n_fit = n_train.max()
-    w_fit = np.zeros((len(members), n_fit))
-    for i, (_, fold, weights) in enumerate(members):
-        w_fit[i, :n_train[fold]] = weights
+    member_fold = np.nonzero(fitted)[1]
     rows = np.argsort(~trains, axis=1, kind="stable")[member_fold]
     # global bounds are one pair: scaled once, every fold reads that copy
     pairs = bounds[:1] if cfg.global_normalize else bounds
@@ -308,13 +303,12 @@ def _repeat_job(args):
     X = np.broadcast_to(apply_minmax(ds.X, mins, maxs),
                         (N_FOLDS,) + ds.X.shape)[member_fold[:, None], rows]
     y, s = ds.y[rows], ds.s[rows]
+    n_fit = w_fit.shape[-1]
     # through the module attribute, so a wrapper set on it sees each fit
-    fitted = models.train_logistic(X[:, :n_fit], y[:, :n_fit], w_fit,
-                                   l2_strength=cfg.l2_strength)
-    key = 8 * np.arange(len(members))[:, None] + 4 * s + 2 * y + fitted.predict(X)
+    fits = models.train_logistic(X[:, :n_fit], y[:, :n_fit], w_fit[fitted],
+                                 l2_strength=cfg.l2_strength)
     test = np.arange(ds.row_count) >= n_train[member_fold][:, None]
-    per_member = np.bincount(key[test], minlength=8 * len(key)).reshape(-1, 2, 2, 2)
-    counts[member_model, member_fold] = per_member
+    counts[fitted] = metrics.confusion_counts(y, fits.predict(X), s, where=test)
     return counts, label_weights, consistency
 
 

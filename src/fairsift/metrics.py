@@ -127,33 +127,39 @@ def catalog_json() -> str:
 # The count tensor
 # --------------------------------------------------------------------------
 
-def _check_binary(name: str, v) -> np.ndarray:
+def _check_binary(name: str, v, stacked: bool = False) -> np.ndarray:
     v = np.asarray(v)
-    if v.ndim != 1:
+    if v.ndim != 1 and not (stacked and v.ndim > 1):
         raise ValueError(f"{name} must be 1-D")
     if not ((v == 0) | (v == 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return v.astype(np.int64)
 
 
-def confusion_counts(y_true, y_pred, s) -> np.ndarray:
+def confusion_counts(y_true, y_pred, s, where=None) -> np.ndarray:
     """Integer count tensor ``c[group, label, prediction]``, shape (2, 2, 2).
 
     Group 1 is privileged, label and prediction 1 are favorable, so
     ``c[g, 1, 1]`` is group g's TP, ``c[g, 0, 1]`` its FP, ``c[g, 1, 0]`` its
     FN and ``c[g, 0, 0]`` its TN.  Every classification metric is a function
-    of these 8 counts alone.
+    of these 8 counts alone.  Stacked inputs of one shape ``(..., n)`` give
+    ``(..., 2, 2, 2)``; a boolean ``where`` of that shape counts only its
+    True entries.
     """
-    y_true = _check_binary("y_true", y_true)
-    y_pred = _check_binary("y_pred", y_pred)
-    s = _check_binary("s", s)
-    if not (len(y_true) == len(y_pred) == len(s)):
-        raise ValueError(
-            f"length mismatch: y_true={len(y_true)} y_pred={len(y_pred)} s={len(s)}"
-        )
-    if len(y_true) == 0:
+    named = {"y_true": y_true, "y_pred": y_pred, "s": s, "where": where}
+    checked = {name: _check_binary(name, v, stacked=True)
+               for name, v in named.items() if v is not None or name != "where"}
+    if len({v.shape for v in checked.values()}) > 1:
+        raise ValueError("length mismatch: " + " ".join(
+            f"{name}={'x'.join(map(str, v.shape))}" for name, v in checked.items()))
+    y_true, y_pred, s = (checked[name] for name in ("y_true", "y_pred", "s"))
+    if y_true.shape[-1] == 0:
         raise ValueError("empty input")
-    return np.bincount(4 * s + 2 * y_true + y_pred, minlength=8).reshape(2, 2, 2)
+    stack, size = y_true.shape[:-1], math.prod(y_true.shape[:-1])
+    key = 8 * np.arange(size).reshape(stack + (1,)) + 4 * s + 2 * y_true + y_pred
+    if where is not None:
+        key = key[checked["where"] == 1]
+    return np.bincount(key.ravel(), minlength=8 * size).reshape(stack + (2, 2, 2))
 
 
 def label_weights(y, s, weights) -> np.ndarray:

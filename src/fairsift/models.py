@@ -4,8 +4,8 @@ Every fold model is ``train_logistic``: a weighted logistic regression with
 L2 regularization on the coefficients (intercept unpenalized), fit by
 full-batch damped Newton steps.  Training is deterministic: zero
 initialization, no stochasticity, converged when the gradient norm drops
-to ``TOLERANCE``.  It also stops after ``MAX_ITERATIONS`` steps, or after a
-full Newton step whose predicted decrease is within the loss's rounding.
+to ``TOLERANCE``.  It also stops after ``MAX_ITERATIONS`` steps, or after
+a step that changes no bit or predicts a decrease within the loss's rounding.
 The two limits are fixed: no experiment varies them, and ``manifest.json``
 records them with the run's settings.
 
@@ -145,9 +145,9 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
 
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
-    It stops at ``TOLERANCE`` or after ``MAX_ITERATIONS`` steps, both read at
-    call time; a member stopped short of ``TOLERANCE`` warns, and makes
-    ``converged`` False.
+    It stops at ``TOLERANCE``, after ``MAX_ITERATIONS`` steps (both read at
+    call time) or after a step that changes no bit; a member stopped short
+    of ``TOLERANCE`` warns, and makes ``converged`` False.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,7 +187,7 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
         slope = _dot(grad, step)
         at_resolution = -slope / 2 <= np.spacing(loss)
         t = 1.0
-        searching = active.copy()
+        searching, before = active.copy(), theta.copy()
         for _ in range(60):
             trial = theta + t * step
             new_loss, new_grad, new_pr = loss_and_gradient(trial, X, y, w, l2_strength)
@@ -201,9 +201,9 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
             if not searching.any():
                 break
             t *= 0.5
-        # a member still searching has an unusable step direction: it stops
-        # with its current iterate
-        active &= ~(searching | at_resolution)
+        # a member still searching has an unusable step direction, and one
+        # whose step changed no bit would repeat it: both stop where they are
+        active &= ~(searching | at_resolution | (theta == before).all(axis=-1))
 
     norm = np.sqrt(_dot(grad, grad))
     converged = norm <= TOLERANCE

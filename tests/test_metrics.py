@@ -1092,6 +1092,36 @@ class TestCountCore:
             assert got == pytest.approx(want, abs=1e-12), mid
 
 
+class TestStackedCounts:
+    """``confusion_counts`` of a ``(..., n)`` stack, optionally masked by
+    ``where``, is the stack of 1-D calls on each row's selected entries."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1,), (4,), (2, 3)]),
+           st.integers(1, 30), st.booleans())
+    def test_stack_is_its_rows_counted_alone(self, seed, stack, n, masked):
+        rng = np.random.default_rng(seed)
+        y_true, y_pred, s = rng.integers(0, 2, (3,) + stack + (n,))
+        where = rng.random(stack + (n,)) < 0.6 if masked else np.ones(stack + (n,), bool)
+        got = metrics.confusion_counts(y_true, y_pred, s, where=where if masked else None)
+        assert got.shape == stack + (2, 2, 2) and got.dtype == np.int64
+        for i in np.ndindex(stack):
+            row = where[i]
+            want = (metrics.confusion_counts(y_true[i][row], y_pred[i][row], s[i][row])
+                    if row.any() else np.zeros((2, 2, 2), dtype=np.int64))
+            assert np.array_equal(got[i], want), i
+        every = metrics.confusion_counts(y_true, y_pred, s, where=np.ones(stack + (n,), bool))
+        assert np.array_equal(every, metrics.confusion_counts(y_true, y_pred, s))
+
+    def test_shapes_and_mask_checked(self):
+        y = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="^length mismatch: y_true=2x3 y_pred=3x2 s=2x3$"):
+            metrics.confusion_counts(y, y.T, y)
+        with pytest.raises(ValueError, match="^length mismatch: .* s=2x3 where=3$"):
+            metrics.confusion_counts(y, y, y, where=np.ones(3, bool))
+        with pytest.raises(ValueError, match="^where must contain only 0 and 1$"):
+            metrics.confusion_counts(y, y, y, where=np.full((2, 3), 2))
+
+
 count_tensors = st.lists(
     st.integers(0, 12) | st.just(0), min_size=8, max_size=8
 ).map(lambda v: np.array(v, dtype=np.int64).reshape(2, 2, 2))

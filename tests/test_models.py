@@ -247,6 +247,21 @@ class TestStackedTraining:
             assert stack.coefficients[i].tobytes() == alone.coefficients.tobytes()
             assert stack.intercept[i] == alone.intercept
 
+    def test_fit_stops_on_a_step_that_changes_no_bit(self):
+        """At float resolution a line search can accept a step that leaves
+        every parameter bit as it was; each later pass would repeat it, so
+        the fit stops there and warns, its gradient norm just above
+        ``TOLERANCE``, instead of running to ``MAX_ITERATIONS``."""
+        rng = np.random.default_rng(287)
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        X, y, w = (column[0] for column in random_stack(rng, 1, n, p))
+        with pytest.warns(UserWarning, match="logistic training stopped after"):
+            model = train_logistic(X, y, w, l2_strength=1e-6)
+        assert not model.converged and model.n_iterations < 100
+        theta = np.concatenate(([model.intercept], model.coefficients))
+        grad = loss_and_gradient(theta, X, y.astype(float), w, 1e-6)[1]
+        assert models.TOLERANCE < np.linalg.norm(grad) < 1e-5
+
 
 def german_style_training_fold(seed, repeat, fold, n_rows=3000):
     """Scaled training rows of one fold of integer-valued credit data: age,
