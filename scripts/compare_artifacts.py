@@ -5,9 +5,12 @@
 
 The inputs are written once, from the parent tree: both workloads of
 ``perfbench/workloads.py`` (``write_inputs``) for seeds 1 and 2, and a
-300-row synthetic dataset with four prediction columns, and a 303-row
+300-row synthetic dataset with four prediction columns, a 303-row
 synthetic dataset (``uneven``), whose folds have 61 or 60 rows, so the
-experiment pads a short fold's fits.  Then, for each
+experiment pads a short fold's fits, and a 400-row synthetic dataset whose
+numeric values are rounded to halves (``halves``): not integers, so D0
+takes the float kernel, with about a fifth of a training fold's rows tied
+at the k-th distance, so its tie rule is compared too.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -18,7 +21,8 @@ thread run:
   ``out-jobs2``, so the worker-pool path is compared too;
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
-* ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``;
+* ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``
+  and on ``halves``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -40,6 +44,7 @@ WORKLOADS = ("many-small", "ties-3k")
 SEEDS = (1, 2)
 SCOPES = ("avg", "pooled")
 PREDICTIONS = ("pred_random", "pred_label", "pred_all", "pred_group")
+SYNTHETIC = ("uneven", "halves")
 
 # run with the parent's src and perfbench on the path, in the input directory
 WRITE_INPUTS = f"""
@@ -50,6 +55,7 @@ import os
 import numpy as np
 import workloads
 from fairsift import synth
+from fairsift.datamodel import write_csv, write_json
 
 for name in {WORKLOADS!r}:
     for seed in {SEEDS!r}:
@@ -70,12 +76,19 @@ with open("metrics.csv", "w", encoding="utf-8", newline="") as fh:
 with open("metrics.spec.json", "w", encoding="utf-8") as fh:
     json.dump(synth.spec_dict("metrics"), fh, indent=2, sort_keys=True)
 
-os.makedirs("uneven", exist_ok=True)
-entry = {{"data": os.path.abspath("uneven/data.csv"),
-         "spec": os.path.abspath("uneven/data.spec.json")}}
-synth.write_dataset(entry["data"], entry["spec"], "uneven", 303, 0.3, 7)
-with open("uneven/config.json", "w", encoding="utf-8") as fh:
-    json.dump({{"datasets": [entry]}}, fh, indent=2)
+halves = synth.generate_rows(400, 0.3, 11)
+numeric = [halves[0].index(name) for name in ("f1", "f2", "f3", "proxy", "noise")]
+for row in halves[1]:
+    for c in numeric:
+        row[c] = str(round(float(row[c]) * 2) / 2)
+for name, (header, rows) in zip({SYNTHETIC!r}, (synth.generate_rows(303, 0.3, 7), halves)):
+    os.makedirs(name, exist_ok=True)
+    entry = {{"data": os.path.abspath(f"{{name}}/data.csv"),
+             "spec": os.path.abspath(f"{{name}}/data.spec.json")}}
+    write_csv(entry["data"], header, rows)
+    write_json(entry["spec"], synth.spec_dict(name))
+    with open(f"{{name}}/config.json", "w", encoding="utf-8") as fh:
+        json.dump({{"datasets": [entry]}}, fh, indent=2)
 """
 
 
@@ -108,9 +121,10 @@ def commands(inputs: str):
                    "--jobs", "2"], None
             yield ["experiment", "--config", config, "--out", f"{case}/out-global",
                    "--jobs", "1", "--global-normalize"], None
-    yield ["experiment", "--config", os.path.join(inputs, "uneven", "config.json"),
-           "--out", "uneven/out", "--jobs", "1"], None
-    yield ["analyze", "--results", "uneven/out/results.csv", "--out", "uneven/analysis"], None
+    for name in SYNTHETIC:
+        yield ["experiment", "--config", os.path.join(inputs, name, "config.json"),
+               "--out", f"{name}/out", "--jobs", "1"], None
+        yield ["analyze", "--results", f"{name}/out/results.csv", "--out", f"{name}/analysis"], None
     yield ["demo", "--out", "demo"], None
     data = ["--data", os.path.join(inputs, "metrics.csv"),
             "--spec", os.path.join(inputs, "metrics.spec.json")]

@@ -461,5 +461,8 @@ def apply_minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarra
     (``(k, 1, p)`` bounds scale rows k ways); constant columns map to 0."""
     X = np.asarray(X, dtype=float)
     span = maxs - mins
-    safe = np.where(span > 0, span, 1.0)
-    return np.where(span > 0, (X - mins) / safe, 0.0)
+    constant = ~(span > 0)
+    scaled = (X - mins) / np.where(constant, 1.0, span)
+    if constant.any():  # +0.0, also where X is below mins
+        np.copyto(scaled, 0.0, where=constant)
+    return scaled

@@ -312,12 +312,12 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     |y_i - mean(y of the k nearest neighbors of x_i)|, Euclidean distance,
     self excluded, distance ties broken by the smallest row index.
 
-    X holds raw rows, ``masks`` is a boolean (m, n) array, and ``bounds``
-    holds one ``(mins, maxs)`` per mask, fitted by the caller, which scale
-    the mask's rows as ``datamodel.apply_minmax`` does; unit bounds take the
-    rows as given.  ``listed`` is ``neighbour_list(X, k)``, built once by the
-    caller for all its calls on X, or None.  Each mask needs more than k
-    rows.  The result is the array of each mask's D0.
+    X holds raw rows, y their 0/1 labels, ``masks`` is a boolean (m, n)
+    array, and ``bounds`` holds one ``(mins, maxs)`` per mask, fitted by the
+    caller, which scale the mask's rows as ``datamodel.apply_minmax`` does;
+    unit bounds take the rows as given.  ``listed`` is ``neighbour_list(X,
+    k)``, built once by the caller for all its calls on X, or None.  Each
+    mask needs more than k rows.  The result is the array of each mask's D0.
 
     A mask whose bounds have the list's spans reads its rows' k nearest
     in-mask neighbours off the list.  Any other mask, or one with a row
@@ -326,15 +326,16 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     times ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties
     are exact and the tie rule holds whatever the BLAS.  Other data, or
     integers past the ``2**53`` bound, takes the float kernel on the mask's
-    scaled rows (``_float_nearest``).  All three paths end in the same
-    neighbour indices and one D0 expression.
+    scaled rows (``_float_votes``), whose two block buffers are allocated
+    once per call and reused by every float mask.  All three paths end in
+    each row's favourable-neighbour count and one D0 expression.
 
     Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
-    entries (2 MB): a whole dataset of tens of thousands of rows needs a few
-    MB.
+    entries (2 MB) per buffer: a whole dataset of tens of thousands of rows
+    needs a few MB.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _check_binary("y", y)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     n, p = X.shape
@@ -360,6 +361,7 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     if listed is not None and len(listed[0]) != n:
         raise ValueError(f"the neighbour list has {len(listed[0])} rows, X has {n}")
 
+    buffers = None
     d0 = np.empty(len(masks))
     for i, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
         nearest = None
@@ -368,10 +370,17 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
         if nearest is None:
             rows = X[mask]
             own = _exact_metric(rows, maxs - mins)
-            local = (_float_nearest(apply_minmax(rows, mins, maxs), k) if own is None
-                     else _nearest(*own, k))
-            nearest = np.flatnonzero(mask)[local]
-        d0[i] = 1.0 - np.abs(y[mask] - y[nearest].sum(axis=1) / k).mean()
+            if own is not None:
+                nearest = np.flatnonzero(mask)[_nearest(*own, k)]
+        if nearest is not None:
+            votes = y[nearest].sum(axis=1)
+        else:
+            if buffers is None:  # sized for every mask: a smaller one can have larger blocks
+                size = max((stop - start) * m for m in set(sizes.tolist())
+                           for start, stop in _row_blocks(m))
+                buffers = np.empty(size), np.empty(size)
+            votes = _float_votes(apply_minmax(rows, mins, maxs), y[mask] == 1, k, *buffers)
+        d0[i] = 1.0 - np.abs(y[mask] - votes / k).mean()
     return d0
 
 
@@ -439,40 +448,50 @@ def _first_in_mask(nearest, mask, k: int):
     return candidates[inside & (rank <= k)].reshape(-1, k)
 
 
-def _float_nearest(X, k: int) -> np.ndarray:
-    """Each row's k nearest other rows of X as given, in floating point:
-    squared distances as |a|^2 + |b|^2 - 2ab, the k-th smallest as each
-    row's threshold, and ties at it broken by the smallest row index.
+def _float_votes(X, favourable, k: int, d_buffer, g_buffer) -> np.ndarray:
+    """Each row's count of ``favourable`` rows among its k nearest other rows
+    of X as given, in floating point: squared distances as (|a|^2 + |b|^2) -
+    2ab, the k-th smallest as each row's threshold, and ties at it broken by
+    the smallest row index.
 
-    Up to the block budget the one block is ``X @ X.T`` itself.  Above it,
-    the BLAS may round a block's products differently in the last bit from
-    the whole product; and equal distances of values that are not dyadic
-    may round apart.  Either can decide a tie at the k-th distance.
+    Each block works in views of the flat buffers, which must hold any
+    block's entries: ``d`` holds its distances, and ``g`` its Gram product,
+    then a copy of ``d`` partitioned in place.  Up to the block budget the
+    one block's product is ``X @ X.T`` itself.  Above it, the BLAS may round
+    a block's products differently in the last bit from the whole product;
+    and equal distances of values that are not dyadic may round apart.
+    Either can decide a tie at the k-th distance.
     """
     sq = (X * X).sum(axis=1)
     n = len(X)
-    nearest = np.empty((n, k), dtype=np.intp)
+    votes = np.empty(n, dtype=np.intp)
     for start, stop in _row_blocks(n):
-        rows = slice(start, stop)
-        d = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+        shape = (stop - start, n)
+        d = d_buffer[:shape[0] * n].reshape(shape)
+        g = g_buffer[:shape[0] * n].reshape(shape)
+        np.add(sq[start:stop, None], sq, out=d)
+        np.matmul(X[start:stop], X.T, out=g)
+        g *= 2.0
+        d -= g
         np.maximum(d, 0.0, out=d)
         local = np.arange(stop - start)
         d[local, local + start] = np.inf
 
-        # The first k partitioned entries hold the k smallest distances and
-        # entry k the (k+1)-th.  When the k-th is strictly below the (k+1)-th
-        # the neighbor *set* is unambiguous; only rows with ties straddling
-        # the boundary need the explicit smallest-row-index rule.
-        idx = np.argpartition(d, k, axis=1)[:, : k + 1]
-        cand = np.take_along_axis(d, idx, axis=1)
-        kth = cand[:, :k].max(axis=1)
-        nearest[rows] = idx[:, :k]
-        for i in np.flatnonzero(cand[:, k] == kth):
-            row = d[i]
-            strict = np.flatnonzero(row < kth[i])
-            tied = np.flatnonzero(row == kth[i])[: k - len(strict)]
-            nearest[start + i] = np.concatenate([strict, tied])
-    return nearest
+        # After the partition the first k entries of g hold the k smallest
+        # distances and entry k the (k+1)-th.  When the k-th is strictly
+        # below the (k+1)-th the k entries of d at or below it are the
+        # neighbours; only rows with ties straddling the boundary need the
+        # explicit smallest-row-index rule.
+        np.copyto(g, d)
+        g.partition(k, axis=1)
+        kth = g[:, :k].max(axis=1)
+        take = d <= kth[:, None]
+        for i in np.flatnonzero(g[:, k] == kth):
+            tied = np.flatnonzero(d[i] == kth[i])
+            take[i, tied[k - np.count_nonzero(d[i] < kth[i]):]] = False
+        take &= favourable
+        votes[start:stop] = np.count_nonzero(take, axis=1)
+    return votes
 
 
 # --------------------------------------------------------------------------

@@ -259,6 +259,16 @@ class TestNormalization:
         out = apply_minmax(test, mins, maxs)
         assert out[:, 0].tolist() == [0.5, 2.0]  # test rows may exceed [0,1]
 
+    def test_constant_column_is_positive_zero(self):
+        # a test row below a constant training column's value scales to
+        # +0.0, not the -0.0 of multiplying its negative offset by 0
+        mins, maxs = fit_minmax(np.array([[3.0, 0.0], [3.0, 4.0]]))
+        out = apply_minmax(np.array([[1.0, 2.0], [5.0, -4.0]]), mins, maxs)
+        assert out.tobytes() == np.array([[0.0, 0.5], [0.0, -1.0]]).tobytes()
+        stacked = apply_minmax(np.array([[1.0, 2.0]]), np.stack([mins] * 2)[:, None],
+                               np.stack([maxs] * 2)[:, None])
+        assert stacked.tobytes() == np.array([[[0.0, 0.5]]] * 2).tobytes()
+
     def test_stacked_bounds_scale_as_one_call_per_fold(self):
         """``(fold, 1, p)`` bounds scale all rows once per fold, each fold
         with the bits of its own call, also for a column constant in one

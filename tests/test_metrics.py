@@ -75,6 +75,11 @@ def consistency_dense(X, y, k=5, gram=None):
     return float(1.0 - np.abs(y - neighbor_mean).mean())
 
 
+def block_gram(X):
+    """``X @ X.T`` as the float kernel forms it, one row block at a time."""
+    return np.vstack([X[a:b] @ X.T for a, b in metrics._row_blocks(len(X))])
+
+
 def consistency_exact(grid, y, k):
     """kNN consistency on integer grid points, by sorting every row's other
     points by (exact squared distance, row index)."""
@@ -683,11 +688,8 @@ class TestBlockedConsistency:
         for _ in range(5):
             X = integer_fold(rng, n)
             y = rng.integers(0, 2, n)
-            gram = np.vstack([X[a:b] @ X.T for a, b in metrics._row_blocks(n)])
             for k in (1, 5):
-                assert as_given(X, y, k=k) == consistency_dense(
-                    X, y, k, gram
-                )
+                assert as_given(X, y, k=k) == consistency_dense(X, y, k, block_gram(X))
 
     def test_one_block_is_the_whole_product(self):
         # Below the budget the one block is X itself, so the product is
@@ -728,6 +730,27 @@ class TestBlockedConsistency:
         with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
             got = as_given(X, y, k=k)
         assert got == consistency_exact(grid, y, k)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 80, 2**18])
+    def test_float_masks_share_buffers(self, budget, monkeypatch):
+        # Masks of 61, 12 and 60 rows reuse one call's block buffers; a
+        # stale entry from a larger mask would change a smaller one's D0.
+        monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(budget)
+        X = np.round(rng.normal(size=(80, 3)) * 2) / 2 + 0.25
+        y = rng.integers(0, 2, 80)
+        masks = np.zeros((3, 80), dtype=bool)
+        for mask, size in zip(masks, (61, 12, 60)):
+            mask[rng.permutation(80)[:size]] = True
+        bounds = [fit_minmax(X[mask]) for mask in masks]
+        assert metrics.neighbour_list(X, 5) is None
+        together = metrics.consistency(X, y, 5, masks, bounds, None)
+        alone = np.concatenate([metrics.consistency(X, y, 5, mask[None], [b], None)
+                                for mask, b in zip(masks, bounds)])
+        assert together.tobytes() == alone.tobytes()
+        for mask, b, d0 in zip(masks, bounds, together):
+            scaled = apply_minmax(X[mask], *b)
+            assert d0 == consistency_dense(scaled, y[mask], 5, block_gram(scaled))
 
     def test_memory_linear_in_rows(self):
         # The n x n version peaks near 384 MB here.
@@ -884,7 +907,7 @@ class TestExactConsistency:
         masks = np.arange(200) % 5 != np.arange(5)[:, None]
         for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, [bounds] * 5, None)):
             scaled = apply_minmax(X[mask], *bounds)
-            assert d0 == d0_of(y[mask], metrics._float_nearest(scaled, 5))
+            assert d0 == consistency_dense(scaled, y[mask], 5, block_gram(scaled))
 
     def test_list_memory_linear_in_rows(self):
         ds = german_style(4000, 5)
@@ -1319,6 +1342,14 @@ class TestCheckBinary:
                 metrics.confusion_counts(*args)
         with pytest.raises(ValueError, match="^y must contain only 0 and 1$"):
             metrics.label_weights(bad, [0, 1], np.ones(2))
+
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_consistency_labels_rejected(self, bad):
+        # the kernels count favourable neighbours, so labels must be 0 and 1
+        y = np.array([0, 1, 0, 1, 1, bad])
+        with pytest.raises(ValueError, match="^y must contain only 0 and 1$"):
+            metrics.consistency(np.arange(6.0)[:, None] / 3, y, 2,
+                                np.ones((1, 6), dtype=bool), [([0.0], [1.0])], None)
 
 
 def label_fair_scalar(value, ideal, zero_band=metrics.ZERO_FAIR_BAND,
