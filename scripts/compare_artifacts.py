@@ -10,7 +10,9 @@ synthetic dataset (``uneven``), whose folds have 61 or 60 rows, so the
 experiment pads a short fold's fits, and a 400-row synthetic dataset whose
 numeric values are rounded to halves (``halves``): not integers, so D0
 takes the float kernel, with about a fifth of a training fold's rows tied
-at the k-th distance, so its tie rule is compared too.  Then, for each
+at the k-th distance, so its tie rule is compared too, and a 120-row
+synthetic dataset (``quoted``) whose name, ``quoted, "name"``, needs CSV
+quoting in ``results.csv``.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -21,8 +23,8 @@ thread run:
   ``out-jobs2``, so the worker-pool path is compared too;
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
-* ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``
-  and on ``halves``;
+* ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``,
+  ``halves`` and ``quoted``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -44,7 +46,8 @@ WORKLOADS = ("many-small", "ties-3k")
 SEEDS = (1, 2)
 SCOPES = ("avg", "pooled")
 PREDICTIONS = ("pred_random", "pred_label", "pred_all", "pred_group")
-SYNTHETIC = ("uneven", "halves")
+# input directory -> dataset name
+SYNTHETIC = {"uneven": "uneven", "halves": "halves", "quoted": 'quoted, "name"'}
 
 # run with the parent's src and perfbench on the path, in the input directory
 WRITE_INPUTS = f"""
@@ -81,12 +84,13 @@ numeric = [halves[0].index(name) for name in ("f1", "f2", "f3", "proxy", "noise"
 for row in halves[1]:
     for c in numeric:
         row[c] = str(round(float(row[c]) * 2) / 2)
-for name, (header, rows) in zip({SYNTHETIC!r}, (synth.generate_rows(303, 0.3, 7), halves)):
+tables = (synth.generate_rows(303, 0.3, 7), halves, synth.generate_rows(120, 0.3, 13))
+for (name, dataset), (header, rows) in zip({SYNTHETIC!r}.items(), tables):
     os.makedirs(name, exist_ok=True)
     entry = {{"data": os.path.abspath(f"{{name}}/data.csv"),
              "spec": os.path.abspath(f"{{name}}/data.spec.json")}}
     write_csv(entry["data"], header, rows)
-    write_json(entry["spec"], synth.spec_dict(name))
+    write_json(entry["spec"], synth.spec_dict(dataset))
     with open(f"{{name}}/config.json", "w", encoding="utf-8") as fh:
         json.dump({{"datasets": [entry]}}, fh, indent=2)
 """

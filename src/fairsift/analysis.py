@@ -51,6 +51,14 @@ def rank_average(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _first_seen(keys) -> tuple[np.ndarray, list]:
+    """Each key's group, numbered from 0 as first seen, and the groups'
+    keys in that order."""
+    groups = {}
+    codes = [groups.setdefault(key, len(groups)) for key in keys]
+    return np.array(codes, dtype=np.intp), list(groups)
+
+
 def spearman(block) -> np.ndarray:
     """Spearman rho of every pair of rows of a 2-D block (one series per
     row), with pairwise deletion of undefined entries: the matrix of
@@ -58,9 +66,10 @@ def spearman(block) -> np.ndarray:
     either side of a pair are dropped; fewer than 3 surviving pairs, or a
     constant survivor series, gives NaN.
 
-    Pairs of rows are grouped by their common defined entries: one
-    ``np.unique`` over the rows' defined-entry patterns, one over the common
-    entries of each pair of patterns.  Each group's rows are ranked on those
+    Pairs of rows are grouped by their common defined entries: rows by
+    their packed defined-entry pattern, then each pair of patterns by the
+    entries both define, each through a dict keyed on the packed bytes
+    (``_first_seen``).  Each group's rows are ranked on those
     entries once, and one product of the centred ranks gives every pair's
     sums.  Average ranks are half-integers with mean (m+1)/2, so those sums
     are exact and each coefficient is bit-equal to correlating the pair on
@@ -69,20 +78,21 @@ def spearman(block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2:
         raise ValueError("spearman needs a 2-D block of series")
-    # one bit per entry keeps the row comparisons of np.unique short
+    # one bit per entry keeps the dict keys short
     defined = np.packbits(np.isfinite(block), axis=1)
-    patterns, pattern_of_row = np.unique(defined, axis=0, return_inverse=True)
+    pattern_of_row, patterns = _first_seen(map(bytes, defined))
+    patterns = np.frombuffer(b"".join(patterns), dtype=np.uint8).reshape(
+        len(patterns), defined.shape[1])
     common = patterns[:, None, :] & patterns[None, :, :]
-    commons, group_of_pair = np.unique(
-        common.reshape(len(patterns) ** 2, defined.shape[1]), axis=0, return_inverse=True
-    )
-    pattern_of_row = pattern_of_row.ravel()
+    group_of_pair, commons = _first_seen(
+        map(bytes, common.reshape(len(patterns) ** 2, defined.shape[1])))
     # the group of every pair of rows (symmetric, as common entries are)
     group = group_of_pair.reshape(common.shape[:2])[np.ix_(pattern_of_row, pattern_of_row)]
 
     rho = np.full(group.shape, np.nan)
     for g, bits in enumerate(commons):
-        columns = np.unpackbits(bits, count=block.shape[1]).astype(bool)
+        columns = np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
+                                count=block.shape[1]).astype(bool)
         m = int(columns.sum())
         if m < 3:
             continue

@@ -11,7 +11,8 @@ Every input goes through ``read_json`` or ``read_csv`` (rows streamed): a
 file that cannot be read, is not UTF-8 or not JSON, or is an empty or
 malformed CSV raises ``ConfigError`` (JSON) or ``DataError`` (CSV) as
 ``<path>: <reason>``.
-Every artifact goes through ``write_csv``, ``write_json`` or ``write_text``,
+Every artifact goes through ``write_csv``, ``write_json``, ``write_text`` or
+``write_lines`` (lines a caller formats, CSV fields quoted by ``csv_line``),
 into directories ``make_dirs`` creates: UTF-8 with LF line ends; JSON with
 indent 2, sorted keys and a trailing newline (``json_text``).  A file or
 directory that cannot be written raises ``DataError`` as ``<path>: cannot
@@ -23,6 +24,7 @@ a path or an open text file, so stdout takes the same bytes as a file.
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -254,13 +256,24 @@ def make_dirs(path) -> None:
         os.makedirs(path, exist_ok=True)
 
 
+def _csv_writer(fh):
+    return csv.writer(fh, lineterminator="\n")
+
+
 def write_csv(target, header, rows) -> None:
     """``header`` and then each row of the iterable ``rows``, streamed, as
     CSV lines ending in LF."""
     with _writing(target), _text_file(target, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def csv_line(row) -> str:
+    """``row`` as the line ``write_csv`` writes for it, LF included."""
+    buffer = io.StringIO()
+    _csv_writer(buffer).writerow(row)
+    return buffer.getvalue()
 
 
 def json_text(payload) -> str:
@@ -273,8 +286,13 @@ def write_json(target, payload) -> None:
 
 
 def write_text(target, text: str) -> None:
+    write_lines(target, (text,))
+
+
+def write_lines(target, lines) -> None:
+    """Each string of the iterable ``lines``, streamed as it is."""
     with _writing(target), _text_file(target, "w") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 @contextlib.contextmanager

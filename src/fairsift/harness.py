@@ -27,6 +27,10 @@ downstream correlation and sensitivity analyses consume.
 ``MetricSampleMatrix`` holds them as one float array
 ``values[dataset, model, metric, repeat * 5 + fold]`` with NaN for
 Undefined; ``results.csv`` lists that grid one entry per row.
+``write_results_csv`` streams the lines, each (dataset, model) prefix quoted
+once, and ``read_results_csv`` streams the rows into key codes, one small
+int per key field, and a value list; ``from_entries`` and the reader share
+one grid builder.
 
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
@@ -55,13 +59,14 @@ from .datamodel import (
     EncodedDataset,
     apply_minmax,
     check_fields,
+    csv_line,
     encode_dataset,
     file_sha256,
     fit_minmax,
     format_value,
     read_csv,
-    write_csv,
     write_json,
+    write_lines,
 )
 from .models import Mitigator, ReweighingError, ReweighingMitigator
 
@@ -168,6 +173,28 @@ class ExperimentConfig:
         return settings
 
 
+class _KeyCodes(dict):
+    """Each key's code, numbered from 0 in the order the keys are first
+    looked up.  ``parse`` runs once per new key, before it gets its code,
+    and ``parsed[code]`` is what it returned."""
+
+    def __init__(self, parse=lambda key: key):
+        super().__init__()
+        self.parse = parse
+        self.parsed = []
+
+    def __missing__(self, key):
+        self.parsed.append(self.parse(key))
+        code = self[key] = len(self)
+        return code
+
+
+def _positions(axis, keys) -> np.ndarray:
+    """Each key's index in ``axis``, -1 for a key not on it."""
+    index = {key: i for i, key in enumerate(axis)}
+    return np.array([index.get(key, -1) for key in keys], dtype=np.intp)
+
+
 class MetricSampleMatrix:
     """Every sample of a run: ``values[d, m, k, repeat * N_FOLDS + fold]`` is
     metric ``metric_ids[k]`` of model ``models[m]`` on dataset
@@ -176,7 +203,8 @@ class MetricSampleMatrix:
     ``SLOTS``.  ``len()`` is the number of entries.
 
     The constructor takes the axes and the grid as they are; ``from_entries``
-    builds them from (dataset, model, repeat, fold, metric_id, value) rows.
+    builds them from (dataset, model, repeat, fold, metric_id, value) rows,
+    and ``read_results_csv`` from the key codes it reads.
     """
 
     def __init__(self, datasets, models, metric_ids, values):
@@ -197,37 +225,48 @@ class MetricSampleMatrix:
         (dataset, model, metric, repeat, fold) of the axes must occur exactly
         once, with repeat and fold in 0..4; anything else raises
         ``ValueError``."""
-        columns = tuple(zip(*entries))
-        if not columns:
+        *keys, values = tuple(zip(*entries)) or [()] * len(RESULTS_HEADER)
+        coders = [_KeyCodes() for _ in keys]
+        codes = [[coder[key] for key in column] for coder, column in zip(coders, keys)]
+        return cls._from_codes([coder.parsed for coder in coders], codes, values)
+
+    @classmethod
+    def _from_codes(cls, keys, codes, values) -> "MetricSampleMatrix":
+        """The grid of entries given as key codes: ``keys`` lists the distinct
+        datasets, models, repeats, folds and metric ids, in that order, and
+        entry i is ``keys[field][codes[field][i]]`` with value ``values[i]``.
+        The checks of ``from_entries`` run in entry order, then grid order."""
+        if not values:
             raise ValueError("no entries")
-        datasets, models, repeats, folds, metric_ids, values = columns
         axes = (
-            tuple(sorted(set(datasets))),
-            tuple(sorted(set(models))),
-            tuple(sorted(set(metric_ids), key=metrics.metric_sort_key)),
-            SLOTS,
+            tuple(sorted(keys[0])),
+            tuple(sorted(keys[1])),
+            range(N_REPEATS),
+            range(N_FOLDS),
+            tuple(sorted(keys[4], key=metrics.metric_sort_key)),
         )
-        shape = tuple(len(axis) for axis in axes)
-        index = [{key: i for i, key in enumerate(axis)} for axis in axes]
-        labels = (datasets, models, metric_ids, zip(repeats, folds))
-        try:
-            flat = np.ravel_multi_index(
-                [[ix[key] for key in column] for ix, column in zip(index, labels)], shape
-            )
-        except KeyError as exc:
-            raise ValueError(f"(repeat, fold) {exc.args[0]} outside 0..4") from None
+        d, m, r, f, k = (_positions(axis, key)[np.asarray(code, dtype=np.intp)]
+                         for axis, key, code in zip(axes, keys, codes))
+        outside = (r < 0) | (f < 0)
+        if outside.any():
+            i = int(np.argmax(outside))
+            slot = (keys[2][codes[2][i]], keys[3][codes[3][i]])
+            raise ValueError(f"(repeat, fold) {slot} outside 0..4")
+        datasets, models, _, _, metric_ids = axes
+        shape = (len(datasets), len(models), len(metric_ids), N_REPEATS, N_FOLDS)
+        flat = np.ravel_multi_index((d, m, k, r, f), shape)
         counts = np.bincount(flat, minlength=math.prod(shape))
         if (counts != 1).any():
             i = int(np.argmax(counts != 1))
-            d, m, k, t = np.unravel_index(i, shape)
+            d, m, k, r, f = np.unravel_index(i, shape)
             raise ValueError(
-                f"entry {axes[0][d]},{axes[1][m]},{SLOTS[t][0]},{SLOTS[t][1]},"
-                f"{axes[2][k]} occurs {counts[i]} times, not once"
+                f"entry {datasets[d]},{models[m]},{r},{f},{metric_ids[k]} "
+                f"occurs {counts[i]} times, not once"
             )
         grid = np.empty(counts.size)
         grid[flat] = values
         grid[~np.isfinite(grid)] = np.nan
-        return cls(*axes[:3], grid.reshape(shape))
+        return cls(datasets, models, metric_ids, grid.reshape(shape[:3] + (-1,)))
 
     def __len__(self) -> int:
         return self.values.size
@@ -388,31 +427,46 @@ RESULTS_HEADER = ("dataset", "model", "repeat", "fold", "metric_id", "value")
 def write_results_csv(samples: MetricSampleMatrix, path) -> None:
     """Long format, one row per grid entry in grid order: by dataset, model
     name, repeat, fold and ``metric_sort_key``; Undefined serialized as
-    empty."""
-    write_csv(path, RESULTS_HEADER, (
-        (dataset, model, repeat, fold, metric_id, format_value(v))
-        for dataset, by_model in zip(samples.datasets, samples.values)
-        for model, by_metric in zip(samples.models, by_model)
-        for (repeat, fold), column in zip(SLOTS, by_metric.T.tolist())
-        for metric_id, v in zip(samples.metric_ids, column)
-    ))
+    empty.  Each (dataset, model) prefix and each (repeat, fold, metric_id)
+    key is quoted once (``datamodel.csv_line``), and the lines stream to the
+    file (``datamodel.write_lines``)."""
+    # a trailing empty field keeps the last separator: "0,0,C0,"
+    keys = [csv_line((repeat, fold, metric_id, ""))[:-1]
+            for repeat, fold in SLOTS for metric_id in samples.metric_ids]
+
+    def lines():
+        yield csv_line(RESULTS_HEADER)
+        for dataset, by_model in zip(samples.datasets, samples.values):
+            for model, block in zip(samples.models, by_model):
+                prefix = csv_line((dataset, model, ""))[:-1]
+                for key, v in zip(keys, block.T.ravel().tolist()):
+                    yield f"{prefix}{key}{format_value(v)}\n"
+
+    write_lines(path, lines())
 
 
-def _parse_row(row) -> tuple:
-    dataset, model, repeat, fold, metric_id, value = row
+def _metric_id(metric_id: str) -> str:
     if metric_id not in metrics.METRIC_CATALOG:
         raise ValueError(f"unknown metric id {metric_id!r}")
-    number = math.nan if value == UNDEFINED_FIELD else float(value)
-    if value != UNDEFINED_FIELD and not math.isfinite(number):
-        raise ValueError(f"value {value!r} is not finite; Undefined is an empty field")
-    return dataset, model, int(repeat), int(fold), metric_id, number
+    return metric_id
 
 
 def read_results_csv(path) -> MetricSampleMatrix:
     """``results.csv`` back as its grid.  A file that cannot be read, is not
     UTF-8 or is empty raises ``DataError`` (``datamodel.read_csv``); a header,
-    row or grid that is not a results grid raises ``ValueError``."""
-    entries = []
+    row or grid that is not a results grid raises ``ValueError``.
+
+    The rows stream into one code list per key field and one value list:
+    each key is coded through a dict (``_KeyCodes``) as it is read, so a
+    metric id is checked against the catalogue, and a repeat or fold parsed
+    by ``int``, once, at its first line.  A row's checks run in the order
+    unpack, metric id, value, finite value, repeat, fold; the first bad
+    line is reported, then the grid's checks (``from_entries``) run."""
+    coders = (_KeyCodes(), _KeyCodes(), _KeyCodes(int), _KeyCodes(int), _KeyCodes(_metric_id))
+    dataset_codes, model_codes, repeat_codes, fold_codes, metric_codes = coders
+    codes = tuple([] for _ in coders)
+    dataset_col, model_col, repeat_col, fold_col, metric_col = codes
+    values = []
     with read_csv(path) as (header, reader):
         if tuple(header) != RESULTS_HEADER:
             raise ValueError(
@@ -420,11 +474,24 @@ def read_results_csv(path) -> MetricSampleMatrix:
             )
         for row in filter(None, reader):
             try:
-                entries.append(_parse_row(row))
+                dataset, model, repeat, fold, metric_id, value = row
+                metric_col.append(metric_codes[metric_id])
+                if value == UNDEFINED_FIELD:
+                    values.append(math.nan)
+                else:
+                    number = float(value)
+                    if not math.isfinite(number):
+                        raise ValueError(
+                            f"value {value!r} is not finite; Undefined is an empty field")
+                    values.append(number)
+                repeat_col.append(repeat_codes[repeat])
+                fold_col.append(fold_codes[fold])
             except ValueError as exc:
                 raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+            dataset_col.append(dataset_codes[dataset])
+            model_col.append(model_codes[model])
     try:
-        return MetricSampleMatrix.from_entries(entries)
+        return MetricSampleMatrix._from_codes([c.parsed for c in coders], codes, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

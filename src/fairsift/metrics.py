@@ -469,7 +469,10 @@ def _float_votes(X, favourable, k: int, d_buffer, g_buffer) -> np.ndarray:
         shape = (stop - start, n)
         d = d_buffer[:shape[0] * n].reshape(shape)
         g = g_buffer[:shape[0] * n].reshape(shape)
-        np.add(sq[start:stop, None], sq, out=d)
+        # the cheap row broadcast first; addition commutes, so the bits are
+        # those of sq[i] + sq[j]
+        np.copyto(d, sq)
+        d += sq[start:stop, None]
         np.matmul(X[start:stop], X.T, out=g)
         g *= 2.0
         d -= g

@@ -1,12 +1,26 @@
+import csv
 import dataclasses
+import io
+import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairsift import harness, metrics, models
-from fairsift.datamodel import ConfigError, DataError, EncodedDataset, apply_minmax, fit_minmax
+from fairsift.datamodel import (
+    ConfigError,
+    DataError,
+    EncodedDataset,
+    apply_minmax,
+    fit_minmax,
+    format_value,
+)
 from fairsift.harness import (
     BASELINE,
+    RESULTS_HEADER,
     REWEIGHING,
     ExperimentConfig,
     MetricSampleMatrix,
@@ -681,3 +695,191 @@ class TestPersistence:
         write_results_csv(small_experiment, p1)
         write_results_csv(small_experiment, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _oracle_row(row) -> tuple:
+    """One results.csv row as an entry, checked field by field."""
+    dataset, model, repeat, fold, metric_id, value = row
+    if metric_id not in metrics.METRIC_CATALOG:
+        raise ValueError(f"unknown metric id {metric_id!r}")
+    number = math.nan if value == "" else float(value)
+    if value != "" and not math.isfinite(number):
+        raise ValueError(f"value {value!r} is not finite; Undefined is an empty field")
+    return dataset, model, int(repeat), int(fold), metric_id, number
+
+
+def _oracle_grid(entries) -> tuple:
+    """The axes and grid bytes of entries, one index lookup per entry."""
+    columns = tuple(zip(*entries))
+    if not columns:
+        raise ValueError("no entries")
+    datasets, model_names, repeats, folds, metric_ids, values = columns
+    axes = (
+        tuple(sorted(set(datasets))),
+        tuple(sorted(set(model_names))),
+        tuple(sorted(set(metric_ids), key=metrics.metric_sort_key)),
+        harness.SLOTS,
+    )
+    shape = tuple(len(axis) for axis in axes)
+    index = [{key: i for i, key in enumerate(axis)} for axis in axes]
+    labels = (datasets, model_names, metric_ids, zip(repeats, folds))
+    try:
+        flat = np.ravel_multi_index(
+            [[ix[key] for key in column] for ix, column in zip(index, labels)], shape
+        )
+    except KeyError as exc:
+        raise ValueError(f"(repeat, fold) {exc.args[0]} outside 0..4") from None
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    if (counts != 1).any():
+        i = int(np.argmax(counts != 1))
+        d, m, k, t = np.unravel_index(i, shape)
+        raise ValueError(
+            f"entry {axes[0][d]},{axes[1][m]},{harness.SLOTS[t][0]},{harness.SLOTS[t][1]},"
+            f"{axes[2][k]} occurs {counts[i]} times, not once"
+        )
+    grid = np.empty(counts.size)
+    grid[flat] = values
+    grid[~np.isfinite(grid)] = np.nan
+    return axes[:3] + (grid.tobytes(),)
+
+
+def oracle_read(path) -> tuple:
+    """results.csv read row by row, each row checked and kept as an entry,
+    then the grid built from the entries: the reference for the reader."""
+    entries = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == RESULTS_HEADER
+        for row in filter(None, reader):
+            try:
+                entries.append(_oracle_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    try:
+        return _oracle_grid(entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def outcome(read, path):
+    """The axes and grid bytes ``read`` gives, or its ValueError message."""
+    try:
+        grid = read(path)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(grid, tuple):
+        return grid
+    return grid.datasets, grid.models, grid.metric_ids, grid.values.tobytes()
+
+
+# a field and its new text: any field, or the repeat or fold
+_FIELD_EDITS = st.one_of(
+    st.tuples(st.integers(0, 5), st.sampled_from(["C99", "", "nan", "inf", "x"])),
+    st.tuples(st.sampled_from([2, 3]), st.sampled_from(["7", "-1", " 3", "03"])),
+)
+# one edit of the data lines.  An index picks a line modulo their count; the
+# indices are small so that edits meet on a line, and up to three fields of
+# a line change at once, so a line can fail two checks.
+_LINE = st.integers(0, 15)
+_EDITS = st.one_of(
+    st.tuples(st.just("delete"), _LINE),
+    st.tuples(st.just("duplicate"), _LINE, _LINE),
+    st.tuples(st.just("shuffle"), st.integers(0, 2**32)),
+    st.tuples(st.just("blank"), _LINE),
+    st.tuples(st.just("fields"), _LINE, st.lists(_FIELD_EDITS, min_size=1, max_size=3)),
+    st.tuples(st.just("width"), _LINE, st.sampled_from([3, 7])),
+)
+
+
+def _edit(lines, edit):
+    kind, *args = edit
+    if kind == "shuffle":
+        random.Random(args[0]).shuffle(lines)
+        return
+    if kind == "blank":
+        lines.insert(args[0] % (len(lines) + 1), "")
+        return
+    if not lines:
+        return
+    i = args[0] % len(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(args[1] % (len(lines) + 1), lines[i])
+    elif kind == "fields":
+        fields = lines[i].split(",")
+        for field, text in args[1]:
+            fields[field % len(fields)] = text
+        lines[i] = ",".join(fields)
+    else:
+        fields = (lines[i].split(",") + ["extra"])[:args[1]]
+        lines[i] = ",".join(fields)
+
+
+class TestReaderAgainstOracle:
+    """``read_results_csv`` codes each key as it streams; on any edited file
+    it gives the grid, or the ValueError message, of the row-by-row oracle."""
+
+    @pytest.fixture(scope="class")
+    def base_lines(self):
+        entries = full_grid({"C0": {(0, 1): None, (2, 3): -0.0}, "C3": 0.25, "D1": 0.5},
+                            datasets=("e", "d"), models=(BASELINE, REWEIGHING))
+        buffer = io.StringIO()
+        write_results_csv(MetricSampleMatrix.from_entries(entries), buffer)
+        return buffer.getvalue().splitlines()
+
+    @settings(max_examples=150)
+    @given(st.lists(_EDITS, max_size=5))
+    @example([])  # the file as written
+    @example([("fields", 3, [(5, "x"), (2, "x")])])  # value before repeat
+    @example([("fields", 3, [(4, "C99"), (5, "inf")])])  # metric id before value
+    @example([("fields", 3, [(3, "7")]), ("fields", 1, [(2, "-1")])])  # first slot
+    @example([("fields", 3, [(2, " 3")]), ("fields", 4, [(3, "03")])])  # same slot
+    def test_edited_file_reads_as_the_oracle(self, base_lines, tmp_path_factory, edits):
+        header, lines = base_lines[0], list(base_lines[1:])
+        for edit in edits:
+            _edit(lines, edit)
+        path = tmp_path_factory.mktemp("edited") / "results.csv"
+        path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+        assert outcome(read_results_csv, path) == outcome(oracle_read, path)
+
+
+class TestQuoting:
+    """Keys that need CSV quoting: the writer's lines are ``csv.writer``'s,
+    and the reader gives the grid back."""
+
+    DATASETS = tuple(sorted(("a,b", 'say "hi"', "two\nlines")))
+    MODELS = ("base,line", BASELINE)
+
+    @pytest.fixture
+    def quoted(self):
+        values = np.random.default_rng(3).random((3, 2, 2, 25))
+        values[0, 1, 0, :4] = np.nan
+        return MetricSampleMatrix(self.DATASETS, self.MODELS, ("C0", "D1"), values)
+
+    def test_written_as_csv_writer_rows_and_read_back(self, quoted, tmp_path):
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(RESULTS_HEADER)
+        for d, dataset in enumerate(quoted.datasets):
+            for m, model in enumerate(quoted.models):
+                for t, (repeat, fold) in enumerate(harness.SLOTS):
+                    for k, metric_id in enumerate(quoted.metric_ids):
+                        writer.writerow((dataset, model, repeat, fold, metric_id,
+                                         format_value(float(quoted.values[d, m, k, t]))))
+        path = tmp_path / "results.csv"
+        write_results_csv(quoted, path)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+        assert same_grid(read_results_csv(path), quoted)
+        assert outcome(read_results_csv, path) == outcome(oracle_read, path)
+
+    def test_error_after_multiline_field_names_reader_line(self, quoted, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv(quoted, path)
+        text = path.read_text(encoding="utf-8")
+        # the last row, whose line number counts every embedded newline
+        path.write_text(text.rpartition(",")[0] + ",inf\n", encoding="utf-8")
+        line = text.count("\n")
+        assert line > len(list(csv.reader(io.StringIO(text))))
+        with pytest.raises(ValueError, match=f"line {line}: value 'inf' is not finite"):
+            read_results_csv(path)
