@@ -12,7 +12,10 @@ numeric values are rounded to halves (``halves``): not integers, so D0
 takes the float kernel, with about a fifth of a training fold's rows tied
 at the k-th distance, so its tie rule is compared too, and a 120-row
 synthetic dataset (``quoted``) whose name, ``quoted, "name"``, needs CSV
-quoting in ``results.csv``.  Then, for each
+quoting in ``results.csv``, and 500 German-style integer rows
+(``integers``), one of them 90 years old: D0 reads the other folds off the
+neighbour list, and the folds that hold that row out have narrower spans,
+so they run the per-mask exact kernel.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -24,7 +27,7 @@ thread run:
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
 * ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``,
-  ``halves`` and ``quoted``;
+  ``halves``, ``quoted`` and ``integers``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -46,8 +49,8 @@ WORKLOADS = ("many-small", "ties-3k")
 SEEDS = (1, 2)
 SCOPES = ("avg", "pooled")
 PREDICTIONS = ("pred_random", "pred_label", "pred_all", "pred_group")
-# input directory -> dataset name
-SYNTHETIC = {"uneven": "uneven", "halves": "halves", "quoted": 'quoted, "name"'}
+# input directories of the single-dataset cases
+SINGLE_CASES = ("uneven", "halves", "quoted", "integers")
 
 # run with the parent's src and perfbench on the path, in the input directory
 WRITE_INPUTS = f"""
@@ -84,13 +87,22 @@ numeric = [halves[0].index(name) for name in ("f1", "f2", "f3", "proxy", "noise"
 for row in halves[1]:
     for c in numeric:
         row[c] = str(round(float(row[c]) * 2) / 2)
-tables = (synth.generate_rows(303, 0.3, 7), halves, synth.generate_rows(120, 0.3, 13))
-for (name, dataset), (header, rows) in zip({SYNTHETIC!r}.items(), tables):
+# integer-coded rows, D0 off the neighbour list; the one oldest row makes
+# the folds that hold it out narrower, so they take the per-mask exact kernel
+integers = workloads._german_style(500, 17)
+integers[1][0][integers[0].index("age_years")] = "90"
+tables = (
+    (*synth.generate_rows(303, 0.3, 7), synth.spec_dict("uneven")),
+    (*halves, synth.spec_dict("halves")),
+    (*synth.generate_rows(120, 0.3, 13), synth.spec_dict('quoted, "name"')),
+    integers,
+)
+for name, (header, rows, spec) in zip({SINGLE_CASES!r}, tables):
     os.makedirs(name, exist_ok=True)
     entry = {{"data": os.path.abspath(f"{{name}}/data.csv"),
              "spec": os.path.abspath(f"{{name}}/data.spec.json")}}
     write_csv(entry["data"], header, rows)
-    write_json(entry["spec"], synth.spec_dict(dataset))
+    write_json(entry["spec"], spec)
     with open(f"{{name}}/config.json", "w", encoding="utf-8") as fh:
         json.dump({{"datasets": [entry]}}, fh, indent=2)
 """
@@ -125,7 +137,7 @@ def commands(inputs: str):
                    "--jobs", "2"], None
             yield ["experiment", "--config", config, "--out", f"{case}/out-global",
                    "--jobs", "1", "--global-normalize"], None
-    for name in SYNTHETIC:
+    for name in SINGLE_CASES:
         yield ["experiment", "--config", os.path.join(inputs, name, "config.json"),
                "--out", f"{name}/out", "--jobs", "1"], None
         yield ["analyze", "--results", f"{name}/out/results.csv", "--out", f"{name}/analysis"], None

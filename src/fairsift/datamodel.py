@@ -11,9 +11,9 @@ Every input goes through ``read_json`` or ``read_csv`` (rows streamed): a
 file that cannot be read, is not UTF-8 or not JSON, or is an empty or
 malformed CSV raises ``ConfigError`` (JSON) or ``DataError`` (CSV) as
 ``<path>: <reason>``.
-Every artifact goes through ``write_csv``, ``write_json``, ``write_text`` or
-``write_lines`` (lines a caller formats, CSV fields quoted by ``csv_line``),
-into directories ``make_dirs`` creates: UTF-8 with LF line ends; JSON with
+Every artifact streams through one sink, ``write_lines``, into directories
+``make_dirs`` creates: UTF-8 with LF line ends.  ``csv_line`` is the one CSV
+encoder (``write_csv`` writes its lines); ``write_json`` writes JSON with
 indent 2, sorted keys and a trailing newline (``json_text``).  A file or
 directory that cannot be written raises ``DataError`` as ``<path>: cannot
 write: <reason>``.  ``format_value`` is the one field rule for a
@@ -24,7 +24,7 @@ a path or an open text file, so stdout takes the same bytes as a file.
 import contextlib
 import csv
 import hashlib
-import io
+import itertools
 import json
 import math
 import os
@@ -256,24 +256,26 @@ def make_dirs(path) -> None:
         os.makedirs(path, exist_ok=True)
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+class _Echo:
+    """A file for ``csv.writer`` whose ``write`` returns the line it is given."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
 
 
-def write_csv(target, header, rows) -> None:
-    """``header`` and then each row of the iterable ``rows``, streamed, as
-    CSV lines ending in LF."""
-    with _writing(target), _text_file(target, "w") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# the one CSV encoder: ``writerow`` returns what ``write`` returned
+_CSV_WRITER = csv.writer(_Echo, lineterminator="\n")
 
 
 def csv_line(row) -> str:
-    """``row`` as the line ``write_csv`` writes for it, LF included."""
-    buffer = io.StringIO()
-    _csv_writer(buffer).writerow(row)
-    return buffer.getvalue()
+    """``row``'s fields as one CSV line, quoted where needed, LF included."""
+    return _CSV_WRITER.writerow(row)
+
+
+def write_csv(target, header, rows) -> None:
+    """``header`` and then each row of the iterable ``rows``, streamed."""
+    write_lines(target, map(csv_line, itertools.chain((header,), rows)))
 
 
 def json_text(payload) -> str:

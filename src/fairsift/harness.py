@@ -29,8 +29,8 @@ downstream correlation and sensitivity analyses consume.
 Undefined; ``results.csv`` lists that grid one entry per row.
 ``write_results_csv`` streams the lines, each (dataset, model) prefix quoted
 once, and ``read_results_csv`` streams the rows into key codes, one small
-int per key field, and a value list; ``from_entries`` and the reader share
-one grid builder.
+int per key field, and a value list: the one path from keyed rows to a
+grid.
 
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
@@ -178,7 +178,7 @@ class _KeyCodes(dict):
     looked up.  ``parse`` runs once per new key, before it gets its code,
     and ``parsed[code]`` is what it returned."""
 
-    def __init__(self, parse=lambda key: key):
+    def __init__(self, parse):
         super().__init__()
         self.parse = parse
         self.parsed = []
@@ -202,9 +202,8 @@ class MetricSampleMatrix:
     name, metric ids follow ``metric_sort_key``, and the last axis follows
     ``SLOTS``.  ``len()`` is the number of entries.
 
-    The constructor takes the axes and the grid as they are; ``from_entries``
-    builds them from (dataset, model, repeat, fold, metric_id, value) rows,
-    and ``read_results_csv`` from the key codes it reads.
+    The constructor takes the axes and the grid as they are;
+    ``read_results_csv`` builds them from ``results.csv``.
     """
 
     def __init__(self, datasets, models, metric_ids, values):
@@ -219,23 +218,11 @@ class MetricSampleMatrix:
         self.values.setflags(write=False)
 
     @classmethod
-    def from_entries(cls, entries) -> "MetricSampleMatrix":
-        """The grid of (dataset, model, repeat, fold, metric_id, value)
-        entries, a value that is None, NaN or infinite being Undefined.  Every
-        (dataset, model, metric, repeat, fold) of the axes must occur exactly
-        once, with repeat and fold in 0..4; anything else raises
-        ``ValueError``."""
-        *keys, values = tuple(zip(*entries)) or [()] * len(RESULTS_HEADER)
-        coders = [_KeyCodes() for _ in keys]
-        codes = [[coder[key] for key in column] for coder, column in zip(coders, keys)]
-        return cls._from_codes([coder.parsed for coder in coders], codes, values)
-
-    @classmethod
     def _from_codes(cls, keys, codes, values) -> "MetricSampleMatrix":
         """The grid of entries given as key codes: ``keys`` lists the distinct
         datasets, models, repeats, folds and metric ids, in that order, and
         entry i is ``keys[field][codes[field][i]]`` with value ``values[i]``.
-        The checks of ``from_entries`` run in entry order, then grid order."""
+        Its checks run in entry order (repeat and fold), then grid order."""
         if not values:
             raise ValueError("no entries")
         axes = (
@@ -265,7 +252,6 @@ class MetricSampleMatrix:
             )
         grid = np.empty(counts.size)
         grid[flat] = values
-        grid[~np.isfinite(grid)] = np.nan
         return cls(datasets, models, metric_ids, grid.reshape(shape[:3] + (-1,)))
 
     def __len__(self) -> int:
@@ -461,8 +447,8 @@ def read_results_csv(path) -> MetricSampleMatrix:
     metric id is checked against the catalogue, and a repeat or fold parsed
     by ``int``, once, at its first line.  A row's checks run in the order
     unpack, metric id, value, finite value, repeat, fold; the first bad
-    line is reported, then the grid's checks (``from_entries``) run."""
-    coders = (_KeyCodes(), _KeyCodes(), _KeyCodes(int), _KeyCodes(int), _KeyCodes(_metric_id))
+    line is reported, then the grid's checks (``_from_codes``) run."""
+    coders = [_KeyCodes(parse) for parse in (str, str, int, int, _metric_id)]
     dataset_codes, model_codes, repeat_codes, fold_codes, metric_codes = coders
     codes = tuple([] for _ in coders)
     dataset_col, model_col, repeat_col, fold_col, metric_col = codes

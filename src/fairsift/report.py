@@ -24,8 +24,10 @@ are counts over slices of the label array (``label_shares``).
 Renderers return content and write nothing: CSV rows (``correlation_rows``,
 ``sensitivity_rows``, ``movement_rows``; Undefined stays NaN until
 ``format_value`` makes it an empty field), ``clusters_payload`` and the
-``render_*`` texts.  ``write_all`` hands each to ``datamodel``'s
-``write_csv``, ``write_json`` or ``write_text``, the one encoding.
+``render_*`` texts.  Every table of ``report.md`` comes from one helper,
+``_table(header, rows)``, so a new section adds rows, not markdown.
+``write_all`` hands each to ``datamodel``'s ``write_csv``, ``write_json`` or
+``write_text``, the one encoding.
 """
 
 import os
@@ -350,6 +352,13 @@ def movement_rows(result: AnalysisResult):
                    format_value(metrics.METRIC_CATALOG[mid].ideal), verdict)
 
 
+def _table(header, rows) -> list[str]:
+    """A markdown table: the header line, its rule, one line per row of cells
+    (each cell as its ``str``) and the blank line that ends it."""
+    return [f"| {' | '.join(map(str, cells))} |"
+            for cells in [header, ["---"] * len(header), *rows]] + [""]
+
+
 def render_report_md(result: AnalysisResult) -> str:
     lines: list[str] = []
     add = lines.append
@@ -362,11 +371,9 @@ def render_report_md(result: AnalysisResult) -> str:
 
     add("## Disagreement (share of metrics calling each dataset unfair)")
     add("")
-    add("| scope | dataset | unfair % |")
-    add("| --- | --- | --- |")
-    for (scope, ds), pct in sorted(result.unfair_pct.items()):
-        add(f"| {scope} | {ds} | {round(pct)}% |")
-    add("")
+    lines += _table(("scope", "dataset", "unfair %"),
+                    ((scope, ds, f"{round(pct)}%")
+                     for (scope, ds), pct in sorted(result.unfair_pct.items())))
     combined = ", ".join(f"{round(v)}" for v in sorted(result.unfair_pct.values()))
     add(f"Combined (ascending): {{{combined}}}%; median {round(result.unfair_median)}%.")
     add("")
@@ -381,21 +388,15 @@ def render_report_md(result: AnalysisResult) -> str:
             f"{len(report.clusters)} clusters."
         )
         add("")
-        add("| cluster | metric | name | " + " | ".join(result.datasets) + " |")
-        add("| --- | --- | --- | " + " | ".join("---" for _ in result.datasets) + " |")
+        rows = []
         for cluster in report.clusters:
             for mid in cluster.metric_ids:
                 col = result.sensitivity.metric_ids.index(mid)
-                cells = " | ".join(result.labels[:, col].tolist())
-                add(
-                    f"| {cluster.cluster_id} | {mid} | "
-                    f"{metrics.METRIC_CATALOG[mid].name} | {cells} |"
-                )
-            agreement = " | ".join(
-                f"{round(cluster.per_dataset[ds][1])}%" for ds in result.datasets
-            )
-            add(f"| {cluster.cluster_id} | *agreement* |  | {agreement} |")
-        add("")
+                rows.append([cluster.cluster_id, mid, metrics.METRIC_CATALOG[mid].name,
+                             *result.labels[:, col].tolist()])
+            rows.append([cluster.cluster_id, "*agreement*", "",
+                         *(f"{round(cluster.per_dataset[ds][1])}%" for ds in result.datasets)])
+        lines += _table(("cluster", "metric", "name", *result.datasets), rows)
         for cluster in report.clusters:
             verdict = "insensitive" if cluster.insensitive else "sensitive"
             add(
@@ -413,15 +414,10 @@ def render_report_md(result: AnalysisResult) -> str:
         f"(threshold {result.sensitivity.threshold:.6g})."
     )
     add("")
-    add("| dataset | model | metric | median | IQR | flagged |")
-    add("| --- | --- | --- | --- | --- | --- |")
-    for ds, model, mid, median, iqr, flagged in result.sensitivity.rows():
-        add(
-            f"| {ds} | {model} | {mid} | "
-            f"{format_value(median, 4)} | {format_value(iqr, 4)} | "
-            f"{'yes' if flagged else ''} |"
-        )
-    add("")
+    lines += _table(("dataset", "model", "metric", "median", "IQR", "flagged"),
+                    ((ds, model, mid, format_value(median, 4), format_value(iqr, 4),
+                      "yes" if flagged else "")
+                     for ds, model, mid, median, iqr, flagged in result.sensitivity.rows()))
     insensitive = [
         m
         for report in result.scopes
@@ -439,16 +435,11 @@ def render_report_md(result: AnalysisResult) -> str:
         base_model, mit_model = result.movement_models
         add(f"## Movement after mitigation ({base_model} -> {mit_model})")
         add("")
-        add("| dataset | UF (toward ideal) | FU (away) | NC | excluded |")
-        add("| --- | --- | --- | --- | --- |")
-        for ds, verdicts in zip(result.datasets, result.movement.tolist()):
-            add(
-                f"| {ds} | {verdicts.count(analysis.TOWARD_IDEAL)} | "
-                f"{verdicts.count(analysis.AWAY_FROM_IDEAL)} | "
-                f"{verdicts.count(analysis.NO_CHANGE)} | "
-                f"{verdicts.count(analysis.EXCLUDED)} |"
-            )
-        add("")
+        verdicts = (analysis.TOWARD_IDEAL, analysis.AWAY_FROM_IDEAL, analysis.NO_CHANGE,
+                    analysis.EXCLUDED)
+        lines += _table(("dataset", "UF (toward ideal)", "FU (away)", "NC", "excluded"),
+                        ((ds, *(row.count(v) for v in verdicts))
+                         for ds, row in zip(result.datasets, result.movement.tolist())))
     return "\n".join(lines) + "\n"
 
 

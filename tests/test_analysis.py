@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairsift import analysis, report
+from fairsift import analysis, metrics, report
 from fairsift.harness import MetricSampleMatrix
 
 # ---------------------------------------------------------------------------
@@ -403,20 +403,17 @@ class TestBlockSpearman:
 def holey_samples(seed, n_datasets=3):
     """Two models x n_datasets cells of five metrics with ties and holes."""
     rng = np.random.default_rng(seed)
-    entries = []
+    models, metric_ids = ("baseline", "reweighing"), ("C0", "C1", "C5", "C12", "D0")
+    grid = np.empty((n_datasets, len(models), len(metric_ids), 25))
     for d in range(n_datasets):
-        for model in ("baseline", "reweighing"):
-            for mid in ("C0", "C1", "C5", "C12", "D0"):
+        for m in range(len(models)):
+            for k, mid in enumerate(metric_ids):
                 values = rng.integers(0, 4, 25) / 4 + (mid == "C1") * rng.random(25)
                 holes = rng.random(25) < {"C5": 0.3, "C12": 0.9}.get(mid, 0.0)
                 if mid == "D0" and d == 0:
                     values[:] = 0.5  # a constant series
-                entries.extend(
-                    (f"d{d}", model, t // 5, t % 5, mid,
-                     None if holes[t] else float(values[t]))
-                    for t in range(25)
-                )
-    return MetricSampleMatrix.from_entries(entries)
+                grid[d, m, k] = np.where(holes, np.nan, values)
+    return MetricSampleMatrix([f"d{d}" for d in range(n_datasets)], models, metric_ids, grid)
 
 
 class TestCorrelationMatrix:
@@ -722,13 +719,17 @@ class TestUnfairPercentage:
 
 
 def sample_grid(cells):
-    """A MetricSampleMatrix from (dataset, model, metric) -> fold values; a
-    cell shorter than 25 folds is padded with Undefined (None)."""
-    entries = []
-    for (ds, model, mid), values in cells.items():
-        padded = list(values) + [None] * (25 - len(values))
-        entries.extend((ds, model, t // 5, t % 5, mid, v) for t, v in enumerate(padded))
-    return MetricSampleMatrix.from_entries(entries)
+    """A MetricSampleMatrix from (dataset, model, metric) -> fold values, one
+    cell for each combination of the keys' datasets, models and metrics; a
+    cell shorter than 25 folds is padded with Undefined (NaN)."""
+    axes = [sorted({key[i] for key in cells}) for i in range(3)]
+    axes[2].sort(key=metrics.metric_sort_key)
+    grid = np.full([len(axis) for axis in axes] + [25], np.nan)
+    assert len(cells) == grid[..., 0].size, "every (dataset, model, metric) needs a cell"
+    for key, values in cells.items():
+        cell = tuple(axis.index(part) for axis, part in zip(axes, key))
+        grid[cell][:len(values)] = values
+    return MetricSampleMatrix(*axes, grid)
 
 
 class TestSensitivity:

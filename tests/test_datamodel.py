@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -14,6 +15,7 @@ from fairsift.datamodel import (
     DatasetSpec,
     apply_minmax,
     check_fields,
+    csv_line,
     encode_dataset,
     file_sha256,
     fit_minmax,
@@ -368,6 +370,15 @@ class TestArtifactWriters:
         write_csv(buffer, header, rows)
         assert (tmp_path / "t.csv").read_bytes() == buffer.getvalue().encode("utf-8")
         assert buffer.getvalue() == 'a,b\n"x,y",1.5\né,\n'
+
+    @given(st.lists(st.lists(st.one_of(st.text(), st.integers(), st.floats(), st.none()),
+                             max_size=5), max_size=4))
+    def test_csv_line_is_the_csv_writers_line(self, rows):
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(rows)
+        lines = [csv_line(row) for row in rows]  # each call's string is its own
+        assert "".join(lines) == want.getvalue()
+        assert all(line.endswith("\n") for line in lines)
 
     def test_json_and_text(self, tmp_path):
         write_json(tmp_path / "p.json", {"b": [1.0, None], "a": "é"})

@@ -49,17 +49,22 @@ def defined(samples, dataset, model, metric_id):
 
 
 def full_grid(values, datasets=("d",), models=("baseline",)):
-    """Entries of a complete grid: metric id -> value in every fold, except
-    the (repeat, fold) overrides in ``values[mid]`` given as a dict."""
-    entries = []
-    for ds in datasets:
-        for model in models:
-            for mid, fill in values.items():
-                for t in range(25):
-                    repeat, fold = divmod(t, 5)
-                    v = fill.get((repeat, fold), 1.0) if isinstance(fill, dict) else fill
-                    entries.append((ds, model, repeat, fold, mid, v))
-    return entries
+    """A complete grid, its axes sorted as a results grid's are: metric id ->
+    value in every fold and cell, except the (repeat, fold) overrides in
+    ``values[mid]`` given as a dict; None is Undefined."""
+    metric_ids = sorted(values, key=metrics.metric_sort_key)
+    cells = [[fill.get(slot, 1.0) if isinstance(fill, dict) else fill
+              for slot in harness.SLOTS] for fill in map(values.get, metric_ids)]
+    grid = np.array(cells, dtype=float)  # None -> NaN
+    shape = (len(datasets), len(models)) + grid.shape
+    return MetricSampleMatrix(sorted(datasets), sorted(models), metric_ids,
+                              np.broadcast_to(grid, shape))
+
+
+def rewritten(path, lines):
+    """``path`` overwritten with ``lines``, then read as results.csv."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return read_results_csv(path)
 
 
 @pytest.fixture
@@ -620,8 +625,7 @@ class TestPersistence:
 
     def test_undefined_serialized_empty(self, tmp_path):
         path = tmp_path / "r.csv"
-        grid = full_grid({"C0": {(0, 0): None}, "C1": {(0, 0): 0.125}})
-        write_results_csv(MetricSampleMatrix.from_entries(grid), path)
+        write_results_csv(full_grid({"C0": {(0, 0): None}, "C1": {(0, 0): 0.125}}), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 2 * 25
         assert lines[1] == "d,baseline,0,0,C0,"
@@ -629,12 +633,14 @@ class TestPersistence:
         assert lines[3] == "d,baseline,0,1,C0,1.0"
 
     def test_canonical_ordering(self, tmp_path):
-        entries = full_grid(
+        path = tmp_path / "r.csv"
+        write_results_csv(full_grid(
             {"D2": 2.0, "C10": 3.0, "C2": None, "C1": 1.0},
             datasets=("e", "d"),
             models=(REWEIGHING, "downweight", BASELINE),
-        )
-        mat = MetricSampleMatrix.from_entries(entries[::-1])
+        ), path)
+        header, *rows = path.read_text().splitlines()
+        mat = rewritten(path, [header] + rows[::-1])
         assert mat.datasets == ("d", "e")
         assert mat.models == (BASELINE, "downweight", REWEIGHING)  # by name
         assert mat.metric_ids == ("C1", "C2", "C10", "D2")
@@ -653,22 +659,29 @@ class TestPersistence:
         assert [key[1] for key in keys[:300:100]] == list(mat.models)
         assert same_grid(read_results_csv(path), mat)
 
-    def test_missing_entry_rejected(self):
-        entries = full_grid({"C0": 0.5, "C1": 0.5})
-        with pytest.raises(ValueError, match="entry d,baseline,1,2,C0 occurs 0 times"):
-            MetricSampleMatrix.from_entries(entries[:7] + entries[8:])
+    @pytest.fixture
+    def written(self, tmp_path):
+        """The path and lines of a written two-metric results.csv."""
+        path = tmp_path / "r.csv"
+        write_results_csv(full_grid({"C0": 0.5, "C1": 0.5}), path)
+        return path, path.read_text().splitlines()
 
-    def test_duplicate_entry_rejected(self):
-        entries = full_grid({"C0": 0.5, "C1": 0.5})
+    def test_missing_entry_rejected(self, written):
+        path, lines = written
+        lines.remove("d,baseline,1,2,C0,0.5")
+        with pytest.raises(ValueError, match="entry d,baseline,1,2,C0 occurs 0 times"):
+            rewritten(path, lines)
+
+    def test_duplicate_entry_rejected(self, written):
+        path, lines = written
         with pytest.raises(ValueError, match="entry d,baseline,1,3,C0 occurs 2 times"):
-            MetricSampleMatrix.from_entries(entries + [entries[8]])
+            rewritten(path, lines + ["d,baseline,1,3,C0,0.5"])
 
     @pytest.mark.parametrize("repeat, fold", [(5, 0), (0, 5), (-1, 0), (7, 2)])
-    def test_repeat_or_fold_out_of_range_rejected(self, repeat, fold):
-        entries = full_grid({"C0": 0.5})
-        entries.append(("d", "baseline", repeat, fold, "C0", 0.5))
+    def test_repeat_or_fold_out_of_range_rejected(self, written, repeat, fold):
+        path, lines = written
         with pytest.raises(ValueError, match=r"\(repeat, fold\) .* outside 0\.\.4"):
-            MetricSampleMatrix.from_entries(entries)
+            rewritten(path, lines + [f"d,baseline,{repeat},{fold},C0,0.5"])
 
     def test_grid_shape_must_match_axes(self):
         MetricSampleMatrix(("d",), ("baseline",), ("C0", "C1"), np.zeros((1, 1, 2, 25)))
@@ -677,12 +690,11 @@ class TestPersistence:
 
     def test_non_finite_csv_value_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_results_csv(MetricSampleMatrix.from_entries(full_grid({"C0": 0.5})), path)
+        write_results_csv(full_grid({"C0": 0.5}), path)
         lines = path.read_text().splitlines()
         lines[3] = lines[3].replace("0.5", "inf")
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 4: value 'inf' is not finite"):
-            read_results_csv(path)
+            rewritten(path, lines)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -822,10 +834,10 @@ class TestReaderAgainstOracle:
 
     @pytest.fixture(scope="class")
     def base_lines(self):
-        entries = full_grid({"C0": {(0, 1): None, (2, 3): -0.0}, "C3": 0.25, "D1": 0.5},
-                            datasets=("e", "d"), models=(BASELINE, REWEIGHING))
+        grid = full_grid({"C0": {(0, 1): None, (2, 3): -0.0}, "C3": 0.25, "D1": 0.5},
+                         datasets=("e", "d"), models=(BASELINE, REWEIGHING))
         buffer = io.StringIO()
-        write_results_csv(MetricSampleMatrix.from_entries(entries), buffer)
+        write_results_csv(grid, buffer)
         return buffer.getvalue().splitlines()
 
     @settings(max_examples=150)

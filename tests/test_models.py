@@ -1,8 +1,9 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairsift import models
@@ -167,15 +168,31 @@ def random_stack(rng, n_members, n, p):
     return X, y, w
 
 
+def fit_warnings(*args, **kwargs):
+    """``train_logistic(*args, **kwargs)`` and the texts of the UserWarnings
+    it gave, recorded rather than shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        model = train_logistic(*args, **kwargs)
+    assert all(w.category is UserWarning for w in caught)
+    return model, [str(w.message) for w in caught]
+
+
 class TestStackedTraining:
     """A ``(B, n, p)`` stack fits each member as its own 2-D call does."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1.0, 1e-6]))
+    @example(2919, 3, 1e-6)  # member 0 stops after 9 passes, short of the tolerance
     def test_members_fit_as_they_do_alone(self, seed, n_members, l2_strength):
         rng = np.random.default_rng(seed)
         X, y, w = random_stack(rng, n_members, int(rng.integers(2, 60)), int(rng.integers(1, 6)))
-        stack = train_logistic(X, y, w, l2_strength=l2_strength)
-        alone = [train_logistic(*member, l2_strength=l2_strength) for member in zip(X, y, w)]
+        stack, stack_warned = fit_warnings(X, y, w, l2_strength=l2_strength)
+        alone, alone_warned = zip(*(fit_warnings(*member, l2_strength=l2_strength)
+                                    for member in zip(X, y, w)))
+        # a member stopped short of the tolerance warns in both, with the
+        # same iteration count and gradient norm
+        assert stack_warned == [f"member {i}: {text}"
+                                for i, texts in enumerate(alone_warned) for text in texts]
         assert stack.coefficients.tobytes() == np.stack([m.coefficients for m in alone]).tobytes()
         assert stack.intercept.tobytes() == np.array([m.intercept for m in alone]).tobytes()
         assert stack.n_iterations == sum(m.n_iterations for m in alone)

@@ -35,9 +35,10 @@ def representative_loop(cluster, corr):
 def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
     """Hand-built sample matrix with known correlation structure."""
     rng = np.random.default_rng(seed)
-    entries = []
-    for ds in datasets:
-        for model in models:
+    metric_ids = metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS
+    grid = np.empty((len(datasets), len(models), len(metric_ids), 25))
+    for d in range(len(datasets)):
+        for m in range(len(models)):
             base = rng.normal(size=25)
             series = {}
             for mid in metrics.CLASSIFICATION_IDS:
@@ -48,12 +49,8 @@ def synthetic_samples(datasets=("d1",), models=(BASELINE, REWEIGHING), seed=0):
             series["C20"] = 2 * np.sqrt(series["C16"])
             for mid in metrics.DATASET_IDS:
                 series[mid] = rng.normal(size=25)
-            for mid, values in series.items():
-                entries.extend(
-                    (ds, model, i // 5, i % 5, mid, float(v))
-                    for i, v in enumerate(values)
-                )
-    return MetricSampleMatrix.from_entries(entries)
+            grid[d, m] = [series[mid] for mid in metric_ids]
+    return MetricSampleMatrix(datasets, models, metric_ids, grid)
 
 
 @pytest.fixture(scope="module")
