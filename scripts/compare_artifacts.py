@@ -15,7 +15,10 @@ synthetic dataset (``quoted``) whose name, ``quoted, "name"``, needs CSV
 quoting in ``results.csv``, and 500 German-style integer rows
 (``integers``), one of them 90 years old: D0 reads the other folds off the
 neighbour list, and the folds that hold that row out have narrower spans,
-so they run the per-mask exact kernel.  Then, for each
+so they run the per-mask exact kernel, and a 100-row synthetic dataset
+whose favourable rate differs by 0.96 between the groups (``refused``),
+so a training fold often lacks a (group, label) cell and reweighing
+refuses it: those folds are recorded Undefined.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -27,7 +30,7 @@ thread run:
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
 * ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``,
-  ``halves``, ``quoted`` and ``integers``;
+  ``halves``, ``quoted``, ``integers`` and ``refused``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``.
@@ -50,7 +53,7 @@ SEEDS = (1, 2)
 SCOPES = ("avg", "pooled")
 PREDICTIONS = ("pred_random", "pred_label", "pred_all", "pred_group")
 # input directories of the single-dataset cases
-SINGLE_CASES = ("uneven", "halves", "quoted", "integers")
+SINGLE_CASES = ("uneven", "halves", "quoted", "integers", "refused")
 
 # run with the parent's src and perfbench on the path, in the input directory
 WRITE_INPUTS = f"""
@@ -96,6 +99,9 @@ tables = (
     (*halves, synth.spec_dict("halves")),
     (*synth.generate_rows(120, 0.3, 13), synth.spec_dict('quoted, "name"')),
     integers,
+    # a group gap of 0.96 leaves some training folds without a (group,
+    # label) cell, so reweighing refuses them
+    (*synth.generate_rows(100, 0.96, 3), synth.spec_dict("refused")),
 )
 for name, (header, rows, spec) in zip({SINGLE_CASES!r}, tables):
     os.makedirs(name, exist_ok=True)

@@ -16,11 +16,11 @@ integer-coded data, else None), and hands it to each of them.  A job makes
 one ``metrics.consistency`` call for D0 of its five training splits (raw
 rows, each fold's bounds, the list) and calls its mitigators once per fold,
 which fill a ``fitted[model, fold]`` table; then one ``apply_minmax``, one
-stacked ``models.train_logistic`` and one ``metrics.confusion_counts`` call
-serve all the table's models.  The run stacks the jobs' ``[model, fold,
-...]`` slices into ``[dataset, model, repeat, fold, ...]`` and makes one
-``metrics.compute_classification_metrics`` and one
-``metrics.compute_dataset_metrics`` call.
+stacked ``models.train_logistic``, one ``metrics.confusion_counts`` and one
+``metrics.label_weights`` call serve all the table's models.  The run
+stacks the jobs' ``[model, fold, ...]`` slices into ``[dataset, model,
+repeat, fold, ...]`` and makes one ``metrics.compute_classification_metrics``
+and one ``metrics.compute_dataset_metrics`` call.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
 downstream correlation and sensitivity analyses consume.
@@ -288,7 +288,8 @@ def _repeat_job(args):
     padded by its first test row at weight 0: each padded term is 0, but
     the pad regroups the fit's sums, so the fit is the unpadded one up to
     float rounding.  One ``metrics.confusion_counts`` call over the test
-    rows fills ``counts[fitted]``."""
+    rows fills ``counts[fitted]``, and one ``metrics.label_weights`` call
+    over the training rows (``where`` drops the pad) ``label_weights[fitted]``."""
     ds, cfg, repeat, assignment, mitigators, listed = args
     counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
     label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
@@ -302,17 +303,17 @@ def _repeat_job(args):
     fitted = np.zeros((len(mitigators), N_FOLDS), dtype=bool)
     w_fit = np.zeros((len(mitigators), N_FOLDS, n_train.max()))
     for fold, train in enumerate(trains):
-        y_train, s_train = ds.y[train], ds.s[train]
         for m, (name, mitigator) in enumerate(mitigators):
             try:
-                weights = mitigator.training_weights(y_train, s_train)
+                weights = mitigator.training_weights(ds.y[train], ds.s[train])
             except ReweighingError as exc:
                 warnings.warn(
                     f"{ds.name} repeat={repeat} fold={fold}: {exc}; "
                     f"recording Undefined for the {name} model"
                 )
                 continue
-            label_weights[m, fold] = metrics.label_weights(y_train, s_train, weights)
+            if np.shape(weights) != (n_train[fold],):
+                raise ValueError(f"{name}: {np.shape(weights)} weights for {n_train[fold]} rows")
             w_fit[m, fold, :n_train[fold]] = weights
             fitted[m, fold] = True
     if not fitted.any():
@@ -334,6 +335,8 @@ def _repeat_job(args):
                                  l2_strength=cfg.l2_strength)
     test = np.arange(ds.row_count) >= n_train[member_fold][:, None]
     counts[fitted] = metrics.confusion_counts(y, fits.predict(X), s, where=test)
+    label_weights[fitted] = metrics.label_weights(y[:, :n_fit], s[:, :n_fit], w_fit[fitted],
+                                                  where=~test[:, :n_fit])
     return counts, label_weights, consistency
 
 

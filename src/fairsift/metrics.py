@@ -127,10 +127,10 @@ def catalog_json() -> str:
 # The count tensor
 # --------------------------------------------------------------------------
 
-def _check_binary(name: str, v, stacked: bool = False) -> np.ndarray:
+def _check_binary(name: str, v) -> np.ndarray:
     v = np.asarray(v)
-    if v.ndim != 1 and not (stacked and v.ndim > 1):
-        raise ValueError(f"{name} must be 1-D")
+    if v.ndim == 0:
+        raise ValueError(f"{name} must have a row axis")
     if not ((v == 0) | (v == 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return v.astype(np.int64)
@@ -147,7 +147,7 @@ def confusion_counts(y_true, y_pred, s, where=None) -> np.ndarray:
     True entries.
     """
     named = {"y_true": y_true, "y_pred": y_pred, "s": s, "where": where}
-    checked = {name: _check_binary(name, v, stacked=True)
+    checked = {name: _check_binary(name, v)
                for name, v in named.items() if v is not None or name != "where"}
     if len({v.shape for v in checked.values()}) > 1:
         raise ValueError("length mismatch: " + " ".join(
@@ -162,22 +162,27 @@ def confusion_counts(y_true, y_pred, s, where=None) -> np.ndarray:
     return np.bincount(key.ravel(), minlength=8 * size).reshape(stack + (2, 2, 2))
 
 
-def label_weights(y, s, weights) -> np.ndarray:
+def label_weights(y, s, weights, where=None) -> np.ndarray:
     """Float tensor ``w[group, (favorable, total)]``, shape (2, 2): group g's
     summed instance weight over its favorable rows and over all its rows.
 
     Group 1 is privileged, so the unprivileged group comes first, as in
     ``confusion_counts``.  D1-D3 are functions of these 4 numbers alone.
+    Stacks ``(..., n)`` give ``(..., 2, 2)``, summing the True entries of a
+    boolean ``where`` of that shape.  Each sum is numpy's ``.sum()`` over an
+    entry's rows of a group in row order, a 1-D call's bits: hence the loop.
     """
-    y = _check_binary("y", y)
-    s = _check_binary("s", s)
+    y, s = _check_binary("y", y), _check_binary("s", s)
     w = np.asarray(weights, dtype=float)
-    if len(y) != len(s) or w.shape != (len(y),) or not (w >= 0).all():
-        raise ValueError("y, s and weights must align, weights non-negative")
-    out = np.empty((2, 2))
+    keep = np.ones(y.shape, bool) if where is None else _check_binary("where", where) == 1
+    if not y.shape == s.shape == w.shape == keep.shape or not (w >= 0).all():
+        raise ValueError("y, s, where and weights must align, weights non-negative")
+    favorable = w * y
+    out = np.empty(y.shape[:-1] + (2, 2))
     for g in (0, 1):
-        mask = s == g
-        out[g] = (w[mask] * y[mask]).sum(), w[mask].sum()
+        rows = keep & (s == g)
+        for i in np.ndindex(y.shape[:-1]):
+            out[i + (g,)] = favorable[i][rows[i]].sum(), w[i][rows[i]].sum()
     return out
 
 
@@ -235,8 +240,9 @@ def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
     leading axes are a batch, with one result per entry.  Each group's
     favorable rate is smoothed as ``(pos + concentration/2) / (total +
     concentration)``; the result is the max over group pairs of
-    max(|ln(r_g/r_h)|, |ln((1-r_g)/(1-r_h))|).  Fewer than two groups give
-    NaN (Undefined).
+    max(|ln(r_g/r_h)|, |ln((1-r_g)/(1-r_h))|).  A group of total 0 is
+    skipped (its rate is NaN, which ``np.fmax`` skips); fewer than two
+    non-empty groups give NaN (Undefined).
     """
     pos = np.asarray(pos_counts, dtype=float)
     tot = np.asarray(totals, dtype=float)
@@ -244,16 +250,13 @@ def smoothed_edf(pos_counts, totals, concentration: float = 1.0):
         raise ValueError("pos_counts and totals must have equal shapes with a group axis")
     if concentration <= 0:
         raise ValueError("concentration must be positive")
-    if np.any(tot <= 0) or np.any(pos < 0) or np.any(pos > tot):
-        raise ValueError("need 0 <= pos <= total and total > 0 per group")
-    if pos.shape[-1] < 2:
-        return np.full(pos.shape[:-1], np.nan)[()]
-    rates = (pos + concentration / 2.0) / (tot + concentration)
-    gaps = [
-        np.abs(logs[..., :, None] - logs[..., None, :])
-        for logs in (np.log(rates), np.log(1.0 - rates))
-    ]
-    return np.maximum(*gaps).max(axis=(-2, -1))
+    if np.any(pos < 0) or np.any(pos > tot):
+        raise ValueError("need 0 <= pos <= total per group")
+    rates = np.where(tot > 0, (pos + concentration / 2.0) / (tot + concentration), np.nan)
+    first, second = np.triu_indices(pos.shape[-1], 1)
+    gaps = [np.abs(logs[..., first] - logs[..., second])
+            for logs in (np.log(rates), np.log(1.0 - rates))]
+    return np.fmax.reduce(np.fmax(*gaps), axis=-1, initial=np.nan)
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +516,9 @@ def compute_classification_metrics(
     group is empty; the individual-fairness measures (C16, C19, C20) and the
     overall selection rate (C13) need only a non-empty tensor.  A tensor
     whose counts total 0 is Undefined in all 26 metrics: that is how the
-    experiment records a fold whose model could not be trained.
+    experiment records a fold whose model could not be trained.  A ratio
+    (C5-C8, C12, C14) whose numerator is 0 is 0, as the division gives, so
+    swapping the groups turns it Undefined (a zero denominator).
 
     C0-C15 and C25 are array expressions over the whole stack.  The entropy
     family C16-C24 calls ``entropy_indices`` once per tensor, since numpy's
@@ -540,13 +545,7 @@ def compute_classification_metrics(
     def ratio(r):
         return _ratio(r[..., 0], r[..., 1])
 
-    # an empty group's total is taken as 1 to keep smoothed_edf's domain;
-    # C25 is NaN for those tensors anyway
-    both = (size > 0).all(axis=-1)
-    totals = np.maximum(size, 1)
-    c25 = smoothed_edf(pred_pos, totals, concentration) - smoothed_edf(
-        true_pos, totals, concentration
-    )
+    c25 = smoothed_edf(pred_pos, size, concentration) - smoothed_edf(true_pos, size, concentration)
 
     # per tensor: counts of the benefits in BENEFITS, i.e. (FN, TP + TN, FP)
     individual, between = [], []
@@ -581,7 +580,7 @@ def compute_classification_metrics(
         diff(err), ratio(err), _ratio(pred_pos.sum(-1), size.sum(-1)),  # C11-C13
         ratio(sel), diff(sel),  # C14, C15
         ge, b_ge, b_ge, theil, cov, b_theil, b_cov, b_theil, b_cov,  # C16-C24
-        np.where(both, c25, np.nan),  # C25
+        c25,  # C25
     )
     return np.stack(columns, axis=-1)
 
@@ -596,22 +595,19 @@ def compute_dataset_metrics(
     the result is ``(..., 4)`` in ``DATASET_IDS`` order, NaN for Undefined.
     D1 is ``smoothed_edf`` over the group axis, D2 and D3 the difference and
     ratio of the groups' weighted favorable rates; all three are Undefined
-    where either group has zero weight.  A tensor of all zeros is Undefined
-    in all 4: that is how the experiment records a fold whose reweighing
-    failed.
+    where either group has zero weight, and D3 is 0 at a zero numerator.  A
+    tensor of all zeros is Undefined in all 4: that is how the experiment
+    records a fold whose reweighing failed.
     """
     w = np.asarray(label_weights, dtype=float)
     pos, tot = w[..., 0], w[..., 1]  # per group, unprivileged first
     if w.shape[-2:] != (2, 2) or not ((pos >= 0) & (pos <= tot)).all():
         raise ValueError(f"label weights must have shape (..., 2, 2) and 0 <= "
                          f"favorable <= total per group, got shape {w.shape}")
-    present = tot > 0
     rates = _ratio(pos, tot)
-    # an empty group's total is taken as 1 to keep smoothed_edf's domain
-    d1 = smoothed_edf(pos, np.where(present, tot, 1.0), concentration)
     return np.stack((
-        np.where(present.any(axis=-1), consistency, np.nan),  # D0
-        np.where(present.all(axis=-1), d1, np.nan),  # D1
+        np.where((tot > 0).any(axis=-1), consistency, np.nan),  # D0
+        smoothed_edf(pos, tot, concentration),  # D1
         rates[..., 0] - rates[..., 1],  # D2
         _ratio(rates[..., 0], rates[..., 1]),  # D3
     ), axis=-1)

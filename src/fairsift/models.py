@@ -19,7 +19,7 @@ A ``Mitigator`` decides only the instance weights of a training fold.  The
 base class gives every row weight 1, the baseline; ``ReweighingMitigator``
 is the classic reweighing scheme: each (group, label) cell gets weight
 P(group)*P(label)/P(group, label), which makes the weighted joint
-distribution of group and label exactly independent.
+distribution of group and label independent up to rounding (``reweigh``).
 """
 
 import warnings
@@ -234,9 +234,10 @@ def reweigh(y, s) -> np.ndarray:
     """Weights that decouple the label from the protected group: the
     read-only 2x2 array ``w[s, y] = P(s) * P(y) / P(s, y)``.
 
-    After weighting, the weighted favorable rate is identical in both groups,
-    so the weighted mean difference is exactly 0 and the weighted disparate
-    impact exactly 1.  Every (s, y) cell must be populated.
+    In exact arithmetic the weighted favorable rate is then the same in
+    both groups: mean difference 0, disparate impact 1.  The weights are
+    rounded, so in float64 the many-small benchmark (seed 1) reads D2 within
+    +-5.6e-16 and D3 within 1 +- 1.1e-15.  Every (s, y) cell must be populated.
     """
     y = np.asarray(y, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)

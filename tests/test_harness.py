@@ -32,7 +32,7 @@ from fairsift.harness import (
 )
 
 from conftest import german_style, make_synthetic
-from test_metrics import as_given, as_row, classification_oracle
+from test_metrics import as_given, as_row, classification_oracle, label_weights_loop
 
 
 def same_grid(a, b):
@@ -614,6 +614,74 @@ class TestMitigatorSlot:
                     want = metrics.confusion_counts(ds.y[~train], fitted.predict(X[~train]),
                                                     ds.s[~train])
                     assert (counts[d, m, repeat, fold] == want).all(), (d, m, repeat, fold)
+
+
+    def test_label_weights_are_one_stacked_call_per_job(self, monkeypatch):
+        """Each repeat job makes one ``metrics.label_weights`` call, over its
+        fitted stack: every fitted ``label_weights[d, m, repeat, fold]`` has
+        the bits of a 1-D call on the fold's training rows and its model's
+        weights, and the fold a mitigator refuses stays all zero.  Both
+        datasets have folds of two sizes, so ``where`` drops pad rows.  The
+        weights are not dyadic, so a sum in another order shows."""
+        from fairsift.models import Mitigator, ReweighingError
+
+        def staggered(y):
+            return np.sqrt(np.arange(1.0, len(y) + 1)) * np.where(y == 1, 0.5, 1.0)
+
+        class Staggered(Mitigator):
+            calls = 0
+
+            def training_weights(self, y, s):
+                self.calls += 1
+                if self.calls == 8:  # the second job's third fold
+                    raise ReweighingError("cannot reweigh: refused")
+                return staggered(y)
+
+        members, seen = [], []
+        stacked, batch = metrics.label_weights, metrics.compute_dataset_metrics
+
+        def counting(y, s, weights, where=None):
+            members.append(len(weights))
+            return stacked(y, s, weights, where=where)
+
+        def spy(label_weights, *args, **kwargs):
+            seen.append(np.array(label_weights))
+            return batch(label_weights, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "label_weights", counting)
+        monkeypatch.setattr(metrics, "compute_dataset_metrics", spy)
+        datasets = sorted(uneven_datasets(), key=lambda ds: ds.name)
+        with pytest.warns(UserWarning, match="repeat=1 fold=2: cannot reweigh"):
+            run_experiment(datasets, ExperimentConfig(models=("baseline", "staggered")),
+                           mitigators={"staggered": Staggered()})
+        assert members == [10, 9] + [10] * 8  # one call per job, refused fold left out
+        (weights,) = seen
+        assert weights.shape == (2, 2, 5, 5, 2, 2)
+        for d, ds in enumerate(datasets):
+            plan = make_cv_plan(ds.row_count)
+            for repeat, fold in harness.SLOTS:
+                train = plan.assignments[repeat] != fold
+                y = ds.y[train]
+                for m, w in enumerate((np.ones(len(y)), staggered(y))):
+                    got = weights[d, m, repeat, fold]
+                    if (d, m, repeat, fold) == (0, 1, 1, 2):
+                        assert not got.any()
+                        continue
+                    want = stacked(y, ds.s[train], w)
+                    assert got.tobytes() == want.tobytes(), (d, m, repeat, fold)
+                    assert want.tobytes() == label_weights_loop(y, ds.s[train], w).tobytes()
+
+    def test_weights_of_the_wrong_shape_rejected(self):
+        from fairsift.models import Mitigator
+
+        class Constant(Mitigator):
+            def training_weights(self, y, s):
+                return 1.0
+
+        ds = make_synthetic("constant", 100, 0.2, seed=8)
+        with pytest.raises(ValueError, match=r"^constant: \(\) weights for 80 rows$"):
+            run_experiment([ds], ExperimentConfig(models=("constant",)),
+                           mitigators={"constant": Constant()})
 
 
 class TestPersistence:

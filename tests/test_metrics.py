@@ -573,6 +573,44 @@ class TestSmoothedEdf:
         assert metrics.smoothed_edf([4, 2], [8, 4]) == pytest.approx(0.0)
         assert metrics.smoothed_edf([4, 2], [8, 5]) > 0
 
+    def test_empty_group_of_two_undefined(self):
+        assert math.isnan(metrics.smoothed_edf([0, 3], [0, 5]))
+        assert math.isnan(metrics.smoothed_edf([2, 0], [7, 0]))
+        assert math.isnan(metrics.smoothed_edf([0, 0], [0, 0]))
+
+    @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), st.integers(0, 20),
+           st.integers(0, 2), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_empty_group_is_skipped(self, p0, t0, p1, t1, at, concentration):
+        """With three groups, an empty one leaves the EDF of the other two,
+        bit for bit."""
+        pos, tot = [min(p0, t0 + 1), min(p1, t1 + 1)], [t0 + 1, t1 + 1]
+        two = metrics.smoothed_edf(pos, tot, concentration)
+        pos.insert(at, 0)
+        tot.insert(at, 0)
+        three = metrics.smoothed_edf(pos, tot, concentration)
+        assert np.isfinite(two) and three.tobytes() == two.tobytes()
+
+    def test_batch_mixes_empty_groups(self, rng):
+        tot = rng.integers(1, 20, (40, 3))
+        pos = rng.integers(0, 20, (40, 3)) % (tot + 1)
+        empty = rng.random((40, 3)) < 0.3
+        empty[:3] = [[True, True, False], [True, True, True], [False, False, True]]
+        tot[empty], pos[empty] = 0, 0
+        for groups in (2, 3):
+            got = metrics.smoothed_edf(pos[:, :groups], tot[:, :groups])
+            assert got.shape == (40,)
+            for i in range(40):
+                kept = tot[i, :groups] > 0
+                want = (metrics.smoothed_edf(pos[i, :groups][kept], tot[i, :groups][kept])
+                        if kept.sum() >= 2 else np.nan)
+                assert got[i].tobytes() == np.float64(want).tobytes(), (groups, i)
+            assert np.isnan(got).tolist() == ((tot[:, :groups] > 0).sum(axis=1) < 2).tolist()
+
+    def test_bad_counts_rejected(self):
+        for pos, tot in (([-1, 2], [3, 3]), ([4, 2], [3, 3]), ([1, 0], [0, 0])):
+            with pytest.raises(ValueError, match=r"^need 0 <= pos <= total per group$"):
+                metrics.smoothed_edf(pos, tot)
+
 
 class TestBiasAmplification:
     """C25: smoothed EDF of the predictions minus that of the labels."""
@@ -1145,6 +1183,55 @@ class TestStackedCounts:
             metrics.confusion_counts(y, y, y, where=np.full((2, 3), 2))
 
 
+def label_weights_loop(y, s, weights):
+    """One fold's label-weight tensor by the per-group sums of the 1-D
+    implementation the stacked one replaced."""
+    out = np.empty((2, 2))
+    for g in (0, 1):
+        mask = s == g
+        out[g] = (weights[mask] * y[mask]).sum(), weights[mask].sum()
+    return out
+
+
+class TestStackedLabelWeights:
+    """``label_weights`` of a ``(..., n)`` stack, optionally masked by
+    ``where``, is the stack of 1-D calls on each entry's selected rows, bit
+    for bit: each sum adds the same rows in the same order."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1,), (4,), (2, 3)]),
+           st.integers(1, 30), st.booleans())
+    @example(7, (2, 3), 300, True)  # past numpy's 128-element pairwise block
+    def test_stack_is_its_rows_summed_alone(self, seed, stack, n, masked):
+        rng = np.random.default_rng(seed)
+        y, s = rng.integers(0, 2, (2,) + stack + (n,))
+        weights = rng.random(stack + (n,)) * rng.choice([1e-3, 1.0, 1e3], stack + (n,))
+        where = rng.random(stack + (n,)) < 0.6 if masked else np.ones(stack + (n,), bool)
+        got = metrics.label_weights(y, s, weights, where=where if masked else None)
+        assert got.shape == stack + (2, 2) and got.dtype == np.float64
+        for i in np.ndindex(stack):
+            row = where[i]
+            want = metrics.label_weights(y[i][row], s[i][row], weights[i][row])
+            assert got[i].tobytes() == want.tobytes(), i
+            assert want.tobytes() == label_weights_loop(y[i][row], s[i][row],
+                                                        weights[i][row]).tobytes(), i
+            if not row.any():
+                assert not got[i].any(), i
+        every = metrics.label_weights(y, s, weights, where=np.ones(stack + (n,), bool))
+        assert every.tobytes() == metrics.label_weights(y, s, weights).tobytes()
+
+    def test_shapes_and_mask_checked(self):
+        y, w = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3))
+        for args, where in (((y, y.T, w), None), ((y, y, w.T), None),
+                            ((y, y, np.ones(3)), None), ((y, y, w), np.ones(3, bool)),
+                            ((y, y, -w), None)):
+            with pytest.raises(ValueError, match="weights must align, weights non-negative"):
+                metrics.label_weights(*args, where=where)
+        with pytest.raises(ValueError, match="^where must contain only 0 and 1$"):
+            metrics.label_weights(y, y, w, where=np.full((2, 3), 2))
+        with pytest.raises(ValueError, match="^y must have a row axis$"):
+            metrics.label_weights(1, 1, 1.0)
+
+
 count_tensors = st.lists(
     st.integers(0, 12) | st.just(0), min_size=8, max_size=8
 ).map(lambda v: np.array(v, dtype=np.int64).reshape(2, 2, 2))
@@ -1322,6 +1409,94 @@ class TestDatasetBatch:
         for weights in ([1.0, -1.0], [1.0, np.nan], [1.0]):
             with pytest.raises(ValueError, match="weights must align, weights non-negative"):
                 metrics.label_weights([1, 0], [1, 0], weights)
+
+
+def metric_columns(*ids):
+    """Positions of classification or dataset metric ids in their rows."""
+    return [(metrics.CLASSIFICATION_IDS if m[0] == "C" else metrics.DATASET_IDS).index(m)
+            for m in ids]
+
+
+NEGATED = metric_columns("C0", "C1", "C2", "C3", "C4", "C9", "C11", "C15")
+KEPT = metric_columns("C10", "C13", *(f"C{i}" for i in range(16, 26)))
+INVERTED = metric_columns("C5", "C6", "C7", "C8", "C12", "C14")
+
+
+def same_values(a, b) -> bool:
+    """Equal values (0.0 equals -0.0) and NaN at the same entries."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def assert_inverted(a, b):
+    """Each b is 1/a within 4 ulps where a is finite and non-zero, Undefined
+    where a is 0, and 0 only where a is Undefined: a ratio with a zero
+    numerator is 0, and its swap has a zero denominator."""
+    inverse = np.isfinite(a) & (a != 0)
+    assert np.isfinite(b[inverse]).all()
+    assert (np.abs(a[inverse] * b[inverse] - 1.0) <= 4 * np.spacing(1.0)).all()
+    assert np.isnan(b[a == 0]).all() and np.isnan(a[b == 0]).all()
+
+
+@st.composite
+def tensor_batches(draw):
+    """64 count tensors (2, 2, 2) with about one group in ten empty and one
+    count in five zero, and 64 label-weight tensors (2, 2) with about one
+    group in ten of zero weight, favorable weight at most the total."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([3, 12, 200]))
+    counts = rng.integers(0, top + 1, (64, 2, 2, 2))
+    counts[rng.random(counts.shape) < 0.2] = 0
+    counts[rng.random((64, 2)) < 0.1] = 0
+    total = rng.random((64, 2)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    favorable = total * rng.choice([0.0, 0.25, rng.random(), 1.0], (64, 2))
+    total[rng.random((64, 2)) < 0.1] = 0.0
+    weights = np.stack([np.minimum(favorable, total), total], axis=-1)
+    return counts, weights, rng.random(64)
+
+
+class TestMetamorphicRelations:
+    """Relations the definitions imply between two count or label-weight
+    tensors, checked without an oracle: swapping the groups
+    (``c[..., ::-1, :, :]``), and flipping the favorable label and
+    prediction (``c[..., ::-1, ::-1]``)."""
+
+    @given(tensor_batches(), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_group_swap(self, batch, concentration):
+        counts, weights, d0 = batch
+        got = metrics.compute_classification_metrics(counts, 2.0, concentration)
+        swapped = metrics.compute_classification_metrics(counts[:, ::-1], 2.0, concentration)
+        assert same_values(swapped[:, NEGATED], -got[:, NEGATED])
+        assert swapped[:, KEPT].tobytes() == got[:, KEPT].tobytes()
+        assert_inverted(got[:, INVERTED], swapped[:, INVERTED])
+
+        got = metrics.compute_dataset_metrics(weights, d0, concentration)
+        swapped = metrics.compute_dataset_metrics(weights[:, ::-1], d0, concentration)
+        assert swapped[:, :2].tobytes() == got[:, :2].tobytes()  # D0, D1
+        assert same_values(swapped[:, 2], -got[:, 2])  # D2
+        assert_inverted(got[:, 3], swapped[:, 3])  # D3
+
+    @given(tensor_batches(), st.sampled_from([0.5, 1.0, 2.0]))
+    def test_label_and_prediction_flip(self, batch, concentration):
+        """C2' = C1 exactly.  C0' = -C1, C1' = -C0 and C15' = -C15 hold up
+        to the rounding of a rate's complement, within 4 ulps of 1.  C25' =
+        C25 holds up to ln(1 - r) of a smoothed rate r near 1, whose error
+        grows as 1 / (1 - r), at most (n + concentration) / concentration
+        ulps for n counted rows: the bound is 4 times that."""
+        counts = batch[0]
+        got = metrics.compute_classification_metrics(counts, 2.0, concentration)
+        flipped = metrics.compute_classification_metrics(
+            counts[..., ::-1, ::-1], 2.0, concentration)
+        c0, c1, c2, c15, c25 = metric_columns("C0", "C1", "C2", "C15", "C25")
+        assert same_values(flipped[:, c2], got[:, c1])
+        ulp = np.spacing(1.0)
+        for new, old in ((c0, c1), (c1, c0), (c15, c15)):
+            assert np.allclose(flipped[:, new], -got[:, old], rtol=0, atol=4 * ulp,
+                               equal_nan=True), metrics.CLASSIFICATION_IDS[new]
+        n = counts.sum(axis=(-3, -2, -1))
+        assert (np.isnan(flipped[:, c25]) == np.isnan(got[:, c25])).all()
+        defined = np.isfinite(got[:, c25])
+        gap = np.abs(flipped[defined, c25] - got[defined, c25])
+        assert (gap <= 4 * ulp * (n[defined] + concentration) / concentration).all()
 
 
 class TestCheckBinary:
