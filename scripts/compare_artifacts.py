@@ -33,7 +33,8 @@ thread run:
   ``halves``, ``quoted``, ``integers`` and ``refused``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
-  ``--predictions-column``.
+  ``--predictions-column``, and on ``integers``, whose D0 over all rows
+  runs the per-mask exact kernel (no neighbour list is built there).
 
 Each tree runs in its own working directory with the same relative output
 paths, so the files can be compared byte for byte.  Every artifact is
@@ -153,6 +154,9 @@ def commands(inputs: str):
     yield ["metrics", *data], "metrics/plain.csv"
     for column in PREDICTIONS:
         yield ["metrics", *data, "--predictions-column", column], f"metrics/{column}.csv"
+    integers = os.path.join(inputs, "integers")
+    yield (["metrics", "--data", os.path.join(integers, "data.csv"),
+            "--spec", os.path.join(integers, "data.spec.json")], "metrics/integers.csv")
 
 
 def run_tree(tree: str, out_dir: str, inputs: str) -> None:

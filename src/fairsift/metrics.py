@@ -175,8 +175,10 @@ def label_weights(y, s, weights, where=None) -> np.ndarray:
     y, s = _check_binary("y", y), _check_binary("s", s)
     w = np.asarray(weights, dtype=float)
     keep = np.ones(y.shape, bool) if where is None else _check_binary("where", where) == 1
-    if not y.shape == s.shape == w.shape == keep.shape or not (w >= 0).all():
-        raise ValueError("y, s, where and weights must align, weights non-negative")
+    # NaN fails w >= 0, and an infinite weight makes the sum infinite
+    if not (y.shape == s.shape == w.shape == keep.shape and (w >= 0).all()
+            and np.isfinite(w.sum())):
+        raise ValueError("y, s, where and weights must align, weights non-negative and finite")
     favorable = w * y
     out = np.empty(y.shape[:-1] + (2, 2))
     for g in (0, 1):
@@ -601,8 +603,8 @@ def compute_dataset_metrics(
     """
     w = np.asarray(label_weights, dtype=float)
     pos, tot = w[..., 0], w[..., 1]  # per group, unprivileged first
-    if w.shape[-2:] != (2, 2) or not ((pos >= 0) & (pos <= tot)).all():
-        raise ValueError(f"label weights must have shape (..., 2, 2) and 0 <= "
+    if w.shape[-2:] != (2, 2) or not (np.isfinite(w).all(-1) & (pos >= 0) & (pos <= tot)).all():
+        raise ValueError(f"label weights must have shape (..., 2, 2) and finite 0 <= "
                          f"favorable <= total per group, got shape {w.shape}")
     rates = _ratio(pos, tot)
     return np.stack((

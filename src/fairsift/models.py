@@ -9,11 +9,12 @@ a step that changes no bit or predicts a decrease within the loss's rounding.
 The two limits are fixed: no experiment varies them, and ``manifest.json``
 records them with the run's settings.
 
-``train_logistic`` fits a stack of independent models in one solve: each
-Newton pass runs over all members at once, which is what makes many small
-fits cheap, while each member keeps its own step length, stops and
-iteration count.  Every per-member product is the BLAS call a single fit
-makes, so a member's parameters are bit-identical to fitting it alone.
+``train_logistic`` fits a ``(B, n, p)`` stack of independent models in one
+solve, the one call shape: each Newton pass runs over all members at once,
+which is what makes many small fits cheap, while each member keeps its own
+step length, stops and iteration count.  Every per-member product is the
+BLAS call a stack of one makes, so a member's parameters are bit-identical
+to fitting it alone, as a stack of one.
 
 A ``Mitigator`` decides only the instance weights of a training fold.  The
 base class gives every row weight 1, the baseline; ``ReweighingMitigator``
@@ -33,29 +34,29 @@ TOLERANCE = 1e-6  # on the gradient norm
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """A fitted model, or a stack of them with one entry per member:
-    ``coefficients`` has shape ``(..., p)`` and ``intercept`` shape ``(...)``
-    (a float for one model).  ``converged`` is True iff every member reached
-    ``TOLERANCE``; ``n_iterations`` is the members' total Newton steps."""
+    """A stack of B fitted models: ``coefficients`` has shape ``(B, p)`` and
+    ``intercept`` shape ``(B,)``.  ``converged`` is True iff every member
+    reached ``TOLERANCE``; ``n_iterations`` is the members' total Newton
+    steps."""
 
     coefficients: np.ndarray
-    intercept: float | np.ndarray
+    intercept: np.ndarray
     converged: bool
     n_iterations: int
 
     def __post_init__(self):
         self.coefficients.setflags(write=False)
-        if isinstance(self.intercept, np.ndarray):
-            self.intercept.setflags(write=False)
+        self.intercept.setflags(write=False)
 
     def decision_function(self, X) -> np.ndarray:
-        """``X`` of shape ``(..., m, p)`` gives ``(..., m)``; a model's leading
-        axes broadcast against those of ``X``."""
+        """``X`` of shape ``(..., m, p)`` gives ``(..., m)``: the model's
+        member axis broadcasts against the leading axes of ``X``, so an
+        ``(m, p)`` ``X`` gives every member's ``(B, m)``."""
         X = np.asarray(X, dtype=float)
         p = self.coefficients.shape[-1]
         if X.ndim < 2 or X.shape[-1] != p:
             raise ValueError(f"expected {p} features, got shape {X.shape}")
-        return (X @ self.coefficients[..., None])[..., 0] + np.asarray(self.intercept)[..., None]
+        return (X @ self.coefficients[..., None])[..., 0] + self.intercept[..., None]
 
     def predict(self, X) -> np.ndarray:
         """Hard labels: 1 iff the predicted probability is >= 0.5."""
@@ -98,15 +99,11 @@ def loss_and_gradient(theta, X, y, w, l2_strength):
     return loss, grad, pr
 
 
-def _member(i, stacked: bool) -> str:
-    return f"member {i}: " if stacked else ""
-
-
-def _require(ok: np.ndarray, message: str, stacked: bool) -> None:
-    """Raise ``ValueError(message)`` unless every member is ok; a stack's
-    message names the first member that is not."""
+def _require(ok: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)``, naming the first member that is not
+    ok, unless every member is."""
     if not ok.all():
-        raise ValueError(_member(int(np.argmin(ok)), stacked) + message)
+        raise ValueError(f"member {np.argmin(ok)}: {message}")
 
 
 def _newton_step(X, w, pr, grad, penalty) -> np.ndarray:
@@ -137,11 +134,11 @@ def _newton_step(X, w, pr, grad, penalty) -> np.ndarray:
 def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticModel:
     """Fit by damped Newton: solve H step = -grad, backtrack until loss drops.
 
-    ``X`` is one ``(n, p)`` matrix, or a ``(B, n, p)`` stack of B independent
-    fits with ``y`` and ``weights`` of shape ``(B, n)``; a 2-D call is the
-    stack of one, returned as one model.  A member with fewer rows is
-    padded to ``n`` with zero-weight rows by the caller.  Each member takes
-    its own steps and stops on its own.
+    ``X`` is a ``(B, n, p)`` stack of B independent fits, with ``y`` and
+    ``weights`` of shape ``(B, n)``; one fit is a stack of one.  A member
+    with fewer rows is padded to ``n`` with zero-weight rows by the caller.
+    Each member takes its own steps and stops on its own, and a check or a
+    warning names its member.
 
     The objective is strictly convex for l2_strength > 0, so accepted steps
     decrease the loss monotonically and the iteration converges for any data.
@@ -151,19 +148,18 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    stacked = X.ndim == 3
-    if X.ndim not in (2, 3) or 0 in X.shape[:-1]:
-        raise ValueError("X must be a non-empty (n, p) matrix or (B, n, p) stack")
+    if X.ndim != 3 or 0 in X.shape[:-1]:
+        raise ValueError(f"X must be a non-empty (B, n, p) stack, got shape {X.shape}")
     if y.shape != X.shape[:-1]:
         raise ValueError("y must align with X rows")
     w = np.ones(y.shape) if weights is None else np.asarray(weights, float)
     if w.shape != y.shape:
         raise ValueError("weights must align with X rows")
-    if not stacked:
-        X, y, w = X[None], y[None], w[None]
-    _require(((y == 0) | (y == 1)).all(axis=1), "y must be binary", stacked)
-    _require(~(w < 0).any(axis=1) & (w.sum(axis=1) != 0),
-             "weights must be non-negative and not all zero", stacked)
+    _require(((y == 0) | (y == 1)).all(axis=1), "y must be binary")
+    # NaN fails w >= 0, and an infinite weight makes its member's sum infinite
+    total = w.sum(axis=1)
+    _require((w >= 0).all(axis=1) & np.isfinite(total) & (total != 0),
+             "weights must be non-negative, finite and not all zero")
 
     n_members, _, p = X.shape
     theta = np.zeros((n_members, p + 1))
@@ -209,18 +205,14 @@ def train_logistic(X, y, weights=None, *, l2_strength: float = 1.0) -> LogisticM
     converged = norm <= TOLERANCE
     for i in np.flatnonzero(~converged):
         warnings.warn(
-            f"{_member(i, stacked)}logistic training stopped after {iterations[i]} "
+            f"member {i}: logistic training stopped after {iterations[i]} "
             f"iterations with gradient norm {norm[i]:.3g}"
         )
     if not np.all(np.isfinite(theta)):
         raise ArithmeticError("logistic training produced non-finite parameters")
-    if stacked:
-        coefficients, intercept = theta[:, 1:].copy(), theta[:, 0].copy()
-    else:
-        coefficients, intercept = theta[0, 1:].copy(), float(theta[0, 0])
     return LogisticModel(
-        coefficients=coefficients,
-        intercept=intercept,
+        coefficients=theta[:, 1:].copy(),
+        intercept=theta[:, 0].copy(),
         converged=bool(converged.all()),
         n_iterations=int(iterations.sum()),
     )

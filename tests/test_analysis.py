@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsift import analysis, metrics, report
@@ -657,6 +657,76 @@ class TestExtractClusters:
             for eps in (0.25, 0.75):
                 probe = cut.gap_low + span * eps
                 assert analysis.extract_clusters(dend, probe) == base
+
+
+def sift(values, scope):
+    """|rho|, the dendrogram and the partition of a (dataset, model, metric,
+    fold) grid's metrics, through the analysis functions in pipeline order."""
+    ids = tuple(f"C{k}" for k in range(values.shape[2]))
+    samples = MetricSampleMatrix(("d0", "d1", "d2"), ("baseline", "reweighing"), ids, values)
+    corr = analysis.correlation_matrix(samples, ids, scope=scope)
+    dendrogram = analysis.agglomerate(analysis.dissimilarity_matrix(corr), ids)
+    partition = analysis.extract_clusters(dendrogram, analysis.select_cut(dendrogram).height)
+    return np.abs(corr.values), dendrogram, partition
+
+
+def random_grid(seed):
+    """A 3 x 2 x 6 x 25 grid: each metric continuous or of four levels (so
+    with ties), about 10% of entries Undefined and one (cell, metric)
+    series in twenty entirely Undefined."""
+    rng = np.random.default_rng(seed)
+    shape = (3, 2, 6, 25)
+    tied = rng.random((1, 1, 6, 1)) < 0.5
+    values = np.where(tied, rng.integers(0, 4, shape) / 4, rng.normal(size=shape))
+    values[rng.random(shape) < 0.1] = np.nan
+    values[rng.random(shape[:3]) < 0.05] = np.nan
+    return values
+
+
+SCOPES = [analysis.PER_CELL_AVERAGE, analysis.POOLED]
+
+
+class TestSiftMetamorphicRelations:
+    """Relations between the sifts of two grids, which need no oracle: the
+    sift sees a metric only through the ranks of its series and |rho|."""
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @settings(max_examples=30)
+    def test_negated_metric_sifts_the_same(self, scope, seed, k):
+        values = random_grid(seed)
+        negated = values.copy()
+        negated[:, :, k] *= -1.0
+        rho, dendrogram, partition = sift(values, scope)
+        rho_negated, dendrogram_negated, partition_negated = sift(negated, scope)
+        assert rho_negated.tobytes() == rho.tobytes()
+        assert dendrogram_negated == dendrogram
+        assert partition_negated == partition
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @settings(max_examples=30)
+    def test_increasing_transform_sifts_the_same(self, scope, seed, k):
+        values = random_grid(seed)
+        transformed = values.copy()
+        transformed[:, :, k] = np.exp(values[:, :, k])
+        rho, dendrogram, partition = sift(values, scope)
+        rho_transformed, dendrogram_transformed, partition_transformed = sift(transformed, scope)
+        assert rho_transformed.tobytes() == rho.tobytes()
+        assert dendrogram_transformed == dendrogram
+        assert partition_transformed == partition
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 5))
+    @settings(max_examples=30)
+    def test_duplicate_merges_with_its_copy_at_zero(self, scope, seed, k, offset):
+        values = random_grid(seed)
+        copy = (k + offset) % 6
+        values[:, :, copy] = values[:, :, k]
+        _, dendrogram, partition = sift(values, scope)
+        low, high = sorted((k, copy))
+        assert analysis.Merge(left=low, right=high, height=0.0, size=2) in dendrogram.merges
+        assert any({f"C{k}", f"C{copy}"} <= set(cluster) for cluster in partition)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -546,7 +547,7 @@ class TestMitigatorSlot:
     def test_padded_folds_fit_as_unpadded_ones(self, monkeypatch):
         """251 rows: one training fold per repeat is a row short of the
         others and is padded in the stack; the grid is bit-identical to a
-        run that fits every member unpadded, by itself."""
+        run that fits every member unpadded, by itself, as a stack of one."""
         ds = make_synthetic("odd", 251, 0.3, seed=4)
         stacked = run_experiment([ds])
         fit = models.train_logistic
@@ -557,10 +558,10 @@ class TestMitigatorSlot:
             for member in zip(X, y, weights):
                 n = np.flatnonzero(member[2])[-1] + 1
                 padded.append(n < len(member[2]))
-                fits.append(fit(*(column[:n] for column in member), **settings))
+                fits.append(fit(*(column[None, :n] for column in member), **settings))
             return models.LogisticModel(
-                coefficients=np.stack([m.coefficients for m in fits]),
-                intercept=np.array([m.intercept for m in fits]),
+                coefficients=np.concatenate([m.coefficients for m in fits]),
+                intercept=np.concatenate([m.intercept for m in fits]),
                 converged=all(m.converged for m in fits),
                 n_iterations=sum(m.n_iterations for m in fits),
             )
@@ -572,9 +573,10 @@ class TestMitigatorSlot:
 
     def test_counts_are_each_members_own_test_predictions(self, monkeypatch):
         """Every ``counts[d, m, repeat, fold]`` is the count tensor of that
-        model's own 2-D fit on its fold's scaled training rows, predicted on
-        the fold's scaled test rows; the fold a mitigator refuses stays all
-        zero.  Both datasets have folds of two sizes, so stacks are padded."""
+        model's own fit (a stack of one) on its fold's scaled training rows,
+        predicted on the fold's scaled test rows; the fold a mitigator
+        refuses stays all zero.  Both datasets have folds of two sizes, so
+        stacks are padded."""
         from fairsift.models import Mitigator, ReweighingError
 
         class HalveFavorable(Mitigator):
@@ -610,8 +612,8 @@ class TestMitigatorSlot:
                     if (d, m, repeat, fold) == (0, 1, 1, 2):
                         assert not counts[d, m, repeat, fold].any()
                         continue
-                    fitted = models.train_logistic(X[train], y, weights)
-                    want = metrics.confusion_counts(ds.y[~train], fitted.predict(X[~train]),
+                    fitted = models.train_logistic(X[train][None], y[None], weights[None])
+                    want = metrics.confusion_counts(ds.y[~train], fitted.predict(X[~train])[0],
                                                     ds.s[~train])
                     assert (counts[d, m, repeat, fold] == want).all(), (d, m, repeat, fold)
 
@@ -682,6 +684,28 @@ class TestMitigatorSlot:
         with pytest.raises(ValueError, match=r"^constant: \(\) weights for 80 rows$"):
             run_experiment([ds], ExperimentConfig(models=("constant",)),
                            mitigators={"constant": Constant()})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected_before_any_fit(self, bad):
+        """One non-finite weight per fold stops the run at the fit's check,
+        before any fit runs or warns: a NaN weight used to give zero models
+        and a warning, an infinite one a grid partly NaN."""
+        from fairsift.models import Mitigator
+
+        class OneBad(Mitigator):
+            def training_weights(self, y, s):
+                weights = np.ones(len(y))
+                weights[0] = bad
+                return weights
+
+        ds = make_synthetic("synth", 100, 0.2, seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the models are fitted in name order, so "bad" is member 0
+            with pytest.raises(ValueError, match="^member 0: weights must be non-negative, "
+                                                 "finite and not all zero$"):
+                run_experiment([ds], ExperimentConfig(models=("baseline", "bad")),
+                               mitigators={"bad": OneBad()})
 
 
 class TestPersistence:

@@ -1221,10 +1221,14 @@ class TestStackedLabelWeights:
 
     def test_shapes_and_mask_checked(self):
         y, w = np.zeros((2, 3), dtype=np.int64), np.ones((2, 3))
+        # a non-finite weight is rejected even on a row ``where`` drops
+        nan, inf = (np.where(np.eye(2, 3, 1) == 1, bad, w) for bad in (np.nan, np.inf))
         for args, where in (((y, y.T, w), None), ((y, y, w.T), None),
                             ((y, y, np.ones(3)), None), ((y, y, w), np.ones(3, bool)),
-                            ((y, y, -w), None)):
-            with pytest.raises(ValueError, match="weights must align, weights non-negative"):
+                            ((y, y, -w), None), ((y, y, nan), None), ((y, y, inf), None),
+                            ((y, y, inf), np.eye(2, 3, 1) == 0)):
+            with pytest.raises(ValueError, match="weights must align, weights non-negative "
+                                                 "and finite$"):
                 metrics.label_weights(*args, where=where)
         with pytest.raises(ValueError, match="^where must contain only 0 and 1$"):
             metrics.label_weights(y, y, w, where=np.full((2, 3), 2))
@@ -1406,9 +1410,20 @@ class TestDatasetBatch:
             metrics.compute_dataset_metrics(np.ones((2, 3)), 1.0)
         with pytest.raises(ValueError, match="favorable <= total"):
             metrics.compute_dataset_metrics(np.array([[2.0, 1.0], [1.0, 1.0]]), 1.0)
-        for weights in ([1.0, -1.0], [1.0, np.nan], [1.0]):
-            with pytest.raises(ValueError, match="weights must align, weights non-negative"):
+        for weights in ([1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [1.0]):
+            with pytest.raises(ValueError, match="weights must align, weights non-negative and "
+                                                 "finite$"):
                 metrics.label_weights([1, 0], [1, 0], weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_weights_rejected(self, bad):
+        """A non-finite entry is rejected wherever it sits, in a stack too;
+        an infinite total used to pass and leak a divide warning."""
+        for entry in np.ndindex(3, 2, 2):
+            weights = np.tile([[1.0, 2.0], [1.0, 1.0]], (3, 1, 1))
+            weights[entry] = bad
+            with pytest.raises(ValueError, match="finite 0 <= favorable <= total per group"):
+                metrics.compute_dataset_metrics(weights, np.ones(3))
 
 
 def metric_columns(*ids):

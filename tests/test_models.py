@@ -33,6 +33,11 @@ def finite_difference_gradient(theta, X, y, w, l2, step=1e-5):
     return grad
 
 
+def stack_of_one(*arrays):
+    """Each array with a leading member axis of length 1: one fit."""
+    return [np.asarray(a)[None] for a in arrays]
+
+
 def random_problem(rng, n_max=50, p_max=5):
     n = int(rng.integers(5, n_max + 1))
     p = int(rng.integers(1, p_max + 1))
@@ -44,27 +49,28 @@ def random_problem(rng, n_max=50, p_max=5):
 
 class TestTraining:
     def test_separates_two_points(self):
-        model = train_logistic(np.array([[0.0], [1.0]]), np.array([0, 1]))
-        assert model.predict(np.array([[0.0], [1.0]])).tolist() == [0, 1]
+        X = np.array([[0.0], [1.0]])
+        model = train_logistic(*stack_of_one(X, [0, 1]))
+        assert model.predict(X).tolist() == [[0, 1]]
         assert model.converged
 
     def test_all_favorable_predicts_favorable(self):
         X = np.random.default_rng(0).random((12, 2))
-        model = train_logistic(X, np.ones(12))
-        assert model.predict(X).tolist() == [1] * 12
+        model = train_logistic(*stack_of_one(X, np.ones(12)))
+        assert model.predict(X).tolist() == [[1] * 12]
 
     def test_weight_doubling_with_scaled_l2_is_identical(self, rng):
         X, y, w = random_problem(rng)
-        a = train_logistic(X, y, w, l2_strength=1.0)
-        b = train_logistic(X, y, 2 * w, l2_strength=2.0)
+        a = train_logistic(*stack_of_one(X, y, w), l2_strength=1.0)
+        b = train_logistic(*stack_of_one(X, y, 2 * w), l2_strength=2.0)
         assert np.allclose(a.coefficients, b.coefficients, atol=1e-5)
         assert a.intercept == pytest.approx(b.intercept, abs=1e-5)
 
     def test_weight_doubling_fixed_l2_keeps_train_predictions(self, rng):
         for _ in range(5):
             X, y, w = random_problem(rng, n_max=40)
-            a = train_logistic(X, y, w)
-            b = train_logistic(X, y, 2 * w)
+            a = train_logistic(*stack_of_one(X, y, w))
+            b = train_logistic(*stack_of_one(X, y, 2 * w))
             # decision boundary shifts slightly, but points with a clear
             # margin keep their labels
             margin = np.abs(a.decision_function(X)) > 0.2
@@ -72,40 +78,47 @@ class TestTraining:
 
     def test_deterministic(self, rng):
         X, y, w = random_problem(rng)
-        a = train_logistic(X, y, w)
-        b = train_logistic(X, y, w)
+        a = train_logistic(*stack_of_one(X, y, w))
+        b = train_logistic(*stack_of_one(X, y, w))
         assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.intercept == b.intercept
+        assert np.array_equal(a.intercept, b.intercept)
 
     def test_converges_on_random_instances(self, rng):
         for _ in range(10):
             X, y, w = random_problem(rng)
-            model = train_logistic(X, y, w)
+            model = train_logistic(*stack_of_one(X, y, w))
             assert model.converged
             _, grad, _ = loss_and_gradient(
-                np.concatenate(([model.intercept], model.coefficients)),
+                np.concatenate((model.intercept, model.coefficients[0])),
                 X, y, w, 1.0,
             )
             assert np.linalg.norm(grad) <= 1e-6
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            train_logistic(np.zeros((0, 2)), np.zeros(0))
+        for shape in ((1, 0, 2), (0, 3, 2)):
+            with pytest.raises(ValueError, match=r"^X must be a non-empty \(B, n, p\) stack"):
+                train_logistic(np.zeros(shape), np.zeros(shape[:-1]))
+
+    def test_matrix_rejected(self):
+        """One ``(n, p)`` matrix is not a call shape: one fit is a stack of one."""
+        with pytest.raises(ValueError, match=r"^X must be a non-empty \(B, n, p\) stack, "
+                                             r"got shape \(3, 1\)$"):
+            train_logistic(np.array([[0.0], [1.0], [2.0]]), [0, 1, 1])
 
     @pytest.mark.parametrize("y", [[0.0, 1.0, 1.0], [False, True, True]])
     def test_float_and_bool_labels_accepted(self, y):
-        X = np.array([[0.0], [1.0], [2.0]])
-        model = train_logistic(X, y)
-        assert model.predict(X).tolist() == train_logistic(X, [0, 1, 1]).predict(X).tolist()
+        X = np.array([[[0.0], [1.0], [2.0]]])
+        model = train_logistic(X, [y])
+        assert model.predict(X).tolist() == train_logistic(X, [[0, 1, 1]]).predict(X).tolist()
 
     @pytest.mark.parametrize("y", [[0.0, np.nan, 1.0], [0, 2, 1], [0.5, 0.0, 1.0]])
     def test_non_binary_labels_rejected(self, y):
-        with pytest.raises(ValueError, match="^y must be binary$"):
-            train_logistic(np.array([[0.0], [1.0], [2.0]]), y)
+        with pytest.raises(ValueError, match="^member 0: y must be binary$"):
+            train_logistic(np.array([[[0.0], [1.0], [2.0]]]), [y])
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            train_logistic(np.eye(3), np.array([0, 1, 0]), np.zeros(3))
+        with pytest.raises(ValueError, match="^member 0: weights must be .* not all zero$"):
+            train_logistic(*stack_of_one(np.eye(3), [0, 1, 0], np.zeros(3)))
 
     def test_gradient_matches_finite_differences(self, rng):
         worst = 0.0
@@ -124,17 +137,17 @@ class TestTraining:
         gradient is near the tolerance: Armijo backtracking alone used to
         spin through all 1000 iterations without moving."""
         X, y = german_style_training_fold(seed=5, repeat=1, fold=0)
-        model = train_logistic(X, y)
+        model = train_logistic(*stack_of_one(X, y))
         assert model.converged
         assert model.n_iterations < 1000
 
     def test_stops_at_the_iteration_limit(self, rng, monkeypatch):
         """A fit that reaches ``MAX_ITERATIONS`` short of ``TOLERANCE`` warns
         and is not converged; the limit is read at each call."""
-        X, y, w = random_problem(rng)
+        X, y, w = stack_of_one(*random_problem(rng))
         assert train_logistic(X, y, w).n_iterations > 1
         monkeypatch.setattr(models, "MAX_ITERATIONS", 1)
-        with pytest.warns(UserWarning, match="stopped after 1 iterations"):
+        with pytest.warns(UserWarning, match="^member 0: logistic training stopped after 1 "):
             model = train_logistic(X, y, w)
         assert not model.converged
         assert model.n_iterations == 1
@@ -179,7 +192,7 @@ def fit_warnings(*args, **kwargs):
 
 
 class TestStackedTraining:
-    """A ``(B, n, p)`` stack fits each member as its own 2-D call does."""
+    """A ``(B, n, p)`` stack fits each member as its own stack of one does."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1.0, 1e-6]))
     @example(2919, 3, 1e-6)  # member 0 stops after 9 passes, short of the tolerance
@@ -187,14 +200,16 @@ class TestStackedTraining:
         rng = np.random.default_rng(seed)
         X, y, w = random_stack(rng, n_members, int(rng.integers(2, 60)), int(rng.integers(1, 6)))
         stack, stack_warned = fit_warnings(X, y, w, l2_strength=l2_strength)
-        alone, alone_warned = zip(*(fit_warnings(*member, l2_strength=l2_strength)
+        alone, alone_warned = zip(*(fit_warnings(*stack_of_one(*member), l2_strength=l2_strength)
                                     for member in zip(X, y, w)))
         # a member stopped short of the tolerance warns in both, with the
-        # same iteration count and gradient norm
-        assert stack_warned == [f"member {i}: {text}"
+        # same iteration count and gradient norm; alone, it is member 0
+        assert all(text.startswith("member 0: ") for texts in alone_warned for text in texts)
+        assert stack_warned == [f"member {i}: {text.removeprefix('member 0: ')}"
                                 for i, texts in enumerate(alone_warned) for text in texts]
-        assert stack.coefficients.tobytes() == np.stack([m.coefficients for m in alone]).tobytes()
-        assert stack.intercept.tobytes() == np.array([m.intercept for m in alone]).tobytes()
+        assert stack.coefficients.tobytes() == np.concatenate(
+            [m.coefficients for m in alone]).tobytes()
+        assert stack.intercept.tobytes() == np.concatenate([m.intercept for m in alone]).tobytes()
         assert stack.n_iterations == sum(m.n_iterations for m in alone)
         assert stack.converged == all(m.converged for m in alone)
         assert type(stack.n_iterations) is int and type(stack.converged) is bool
@@ -209,26 +224,27 @@ class TestStackedTraining:
         predicted = stack.predict(X_test)
         for i in range(6):
             n = 80 - short[i]
-            alone = train_logistic(X[i, :n], y[i, :n], w[i, :n])
-            assert np.abs(stack.coefficients[i] - alone.coefficients).max() <= 1e-12
-            assert abs(stack.intercept[i] - alone.intercept) <= 1e-12
-            assert np.array_equal(predicted[i], alone.predict(X_test))
+            alone = train_logistic(X[i:i + 1, :n], y[i:i + 1, :n], w[i:i + 1, :n])
+            assert np.abs(stack.coefficients[i] - alone.coefficients[0]).max() <= 1e-12
+            assert abs(stack.intercept[i] - alone.intercept[0]) <= 1e-12
+            assert np.array_equal(predicted[i], alone.predict(X_test)[0])
 
     def test_float_resolution_member_stops_as_it_does_alone(self, rng):
         X, y = german_style_training_fold(seed=5, repeat=1, fold=0)
         members = [(X, y, np.ones(len(y))), (X, 1 - y, np.ones(len(y))),
                    (X, y, rng.uniform(0.5, 2.0, len(y)))]
         stack = train_logistic(*(np.stack(column) for column in zip(*members)))
-        alone = [train_logistic(*member) for member in members]
+        alone = [train_logistic(*stack_of_one(*member)) for member in members]
         assert alone[0].converged and alone[0].n_iterations < 1000
         assert stack.converged
-        assert stack.coefficients[0].tobytes() == alone[0].coefficients.tobytes()
-        assert stack.intercept[0] == alone[0].intercept
+        assert stack.coefficients[:1].tobytes() == alone[0].coefficients.tobytes()
+        assert stack.intercept[:1].tobytes() == alone[0].intercept.tobytes()
         assert stack.n_iterations == sum(m.n_iterations for m in alone)
 
     def test_members_stopped_at_the_iteration_limit(self, rng, monkeypatch):
         X, y, w = random_stack(rng, 4, 50, 3)
-        assert all(train_logistic(*member).n_iterations > 1 for member in zip(X, y, w))
+        assert all(train_logistic(*stack_of_one(*member)).n_iterations > 1
+                   for member in zip(X, y, w))
         monkeypatch.setattr(models, "MAX_ITERATIONS", 1)
         with pytest.warns(UserWarning) as caught:
             model = train_logistic(X, y, w)
@@ -241,15 +257,19 @@ class TestStackedTraining:
 
     @pytest.mark.parametrize("field, message", [
         ("y", "member 2: y must be binary"),
-        ("w", "member 2: weights must be non-negative and not all zero"),
+        ("w", "member 2: weights must be non-negative, finite and not all zero"),
+        ("nan", "member 2: weights must be non-negative, finite and not all zero"),
+        ("inf", "member 2: weights must be non-negative, finite and not all zero"),
     ])
     def test_invalid_member_is_named(self, rng, field, message):
         X, y, w = random_stack(rng, 4, 20, 2)
         y = y.astype(float)
         if field == "y":
             y[2, 5] = 0.5
-        else:
+        elif field == "w":
             w[2] = 0.0
+        else:
+            w[2, 5] = float(field)
         with pytest.raises(ValueError, match=f"^{message}$"):
             train_logistic(X, y, w)
 
@@ -260,9 +280,9 @@ class TestStackedTraining:
         X[1, :, 2] = 0.0
         stack = train_logistic(X, y, w, l2_strength=0.0)
         for i, member in enumerate(zip(X, y, w)):
-            alone = train_logistic(*member, l2_strength=0.0)
-            assert stack.coefficients[i].tobytes() == alone.coefficients.tobytes()
-            assert stack.intercept[i] == alone.intercept
+            alone = train_logistic(*stack_of_one(*member), l2_strength=0.0)
+            assert stack.coefficients[i:i + 1].tobytes() == alone.coefficients.tobytes()
+            assert stack.intercept[i:i + 1].tobytes() == alone.intercept.tobytes()
 
     def test_fit_stops_on_a_step_that_changes_no_bit(self):
         """At float resolution a line search can accept a step that leaves
@@ -271,12 +291,12 @@ class TestStackedTraining:
         ``TOLERANCE``, instead of running to ``MAX_ITERATIONS``."""
         rng = np.random.default_rng(287)
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 6))
-        X, y, w = (column[0] for column in random_stack(rng, 1, n, p))
-        with pytest.warns(UserWarning, match="logistic training stopped after"):
+        X, y, w = random_stack(rng, 1, n, p)
+        with pytest.warns(UserWarning, match="^member 0: logistic training stopped after"):
             model = train_logistic(X, y, w, l2_strength=1e-6)
         assert not model.converged and model.n_iterations < 100
-        theta = np.concatenate(([model.intercept], model.coefficients))
-        grad = loss_and_gradient(theta, X, y.astype(float), w, 1e-6)[1]
+        theta = np.concatenate((model.intercept, model.coefficients[0]))
+        grad = loss_and_gradient(theta, X[0], y[0].astype(float), w[0], 1e-6)[1]
         assert models.TOLERANCE < np.linalg.norm(grad) < 1e-5
 
 
@@ -316,26 +336,27 @@ def german_style_training_fold(seed, repeat, fold, n_rows=3000):
 
 class TestPrediction:
     def make(self, coef, intercept):
+        """A stack of one model."""
         return LogisticModel(
-            coefficients=np.array(coef, dtype=float),
-            intercept=float(intercept),
+            coefficients=np.array([coef], dtype=float),
+            intercept=np.array([intercept], dtype=float),
             converged=True,
             n_iterations=0,
         )
 
     def test_boundary_rule_is_favorable(self):
         model = self.make([0.0], 0.0)
-        assert model.predict(np.array([[0.3], [0.9]])).tolist() == [1, 1]
+        assert model.predict(np.array([[0.3], [0.9]])).tolist() == [[1, 1]]
 
     def test_large_negative_intercept(self):
         model = self.make([0.0], -50.0)
-        assert model.predict(np.array([[0.1], [0.5]])).tolist() == [0, 0]
+        assert model.predict(np.array([[0.1], [0.5]])).tolist() == [[0, 0]]
 
     def test_monotone_in_positive_feature(self):
         model = self.make([2.0], -1.0)
         X = np.linspace(0, 1, 11).reshape(-1, 1)
         preds = model.predict(X)
-        assert np.all(np.diff(preds) >= 0)
+        assert preds.shape == (1, 11) and np.all(np.diff(preds) >= 0)
 
     def test_dimension_mismatch(self):
         model = self.make([1.0, 2.0], 0.0)
