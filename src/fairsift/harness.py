@@ -9,18 +9,24 @@ training weights (``metrics.label_weights``); the models share the
 training split's D0.  A fold whose reweighing failed keeps all-zero
 tensors, so all 30 of its metrics are Undefined.
 
-The unit of work is one repeat of one dataset (``_repeat_job``, also the
-unit of ``--jobs``).  The run builds each dataset's kNN neighbour list
-once, with that dataset's five jobs (``metrics.neighbour_list``: a list on
-integer-coded data, else None), and hands it to each of them.  A job makes
-one ``metrics.consistency`` call for D0 of its five training splits (raw
-rows, each fold's bounds, the list) and calls its mitigators once per fold,
-which fill a ``fitted[model, fold]`` table; then one ``apply_minmax``, one
-stacked ``models.train_logistic``, one ``metrics.confusion_counts`` and one
-``metrics.label_weights`` call serve all the table's models.  The run
-stacks the jobs' ``[model, fold, ...]`` slices into ``[dataset, model,
-repeat, fold, ...]`` and makes one ``metrics.compute_classification_metrics``
-and one ``metrics.compute_dataset_metrics`` call.
+The unit of work (``_repeats_job``, also the unit of ``--jobs``) is as many
+consecutive whole repeats of one dataset as keep its stacked fit input
+within ``FIT_STACK_ELEMENTS`` entries, and at least one: all five repeats
+of a small dataset, one of a large one.  Stacking many small fits saves
+their per-call overhead, but a large stack runs slower per fit and holds
+more memory.  The run builds each dataset's kNN neighbour list once, with
+that dataset's jobs (``metrics.neighbour_list``: a list on integer-coded
+data, else None), and hands it to each of them.  A job makes one
+``metrics.consistency`` call for D0 of all its training splits (raw rows,
+each fold's bounds, the list) and calls its mitigators once per fold, which
+fill a ``fitted[model, slot]`` table, one slot per (repeat, fold); then one
+``apply_minmax``, one stacked ``models.train_logistic``, one
+``metrics.confusion_counts`` and one ``metrics.label_weights`` call serve
+all the table's models.  The run joins the jobs' ``[model, slot, ...]``
+slices into ``[dataset, model, repeat, fold, ...]`` and makes one
+``metrics.compute_classification_metrics`` and one
+``metrics.compute_dataset_metrics`` call.  How the repeats are grouped
+changes no bit of the results.
 
 That yields 25 samples per (dataset, model, metric) cell, which is what the
 downstream correlation and sensitivity analyses consume.
@@ -88,6 +94,10 @@ BUILTIN_MITIGATORS: dict[str, Mitigator] = {
 
 # the (repeat, fold) of each sample, in the order of the grid's last axis
 SLOTS = tuple(itertools.product(range(N_REPEATS), range(N_FOLDS)))
+
+# a job stacks the fold models of as many whole repeats of one dataset as
+# keep its fit input within this many entries, and takes at least one
+FIT_STACK_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -263,46 +273,53 @@ class MetricSampleMatrix:
                            self.metric_ids.index(metric_id)]
 
 
-def _repeat_job(args):
-    """One repeat of one dataset, as its slice of the run's arrays: D0 of each
-    fold's training split in ``consistency[0, fold]`` (one row, shared by the
-    models), and each model's count tensor of the test split and label-weight
-    tensor of the training split in ``counts[model, fold]`` and
-    ``label_weights[model, fold]``.  A model whose reweighing failed keeps
-    all-zero tensors, so all 30 of its metrics are Undefined.
+def _repeats_job(args):
+    """Consecutive repeats of one dataset, as their slice of the run's arrays:
+    slot ``i`` is repeat ``first + i // N_FOLDS``, fold ``i % N_FOLDS``.  D0
+    of each slot's training split is ``consistency[0, slot]`` (one row,
+    shared by the models), and each model's count tensor of the test split
+    and label-weight tensor of the training split are ``counts[model, slot]``
+    and ``label_weights[model, slot]``.  A model whose reweighing failed
+    keeps all-zero tensors, so all 30 of its metrics are Undefined.
 
-    Each fold's min-max bounds are fitted once on its training rows or,
-    under ``global_normalize``, one fit on all rows serves every fold; the
-    same bounds scale the fits' rows and D0's.  D0 of all five folds is one
+    Each slot's min-max bounds are fitted once on its training rows or,
+    under ``global_normalize``, one fit on all rows serves every slot; the
+    same bounds scale the fits' rows and D0's.  D0 of all slots is one
     ``metrics.consistency`` call on the raw rows before anything is scaled,
     so no scaled row is alive while it runs.  ``listed`` is the dataset's
-    ``metrics.neighbour_list``, shared by its five jobs: every fold whose
-    bounds have the list's spans reads its neighbours off it.
+    ``metrics.neighbour_list``, shared by its jobs: every slot whose bounds
+    have the list's spans reads its neighbours off it.
 
-    The mitigators, called fold by fold, fill ``fitted[model, fold]`` and the
-    zero-filled weights ``w_fit[model, fold, row]``; the fits are one stacked
-    ``models.train_logistic`` call on ``w_fit[fitted]``, model by model.  A
-    member's rows are its fold's training rows, then its test rows, both in
-    row order, scaled by one ``apply_minmax`` call for all folds (one copy
-    under ``global_normalize``).  A fold one row short of the longest is
-    padded by its first test row at weight 0: each padded term is 0, but
-    the pad regroups the fit's sums, so the fit is the unpadded one up to
-    float rounding.  One ``metrics.confusion_counts`` call over the test
-    rows fills ``counts[fitted]``, and one ``metrics.label_weights`` call
-    over the training rows (``where`` drops the pad) ``label_weights[fitted]``."""
-    ds, cfg, repeat, assignment, mitigators, listed = args
-    counts = np.zeros((len(mitigators), N_FOLDS, 2, 2, 2), dtype=np.int64)
-    label_weights = np.zeros((len(mitigators), N_FOLDS, 2, 2))
-    trains = assignment != np.arange(N_FOLDS)[:, None]
-    bounds = ([fit_minmax(ds.X)] * N_FOLDS if cfg.global_normalize
+    The mitigators, called slot by slot, fill ``fitted[model, slot]`` and
+    the zero-filled weights ``w_fit[model, slot, row]``; weights that are
+    negative, non-finite or all zero stop the run, naming the model, repeat
+    and fold.  The fits are one stacked ``models.train_logistic`` call on
+    ``w_fit[fitted]``, model by model, then slot by slot.  A member's rows
+    are its slot's training rows, then its test rows, both in row order,
+    scaled by one ``apply_minmax`` call for all slots (one copy under
+    ``global_normalize``).  The repeats share one fold-size pattern, so a
+    member's stack width and padding do not depend on which job it is in: a
+    fold one row short of the longest is padded by its first test row at
+    weight 0.  Each padded term is 0, but the pad regroups the fit's sums,
+    so the fit is the unpadded one up to float rounding.  One
+    ``metrics.confusion_counts`` call over the test rows fills
+    ``counts[fitted]``, and one ``metrics.label_weights`` call over the
+    training rows (``where`` drops the pad) ``label_weights[fitted]``."""
+    ds, cfg, first, assignments, mitigators, listed = args
+    n_slots = len(assignments) * N_FOLDS
+    counts = np.zeros((len(mitigators), n_slots, 2, 2, 2), dtype=np.int64)
+    label_weights = np.zeros((len(mitigators), n_slots, 2, 2))
+    trains = (assignments[:, None] != np.arange(N_FOLDS)[:, None]).reshape(n_slots, -1)
+    bounds = ([fit_minmax(ds.X)] * n_slots if cfg.global_normalize
               else [fit_minmax(ds.X[train]) for train in trains])
     # consistency ignores instance weights, so all models share the value
     consistency = metrics.consistency(ds.X, ds.y, cfg.k_neighbors, trains, bounds,
                                       listed)[None]
     n_train = trains.sum(axis=1)
-    fitted = np.zeros((len(mitigators), N_FOLDS), dtype=bool)
-    w_fit = np.zeros((len(mitigators), N_FOLDS, n_train.max()))
-    for fold, train in enumerate(trains):
+    fitted = np.zeros((len(mitigators), n_slots), dtype=bool)
+    w_fit = np.zeros((len(mitigators), n_slots, n_train.max()))
+    for slot, train in enumerate(trains):
+        repeat, fold = first + slot // N_FOLDS, slot % N_FOLDS
         for m, (name, mitigator) in enumerate(mitigators):
             try:
                 weights = mitigator.training_weights(ds.y[train], ds.s[train])
@@ -312,28 +329,34 @@ def _repeat_job(args):
                     f"recording Undefined for the {name} model"
                 )
                 continue
-            if np.shape(weights) != (n_train[fold],):
-                raise ValueError(f"{name}: {np.shape(weights)} weights for {n_train[fold]} rows")
-            w_fit[m, fold, :n_train[fold]] = weights
-            fitted[m, fold] = True
+            if np.shape(weights) != (n_train[slot],):
+                raise ValueError(f"{name}: {np.shape(weights)} weights for {n_train[slot]} rows")
+            w = w_fit[m, slot, :n_train[slot]]
+            w[:] = weights
+            # NaN fails w >= 0, and an infinite weight makes the sum infinite
+            total = w.sum()
+            if not ((w >= 0).all() and np.isfinite(total) and total != 0):
+                raise ValueError(f"{name} repeat={repeat} fold={fold}: weights must be "
+                                 "non-negative, finite and not all zero")
+            fitted[m, slot] = True
     if not fitted.any():
         return counts, label_weights, consistency
 
-    member_fold = np.nonzero(fitted)[1]
-    rows = np.argsort(~trains, axis=1, kind="stable")[member_fold]
-    # global bounds are one pair: scaled once, every fold reads that copy
+    member_slot = np.nonzero(fitted)[1]
+    rows = np.argsort(~trains, axis=1, kind="stable")[member_slot]
+    # global bounds are one pair: scaled once, every slot reads that copy
     pairs = bounds[:1] if cfg.global_normalize else bounds
     mins, maxs = (np.stack(column)[:, None] for column in zip(*pairs))
     # apply_minmax scales every entry on its own, so scaling all rows once per
-    # fold gives both splits the bits they would get scaled apart
+    # slot gives both splits the bits they would get scaled apart
     X = np.broadcast_to(apply_minmax(ds.X, mins, maxs),
-                        (N_FOLDS,) + ds.X.shape)[member_fold[:, None], rows]
+                        (n_slots,) + ds.X.shape)[member_slot[:, None], rows]
     y, s = ds.y[rows], ds.s[rows]
     n_fit = w_fit.shape[-1]
     # through the module attribute, so a wrapper set on it sees each fit
     fits = models.train_logistic(X[:, :n_fit], y[:, :n_fit], w_fit[fitted],
                                  l2_strength=cfg.l2_strength)
-    test = np.arange(ds.row_count) >= n_train[member_fold][:, None]
+    test = np.arange(ds.row_count) >= n_train[member_slot][:, None]
     counts[fitted] = metrics.confusion_counts(y, fits.predict(X), s, where=test)
     label_weights[fitted] = metrics.label_weights(y[:, :n_fit], s[:, :n_fit], w_fit[fitted],
                                                   where=~test[:, :n_fit])
@@ -375,22 +398,28 @@ def run_experiment(
         check_cv_size(ds, cfg.k_neighbors)
         plan = make_cv_plan(ds.row_count, cfg.seeds)
         # the list depends only on the rows and k: one per dataset, read by
-        # every repeat job, which stays the unit of --jobs
+        # every job of its repeats
         listed = metrics.neighbour_list(ds.X, cfg.k_neighbors)
-        for repeat in range(N_REPEATS):
-            jobs.append((ds, cfg, repeat, plan.assignments[repeat], selected, listed))
+        # a dataset without feature columns has no entries: one job
+        per_repeat = len(selected) * N_FOLDS * ds.X.size
+        step = max(1, FIT_STACK_ELEMENTS // max(1, per_repeat))
+        for first in range(0, N_REPEATS, step):
+            jobs.append((ds, cfg, first, plan.assignments[first:first + step], selected,
+                         listed))
 
     if cfg.jobs > 1 and len(jobs) > 1:
         # the fork start method starts every worker up front: no more than jobs
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
-            results = list(pool.map(_repeat_job, jobs))
+            results = list(pool.map(_repeats_job, jobs))
     else:
-        results = [_repeat_job(job) for job in jobs]
+        results = [_repeats_job(job) for job in jobs]
 
     # jobs run dataset by dataset, repeat by repeat: each array's job slices
-    # stack to [dataset, repeat, model, fold, ...], then model goes first
+    # join along the slot axis to [model, dataset * repeat * fold, ...],
+    # then dataset goes first
     counts, label_weights, consistency = (
-        np.stack(part).reshape((len(datasets), N_REPEATS) + part[0].shape).swapaxes(1, 2)
+        np.concatenate(part, axis=1).reshape(
+            len(part[0]), len(datasets), N_REPEATS, N_FOLDS, *part[0].shape[2:]).swapaxes(0, 1)
         for part in zip(*results)
     )
     per_fold = np.concatenate([

@@ -174,6 +174,76 @@ class TestExperiment:
         par = run_experiment([ds], ExperimentConfig(jobs=3))
         assert same_grid(seq, par)
 
+    @pytest.mark.parametrize("budget", [1, 3 * 2 * 5 * 91 * 8, 2**40],
+                             ids=["repeat", "three", "dataset"])
+    @pytest.mark.parametrize("case", ["uneven", "refused", "global", "jobs"])
+    def test_job_grouping_changes_no_bit(self, monkeypatch, in_process_pool, case, budget):
+        """However many repeats a job stacks, one (budget 1), three of the
+        91-row dataset, or a dataset's five (budget 2**40), the grid has the
+        bits of the default plan's: padded folds (``uneven``), folds that
+        reweighing refuses, whose warnings also come alike and in the same
+        order (``refused``), global bounds, and three workers."""
+        datasets = ([make_synthetic("refused", 100, 0.96, seed=3)] if case == "refused"
+                    else uneven_datasets())
+        cfg = ExperimentConfig(global_normalize=case == "global", jobs=3 if case == "jobs" else 1)
+        masks = []
+        consistency = metrics.consistency
+
+        def spy(X, y, k, job_masks, bounds, listed):
+            masks.append(len(job_masks))
+            return consistency(X, y, k, job_masks, bounds, listed)
+
+        monkeypatch.setattr(metrics, "consistency", spy)
+
+        def run():
+            masks.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                samples = run_experiment(datasets, cfg)
+            return samples.values.tobytes(), [str(w.message) for w in caught]
+
+        default = run()
+        assert masks == [25] * len(datasets)  # these small datasets are one job each
+        monkeypatch.setattr(harness, "FIT_STACK_ELEMENTS", budget)
+        values, caught = run()
+        assert values == default[0]
+        assert caught == default[1]
+        if case == "refused":
+            assert sum("cannot reweigh" in message for message in caught) > 1
+        # three 91-row repeats of 8 columns fill the middle budget: so do
+        # three of 83 rows, and two of 100 rows
+        per_job = {1: [5] * 5, 2**40: [25]}.get(
+            budget, [10, 10, 5] if case == "refused" else [15, 10])
+        assert masks == per_job * len(datasets)
+        if case == "jobs":
+            assert in_process_pool == [2, 2 if budget == 2**40 else 3]
+
+    def test_job_plan_keeps_the_fit_stack_budget(self, monkeypatch):
+        """A job takes as many whole repeats of its dataset as keep 2 models x
+        5 folds x the dataset's entries x repeats within
+        ``FIT_STACK_ELEMENTS``, and always one: 3,000 German-style rows of 4
+        columns (120,000 entries a repeat) make one job per repeat, 1,000
+        such rows jobs of three repeats and two, 250 synthetic rows of 8
+        columns one job, and so do 40 rows without a feature column."""
+        calls = []
+        consistency = metrics.consistency
+
+        def spy(X, y, k, masks, bounds, listed):
+            calls.append((len(X), len(masks) // 5, X.size))
+            return consistency(X, y, k, masks, bounds, listed)
+
+        monkeypatch.setattr(metrics, "consistency", spy)
+        rng = np.random.default_rng(0)
+        datasets = [german_style(3000, 1), dataclasses.replace(german_style(1000, 2), name="mid"),
+                    make_synthetic("small", 250, 0.3, seed=1),
+                    EncodedDataset("zero", np.empty((40, 0)), rng.integers(0, 2, 40),
+                                   np.arange(40) % 2, ())]
+        run_experiment(datasets)
+        assert [call[:2] for call in calls] == ([(3000, 1)] * 5 + [(1000, 3), (1000, 2), (250, 5)]
+                                                + [(40, 5)])
+        for _, repeats, size in calls:
+            assert 2 * 5 * size * repeats <= harness.FIT_STACK_ELEMENTS or repeats == 1
+
     def test_one_classification_call_per_run(self, monkeypatch):
         calls = []
         batch = metrics.compute_classification_metrics
@@ -230,12 +300,16 @@ class TestExperiment:
 
     @pytest.mark.parametrize("global_normalize", [False, True])
     def test_one_consistency_call_per_repeat_job(self, monkeypatch, global_normalize):
-        """D0 of a repeat's five folds is one call on the raw rows, with the
-        training masks, before any fold is scaled; each mask's bounds are
-        those of its training rows, or of all rows under ``global_normalize``.
-        Then one ``apply_minmax`` call per job scales the raw rows by the
-        same five pairs, stacked fold by fold, or by the one global pair.
-        The five calls share the dataset's one neighbour list."""
+        """D0 of a job's slots is one call on the raw rows, with the training
+        masks of its repeats' folds in slot order, before any fold is scaled;
+        each mask's bounds are those of its training rows, or of all rows
+        under ``global_normalize``.  Then one ``apply_minmax`` call per job
+        scales the raw rows by the same pairs, stacked slot by slot, or by
+        the one global pair.  A budget of two repeats makes jobs of repeats
+        0-1, 2-3 and 4, whose three calls share the dataset's one neighbour
+        list."""
+        ds = german_style(90, 6)
+        monkeypatch.setattr(harness, "FIT_STACK_ELEMENTS", 2 * 2 * 5 * ds.X.size)
         calls = []
         consistency = metrics.consistency
 
@@ -248,33 +322,35 @@ class TestExperiment:
         monkeypatch.setattr(metrics, "consistency", spy)
         monkeypatch.setattr(harness, "apply_minmax",
                             lambda *a: scaled.append(a + (len(calls),)) or apply(*a))
-        ds = german_style(90, 6)
         run_experiment([ds], ExperimentConfig(global_normalize=global_normalize))
         plan = make_cv_plan(ds.row_count)
-        assert len(calls) == 5 and len(scaled) == 5
+        assert len(calls) == 3 and len(scaled) == 3
         listed = calls[0][4]
         assert all(call[4] is listed for call in calls)
         want = metrics.neighbour_list(ds.X, 5)
         assert [part.tolist() for part in listed] == [part.tolist() for part in want]
-        for repeat, (X, masks, bounds, n_scaled, _) in enumerate(calls):
-            assert X is ds.X and n_scaled == repeat
-            assert (masks == (plan.assignments[repeat] != np.arange(5)[:, None])).all()
-            rows, stacked_mins, stacked_maxs, n_d0 = scaled[repeat]
+        for job, (first, (X, masks, bounds, n_scaled, _)) in enumerate(zip((0, 2, 4), calls)):
+            assert X is ds.X and n_scaled == job
+            slots = harness.SLOTS[5 * first:5 * first + len(masks)]
+            assert len(masks) == (5 if first == 4 else 10)
+            assert masks.tolist() == [(plan.assignments[repeat] != fold).tolist()
+                                      for repeat, fold in slots]
+            rows, stacked_mins, stacked_maxs, n_d0 = scaled[job]
             # the job's one scale call comes after its D0 call
-            assert rows is ds.X and n_d0 == repeat + 1
-            n_pairs = 1 if global_normalize else 5
+            assert rows is ds.X and n_d0 == job + 1
+            n_pairs = 1 if global_normalize else len(masks)
             assert stacked_mins.shape == stacked_maxs.shape == (n_pairs, 1, ds.X.shape[1])
-            for fold, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
+            for slot, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
                 want = fit_minmax(ds.X if global_normalize else ds.X[mask])
                 assert mins.tobytes() == want[0].tobytes() and maxs.tobytes() == want[1].tobytes()
-                pair = fold % n_pairs
+                pair = slot % n_pairs
                 assert stacked_mins[pair, 0].tobytes() == mins.tobytes()
                 assert stacked_maxs[pair, 0].tobytes() == maxs.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_neighbour_list_per_integer_dataset(self, monkeypatch, in_process_pool, jobs):
         """Each integer-coded dataset's all-rows list is built once, not once
-        per repeat job, whether the jobs run in one process or in a pool;
+        per job, whether the jobs run in one process or in a pool;
         float data has none.  The folds' own kernels run on fewer rows."""
         calls = []
         nearest = metrics._nearest
@@ -291,10 +367,10 @@ class TestExperiment:
         assert [call for call in calls if call[0] in (100, 120, 160)] == [(120, 20), (160, 20)]
 
     def test_worker_pool_capped_at_job_count(self, in_process_pool):
-        ds = make_synthetic("pool", 60, 0.2, seed=3)
-        samples = run_experiment([ds], ExperimentConfig(jobs=10_000))
-        assert in_process_pool == [5]  # one job per repeat
-        assert same_grid(samples, run_experiment([ds], ExperimentConfig()))
+        datasets = [make_synthetic(f"pool{i}", 60, 0.2, seed=3 + i) for i in range(3)]
+        samples = run_experiment(datasets, ExperimentConfig(jobs=10_000))
+        assert in_process_pool == [3]  # one job per dataset: its five repeats fit the budget
+        assert same_grid(samples, run_experiment(datasets, ExperimentConfig()))
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_job_slices_land_at_their_fold(self, monkeypatch, in_process_pool, jobs):
@@ -316,7 +392,7 @@ class TestExperiment:
         spy_on("compute_dataset_metrics")
         datasets = sorted(uneven_datasets(), key=lambda ds: ds.name)
         run_experiment(datasets, ExperimentConfig(jobs=jobs))
-        assert in_process_pool == ([3] if jobs > 1 else [])
+        assert in_process_pool == ([2] if jobs > 1 else [])  # one job per dataset
         counts = calls["compute_classification_metrics"]
         weights = calls["compute_dataset_metrics"]
         assert counts.shape == (2, 2, 5, 5, 2, 2, 2)
@@ -361,8 +437,9 @@ class TestExperiment:
         assert abs(np.median(c15)) < 0.1
 
     def test_scaling_fit_on_training_rows_only(self, monkeypatch):
-        """``fit_minmax`` sees each fold's training rows, in job order, or
-        every row once per repeat under ``global_normalize``."""
+        """``fit_minmax`` sees each fold's training rows, in slot order, or
+        every row once per job (here one job per dataset) under
+        ``global_normalize``."""
         seen = []
         fit = harness.fit_minmax
 
@@ -375,14 +452,12 @@ class TestExperiment:
         for global_normalize in (False, True):
             seen.clear()
             run_experiment(datasets, ExperimentConfig(global_normalize=global_normalize))
-            want = [
-                ds.X for ds in datasets for _ in range(5)
-            ] if global_normalize else [
+            want = [ds.X for ds in datasets] if global_normalize else [
                 ds.X[make_cv_plan(ds.row_count).assignments[repeat] != fold]
                 for ds in datasets
                 for repeat, fold in np.ndindex(5, 5)
             ]
-            assert len(seen) == len(want) == (10 if global_normalize else 50)
+            assert len(seen) == len(want) == (2 if global_normalize else 50)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, want))
 
     def test_reweighing_impossible_fold_records_undefined(self):
@@ -522,9 +597,10 @@ class TestMitigatorSlot:
         assert np.isnan(samples.values).all()
 
     def test_one_fit_per_trained_model(self, monkeypatch):
-        """Every fold model is a member of its repeat job's one stacked
+        """Every fold model is a member of its job's one stacked
         ``models.train_logistic`` call on its mitigator's weights, looked up
-        on the module at call time."""
+        on the module at call time.  An 80-row dataset's five repeats are
+        one job: 50 members, model by model, then slot by slot."""
         calls = []
         fit = models.train_logistic
 
@@ -535,14 +611,16 @@ class TestMitigatorSlot:
         monkeypatch.setattr(models, "train_logistic", counting)
         datasets = [make_synthetic(f"fit{i}", 80, 0.3, seed=i) for i in range(2)]
         run_experiment(datasets, ExperimentConfig(l2_strength=0.5))
-        assert len(calls) == 2 * 5
-        # ten members of 64 training rows: 80 rows leave no fold short
-        assert all(shape[:2] == (2 * 5, 64) for shape, _, _ in calls)
+        assert len(calls) == 2
+        # fifty members of 64 training rows: 80 rows leave no fold short
+        assert all(shape[:2] == (2 * 25, 64) for shape, _, _ in calls)
         assert all(s == {"l2_strength": 0.5} for _, _, s in calls)
         members = [w for _, weights, _ in calls for w in weights]
         assert len(members) == 2 * 25 * 2
-        # the baseline fits on unit weights, the reweighed model on others
-        assert sum(np.array_equal(w, np.ones(64)) for w in members) == 50
+        # the baseline's 25 members fit on unit weights, then the reweighed
+        # model's on others
+        unit = [np.array_equal(w, np.ones(64)) for w in members]
+        assert unit == ([True] * 25 + [False] * 25) * 2
 
     def test_padded_folds_fit_as_unpadded_ones(self, monkeypatch):
         """251 rows: one training fold per repeat is a row short of the
@@ -584,7 +662,7 @@ class TestMitigatorSlot:
 
             def training_weights(self, y, s):
                 self.calls += 1
-                if self.calls == 8:  # the second job's third fold
+                if self.calls == 8:  # the first dataset's repeat 1, fold 2
                     raise ReweighingError("cannot reweigh: refused")
                 return np.where(y == 1, 0.5, 1.0)
 
@@ -619,7 +697,7 @@ class TestMitigatorSlot:
 
 
     def test_label_weights_are_one_stacked_call_per_job(self, monkeypatch):
-        """Each repeat job makes one ``metrics.label_weights`` call, over its
+        """Each job makes one ``metrics.label_weights`` call, over its
         fitted stack: every fitted ``label_weights[d, m, repeat, fold]`` has
         the bits of a 1-D call on the fold's training rows and its model's
         weights, and the fold a mitigator refuses stays all zero.  Both
@@ -635,7 +713,7 @@ class TestMitigatorSlot:
 
             def training_weights(self, y, s):
                 self.calls += 1
-                if self.calls == 8:  # the second job's third fold
+                if self.calls == 8:  # the first dataset's repeat 1, fold 2
                     raise ReweighingError("cannot reweigh: refused")
                 return staggered(y)
 
@@ -656,7 +734,8 @@ class TestMitigatorSlot:
         with pytest.warns(UserWarning, match="repeat=1 fold=2: cannot reweigh"):
             run_experiment(datasets, ExperimentConfig(models=("baseline", "staggered")),
                            mitigators={"staggered": Staggered()})
-        assert members == [10, 9] + [10] * 8  # one call per job, refused fold left out
+        # one call per job, here one per dataset, the refused fold left out
+        assert members == [49, 50]
         (weights,) = seen
         assert weights.shape == (2, 2, 5, 5, 2, 2)
         for d, ds in enumerate(datasets):
@@ -687,9 +766,10 @@ class TestMitigatorSlot:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected_before_any_fit(self, bad):
-        """One non-finite weight per fold stops the run at the fit's check,
-        before any fit runs or warns: a NaN weight used to give zero models
-        and a warning, an infinite one a grid partly NaN."""
+        """One non-finite weight per fold stops the run at the mitigator
+        loop's check, which names the model, repeat and fold, before any fit
+        runs or warns: a NaN weight used to give zero models and a warning,
+        an infinite one a grid partly NaN."""
         from fairsift.models import Mitigator
 
         class OneBad(Mitigator):
@@ -701,11 +781,44 @@ class TestMitigatorSlot:
         ds = make_synthetic("synth", 100, 0.2, seed=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the models are fitted in name order, so "bad" is member 0
-            with pytest.raises(ValueError, match="^member 0: weights must be non-negative, "
-                                                 "finite and not all zero$"):
+            # the baseline's weights of fold 0 pass, then "bad"'s stop the run
+            with pytest.raises(ValueError, match="^bad repeat=0 fold=0: weights must be "
+                                                 "non-negative, finite and not all zero$"):
                 run_experiment([ds], ExperimentConfig(models=("baseline", "bad")),
                                mitigators={"bad": OneBad()})
+
+    @pytest.mark.parametrize("budget", [1, 2**40], ids=["repeat", "dataset"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0], ids=["negative", "all-zero"])
+    def test_bad_weights_name_their_repeat_and_fold(self, monkeypatch, bad, budget):
+        """A negative weight, or all-zero weights, in one fold stop the run in
+        the mitigator loop, naming the model, repeat and fold wherever the
+        fold sits in its job: the mitigator is not called again, and the
+        fold's job fits nothing (with one repeat per job, the jobs of
+        repeats 0 and 1 have fitted)."""
+        from fairsift.models import Mitigator
+
+        class Spoil(Mitigator):
+            calls = 0
+
+            def training_weights(self, y, s):
+                self.calls += 1
+                weights = np.ones(len(y))
+                if self.calls == 14:  # repeat 2, fold 3
+                    weights[:1 if bad else None] = bad
+                return weights
+
+        fits = []
+        fit = models.train_logistic
+        monkeypatch.setattr(models, "train_logistic",
+                            lambda *a, **kw: fits.append(len(a[0])) or fit(*a, **kw))
+        monkeypatch.setattr(harness, "FIT_STACK_ELEMENTS", budget)
+        spoil = Spoil()
+        with pytest.raises(ValueError, match="^spoil repeat=2 fold=3: weights must be "
+                                             "non-negative, finite and not all zero$"):
+            run_experiment([make_synthetic("synth", 100, 0.2, seed=8)],
+                           ExperimentConfig(models=("spoil",)), mitigators={"spoil": spoil})
+        assert spoil.calls == 14
+        assert fits == ([5, 5] if budget == 1 else [])
 
 
 class TestPersistence:
