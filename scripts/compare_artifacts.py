@@ -9,16 +9,19 @@ The inputs are written once, from the parent tree: both workloads of
 synthetic dataset (``uneven``), whose folds have 61 or 60 rows, so the
 experiment pads a short fold's fits, and a 400-row synthetic dataset whose
 numeric values are rounded to halves (``halves``): not integers, so D0
-takes the float kernel, with about a fifth of a training fold's rows tied
-at the k-th distance, so its tie rule is compared too, and a 120-row
-synthetic dataset (``quoted``) whose name, ``quoted, "name"``, needs CSV
-quoting in ``results.csv``, and 500 German-style integer rows
+reads the float neighbour list, and the rows tied at the k-th distance
+fall back to the float kernel, so its tie rule is compared too, and a
+120-row synthetic dataset (``quoted``) whose name, ``quoted, "name"``,
+needs CSV quoting in ``results.csv``, and 500 German-style integer rows
 (``integers``), one of them 90 years old: D0 reads the other folds off the
 neighbour list, and the folds that hold that row out have narrower spans,
 so they run the per-mask exact kernel, and a 100-row synthetic dataset
 whose favourable rate differs by 0.96 between the groups (``refused``),
 so a training fold often lacks a (group, label) cell and reweighing
-refuses it: those folds are recorded Undefined.  Then, for each
+refuses it: those folds are recorded Undefined, and 1,500 synthetic float
+rows, six of them copied over the last six (``blocks``): each training fold
+spans several row blocks of the float kernel, and only the blocks that
+hold a row tied by the copies fall back to it.  Then, for each
 tree, child processes with that tree's ``src`` on the path and one BLAS
 thread run:
 
@@ -30,7 +33,7 @@ thread run:
 * ``fairsift experiment --jobs 1 --global-normalize`` on every workload
   input, into ``out-global``, so scaling by all rows' bounds is compared too;
 * ``fairsift experiment --jobs 1`` and ``fairsift analyze`` on ``uneven``,
-  ``halves``, ``quoted``, ``integers`` and ``refused``;
+  ``halves``, ``quoted``, ``integers``, ``refused`` and ``blocks``;
 * ``fairsift demo``;
 * ``fairsift metrics`` on the synthetic dataset, without and with each
   ``--predictions-column``, and on ``integers``, whose D0 over all rows
@@ -54,7 +57,7 @@ SEEDS = (1, 2)
 SCOPES = ("avg", "pooled")
 PREDICTIONS = ("pred_random", "pred_label", "pred_all", "pred_group")
 # input directories of the single-dataset cases
-SINGLE_CASES = ("uneven", "halves", "quoted", "integers", "refused")
+SINGLE_CASES = ("uneven", "halves", "quoted", "integers", "refused", "blocks")
 
 # run with the parent's src and perfbench on the path, in the input directory
 WRITE_INPUTS = f"""
@@ -95,6 +98,11 @@ for row in halves[1]:
 # the folds that hold it out narrower, so they take the per-mask exact kernel
 integers = workloads._german_style(500, 17)
 integers[1][0][integers[0].index("age_years")] = "90"
+# float rows whose training folds span several kernel blocks; the copies of
+# six rows tie some rows' k-th neighbours, so those rows' blocks fall back to
+# the float kernel and the others read the neighbour list
+blocks = synth.generate_rows(1500, 0.3, 19)
+blocks[1][-6:] = [list(row) for row in blocks[1][:6]]
 tables = (
     (*synth.generate_rows(303, 0.3, 7), synth.spec_dict("uneven")),
     (*halves, synth.spec_dict("halves")),
@@ -103,6 +111,7 @@ tables = (
     # a group gap of 0.96 leaves some training folds without a (group,
     # label) cell, so reweighing refuses them
     (*synth.generate_rows(100, 0.96, 3), synth.spec_dict("refused")),
+    (*blocks, synth.spec_dict("blocks")),
 )
 for name, (header, rows, spec) in zip({SINGLE_CASES!r}, tables):
     os.makedirs(name, exist_ok=True)

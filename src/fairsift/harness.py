@@ -14,9 +14,10 @@ consecutive whole repeats of one dataset as keep its stacked fit input
 within ``FIT_STACK_ELEMENTS`` entries, and at least one: all five repeats
 of a small dataset, one of a large one.  Stacking many small fits saves
 their per-call overhead, but a large stack runs slower per fit and holds
-more memory.  The run builds each dataset's kNN neighbour list once, with
-that dataset's jobs (``metrics.neighbour_list``: a list on integer-coded
-data, else None), and hands it to each of them.  A job makes one
+more memory.  The run builds each dataset's kNN neighbour list once, when
+its first job starts (``metrics.neighbour_list``: exact on integer-coded
+data, float on other data), and hands it to each of its jobs; run one by
+one, the jobs keep one list alive at a time.  A job makes one
 ``metrics.consistency`` call for D0 of all its training splits (raw rows,
 each fold's bounds, the list) and calls its mitigators once per fold, which
 fill a ``fitted[model, slot]`` table, one slot per (repeat, fold); then one
@@ -287,14 +288,15 @@ def _repeats_job(args):
     same bounds scale the fits' rows and D0's.  D0 of all slots is one
     ``metrics.consistency`` call on the raw rows before anything is scaled,
     so no scaled row is alive while it runs.  ``listed`` is the dataset's
-    ``metrics.neighbour_list``, shared by its jobs: every slot whose bounds
-    have the list's spans reads its neighbours off it.
+    ``metrics.neighbour_list``, shared by its jobs, off which D0 reads what
+    it can.
 
     The mitigators, called slot by slot, fill ``fitted[model, slot]`` and
     the zero-filled weights ``w_fit[model, slot, row]``; weights that are
-    negative, non-finite or all zero stop the run, naming the model, repeat
-    and fold.  The fits are one stacked ``models.train_logistic`` call on
-    ``w_fit[fitted]``, model by model, then slot by slot.  A member's rows
+    negative, non-finite, all zero or of the wrong shape stop the run,
+    naming the dataset, repeat, fold and model.  The fits are one stacked
+    ``models.train_logistic`` call on ``w_fit[fitted]``, model by model,
+    then slot by slot.  A member's rows
     are its slot's training rows, then its test rows, both in row order,
     scaled by one ``apply_minmax`` call for all slots (one copy under
     ``global_normalize``).  The repeats share one fold-size pattern, so a
@@ -329,15 +331,17 @@ def _repeats_job(args):
                     f"recording Undefined for the {name} model"
                 )
                 continue
+            # named as the reweighing warning names its fold
+            where = f"{ds.name} repeat={repeat} fold={fold}: {name}"
             if np.shape(weights) != (n_train[slot],):
-                raise ValueError(f"{name}: {np.shape(weights)} weights for {n_train[slot]} rows")
+                raise ValueError(f"{where} gave {np.shape(weights)} weights for "
+                                 f"{n_train[slot]} rows")
             w = w_fit[m, slot, :n_train[slot]]
             w[:] = weights
             # NaN fails w >= 0, and an infinite weight makes the sum infinite
             total = w.sum()
             if not ((w >= 0).all() and np.isfinite(total) and total != 0):
-                raise ValueError(f"{name} repeat={repeat} fold={fold}: weights must be "
-                                 "non-negative, finite and not all zero")
+                raise ValueError(f"{where} weights must be non-negative, finite and not all zero")
             fitted[m, slot] = True
     if not fitted.any():
         return counts, label_weights, consistency
@@ -393,26 +397,34 @@ def run_experiment(
     model_names = tuple(sorted(cfg.models))
     selected = tuple((m, registry[m]) for m in model_names)
 
-    jobs = []
+    firsts = []  # per dataset, the first repeat of each of its jobs
     for ds in datasets:
         check_cv_size(ds, cfg.k_neighbors)
-        plan = make_cv_plan(ds.row_count, cfg.seeds)
-        # the list depends only on the rows and k: one per dataset, read by
-        # every job of its repeats
-        listed = metrics.neighbour_list(ds.X, cfg.k_neighbors)
         # a dataset without feature columns has no entries: one job
         per_repeat = len(selected) * N_FOLDS * ds.X.size
-        step = max(1, FIT_STACK_ELEMENTS // max(1, per_repeat))
-        for first in range(0, N_REPEATS, step):
-            jobs.append((ds, cfg, first, plan.assignments[first:first + step], selected,
-                         listed))
+        firsts.append(range(0, N_REPEATS, max(1, FIT_STACK_ELEMENTS // max(1, per_repeat))))
+    n_jobs = sum(map(len, firsts))
 
-    if cfg.jobs > 1 and len(jobs) > 1:
+    def jobs():
+        """The jobs in order.  A dataset's list is built as its first job
+        is drawn and dropped before the next dataset's is built: drawn one
+        by one, the jobs keep one list alive at a time."""
+        for ds, starts in zip(datasets, firsts):
+            plan = make_cv_plan(ds.row_count, cfg.seeds)
+            # the list depends only on the rows and k: one per dataset, read
+            # by every job of its repeats
+            listed = metrics.neighbour_list(ds.X, cfg.k_neighbors)
+            for first in starts:
+                yield (ds, cfg, first, plan.assignments[first:first + starts.step], selected,
+                       listed)
+            del listed
+
+    if cfg.jobs > 1 and n_jobs > 1:
         # the fork start method starts every worker up front: no more than jobs
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
-            results = list(pool.map(_repeats_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, n_jobs)) as pool:
+            results = list(pool.map(_repeats_job, jobs()))
     else:
-        results = [_repeats_job(job) for job in jobs]
+        results = list(map(_repeats_job, jobs()))
 
     # jobs run dataset by dataset, repeat by repeat: each array's job slices
     # join along the slot axis to [model, dataset * repeat * fold, ...],

@@ -274,14 +274,20 @@ CONSISTENCY_BLOCK_ELEMENTS = 2**18
 # all but never has fewer than k of them inside its fold.
 CONSISTENCY_LIST_FACTOR = 4
 
+# Distance entries per block of the float list's pass: its three block
+# arrays stay in cache and small next to a kernel block, so the pass adds
+# little to the heap.  D0's bits do not depend on the list's blocking.
+CONSISTENCY_LIST_BLOCK_ELEMENTS = 2**14
 
-def _row_blocks(n: int):
-    """(start, stop) of the consecutive row blocks the kNN kernels work on.
+
+def _row_blocks(n: int, budget: int | None = None):
+    """(start, stop) of the consecutive row blocks the kNN kernels work on,
+    about ``budget`` (default ``CONSISTENCY_BLOCK_ELEMENTS``) entries each.
 
     No block has a single row: numpy multiplies one row through its
     matrix-vector path, which rounds differently from a matrix product.
     """
-    step = max(2, CONSISTENCY_BLOCK_ELEMENTS // n)
+    step = max(2, (CONSISTENCY_BLOCK_ELEMENTS if budget is None else budget) // n)
     start = 0
     while start < n:
         stop = n if n - start < step + 2 else start + step
@@ -289,27 +295,69 @@ def _row_blocks(n: int):
         start = stop
 
 
+def _rounding_bound(p: int) -> float:
+    """E(p) = 8 u p (p + 4), u = 2**-53: how far any float distance of the
+    kNN code lies from R = sum_c ((x_c - x'_c) / s_c)**2, the exact squared
+    distance of two raw rows x, x' under column spans s, for rows that the
+    bounds (lo, lo + s) hold, so every scaled value is in [0, 1].
+
+    Higham (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, section 3.1) bounds a float dot product of p terms in any order,
+    fused or not, by |fl(a.b) - a.b| <= gamma_p |a|.|b|, gamma_n = n u /
+    (1 - n u) <= 1.01 n u.  For p columns:
+
+    * the scaling: z = fl(fl(x - lo) / s) is within gamma_2 of (x - lo) / s,
+      so each column's squared difference moves by at most 4 gamma_2
+      (1 + 2u) and D, the exact squared distance of the scaled rows, lies
+      within 5 p gamma_2 of R;
+    * the float kernel's (|a|^2 + |b|^2) - 2ab: the row norms and the Gram
+      entry are within gamma_p p of theirs, the sum adds one rounding and
+      the difference another, of a value at most p, so the result lies
+      within 6 p gamma_{p+1} of D (the clamp at 0 only moves it closer);
+    * the re-rank's raw differences, their squares, the weights 1 / s**2
+      and the weighted sum of p non-negative terms: a relative error of
+      gamma_{p+5}, on R at most p (1 + 3u).
+
+    Together u p (6.06 p + 16.2) and u p (1.02 p + 5.1) are below E(p), and
+    the slack of at least 17 u p covers the one rounding of each
+    comparison or subtraction that uses E.
+    """
+    return 8 * (np.finfo(float).eps / 2) * p * (p + 4)
+
+
 def neighbour_list(X, k: int):
-    """The neighbour list of integer-valued rows X, or None: every row's first
-    ``CONSISTENCY_LIST_FACTOR * k`` nearest other rows in (distance, row
-    index) order, min-max scaled by all rows' spans, and those spans, as the
-    pair ``(nearest, spans)``.
+    """The neighbour list of finite rows X, or None for rows that are not:
+    ``(nearest, spans, reach)``, where ``nearest`` holds each row's first
+    ``K = CONSISTENCY_LIST_FACTOR * k`` nearest other rows (all of them if
+    fewer), min-max scaled by all rows' ``spans``.
+
+    Integer-valued rows get the exact list: the K nearest in (distance, row
+    index) order under ``_exact_metric``, and ``reach`` None.  Any other
+    rows, or integers past its ``2**53`` bound, get a float list: the K
+    nearest by the float kernel's distances of the scaled rows, in no set
+    order, and ``reach[i]``, a lower bound on the exact scaled squared
+    distance from row i to every row off its list: its (K+1)-th float
+    distance minus ``_rounding_bound`` (+inf when every other row is on the
+    list).
 
     The list depends only on the rows and k, so one list serves every mask
-    of every ``consistency`` call on X whose bounds have these spans.  It is
-    None where the exact path does not hold (``_exact_metric``): rows that
-    are not integers, or integers past the ``2**53`` bound.  The spans make
-    an index, not a scaling.  The list takes O(n k) memory.
+    of every ``consistency`` call on X.  The spans make an index, not a
+    scaling.  The list takes O(n K) memory.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) < 2 or k < 1:
         raise ValueError(f"need 2-D X of at least 2 rows and k >= 1, "
                          f"got shape {X.shape} and k={k}")
-    spans = X.max(axis=0) - X.min(axis=0)
-    metric = _exact_metric(X, spans)
-    if metric is None:
+    if not np.isfinite(X).all():
         return None
-    return _nearest(*metric, min(CONSISTENCY_LIST_FACTOR * k, len(X) - 1)), spans
+    mins, maxs = X.min(axis=0), X.max(axis=0)
+    spans = maxs - mins
+    size = min(CONSISTENCY_LIST_FACTOR * k, len(X) - 1)
+    metric = _exact_metric(X, spans)
+    if metric is not None:
+        return _nearest(*metric, size), spans, None
+    nearest, reach = _float_nearest(apply_minmax(X, mins, maxs), size)
+    return nearest, spans, reach
 
 
 def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
@@ -324,20 +372,29 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     k)``, built once by the caller for all its calls on X, or None.  Each
     mask needs more than k rows.  The result is the array of each mask's D0.
 
-    A mask whose bounds have the list's spans reads its rows' k nearest
-    in-mask neighbours off the list.  Any other mask, or one with a row
-    short of k in-mask candidates, runs a kernel on its own rows.
-    Integer-valued rows take the exact kernel: scaled squared distances
-    times ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties
-    are exact and the tie rule holds whatever the BLAS.  Other data, or
-    integers past the ``2**53`` bound, takes the float kernel on the mask's
-    scaled rows (``_float_votes``), whose two block buffers are allocated
-    once per call and reused by every float mask.  All three paths end in
-    each row's favourable-neighbour count and one D0 expression.
+    Integer-valued rows take the exact path: scaled squared distances times
+    ``lcm(span**2)`` are exact integers (``_exact_metric``), so ties are
+    exact and the tie rule holds whatever the BLAS.  A mask whose bounds
+    have an exact list's spans reads its rows' k nearest in-mask neighbours
+    off the list; any other integer mask, or one with a row short of k
+    in-mask candidates, runs the exact kernel on its own rows.
+
+    Other data, or integers past the ``2**53`` bound, follows the float
+    kernel on the mask's scaled rows (``_float_votes``).  With a float list,
+    each row's in-mask candidates are re-ranked by the mask's metric, and a
+    row whose k-th candidate distance is far enough below the (k+1)-th and
+    its ``reach`` takes its vote from them (``_listed_votes``): that is the
+    kernel's vote, bit for bit.  The kernel runs only on the ``_row_blocks``
+    of the mask that hold a row the list could not certify, or on all of
+    them when the mask's bounds do not let the list decide; its two block
+    buffers are allocated once per call and reused by every float mask.
+    All paths end in each row's favourable-neighbour count and one D0
+    expression.
 
     Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
-    entries (2 MB) per buffer: a whole dataset of tens of thousands of rows
-    needs a few MB.
+    entries (2 MB) per buffer, and the float list's ranking works in chunks
+    of rows of about as many entries per array: a whole dataset of tens of
+    thousands of rows needs a few MB beside the list.
     """
     X = np.asarray(X, dtype=float)
     y = _check_binary("y", y)
@@ -365,28 +422,43 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
         raise ValueError(f"every mask needs more than k={k} rows, got {sizes.tolist()}")
     if listed is not None and len(listed[0]) != n:
         raise ValueError(f"the neighbour list has {len(listed[0])} rows, X has {n}")
+    exact_list = listed is not None and listed[2] is None
+    float_list = listed is not None and not exact_list
 
-    buffers = None
-    d0 = np.empty(len(masks))
+    # each mask's favourable-neighbour counts, row by row, or None while
+    # its rows wait for the float path
+    votes = [None] * len(masks)
     for i, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
         nearest = None
-        if listed is not None and np.array_equal(maxs - mins, listed[1]):
+        if exact_list and np.array_equal(maxs - mins, listed[1]):
             nearest = _first_in_mask(listed[0], mask, k)
         if nearest is None:
-            rows = X[mask]
-            own = _exact_metric(rows, maxs - mins)
+            own = _exact_metric(X[mask], maxs - mins)
             if own is not None:
                 nearest = np.flatnonzero(mask)[_nearest(*own, k)]
         if nearest is not None:
-            votes = y[nearest].sum(axis=1)
+            votes[i] = y[nearest].sum(axis=1)
+    pending = [i for i, v in enumerate(votes) if v is None]
+    if pending and float_list:
+        off_list, certified = _listed_votes(X, y, k, masks[pending],
+                                            [bounds[i] for i in pending], listed)
+    buffers = None
+    for j, i in enumerate(pending):
+        mask, (mins, maxs) = masks[i], bounds[i]
+        blocks = list(_row_blocks(sizes[i]))
+        if float_list:
+            votes[i], served = off_list[j, mask], certified[j, mask]
+            blocks = [(a, b) for a, b in blocks if not served[a:b].all()]
         else:
+            votes[i] = np.empty(sizes[i], dtype=np.intp)
+        if blocks:
             if buffers is None:  # sized for every mask: a smaller one can have larger blocks
                 size = max((stop - start) * m for m in set(sizes.tolist())
                            for start, stop in _row_blocks(m))
                 buffers = np.empty(size), np.empty(size)
-            votes = _float_votes(apply_minmax(rows, mins, maxs), y[mask] == 1, k, *buffers)
-        d0[i] = 1.0 - np.abs(y[mask] - votes / k).mean()
-    return d0
+            _float_votes(apply_minmax(X[mask], mins, maxs), y[mask] == 1, k, *buffers,
+                         votes[i], blocks)
+    return np.array([1.0 - np.abs(y[mask] - v / k).mean() for mask, v in zip(masks, votes)])
 
 
 def _exact_metric(X, spans):
@@ -453,37 +525,141 @@ def _first_in_mask(nearest, mask, k: int):
     return candidates[inside & (rank <= k)].reshape(-1, k)
 
 
-def _float_votes(X, favourable, k: int, d_buffer, g_buffer) -> np.ndarray:
+def _float_distances(X, sq, start: int, stop: int, d, g) -> None:
+    """Fill ``d`` with the float squared distances (|a|^2 + |b|^2) - 2ab of
+    rows start:stop of X to every row, ``sq`` the rows' squared norms, and
+    +inf at each row's self; ``g``, of d's shape, holds the Gram product.
+
+    Up to the block budget the one block's product is ``X @ X.T`` itself.
+    Above it, the BLAS may round a block's products differently in the last
+    bit from the whole product, but never past ``_rounding_bound``.
+    """
+    # the cheap row broadcast first; addition commutes, so the bits are
+    # those of sq[i] + sq[j]
+    np.copyto(d, sq)
+    d += sq[start:stop, None]
+    np.matmul(X[start:stop], X.T, out=g)
+    g *= 2.0
+    d -= g
+    np.maximum(d, 0.0, out=d)
+    local = np.arange(stop - start)
+    d[local, local + start] = np.inf
+
+
+def _float_nearest(X, size: int):
+    """The float list of scaled rows X (``neighbour_list``): each row's
+    ``size`` nearest other rows by ``_float_distances``, and its reach."""
+    n = len(X)
+    sq = (X * X).sum(axis=1)
+    nearest = np.empty((n, size), dtype=np.intp)
+    reach = np.empty(n)
+    blocks = list(_row_blocks(n, CONSISTENCY_LIST_BLOCK_ELEMENTS))
+    step = max(stop - start for start, stop in blocks)
+    d, g = np.empty((step, n)), np.empty((step, n))
+    for start, stop in blocks:
+        block = d[:stop - start]
+        _float_distances(X, sq, start, stop, block, g[:stop - start])
+        # entry `size` is the (size+1)-th nearest: with every other row on
+        # the list it is the row itself, at +inf
+        order = np.argpartition(block, size, axis=1)
+        nearest[start:stop] = order[:, :size]
+        reach[start:stop] = np.take_along_axis(block, order[:, size:size + 1], axis=1)[:, 0]
+    return nearest, reach - _rounding_bound(X.shape[1])
+
+
+def _listed_votes(X, y, k: int, masks, bounds, listed):
+    """Each row's count of favourable rows among its k nearest rows of each
+    mask, read off the float list ``listed``, and whether the list
+    certified it: two (m, n) arrays, meaningful where the mask holds the
+    row and the list certified it.
+
+    Each row's candidates inside a mask are ranked by the mask's metric:
+    raw differences squared, weighted by 1 / span**2.  A row is certified
+    when its k-th candidate distance plus the margin 4 E(p)
+    (``_rounding_bound``) lies strictly below both its (k+1)-th candidate
+    distance (+inf when it has only k) and its ``reach``.  A mask span at
+    most the list's makes every mask distance at least the all-rows one, so
+    no row off the list comes nearer than ``reach``.  Each distance here is
+    within E of the exact one, and so is the kernel's: the first k
+    candidates' kernel distances are at most the k-th candidate distance
+    plus 2 E, every other row's is larger, so the kernel selects the same k
+    rows, and its vote is this one.
+
+    No row of a mask is certified when a mask span exceeds the list's, a
+    column is constant in the mask but not in all rows, or the bounds do
+    not hold the mask's rows.  The squared differences of a chunk of rows,
+    about ``CONSISTENCY_BLOCK_ELEMENTS`` entries, are formed once for all
+    masks, then ranked mask by mask: no (n, K, p) stack is built.
+    """
+    nearest, spans, reach = listed
+    (n, size), p = nearest.shape, X.shape[1]
+    mins, maxs = (np.array(side)[:, None] for side in zip(*bounds))
+    fold = (maxs - mins)[:, 0]
+    usable = ((fold <= spans) & ((fold > 0) | (spans == 0))).all(axis=1)
+    weights = np.divide(1.0, fold * fold, out=np.zeros_like(fold), where=fold > 0)
+    # +inf on the distance to a candidate outside the mask
+    outside = np.where(masks, 0.0, np.inf)
+    margin = 4 * _rounding_bound(p)
+    favourable = y == 1
+    ones = np.ones(size)  # counts a row's taken candidates, as exact floats
+    votes = np.empty((len(masks), n), dtype=np.intp)
+    certified = np.empty((len(masks), n), dtype=bool)
+    # a chunk's largest arrays: (rows, K, p) differences, (m, rows, p) checks
+    step = max(1, CONSISTENCY_BLOCK_ELEMENTS // (p * max(size, len(masks))))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        rows, candidates = X[start:stop], nearest[start:stop]
+        stray = ((rows < mins) | (rows > maxs)).any(axis=2)
+        usable &= ~(stray & masks[:, start:stop]).any(axis=1)
+        diff = X[candidates]
+        diff -= rows[:, None]
+        diff *= diff
+        squares = diff.reshape(-1, p)
+        labels = favourable[candidates]
+        take = np.empty(candidates.shape, dtype=bool)
+        for t in range(len(masks)):
+            dist = (squares @ weights[t]).reshape(candidates.shape)
+            dist += outside[t][candidates]
+            part = dist.copy()
+            if size > k:
+                # entry k is the (k+1)-th smallest, the k before it no larger
+                part.partition(k, axis=1)
+                beyond = part[:, k]
+            else:  # every other row is a candidate: none is (k+1)-th
+                beyond = np.inf
+            kth = part[:, 0].copy()  # the largest of the first k
+            for j in range(1, k):
+                np.maximum(kth, part[:, j], out=kth)
+            limit = kth + margin
+            certified[t, start:stop] = (limit < beyond) & (limit < reach[start:stop])
+            np.less_equal(dist, kth[:, None], out=take)
+            take &= labels
+            votes[t, start:stop] = take @ ones
+    certified &= usable[:, None]
+    return votes, certified
+
+
+def _float_votes(X, favourable, k: int, d_buffer, g_buffer, votes, blocks) -> None:
     """Each row's count of ``favourable`` rows among its k nearest other rows
-    of X as given, in floating point: squared distances as (|a|^2 + |b|^2) -
-    2ab, the k-th smallest as each row's threshold, and ties at it broken by
-    the smallest row index.
+    of X as given, in floating point, written to ``votes`` for the rows of
+    ``blocks``, some blocks of ``_row_blocks(len(X))``: squared distances
+    by ``_float_distances``, the k-th smallest as each row's threshold, and
+    ties at it broken by the smallest row index.
 
     Each block works in views of the flat buffers, which must hold any
     block's entries: ``d`` holds its distances, and ``g`` its Gram product,
-    then a copy of ``d`` partitioned in place.  Up to the block budget the
-    one block's product is ``X @ X.T`` itself.  Above it, the BLAS may round
-    a block's products differently in the last bit from the whole product;
-    and equal distances of values that are not dyadic may round apart.
-    Either can decide a tie at the k-th distance.
+    then a copy of ``d`` partitioned in place.  A block's counts depend on
+    no other block.  Equal distances of values that are not dyadic may
+    round apart, and the BLAS may round a block's product differently from
+    the whole one; either can decide a tie at the k-th distance.
     """
     sq = (X * X).sum(axis=1)
     n = len(X)
-    votes = np.empty(n, dtype=np.intp)
-    for start, stop in _row_blocks(n):
+    for start, stop in blocks:
         shape = (stop - start, n)
         d = d_buffer[:shape[0] * n].reshape(shape)
         g = g_buffer[:shape[0] * n].reshape(shape)
-        # the cheap row broadcast first; addition commutes, so the bits are
-        # those of sq[i] + sq[j]
-        np.copyto(d, sq)
-        d += sq[start:stop, None]
-        np.matmul(X[start:stop], X.T, out=g)
-        g *= 2.0
-        d -= g
-        np.maximum(d, 0.0, out=d)
-        local = np.arange(stop - start)
-        d[local, local + start] = np.inf
+        _float_distances(X, sq, start, stop, d, g)
 
         # After the partition the first k entries of g hold the k smallest
         # distances and entry k the (k+1)-th.  When the k-th is strictly
@@ -499,7 +675,6 @@ def _float_votes(X, favourable, k: int, d_buffer, g_buffer) -> np.ndarray:
             take[i, tied[k - np.count_nonzero(d[i] < kth[i]):]] = False
         take &= favourable
         votes[start:stop] = np.count_nonzero(take, axis=1)
-    return votes
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ class TestExperiment:
         scales the raw rows by the same pairs, stacked slot by slot, or by
         the one global pair.  A budget of two repeats makes jobs of repeats
         0-1, 2-3 and 4, whose three calls share the dataset's one neighbour
-        list."""
+        list, the exact list of integer rows."""
         ds = german_style(90, 6)
         monkeypatch.setattr(harness, "FIT_STACK_ELEMENTS", 2 * 2 * 5 * ds.X.size)
         calls = []
@@ -328,7 +329,8 @@ class TestExperiment:
         listed = calls[0][4]
         assert all(call[4] is listed for call in calls)
         want = metrics.neighbour_list(ds.X, 5)
-        assert [part.tolist() for part in listed] == [part.tolist() for part in want]
+        assert listed[2] is None and want[2] is None
+        assert [part.tolist() for part in listed[:2]] == [part.tolist() for part in want[:2]]
         for job, (first, (X, masks, bounds, n_scaled, _)) in enumerate(zip((0, 2, 4), calls)):
             assert X is ds.X and n_scaled == job
             slots = harness.SLOTS[5 * first:5 * first + len(masks)]
@@ -350,21 +352,51 @@ class TestExperiment:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_one_neighbour_list_per_integer_dataset(self, monkeypatch, in_process_pool, jobs):
         """Each integer-coded dataset's all-rows list is built once, not once
-        per job, whether the jobs run in one process or in a pool;
-        float data has none.  The folds' own kernels run on fewer rows."""
-        calls = []
-        nearest = metrics._nearest
+        per job, whether the jobs run in one process or in a pool, and so is
+        float data's float list.  The folds' own kernels run on fewer rows."""
+        calls, lists = [], []
+        nearest, neighbour_list = metrics._nearest, metrics.neighbour_list
 
         def spy(A, weights, k):
             calls.append((len(A), k))
             return nearest(A, weights, k)
 
         monkeypatch.setattr(metrics, "_nearest", spy)
+        monkeypatch.setattr(metrics, "neighbour_list", lambda X, k: lists.append(
+            len(X)) or neighbour_list(X, k))
         datasets = [german_style(120, 1), dataclasses.replace(german_style(160, 2), name="other"),
                     make_synthetic("float", 100, 0.2, seed=1)]
         run_experiment(datasets, ExperimentConfig(jobs=jobs))
         assert in_process_pool == ([3] if jobs > 1 else [])
         assert [call for call in calls if call[0] in (100, 120, 160)] == [(120, 20), (160, 20)]
+        assert lists == [100, 120, 160]  # by name: "float", "german", "other"
+
+    def test_one_list_alive_at_a_time(self, monkeypatch):
+        """Run one by one, the jobs build a dataset's list as its first job
+        starts, and the list of the dataset before is gone by then: no list
+        is alive while one is built, and each D0 call sees one, its own."""
+        events, alive = [], []
+        neighbour_list, consistency = metrics.neighbour_list, metrics.consistency
+
+        def build(X, k):
+            events.append(("list", len(X), [ref() is not None for ref in alive]))
+            listed = neighbour_list(X, k)
+            alive.append(weakref.ref(listed[0]))
+            return listed
+
+        def d0(X, y, k, masks, bounds, listed):
+            events.append(("d0", len(X), [ref() is not None for ref in alive]))
+            return consistency(X, y, k, masks, bounds, listed)
+
+        monkeypatch.setattr(metrics, "neighbour_list", build)
+        monkeypatch.setattr(metrics, "consistency", d0)
+        # one repeat per job: the 3,000-row dataset has five jobs
+        datasets = [make_synthetic(f"f{n}", n, 0.2, seed=n) for n in (60, 80)]
+        datasets.append(dataclasses.replace(german_style(3000, 1), name="g"))
+        run_experiment(datasets, ExperimentConfig())
+        assert events == [("list", 60, []), ("d0", 60, [True]), ("list", 80, [False]),
+                          ("d0", 80, [False, True]), ("list", 3000, [False, False])] + [
+                              ("d0", 3000, [False, False, True])] * 5
 
     def test_worker_pool_capped_at_job_count(self, in_process_pool):
         datasets = [make_synthetic(f"pool{i}", 60, 0.2, seed=3 + i) for i in range(3)]
@@ -759,17 +791,18 @@ class TestMitigatorSlot:
             def training_weights(self, y, s):
                 return 1.0
 
-        ds = make_synthetic("constant", 100, 0.2, seed=8)
-        with pytest.raises(ValueError, match=r"^constant: \(\) weights for 80 rows$"):
+        ds = make_synthetic("data", 100, 0.2, seed=8)
+        with pytest.raises(ValueError, match=r"^data repeat=0 fold=0: constant gave \(\) "
+                                             r"weights for 80 rows$"):
             run_experiment([ds], ExperimentConfig(models=("constant",)),
                            mitigators={"constant": Constant()})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected_before_any_fit(self, bad):
         """One non-finite weight per fold stops the run at the mitigator
-        loop's check, which names the model, repeat and fold, before any fit
-        runs or warns: a NaN weight used to give zero models and a warning,
-        an infinite one a grid partly NaN."""
+        loop's check, which names the dataset, repeat, fold and model, before
+        any fit runs or warns: a NaN weight used to give zero models and a
+        warning, an infinite one a grid partly NaN."""
         from fairsift.models import Mitigator
 
         class OneBad(Mitigator):
@@ -782,7 +815,7 @@ class TestMitigatorSlot:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the baseline's weights of fold 0 pass, then "bad"'s stop the run
-            with pytest.raises(ValueError, match="^bad repeat=0 fold=0: weights must be "
+            with pytest.raises(ValueError, match="^synth repeat=0 fold=0: bad weights must be "
                                                  "non-negative, finite and not all zero$"):
                 run_experiment([ds], ExperimentConfig(models=("baseline", "bad")),
                                mitigators={"bad": OneBad()})
@@ -791,9 +824,9 @@ class TestMitigatorSlot:
     @pytest.mark.parametrize("bad", [-1.0, 0.0], ids=["negative", "all-zero"])
     def test_bad_weights_name_their_repeat_and_fold(self, monkeypatch, bad, budget):
         """A negative weight, or all-zero weights, in one fold stop the run in
-        the mitigator loop, naming the model, repeat and fold wherever the
-        fold sits in its job: the mitigator is not called again, and the
-        fold's job fits nothing (with one repeat per job, the jobs of
+        the mitigator loop, naming the dataset, repeat, fold and model
+        wherever the fold sits in its job: the mitigator is not called again,
+        and the fold's job fits nothing (with one repeat per job, the jobs of
         repeats 0 and 1 have fitted)."""
         from fairsift.models import Mitigator
 
@@ -813,12 +846,28 @@ class TestMitigatorSlot:
                             lambda *a, **kw: fits.append(len(a[0])) or fit(*a, **kw))
         monkeypatch.setattr(harness, "FIT_STACK_ELEMENTS", budget)
         spoil = Spoil()
-        with pytest.raises(ValueError, match="^spoil repeat=2 fold=3: weights must be "
+        with pytest.raises(ValueError, match="^synth repeat=2 fold=3: spoil weights must be "
                                              "non-negative, finite and not all zero$"):
             run_experiment([make_synthetic("synth", 100, 0.2, seed=8)],
                            ExperimentConfig(models=("spoil",)), mitigators={"spoil": spoil})
         assert spoil.calls == 14
         assert fits == ([5, 5] if budget == 1 else [])
+
+    def test_bad_weights_name_their_dataset(self):
+        """Weights negative only on 96-row training folds, so only in the
+        120-row dataset ``b``, stop the run naming ``b``, not ``a``, whose
+        80-row folds pass: one run holds every dataset."""
+        from fairsift.models import Mitigator
+
+        class Negative96(Mitigator):
+            def training_weights(self, y, s):
+                return np.full(len(y), -1.0 if len(y) == 96 else 1.0)
+
+        datasets = [make_synthetic("a", 100, 0.2, seed=8), make_synthetic("b", 120, 0.2, seed=9)]
+        with pytest.raises(ValueError, match="^b repeat=0 fold=0: bad weights must be "
+                                             "non-negative, finite and not all zero$"):
+            run_experiment(datasets, ExperimentConfig(models=("bad",)),
+                           mitigators={"bad": Negative96()})
 
 
 class TestPersistence:

@@ -129,6 +129,21 @@ def as_given(X, y, k=5):
     )[0])
 
 
+def served_rows(patch):
+    """Record how many rows of each mask the float list served: one list of
+    counts per ``_listed_votes`` call, in its masks' order.  ``patch`` is
+    ``monkeypatch.setattr`` or ``mock.patch.object`` (which gives a context)."""
+    counts = []
+    listed_votes = metrics._listed_votes
+
+    def spy(X, y, k, masks, bounds, listed):
+        votes, certified = listed_votes(X, y, k, masks, bounds, listed)
+        counts.append((certified & masks).sum(axis=1).tolist())
+        return votes, certified
+
+    return counts, patch(metrics, "_listed_votes", spy)
+
+
 def consistency_int64(X, y, k=5, fit=None):
     """D0 of integer rows X, min-max scaled by the bounds of ``fit`` (default
     X), by direct int64 differences: squared distances times lcm(span**2),
@@ -773,6 +788,9 @@ class TestBlockedConsistency:
     def test_float_masks_share_buffers(self, budget, monkeypatch):
         # Masks of 61, 12 and 60 rows reuse one call's block buffers; a
         # stale entry from a larger mask would change a smaller one's D0.
+        # The float list serves the rows it certifies, and the kernel runs
+        # on the blocks of the others: with the list and without it, the
+        # masks together and alone give the same bits.
         monkeypatch.setattr(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget)
         rng = np.random.default_rng(budget)
         X = np.round(rng.normal(size=(80, 3)) * 2) / 2 + 0.25
@@ -781,14 +799,23 @@ class TestBlockedConsistency:
         for mask, size in zip(masks, (61, 12, 60)):
             mask[rng.permutation(80)[:size]] = True
         bounds = [fit_minmax(X[mask]) for mask in masks]
-        assert metrics.neighbour_list(X, 5) is None
-        together = metrics.consistency(X, y, 5, masks, bounds, None)
-        alone = np.concatenate([metrics.consistency(X, y, 5, mask[None], [b], None)
-                                for mask, b in zip(masks, bounds)])
-        assert together.tobytes() == alone.tobytes()
+        listed = metrics.neighbour_list(X, 5)
+        assert listed[2] is not None  # a float list
+        served, _ = served_rows(monkeypatch.setattr)
+        together = metrics.consistency(X, y, 5, masks, bounds, listed)
+        assert served == [self.SERVED[budget]]
+        for with_list in (listed, None):
+            alone = np.concatenate([metrics.consistency(X, y, 5, mask[None], [b], with_list)
+                                    for mask, b in zip(masks, bounds)])
+            assert together.tobytes() == alone.tobytes()
+        assert together.tobytes() == metrics.consistency(X, y, 5, masks, bounds, None).tobytes()
         for mask, b, d0 in zip(masks, bounds, together):
             scaled = apply_minmax(X[mask], *b)
             assert d0 == consistency_dense(scaled, y[mask], 5, block_gram(scaled))
+
+    # rows the list served per mask, by seed (the budget); values rounded to
+    # halves tie often, and a 12-row mask leaves a row few candidates
+    SERVED = {1: [41, 0, 47], 3 * 80: [43, 0, 44], 2**18: [28, 0, 37]}
 
     def test_memory_linear_in_rows(self):
         # The n x n version peaks near 384 MB here.
@@ -932,7 +959,7 @@ class TestExactConsistency:
             train = plan.assignments[repeat] != fold
             assert got[repeat][fold] == consistency_int64(ds.X[train], ds.y[train])
 
-    def test_past_the_bound_runs_the_float_kernel(self):
+    def test_past_the_bound_runs_the_float_kernel(self, monkeypatch):
         # coprime spans make lcm(span**2) about 1e24, far past 2**53
         spans = (10007, 10009, 10037)
         rng = np.random.default_rng(7)
@@ -941,9 +968,14 @@ class TestExactConsistency:
         y = rng.integers(0, 2, 200)
         bounds = fit_minmax(X)
         assert metrics._exact_metric(X, bounds[1] - bounds[0]) is None
-        assert metrics.neighbour_list(X, 5) is None
+        listed = metrics.neighbour_list(X, 5)
+        assert listed[2] is not None  # a float list
         masks = np.arange(200) % 5 != np.arange(5)[:, None]
-        for mask, d0 in zip(masks, metrics.consistency(X, y, 5, masks, [bounds] * 5, None)):
+        served, _ = served_rows(monkeypatch.setattr)
+        got = metrics.consistency(X, y, 5, masks, [bounds] * 5, listed)
+        assert served == [[160] * 5]
+        assert got.tobytes() == metrics.consistency(X, y, 5, masks, [bounds] * 5, None).tobytes()
+        for mask, d0 in zip(masks, got):
             scaled = apply_minmax(X[mask], *bounds)
             assert d0 == consistency_dense(scaled, y[mask], 5, block_gram(scaled))
 
@@ -983,6 +1015,186 @@ class TestExactConsistency:
                                 np.ones((2, 6), dtype=bool), bounds, None)
 
 
+def list_agrees(X, y, k, masks, bounds):
+    """D0 of the masks with X's float list and without it, ``tobytes()``-
+    equal at every block budget; the rows the list served per mask, which
+    are the same at every budget, are returned."""
+    X, masks = np.asarray(X, dtype=float), np.asarray(masks)
+    served_by_budget = []
+    for budget in (1, 3 * len(X), 2**18):
+        with mock.patch.object(metrics, "CONSISTENCY_BLOCK_ELEMENTS", budget):
+            listed = metrics.neighbour_list(X, k)
+            assert listed[2] is not None  # a float list
+            served, patched = served_rows(mock.patch.object)
+            with patched:
+                with_list = metrics.consistency(X, y, k, masks, bounds, listed)
+            without = metrics.consistency(X, y, k, masks, bounds, None)
+        assert with_list.tobytes() == without.tobytes()
+        served_by_budget.append(served)
+    assert all(served == served_by_budget[0] for served in served_by_budget)
+    return served_by_budget[0][0]
+
+
+@st.composite
+def dyadic_folds(draw):
+    """Integer grid rows 0..8 with 0 and 8 in every column, so all rows
+    divided by 8 have spans 1 and unit bounds scale them by nothing: every
+    distance is exact.  Their labels, k and 1-3 masks of more than k rows,
+    each holding row 2, which is not integer-valued once divided, so every
+    mask takes the float path."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 8), min_size=dim, max_size=dim)
+    grid = [[0] * dim, [8] * dim, [1] * dim] + draw(st.lists(row, max_size=21))
+    n = len(grid)
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1))
+    masks = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = [2] + [i for i in draw(st.permutations(range(n))) if i != 2]
+        keep = set(order[: draw(st.integers(k + 1, n))])
+        masks.append([i in keep for i in range(n)])
+    return grid, y, k, masks
+
+
+class TestFloatList:
+    """Float rows: D0 off the certified float list is the float kernel's, bit
+    for bit, and each case counts the rows the list served."""
+
+    # (rows, columns, masks): uneven masks of 9 to all rows, and CV folds
+    RANDOM = [(40, 1), (97, 3), (150, 8), (301, 5)]
+
+    @pytest.mark.parametrize("seed", range(len(RANDOM)))
+    def test_random_float_folds(self, seed):
+        n, p = self.RANDOM[seed]
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p)) * rng.uniform(0.01, 100, p) + rng.uniform(-1e3, 1e3, p)
+        y = rng.integers(0, 2, n)
+        masks = np.vstack([rng.permutation(n) % 5 != np.arange(5)[:, None],
+                           [rng.random(n) < share for share in (0.3, 0.6, 1.0)]])
+        masks[5, :9] = True  # at least 9 rows
+        bounds = [fit_minmax(X[mask]) for mask in masks]
+        for k in (1, 5):
+            assert list_agrees(X, y, k, masks, bounds) == self.SERVED_RANDOM[seed, k]
+
+    SERVED_RANDOM = {
+        (0, 1): [32, 32, 32, 32, 32, 15, 23, 40], (0, 5): [32, 32, 32, 32, 32, 13, 25, 40],
+        (1, 1): [77, 76, 75, 77, 77, 26, 57, 97], (1, 5): [77, 77, 78, 78, 78, 35, 58, 97],
+        (2, 1): [117, 114, 118, 120, 113, 28, 73, 150],
+        (2, 5): [120, 120, 120, 120, 120, 19, 81, 150],
+        (3, 1): [240, 240, 241, 240, 240, 75, 150, 301],
+        (3, 5): [240, 241, 241, 241, 241, 72, 160, 301],
+    }
+
+    @pytest.mark.parametrize("n", [80, 400])
+    def test_halves(self, n):
+        # values rounded to halves: many rows tie at the k-th distance, and
+        # the list leaves them to the kernel
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(n, 3)) * 2) / 2
+        y = rng.integers(0, 2, n)
+        masks = rng.permutation(n) % 5 != np.arange(5)[:, None]
+        served = list_agrees(X, y, 5, masks, [fit_minmax(X[mask]) for mask in masks])
+        assert served == self.SERVED_HALVES[n]
+
+    SERVED_HALVES = {80: [49, 44, 49, 49, 47], 400: [165, 146, 95, 140, 115]}
+
+    @given(dyadic_folds())
+    def test_dyadic_grid_serves_the_rows_an_exact_rule_certifies(self, case):
+        grid, y, k, masks = case
+        X = np.array(grid, dtype=float) / 8
+        n, p = X.shape
+        bounds = [(np.zeros(p), np.ones(p))] * len(masks)
+        served = list_agrees(X, y, k, masks, bounds)
+        nearest = metrics.neighbour_list(X, k)[0]
+        # exact integer distances: a row is served when its k-th in-mask
+        # candidate is strictly nearer than its (k+1)-th and than the
+        # (K+1)-th nearest of all rows
+        want = []
+        for mask in masks:
+            count = 0
+            for i in np.flatnonzero(mask):
+                dist = [sum((a - b) ** 2 for a, b in zip(grid[i], grid[j])) for j in range(n)]
+                others = sorted(d for j, d in enumerate(dist) if j != i)
+                inside = sorted(dist[j] for j in nearest[i] if mask[j]) + [math.inf]
+                reach = others[len(nearest[i])] if len(nearest[i]) < n - 1 else math.inf
+                count += len(inside) > k and inside[k - 1] < min(inside[k], reach)
+            want.append(count)
+        assert served == want
+        d0 = metrics.consistency(X, y, k, np.array(masks), bounds, metrics.neighbour_list(X, k))
+        assert d0.tolist() == [consistency_exact([g for g, m in zip(grid, mask) if m],
+                                                 [v for v, m in zip(y, mask) if m], k)
+                               for mask in masks]
+
+    def test_kth_and_next_one_ulp_apart(self):
+        # Row 0's nearest rows, 1 and 2, lie 2**-4 and one ulp more away; it
+        # is left to the kernel, which may take either (a zero margin would
+        # certify it).  Rows 0 and 1 at the ends make the scaling the
+        # identity.
+        x = [0.5, 0.5 + 2**-4, np.nextafter(0.5 - 2**-4, 0.0), 0.0, 1.0, 0.13, 0.27, 0.71, 0.86]
+        X = np.array(x)[:, None]
+        y = np.array([1, 1, 0, 0, 1, 1, 0, 1, 0])
+        masks = np.ones((1, len(x)), dtype=bool)
+        assert list_agrees(X, y, 1, masks, [fit_minmax(X)]) == [len(x) - 1]
+        listed = metrics.neighbour_list(X, 1)
+        assert metrics._listed_votes(X, y, 1, masks, [fit_minmax(X)], listed)[1][0, 0] == False
+
+    def test_reach_lowered_by_the_rounding_bound(self):
+        # k = 1 keeps row 0's 4 nearest; the mask drops its 3 nearest, so
+        # its 4th is its one in-mask candidate, and its 5th, off the list,
+        # is 4.5 E(1) farther: within 4 E of a reach not lowered by E, but
+        # not of the true one
+        bound = metrics._rounding_bound(1)
+        x = [0.5, 0.51, 0.485, 0.53, 0.4, 0.5 + math.sqrt(0.01 + 4.5 * bound), 0.0, 1.0, 0.05]
+        X = np.array(x)[:, None]
+        y = np.array([1, 0, 0, 0, 1, 0, 1, 0, 1])
+        masks = np.array([[True, False, False, False] + [True] * 5, [True] * 9])
+        served = list_agrees(X, y, 1, masks, [fit_minmax(X)] * 2)
+        assert served == [5, 9]
+        listed = metrics.neighbour_list(X, 1)
+        certified = metrics._listed_votes(X, y, 1, masks, [fit_minmax(X)] * 2, listed)[1]
+        assert not certified[0, 0] and certified[1, 0]
+
+    def test_column_constant_in_a_fold_only(self):
+        # mask 0 holds the rows whose third column is 0: constant there, not
+        # in all rows, so the list serves none of its rows
+        rng = np.random.default_rng(21)
+        X = np.column_stack([rng.normal(size=(60, 2)), np.arange(60) % 3 == 0])
+        y = rng.integers(0, 2, 60)
+        masks = np.array([X[:, 2] == 0, np.ones(60, dtype=bool)])
+        served = list_agrees(X, y, 5, masks, [fit_minmax(X[mask]) for mask in masks])
+        assert served == [0, 60]
+
+    def test_unit_bounds_wider_than_the_spans(self):
+        # unit bounds on rows inside (0.1, 0.9) exceed every span: the list
+        # serves none of mask 0's rows, and all of mask 1's, under its own
+        rng = np.random.default_rng(22)
+        X = 0.1 + 0.8 * rng.random((50, 3))
+        y = rng.integers(0, 2, 50)
+        masks = np.ones((2, 50), dtype=bool)
+        served = list_agrees(X, y, 3, masks, [(np.zeros(3), np.ones(3)), fit_minmax(X)])
+        assert served == [0, 50]
+
+    def test_global_normalize(self):
+        # all rows' bounds on every fold: the spans are the list's
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(250, 8))
+        y = rng.integers(0, 2, 250)
+        masks = make_cv_plan(250).assignments[:2].repeat(5, axis=0) != np.tile(np.arange(5), 2)[:, None]
+        served = list_agrees(X, y, 5, masks, [fit_minmax(X)] * 10)
+        assert served == [200] * 10
+
+    def test_k1_and_every_other_row_listed(self):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(7, 2))
+        y = np.array([1, 0, 1, 1, 0, 0, 1])
+        masks = np.array([[True] * 7, [True] * 5 + [False] * 2, [False, True] * 3 + [True]])
+        bounds = [fit_minmax(X[mask]) for mask in masks]
+        # k = 2 keeps min(8, 6) candidates: every other row, and no reach
+        assert (metrics.neighbour_list(X, 2)[2] == np.inf).all()
+        assert list_agrees(X, y, 2, masks, bounds) == [7, 5, 4]
+        assert list_agrees(X, y, 1, masks, bounds) == [7, 5, 4]
+
+
 class TestNeighbourList:
     """``neighbour_list`` is built once per dataset and read by every
     ``consistency`` call on its rows."""
@@ -999,18 +1211,41 @@ class TestNeighbourList:
                 assert with_list.tobytes() == without.tobytes()
 
     def test_list_is_the_spans_and_nearest_of_all_rows(self):
+        # integer rows: the exact list in (distance, row index) order
         ds = german_style(200, 4)
-        nearest, spans = metrics.neighbour_list(ds.X, 3)
+        nearest, spans, reach = metrics.neighbour_list(ds.X, 3)
         assert spans.tolist() == (ds.X.max(axis=0) - ds.X.min(axis=0)).tolist()
-        assert nearest.shape == (200, 12)
+        assert nearest.shape == (200, 12) and reach is None
         want = metrics._nearest(*metrics._exact_metric(ds.X, spans), 12)
         assert nearest.tolist() == want.tolist()
+        # float rows: the 12 nearest by the kernel's distances of the scaled
+        # rows, in no set order, and reach the 13th less the rounding bound
+        X = np.random.default_rng(4).normal(size=(200, 4)) * [1.0, 10.0, 1e3, 1e-3]
+        nearest, spans, reach = metrics.neighbour_list(X, 3)
+        assert spans.tolist() == (X.max(axis=0) - X.min(axis=0)).tolist()
+        assert nearest.shape == (200, 12) and reach.shape == (200,)
+        scaled = apply_minmax(X, *fit_minmax(X))
+        sq = (scaled * scaled).sum(axis=1)
+        d = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (scaled @ scaled.T), 0.0)
+        np.fill_diagonal(d, np.inf)
+        ordered = np.sort(d, axis=1)
+        assert np.sort(np.take_along_axis(d, nearest, axis=1), axis=1).tolist() == \
+            ordered[:, :12].tolist()
+        assert all(len(set(row)) == 12 and i not in row for i, row in enumerate(nearest.tolist()))
+        assert reach.tolist() == (ordered[:, 12] - metrics._rounding_bound(4)).tolist()
 
     def test_none_on_float_rows(self):
+        # float rows get no exact list: their list is a float one, with a
+        # reach; only rows that are not finite get no list at all
         rng = np.random.default_rng(11)
         X = rng.random((50, 3))
-        assert metrics.neighbour_list(X, 5) is None
+        nearest, spans, reach = metrics.neighbour_list(X, 5)
+        assert nearest.shape == (50, 20) and reach.shape == (50,)
         X[:, 0] = np.round(X[:, 0] * 10)  # one integer column is not enough
+        assert metrics.neighbour_list(X, 5)[2] is not None
+        X[7, 1] = np.nan
+        assert metrics.neighbour_list(X, 5) is None
+        X[7, 1] = np.inf
         assert metrics.neighbour_list(X, 5) is None
 
     def test_list_of_other_rows_rejected(self):
