@@ -388,13 +388,14 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     of the mask that hold a row the list could not certify, or on all of
     them when the mask's bounds do not let the list decide; its two block
     buffers are allocated once per call and reused by every float mask.
-    All paths end in each row's favourable-neighbour count and one D0
-    expression.
+    All paths end in each row's favourable-neighbour count, one (m, n)
+    array, and one D0 expression, a mean per mask taken for all masks of a
+    size at once.
 
-    Memory is O(n) per block of rows, about ``CONSISTENCY_BLOCK_ELEMENTS``
-    entries (2 MB) per buffer, and the float list's ranking works in chunks
-    of rows of about as many entries per array: a whole dataset of tens of
-    thousands of rows needs a few MB beside the list.
+    Memory is O(m n) for the counts and O(n) per block of rows otherwise:
+    about ``CONSISTENCY_BLOCK_ELEMENTS`` entries (2 MB) per buffer, and the
+    float list's ranking works in chunks of rows of about as many entries
+    per array.
     """
     X = np.asarray(X, dtype=float)
     y = _check_binary("y", y)
@@ -425,40 +426,47 @@ def consistency(X, y, k: int, masks, bounds, listed) -> np.ndarray:
     exact_list = listed is not None and listed[2] is None
     float_list = listed is not None and not exact_list
 
-    # each mask's favourable-neighbour counts, row by row, or None while
-    # its rows wait for the float path
-    votes = [None] * len(masks)
+    # each row's favourable-neighbour count per mask, at the mask's rows;
+    # only a mask of integer-valued rows can have an exact metric
+    votes = np.zeros(masks.shape, dtype=np.intp)
+    integral = ~(masks & ~(X == np.round(X)).all(axis=1)).any(axis=1)
+    pending = []
     for i, (mask, (mins, maxs)) in enumerate(zip(masks, bounds)):
         nearest = None
         if exact_list and np.array_equal(maxs - mins, listed[1]):
             nearest = _first_in_mask(listed[0], mask, k)
-        if nearest is None:
+        if nearest is None and integral[i]:
             own = _exact_metric(X[mask], maxs - mins)
             if own is not None:
                 nearest = np.flatnonzero(mask)[_nearest(*own, k)]
-        if nearest is not None:
-            votes[i] = y[nearest].sum(axis=1)
-    pending = [i for i, v in enumerate(votes) if v is None]
-    if pending and float_list:
-        off_list, certified = _listed_votes(X, y, k, masks[pending],
-                                            [bounds[i] for i in pending], listed)
-    buffers = None
-    for j, i in enumerate(pending):
-        mask, (mins, maxs) = masks[i], bounds[i]
-        blocks = list(_row_blocks(sizes[i]))
-        if float_list:
-            votes[i], served = off_list[j, mask], certified[j, mask]
-            blocks = [(a, b) for a, b in blocks if not served[a:b].all()]
+        if nearest is None:
+            pending.append(i)
         else:
-            votes[i] = np.empty(sizes[i], dtype=np.intp)
-        if blocks:
-            if buffers is None:  # sized for every mask: a smaller one can have larger blocks
-                size = max((stop - start) * m for m in set(sizes.tolist())
-                           for start, stop in _row_blocks(m))
-                buffers = np.empty(size), np.empty(size)
-            _float_votes(apply_minmax(X[mask], mins, maxs), y[mask] == 1, k, *buffers,
-                         votes[i], blocks)
-    return np.array([1.0 - np.abs(y[mask] - v / k).mean() for mask, v in zip(masks, votes)])
+            votes[i, mask] = y[nearest].sum(axis=1)
+    open_rows = masks[pending]
+    if pending and float_list:
+        votes[pending], certified = _listed_votes(X, y, k, open_rows,
+                                                  [bounds[i] for i in pending], listed)
+        open_rows &= ~certified
+    buffers = None
+    for j in np.flatnonzero(open_rows.any(axis=1)):
+        i = pending[j]
+        mask, (mins, maxs) = masks[i], bounds[i]
+        own, rows = votes[i, mask], open_rows[j, mask]
+        blocks = [(a, b) for a, b in _row_blocks(sizes[i]) if rows[a:b].any()]
+        if buffers is None:  # sized for every mask: a smaller one can have larger blocks
+            size = max((stop - start) * m for m in set(sizes.tolist())
+                       for start, stop in _row_blocks(m))
+            buffers = np.empty(size), np.empty(size)
+        _float_votes(apply_minmax(X[mask], mins, maxs), y[mask] == 1, k, *buffers, own, blocks)
+        votes[i, mask] = own
+    # the rows of a 2-D mean have the bits of each mask's own 1-D mean
+    gaps = np.abs(y - votes / k)
+    d0 = np.empty(len(masks))
+    for size in set(sizes.tolist()):
+        group = sizes == size
+        d0[group] = 1.0 - gaps[group][masks[group]].reshape(-1, size).mean(axis=1)
+    return d0
 
 
 def _exact_metric(X, spans):
@@ -593,8 +601,8 @@ def _listed_votes(X, y, k: int, masks, bounds, listed):
     """
     nearest, spans, reach = listed
     (n, size), p = nearest.shape, X.shape[1]
-    mins, maxs = (np.array(side)[:, None] for side in zip(*bounds))
-    fold = (maxs - mins)[:, 0]
+    mins, maxs = (np.array(side)[:, :, None] for side in zip(*bounds))
+    fold = (maxs - mins)[:, :, 0]
     usable = ((fold <= spans) & ((fold > 0) | (spans == 0))).all(axis=1)
     weights = np.divide(1.0, fold * fold, out=np.zeros_like(fold), where=fold > 0)
     # +inf on the distance to a candidate outside the mask
@@ -604,37 +612,38 @@ def _listed_votes(X, y, k: int, masks, bounds, listed):
     ones = np.ones(size)  # counts a row's taken candidates, as exact floats
     votes = np.empty((len(masks), n), dtype=np.intp)
     certified = np.empty((len(masks), n), dtype=bool)
-    # a chunk's largest arrays: (rows, K, p) differences, (m, rows, p) checks
+    # a chunk's largest arrays: (rows, K, p) differences, (m, p, rows) checks
     step = max(1, CONSISTENCY_BLOCK_ELEMENTS // (p * max(size, len(masks))))
     for start in range(0, n, step):
         stop = min(n, start + step)
         rows, candidates = X[start:stop], nearest[start:stop]
-        stray = ((rows < mins) | (rows > maxs)).any(axis=2)
-        usable &= ~(stray & masks[:, start:stop]).any(axis=1)
+        # rows along the last axis keep numpy's inner loops long
+        columns = np.ascontiguousarray(rows.T)
+        stray = (columns < mins) | (columns > maxs)
+        stray &= masks[:, None, start:stop]
+        usable &= ~stray.any(axis=(1, 2))
         diff = X[candidates]
         diff -= rows[:, None]
         diff *= diff
         squares = diff.reshape(-1, p)
         labels = favourable[candidates]
         take = np.empty(candidates.shape, dtype=bool)
+        # each row's k-th and (k+1)-th candidate distance per mask
+        kth, beyond = np.empty((2, len(masks), stop - start))
+        if size == k:  # every other row is a candidate: none is (k+1)-th
+            beyond.fill(np.inf)
         for t in range(len(masks)):
             dist = (squares @ weights[t]).reshape(candidates.shape)
             dist += outside[t][candidates]
-            part = dist.copy()
+            ranked = np.sort(dist, axis=1)
+            kth[t] = ranked[:, k - 1]
             if size > k:
-                # entry k is the (k+1)-th smallest, the k before it no larger
-                part.partition(k, axis=1)
-                beyond = part[:, k]
-            else:  # every other row is a candidate: none is (k+1)-th
-                beyond = np.inf
-            kth = part[:, 0].copy()  # the largest of the first k
-            for j in range(1, k):
-                np.maximum(kth, part[:, j], out=kth)
-            limit = kth + margin
-            certified[t, start:stop] = (limit < beyond) & (limit < reach[start:stop])
-            np.less_equal(dist, kth[:, None], out=take)
+                beyond[t] = ranked[:, k]
+            np.less_equal(dist, ranked[:, k - 1:k], out=take)
             take &= labels
             votes[t, start:stop] = take @ ones
+        kth += margin
+        certified[:, start:stop] = (kth < beyond) & (kth < reach[start:stop])
     certified &= usable[:, None]
     return votes, certified
 
