@@ -959,6 +959,25 @@ class TestExactConsistency:
             train = plan.assignments[repeat] != fold
             assert got[repeat][fold] == consistency_int64(ds.X[train], ds.y[train])
 
+    def test_integer_mask_of_float_rows_runs_the_exact_kernel(self, monkeypatch):
+        # rows 0-29 are integers and rows 30-59 are not: the data gets a
+        # float list, the mask of the first 30 rows the exact kernel on its
+        # own rows, and the mask of all rows reads 50 of its rows off the
+        # float list
+        rng = np.random.default_rng(25)
+        X = np.vstack([rng.integers(0, 6, (30, 2)), rng.normal(size=(30, 2))])
+        y = rng.integers(0, 2, 60)
+        masks = np.array([np.arange(60) < 30, np.ones(60, dtype=bool)])
+        bounds = [fit_minmax(X[mask]) for mask in masks]
+        listed = metrics.neighbour_list(X, 5)
+        assert listed[2] is not None  # a float list
+        calls = self.spy(monkeypatch)
+        served, _ = served_rows(monkeypatch.setattr)
+        got = metrics.consistency(X, y, 5, masks, bounds, listed)
+        assert calls["nearest"] == [(30, 5)] and served == [[50]]
+        assert got[0] == consistency_int64(X[:30], y[:30])
+        assert got.tobytes() == metrics.consistency(X, y, 5, masks, bounds, None).tobytes()
+
     def test_past_the_bound_runs_the_float_kernel(self, monkeypatch):
         # coprime spans make lcm(span**2) about 1e24, far past 2**53
         spans = (10007, 10009, 10037)
