@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fairsift import metrics
+from fairsift import floatlist, metrics
 from fairsift.datamodel import apply_minmax, fit_minmax
 from fairsift.harness import make_cv_plan
 from fairsift.models import reweigh
@@ -131,17 +133,17 @@ def as_given(X, y, k=5):
 
 def served_rows(patch):
     """Record how many rows of each mask the float list served: one list of
-    counts per ``_listed_votes`` call, in its masks' order.  ``patch`` is
+    counts per ``floatlist.votes`` call, in its masks' order.  ``patch`` is
     ``monkeypatch.setattr`` or ``mock.patch.object`` (which gives a context)."""
     counts = []
-    listed_votes = metrics._listed_votes
+    listed_votes = floatlist.votes
 
     def spy(X, y, k, masks, bounds, listed):
         votes, certified = listed_votes(X, y, k, masks, bounds, listed)
         counts.append((certified & masks).sum(axis=1).tolist())
         return votes, certified
 
-    return counts, patch(metrics, "_listed_votes", spy)
+    return counts, patch(floatlist, "votes", spy)
 
 
 def consistency_int64(X, y, k=5, fit=None):
@@ -1155,14 +1157,14 @@ class TestFloatList:
         masks = np.ones((1, len(x)), dtype=bool)
         assert list_agrees(X, y, 1, masks, [fit_minmax(X)]) == [len(x) - 1]
         listed = metrics.neighbour_list(X, 1)
-        assert metrics._listed_votes(X, y, 1, masks, [fit_minmax(X)], listed)[1][0, 0] == False
+        assert floatlist.votes(X, y, 1, masks, [fit_minmax(X)], listed)[1][0, 0] == False
 
     def test_reach_lowered_by_the_rounding_bound(self):
         # k = 1 keeps row 0's 4 nearest; the mask drops its 3 nearest, so
         # its 4th is its one in-mask candidate, and its 5th, off the list,
         # is 4.5 E(1) farther: within 4 E of a reach not lowered by E, but
         # not of the true one
-        bound = metrics._rounding_bound(1)
+        bound = floatlist.rounding_bound(1)
         x = [0.5, 0.51, 0.485, 0.53, 0.4, 0.5 + math.sqrt(0.01 + 4.5 * bound), 0.0, 1.0, 0.05]
         X = np.array(x)[:, None]
         y = np.array([1, 0, 0, 0, 1, 0, 1, 0, 1])
@@ -1170,7 +1172,7 @@ class TestFloatList:
         served = list_agrees(X, y, 1, masks, [fit_minmax(X)] * 2)
         assert served == [5, 9]
         listed = metrics.neighbour_list(X, 1)
-        certified = metrics._listed_votes(X, y, 1, masks, [fit_minmax(X)] * 2, listed)[1]
+        certified = floatlist.votes(X, y, 1, masks, [fit_minmax(X)] * 2, listed)[1]
         assert not certified[0, 0] and certified[1, 0]
 
     def test_column_constant_in_a_fold_only(self):
@@ -1251,7 +1253,7 @@ class TestNeighbourList:
         assert np.sort(np.take_along_axis(d, nearest, axis=1), axis=1).tolist() == \
             ordered[:, :12].tolist()
         assert all(len(set(row)) == 12 and i not in row for i, row in enumerate(nearest.tolist()))
-        assert reach.tolist() == (ordered[:, 12] - metrics._rounding_bound(4)).tolist()
+        assert reach.tolist() == (ordered[:, 12] - floatlist.rounding_bound(4)).tolist()
 
     def test_none_on_float_rows(self):
         # float rows get no exact list: their list is a float one, with a
@@ -1266,6 +1268,27 @@ class TestNeighbourList:
         assert metrics.neighbour_list(X, 5) is None
         X[7, 1] = np.inf
         assert metrics.neighbour_list(X, 5) is None
+
+    def test_integer_rows_never_load_the_float_list(self):
+        # a fresh interpreter: D0 of integer rows, list and folds, leaves
+        # fairsift.floatlist unloaded; the first float list loads it
+        script = """if True:
+            import sys
+            import numpy as np
+            import fairsift.cli
+            from fairsift import metrics
+            X = np.arange(120.0).reshape(40, 3) % 7
+            y = np.arange(40) % 2
+            masks = np.arange(40) % 5 != np.arange(5)[:, None]
+            bounds = [(X[m].min(axis=0), X[m].max(axis=0)) for m in masks]
+            metrics.consistency(X, y, 5, masks, bounds, metrics.neighbour_list(X, 5))
+            print("fairsift.floatlist" in sys.modules)
+            metrics.neighbour_list(X + 0.5 * np.arange(40)[:, None] ** 0.5, 5)
+            print("fairsift.floatlist" in sys.modules)
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_list_of_other_rows_rejected(self):
         ds = german_style(60, 2)
