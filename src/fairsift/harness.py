@@ -36,8 +36,9 @@ downstream correlation and sensitivity analyses consume.
 Undefined; ``results.csv`` lists that grid one entry per row.
 ``write_results_csv`` streams the lines, each (dataset, model) prefix quoted
 once, and ``read_results_csv`` streams the rows into key codes, one small
-int per key field, and a value list: the one path from keyed rows to a
-grid.
+int per key field, and values, collected per chunk of ``READ_CHUNK_ROWS``
+rows into an int32 code array and a float64 value array: the one path from
+keyed rows to a grid.
 
 Scaling statistics and reweighing weights are fit on training rows only and
 applied to test rows, so no information leaks across the split.  A
@@ -52,7 +53,6 @@ same inputs rewrites byte-identical results, regardless of worker count.
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -201,9 +201,9 @@ class _KeyCodes(dict):
 
 
 def _positions(axis, keys) -> np.ndarray:
-    """Each key's index in ``axis``, -1 for a key not on it."""
+    """Each key's index in ``axis``, -1 for a key not on it, as int32."""
     index = {key: i for i, key in enumerate(axis)}
-    return np.array([index.get(key, -1) for key in keys], dtype=np.intp)
+    return np.array([index.get(key, -1) for key in keys], dtype=np.int32)
 
 
 class MetricSampleMatrix:
@@ -232,9 +232,11 @@ class MetricSampleMatrix:
     def _from_codes(cls, keys, codes, values) -> "MetricSampleMatrix":
         """The grid of entries given as key codes: ``keys`` lists the distinct
         datasets, models, repeats, folds and metric ids, in that order, and
-        entry i is ``keys[field][codes[field][i]]`` with value ``values[i]``.
-        Its checks run in entry order (repeat and fold), then grid order."""
-        if not values:
+        entry i is ``keys[field][codes[field, i]]`` with value ``values[i]``.
+        ``codes`` is an int32 array, whose codes become grid positions in
+        place, and the flat grid index is built once from them.  Its checks
+        run in entry order (repeat and fold), then grid order."""
+        if not values.size:
             raise ValueError("no entries")
         axes = (
             tuple(sorted(keys[0])),
@@ -243,13 +245,15 @@ class MetricSampleMatrix:
             range(N_FOLDS),
             tuple(sorted(keys[4], key=metrics.metric_sort_key)),
         )
-        d, m, r, f, k = (_positions(axis, key)[np.asarray(code, dtype=np.intp)]
-                         for axis, key, code in zip(axes, keys, codes))
-        outside = (r < 0) | (f < 0)
+        positions = [_positions(axis, key) for axis, key in zip(axes, keys)]
+        outside = (positions[2] < 0)[codes[2]] | (positions[3] < 0)[codes[3]]
         if outside.any():
             i = int(np.argmax(outside))
-            slot = (keys[2][codes[2][i]], keys[3][codes[3][i]])
+            slot = (keys[2][codes[2, i]], keys[3][codes[3, i]])
             raise ValueError(f"(repeat, fold) {slot} outside 0..4")
+        for position, code in zip(positions, codes):
+            np.take(position, code, out=code)
+        d, m, r, f, k = codes
         datasets, models, _, _, metric_ids = axes
         shape = (len(datasets), len(models), len(metric_ids), N_REPEATS, N_FOLDS)
         flat = np.ravel_multi_index((d, m, k, r, f), shape)
@@ -420,6 +424,9 @@ def run_experiment(
             del listed
 
     if cfg.jobs > 1 and n_jobs > 1:
+        # imported here, so a serial run never loads the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # the fork start method starts every worker up front: no more than jobs
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, n_jobs)) as pool:
             results = list(pool.map(_repeats_job, jobs()))
@@ -452,6 +459,10 @@ def run_experiment(
 # --------------------------------------------------------------------------
 
 RESULTS_HEADER = ("dataset", "model", "repeat", "fold", "metric_id", "value")
+
+# rows read_results_csv collects in lists before it moves their codes and
+# values into arrays, so its memory is the grid's plus one chunk's
+READ_CHUNK_ROWS = 2**13
 
 
 def write_results_csv(samples: MetricSampleMatrix, path) -> None:
@@ -489,37 +500,54 @@ def read_results_csv(path) -> MetricSampleMatrix:
     The rows stream into one code list per key field and one value list:
     each key is coded through a dict (``_KeyCodes``) as it is read, so a
     metric id is checked against the catalogue, and a repeat or fold parsed
-    by ``int``, once, at its first line.  A row's checks run in the order
-    unpack, metric id, value, finite value, repeat, fold; the first bad
-    line is reported, then the grid's checks (``_from_codes``) run."""
+    by ``int``, once, at its first line.  Every ``READ_CHUNK_ROWS`` rows the
+    lists move into an int32 code array and a float64 value array, so no
+    per-entry object outlives its chunk.  A row's checks run in the order
+    unpack, metric id, value, finite value, repeat, fold; the first bad line
+    is reported, then the grid's checks (``_from_codes``) run."""
     coders = [_KeyCodes(parse) for parse in (str, str, int, int, _metric_id)]
     dataset_codes, model_codes, repeat_codes, fold_codes, metric_codes = coders
     codes = tuple([] for _ in coders)
     dataset_col, model_col, repeat_col, fold_col, metric_col = codes
     values = []
+    code_chunks, value_chunks = [], []
     with read_csv(path) as (header, reader):
         if tuple(header) != RESULTS_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(RESULTS_HEADER)}, got {header}"
             )
-        for row in filter(None, reader):
-            try:
-                dataset, model, repeat, fold, metric_id, value = row
-                metric_col.append(metric_codes[metric_id])
-                if value == UNDEFINED_FIELD:
-                    values.append(math.nan)
-                else:
-                    number = float(value)
-                    if not math.isfinite(number):
-                        raise ValueError(
-                            f"value {value!r} is not finite; Undefined is an empty field")
-                    values.append(number)
-                repeat_col.append(repeat_codes[repeat])
-                fold_col.append(fold_codes[fold])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
-            dataset_col.append(dataset_codes[dataset])
-            model_col.append(model_codes[model])
+        rows = filter(None, reader)
+        while True:
+            for row in itertools.islice(rows, READ_CHUNK_ROWS):
+                try:
+                    dataset, model, repeat, fold, metric_id, value = row
+                    metric_col.append(metric_codes[metric_id])
+                    if value == UNDEFINED_FIELD:
+                        values.append(math.nan)
+                    else:
+                        number = float(value)
+                        if not math.isfinite(number):
+                            raise ValueError(
+                                f"value {value!r} is not finite; Undefined is an empty field")
+                        values.append(number)
+                    repeat_col.append(repeat_codes[repeat])
+                    fold_col.append(fold_codes[fold])
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+                dataset_col.append(dataset_codes[dataset])
+                model_col.append(model_codes[model])
+            code_chunks.append(np.array(codes, dtype=np.int32))
+            value_chunks.append(np.array(values, dtype=float))
+            for column in codes + (values,):
+                column.clear()
+            # a short chunk is the last
+            if value_chunks[-1].size < READ_CHUNK_ROWS:
+                break
+    # each list of chunks is dropped once joined: one copy of them at a time
+    codes = np.concatenate(code_chunks, axis=1)
+    del code_chunks
+    values = np.concatenate(value_chunks)
+    del value_chunks
     try:
         return MetricSampleMatrix._from_codes([c.parsed for c in coders], codes, values)
     except ValueError as exc:

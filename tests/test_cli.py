@@ -359,6 +359,35 @@ class TestExperimentCommand:
         assert main(["experiment", "--data", str(data), "--spec", str(spec),
                      "--out", str(tmp_path), "--seeds", "1,2,3"]) == 2
 
+    def test_serial_run_never_loads_the_process_pool(self, tiny_dataset, tmp_path):
+        # a fresh interpreter: experiment --jobs 1 and analyze leave the
+        # process pool's modules unloaded; --jobs 2 on two datasets loads them
+        data, spec = tiny_dataset
+        toy_data, toy_spec = write_toy(tmp_path, 60)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"datasets": [
+            {"data": str(data), "spec": str(spec)},
+            {"data": str(toy_data), "spec": str(toy_spec)},
+        ]}))
+        serial, pool = tmp_path / "serial", tmp_path / "pool"
+        script = f"""if True:
+            import sys
+            from fairsift.cli import main
+            def run(*argv):
+                assert main(list(argv)) == 0, argv
+                print("loaded", *(name in sys.modules
+                                  for name in ("concurrent.futures.process", "multiprocessing")))
+            run("experiment", "--config", {str(config)!r}, "--out", {str(serial)!r},
+                "--jobs", "1")
+            run("analyze", "--results", {str(serial / "results.csv")!r}, "--out", {str(serial)!r})
+            run("experiment", "--config", {str(config)!r}, "--out", {str(pool)!r}, "--jobs", "2")
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded")]
+        assert loaded == ["loaded False False", "loaded False False", "loaded True True"]
+        assert (serial / "results.csv").read_bytes() == (pool / "results.csv").read_bytes()
+
     def test_model_order_does_not_change_outputs(self, tiny_dataset, experiment_dir,
                                                  tmp_path):
         data, spec = tiny_dataset

@@ -1,10 +1,13 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
 import math
 import random
 import warnings
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,7 +91,8 @@ def in_process_pool(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    # harness imports the pool class from here when it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return sizes
 
 
@@ -956,6 +960,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="expected header"):
             read_results_csv(path)
 
+    def test_reader_memory_bound(self, tmp_path):
+        # 48 datasets x 2 models x 30 metrics x 25 folds: 72,000 entries in
+        # a 0.55 MB grid.  Held as Python ints and floats until the end, the
+        # entries peak near 10 MB; in chunks of arrays, near 4 MB.
+        values = np.random.default_rng(4).random((48, 2, 30, 25))
+        values[:, :, 7, ::3] = np.nan
+        grid = MetricSampleMatrix([f"d{i:02d}" for i in range(48)], harness.MODEL_NAMES,
+                                  metrics.CLASSIFICATION_IDS + metrics.DATASET_IDS, values)
+        path = tmp_path / "results.csv"
+        write_results_csv(grid, path)
+        tracemalloc.start()
+        try:
+            got = read_results_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_grid(got, grid)
+        assert peak < 5 * 2**20
+
     def test_byte_identical_rewrites(self, small_experiment, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_results_csv(small_experiment, p1)
@@ -1102,6 +1125,26 @@ class TestReaderAgainstOracle:
     @example([("fields", 3, [(3, "7")]), ("fields", 1, [(2, "-1")])])  # first slot
     @example([("fields", 3, [(2, " 3")]), ("fields", 4, [(3, "03")])])  # same slot
     def test_edited_file_reads_as_the_oracle(self, base_lines, tmp_path_factory, edits):
+        self.check_edits(base_lines, tmp_path_factory, edits)
+
+    # the reader moves its lists into arrays every READ_CHUNK_ROWS rows;
+    # with 7, data lines 0..6 are a chunk and 7..13 the next
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @settings(max_examples=60)
+    @given(edits=st.lists(_EDITS, max_size=5))
+    @example(edits=[])  # 300 rows: whole chunks of 1 and 2, a short one of 7
+    @example(edits=[("fields", 7, [(5, "x")])])  # first row of a chunk
+    @example(edits=[("fields", 6, [(3, "7")])])  # last row of a chunk
+    @example(edits=[("fields", 13, [(4, "C99")]), ("fields", 20, [(5, "inf")])])
+    @example(edits=[("blank", 7), ("fields", 8, [(5, "inf")])])  # blank at a boundary
+    @example(edits=[("blank", 7), ("blank", 7), ("duplicate", 3, 9)])
+    def test_edited_file_reads_as_the_oracle_in_chunks(self, base_lines, tmp_path_factory,
+                                                       chunk, edits):
+        with mock.patch.object(harness, "READ_CHUNK_ROWS", chunk):
+            self.check_edits(base_lines, tmp_path_factory, edits)
+
+    @staticmethod
+    def check_edits(base_lines, tmp_path_factory, edits):
         header, lines = base_lines[0], list(base_lines[1:])
         for edit in edits:
             _edit(lines, edit)
@@ -1149,3 +1192,26 @@ class TestQuoting:
         assert line > len(list(csv.reader(io.StringIO(text))))
         with pytest.raises(ValueError, match=f"line {line}: value 'inf' is not finite"):
             read_results_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunks_and_multiline_fields(self, quoted, tmp_path, chunk):
+        # data rows 200..299 name "two\nlines", so each spans two lines; in
+        # chunks of 7, row 203 opens a chunk, 209 closes one and 210 opens
+        # the next (in chunks of 2: closes, closes, opens)
+        path = tmp_path / "results.csv"
+        write_results_csv(quoted, path)
+        rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+        with mock.patch.object(harness, "READ_CHUNK_ROWS", chunk):
+            assert same_grid(read_results_csv(path), quoted)
+            for bad in (203, 209, 210):
+                edited = [list(row) for row in rows]
+                edited[1 + bad][5] = "inf"
+                text = io.StringIO()
+                csv.writer(text, lineterminator="\n").writerows(edited)
+                path.write_text(text.getvalue(), encoding="utf-8")
+                # the line the bad row ends on counts every embedded newline
+                line = 2 + bad + sum(field.count("\n") for row in rows[:2 + bad]
+                                     for field in row)
+                with pytest.raises(ValueError, match=f"line {line}: value 'inf' is not finite"):
+                    read_results_csv(path)
+                assert outcome(read_results_csv, path) == outcome(oracle_read, path)
